@@ -49,6 +49,7 @@ from .executor import (
     step,
 )
 from .network import (
+    ChannelSetError,
     FeedbackCheck,
     IllFormedNetworkError,
     Instance,

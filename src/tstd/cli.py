@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 from random import Random
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from .dsl import (
     ParseFailure,
@@ -32,7 +32,13 @@ from .executor import (
 )
 from .gen import random_trace
 from .model import ComponentSpec, has_errors, validate_spec
-from .network import ChannelSetError, IllFormedNetworkError, run_network
+from .network import (
+    ChannelSetError,
+    IllFormedNetworkError,
+    Network,
+    check_feedback_wellformed,
+    run_network,
+)
 from .streams import (
     IDENT_RE,
     LengthMismatchError,
@@ -83,17 +89,21 @@ def _parse_spec_text(text: str, fmt: str) -> ComponentSpec:
     return parse_table(text) if fmt == "table" else parse_component(text)
 
 
-def _load_spec(path: str, fmt: Optional[str] = None, parse_code: int = USAGE) -> ComponentSpec:
+_T = TypeVar("_T")
+
+
+def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
+    """Read ``path`` and parse it; a parse failure is a usage error."""
     text = _read_text(path)
     try:
-        return _parse_spec_text(text, fmt or _infer_format(path))
+        return parse(text)
     except ParseFailure as exc:
         lines = [f"{path}:{issue.render()}" for issue in exc.issues]
-        raise _Failure(parse_code, "\n".join(lines)) from exc
+        raise _Failure(USAGE, "\n".join(lines)) from exc
 
 
-def _load_validated_spec(path: str, fmt: Optional[str] = None) -> ComponentSpec:
-    spec = _load_spec(path, fmt)
+def _load_validated_spec(path: str) -> ComponentSpec:
+    spec = _parse_file(path, lambda text: _parse_spec_text(text, _infer_format(path)))
     findings = validate_spec(spec)
     if has_errors(findings):
         report = "\n".join(f"{path}: {f.render()}" for f in findings)
@@ -102,12 +112,7 @@ def _load_validated_spec(path: str, fmt: Optional[str] = None) -> ComponentSpec:
 
 
 def _load_trace(path: str) -> Trace:
-    text = _read_text(path)
-    try:
-        return parse_trace(text)
-    except ParseFailure as exc:
-        lines = [f"{path}:{issue.render()}" for issue in exc.issues]
-        raise _Failure(USAGE, "\n".join(lines)) from exc
+    return _parse_file(path, parse_trace)
 
 
 def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = None) -> None:
@@ -149,13 +154,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise _Failure(REFUTED, str(exc)) from exc
     _emit_trace(outputs, args.out, summary=f"simulated {outputs.length} ticks")
     return OK
-
-
-def _map_channels(trace: Trace, fn) -> Trace:
-    mapped = {ch: fn(prefix) for ch, prefix in trace.channels.items()}
-    if not mapped:
-        return Trace({}, trace.length)
-    return Trace.of(mapped)
 
 
 def cmd_stream_split(args: argparse.Namespace) -> int:
@@ -271,18 +269,11 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     return REFUTED
 
 
-def _load_network(path: str):
-    text = _read_text(path)
-    try:
-        return parse_network(text, base_dir=Path(path).parent)
-    except ParseFailure as exc:
-        lines = [f"{path}:{issue.render()}" for issue in exc.issues]
-        raise _Failure(USAGE, "\n".join(lines)) from exc
+def _load_network(path: str) -> Network:
+    return _parse_file(path, lambda text: parse_network(text, base_dir=Path(path).parent))
 
 
 def cmd_check_feedback(args: argparse.Namespace) -> int:
-    from .network import check_feedback_wellformed
-
     net = _load_network(args.network)
     result = check_feedback_wellformed(net)
     if result.well_formed:

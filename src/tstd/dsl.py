@@ -6,6 +6,11 @@ located errors, never an uncaught exception.  Printers are canonical: equal
 values print to identical bytes, and parsing a printed value gives the value
 back.
 
+Parsers check syntax and declarations; reference errors come located from
+:func:`tstd.model.check_transition` and :func:`tstd.network.build_network`,
+and the parsers only map each location (transition clause, wire, instance)
+to its line, so the messages are those of ``validate_spec`` and ``build_network``.
+
 Component text (``*.tstd``)::
 
     component NAME
@@ -40,7 +45,7 @@ Network (``*.tnet``)::
 
 Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
 ``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
-lists channels sorted by name.
+lists channels sorted by name.  A comment-only line is not a tick.
 """
 
 from __future__ import annotations
@@ -64,8 +69,10 @@ from .model import (
     VarDecl,
     VarGuard,
     VarUpdate,
+    check_transition,
 )
 from .network import (
+    Endpoint,
     ExternalPort,
     Instance,
     Network,
@@ -209,11 +216,16 @@ def _strip_comment(raw: str) -> str:
 
 
 def _logical_lines(text: str) -> List[Tuple[int, str]]:
-    """(line number, comment-stripped content) pairs, including blank ones."""
+    """(line number, comment-stripped content) pairs: blank lines are kept
+    (a trace tick can be one), lines holding only a comment are dropped."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    return [(i + 1, _strip_comment(raw).rstrip("\r")) for i, raw in enumerate(lines)]
+    return [
+        (i + 1, _strip_comment(raw).rstrip("\r"))
+        for i, raw in enumerate(lines)
+        if not raw.lstrip().startswith("#")
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -221,21 +233,34 @@ def _logical_lines(text: str) -> List[Tuple[int, str]]:
 
 
 class _RawTransition:
+    """A transition's clauses as written, with their lines per clause kind."""
+
     def __init__(self, line: int, source: str, target: str):
-        self.line = line
         self.source = source
         self.target = target
-        self.interval_guards: List[Tuple[int, IntervalGuard]] = []
+        self.interval_guards: List[IntervalGuard] = []
         self.var_guards: List[VarGuard] = []
-        self.outputs: List[Tuple[int, OutputAction]] = []
-        self.updates: List[Tuple[int, VarUpdate]] = []
+        self.outputs: List[OutputAction] = []
+        self.updates: List[VarUpdate] = []
+        self._clauses = {
+            "when": self.interval_guards,
+            "guard": self.var_guards,
+            "emit": self.outputs,
+            "set": self.updates,
+        }
+        self.lines: Dict[str, List[int]] = {kind: [] for kind in self._clauses}
+        self.lines["trans"] = [line]
+
+    def add(self, kind: str, line: int, clause) -> None:
+        self._clauses[kind].append(clause)
+        self.lines[kind].append(line)
 
 
 class _SpecBuilder:
     """Shared back half of the textual and table parsers.
 
-    Collects declarations plus raw transitions, then cross-checks every
-    reference with the span it came from and assembles the spec.
+    Collects declarations plus raw transitions, reports the findings of
+    :func:`check_transition` at their clause lines, and assembles the spec.
     """
 
     def __init__(self, issues: _Issues):
@@ -290,57 +315,14 @@ class _SpecBuilder:
             issues.add(1, 1, "no states declared")
         elif self.initial is None:
             issues.add(1, 1, "no initial state declared")
+        states = set(self.states)
         in_set = set(self.in_channels())
         out_set = set(self.out_channels())
         var_set = {v.name for v in self.vars}
-        transitions: List[Transition] = []
-        for raw in self.raw_transitions:
-            if raw.source not in self.states:
-                issues.add(raw.line, 1, f"undeclared source state '{raw.source}'")
-            if raw.target not in self.states:
-                issues.add(raw.line, 1, f"undeclared target state '{raw.target}'")
-            guarded: set = set()
-            for line, g in raw.interval_guards:
-                if g.channel not in in_set:
-                    issues.add(line, 1, f"'{g.channel}' is not an input channel")
-                    continue
-                if g.channel in guarded:
-                    issues.add(line, 1, f"duplicate guard for channel '{g.channel}'")
-                    continue
-                guarded.add(g.channel)
-            for vg in raw.var_guards:
-                if vg.var not in var_set:
-                    issues.add(raw.line, 1, f"guard on undeclared variable '{vg.var}'")
-            emitted: set = set()
-            for line, out in raw.outputs:
-                if out.channel not in out_set:
-                    issues.add(line, 1, f"'{out.channel}' is not an output channel")
-                    continue
-                if out.channel in emitted:
-                    issues.add(line, 1, f"duplicate emission on channel '{out.channel}'")
-                    continue
-                emitted.add(out.channel)
-                if out.is_pass and out.source not in in_set:
-                    issues.add(line, 1, f"pass source '{out.source}' is not an input channel")
-            updated: set = set()
-            for line, up in raw.updates:
-                if up.var not in var_set:
-                    issues.add(line, 1, f"update of undeclared variable '{up.var}'")
-                    continue
-                if up.var in updated:
-                    issues.add(line, 1, f"duplicate update of variable '{up.var}'")
-                    continue
-                updated.add(up.var)
-            transitions.append(
-                Transition(
-                    source=raw.source,
-                    target=raw.target,
-                    interval_guards=tuple(g for _, g in raw.interval_guards),
-                    var_guards=tuple(raw.var_guards),
-                    outputs=tuple(o for _, o in raw.outputs),
-                    updates=tuple(u for _, u in raw.updates),
-                )
-            )
+        for idx, raw in enumerate(self.raw_transitions, start=1):
+            for finding in check_transition(idx, raw, states, in_set, out_set, var_set):
+                _, clause, position = finding.location
+                issues.add(raw.lines[clause][position], 1, finding.message)
         if issues:
             return None
         return ComponentSpec(
@@ -349,7 +331,17 @@ class _SpecBuilder:
             vars=tuple(self.vars),
             states=tuple(self.states),
             initial=self.initial,
-            transitions=tuple(transitions),
+            transitions=tuple(
+                Transition(
+                    raw.source,
+                    raw.target,
+                    tuple(raw.interval_guards),
+                    tuple(raw.var_guards),
+                    tuple(raw.outputs),
+                    tuple(raw.updates),
+                )
+                for raw in self.raw_transitions
+            ),
         )
 
 
@@ -448,13 +440,13 @@ def _parse_clause(lineno: int, stripped: str, raw: _RawTransition, issues: _Issu
         if pattern is None:
             issues.add(lineno, 1, f"malformed interval pattern {parts[0]!r}")
             return
-        raw.interval_guards.append((lineno, IntervalGuard(channel, pattern)))
+        raw.add("when", lineno, IntervalGuard(channel, pattern))
         for extra in parts[1:]:
             vg = _parse_var_guard(extra)
             if vg is None:
                 issues.add(lineno, 1, f"malformed variable guard {extra!r}")
             else:
-                raw.var_guards.append(vg)
+                raw.add("guard", lineno, vg)
     elif keyword == "emit":
         channel, colon, body = (p.strip() for p in rest.partition(":"))
         if not IDENT_RE.match(channel) or colon != ":":
@@ -462,13 +454,13 @@ def _parse_clause(lineno: int, stripped: str, raw: _RawTransition, issues: _Issu
             return
         action = _parse_emission(lineno, channel, body, issues)
         if action is not None:
-            raw.outputs.append((lineno, action))
+            raw.add("emit", lineno, action)
     elif keyword == "set":
         update = _parse_update(rest)
         if update is None:
             issues.add(lineno, 1, "expected 'set VAR := VAR + INT | VAR - INT | INT'")
         else:
-            raw.updates.append((lineno, update))
+            raw.add("set", lineno, update)
     else:
         issues.add(lineno, 1, f"unknown clause {keyword!r}")
 
@@ -629,7 +621,7 @@ def _parse_table_row(
             if pattern is None:
                 issues.add(lineno, col, f"malformed interval pattern {cell!r}")
             else:
-                raw.interval_guards.append((lineno, IntervalGuard(ch, pattern)))
+                raw.add("when", lineno, IntervalGuard(ch, pattern))
         idx += 1
     guard_cell = cells[idx]
     guard_col = _cell_column(content, idx)
@@ -639,7 +631,7 @@ def _parse_table_row(
             if vg is None:
                 issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
             else:
-                raw.var_guards.append(vg)
+                raw.add("guard", lineno, vg)
     idx += 1
     for ch in outs:
         cell = cells[idx]
@@ -650,7 +642,7 @@ def _parse_table_row(
             for issue in sub.items:
                 issues.add(lineno, col, issue.message)
             if action is not None:
-                raw.outputs.append((lineno, action))
+                raw.add("emit", lineno, action)
         idx += 1
     set_cell = cells[idx]
     set_col = _cell_column(content, idx)
@@ -660,7 +652,7 @@ def _parse_table_row(
             if update is None:
                 issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
             else:
-                raw.updates.append((lineno, update))
+                raw.add("set", lineno, update)
     builder.raw_transitions.append(raw)
 
 
@@ -712,17 +704,12 @@ def print_table(spec: ComponentSpec) -> str:
 def parse_trace(text: str) -> Trace:
     """Parse a trace file; raises ParseFailure on any error."""
     issues = _Issues()
-    lines = [
-        (lineno, content)
-        for lineno, content in _logical_lines(text)
-        if not content.strip().startswith("#")
-    ]
     header_seen = False
     channels: List[str] = []
     ticks: List[Dict[str, TimeInterval]] = []
     tick_no = 0
 
-    for lineno, content in lines:
+    for lineno, content in _logical_lines(text):
         stripped = content.strip()
         if not header_seen:
             if not stripped:
@@ -837,8 +824,11 @@ def parse_network(
     load = loader or _default_component_loader
     base = Path(base_dir)
     instances: List[Instance] = []
-    by_id: Dict[str, Instance] = {}
-    wire_lines: List[Tuple[int, str]] = []
+    wires: List[Wire] = []
+    external_in: List[str] = []
+    external_out: List[str] = []
+    # Source line of each instance and wire, keyed as NetworkBuildError.locations.
+    lines: Dict[str, List[int]] = {"instance": [], "wire": []}
 
     for lineno, content in _logical_lines(text):
         stripped = content.strip()
@@ -851,9 +841,6 @@ def parse_network(
             if not IDENT_RE.match(name) or eq != "=":
                 issues.add(lineno, 1, "expected 'use ID = file PATH | delay D | merge'")
                 continue
-            if name in by_id:
-                issues.add(lineno, 1, f"duplicate instance id '{name}'")
-                continue
             kind, _, arg = what.partition(" ")
             arg = arg.strip()
             inst: Optional[Instance] = None
@@ -863,7 +850,7 @@ def parse_network(
                 else:
                     inst = _load_instance(name, base, arg, load, lineno, issues)
             elif kind == "delay":
-                if not _INT_RE.match(arg) or int(arg) < 1:
+                if not _INT_RE.match(arg):
                     issues.add(lineno, 1, "delay depth must be an integer >= 1")
                 else:
                     inst = Instance.of_delay(name, int(arg))
@@ -876,69 +863,42 @@ def parse_network(
                 issues.add(lineno, 1, f"unknown instance kind {kind!r}")
             if inst is not None:
                 instances.append(inst)
-                by_id[name] = inst
+                lines["instance"].append(lineno)
         elif keyword == "wire":
-            wire_lines.append((lineno, rest))
+            src_raw, arrow, dst_raw = rest.partition("->")
+            if arrow != "->":
+                issues.add(lineno, 1, "expected 'wire SRC -> DST'")
+                continue
+            src = _parse_endpoint(lineno, src_raw, external_in, issues)
+            dst = _parse_endpoint(lineno, dst_raw, external_out, issues)
+            if src is not None and dst is not None:
+                wires.append(Wire(src, dst))
+                lines["wire"].append(lineno)
         else:
             issues.add(lineno, 1, f"unknown directive {keyword!r}")
-
-    wires: List[Wire] = []
-    external_in: List[str] = []
-    external_out: List[str] = []
-    driven: Dict[str, int] = {}
-
-    def endpoint(lineno: int, raw: str, as_source: bool):
-        m = _ENDPOINT_RE.match(raw.strip())
-        if not m:
-            issues.add(lineno, 1, f"malformed endpoint {raw.strip()!r}")
-            return None
-        if m.group(1):
-            name = m.group(1)
-            pool = external_in if as_source else external_out
-            if name not in pool:
-                pool.append(name)
-            return ExternalPort(name)
-        iid, port = m.group(2), m.group(3)
-        inst = by_id.get(iid)
-        if inst is None:
-            issues.add(lineno, 1, f"wire references unknown instance '{iid}'")
-            return None
-        ports = inst.out_ports() if as_source else inst.in_ports()
-        role = "output" if as_source else "input"
-        if port not in ports:
-            issues.add(lineno, 1, f"'{iid}.{port}' is not an {role} port")
-            return None
-        return Port(iid, port)
-
-    for lineno, rest in wire_lines:
-        src_raw, arrow, dst_raw = rest.partition("->")
-        if arrow != "->":
-            issues.add(lineno, 1, "expected 'wire SRC -> DST'")
-            continue
-        src = endpoint(lineno, src_raw, as_source=True)
-        dst = endpoint(lineno, dst_raw, as_source=False)
-        if src is None or dst is None:
-            continue
-        key = dst.path()
-        driven[key] = driven.get(key, 0) + 1
-        if driven[key] > 1:
-            issues.add(lineno, 1, f"'{key}' is already driven by another wire")
-            continue
-        wires.append(Wire(src, dst))
-
-    if not issues:
-        for inst in instances:
-            for port in inst.in_ports():
-                if f"{inst.id}.{port}" not in driven:
-                    issues.add(1, 1, f"input port '{inst.id}.{port}' is not driven")
 
     issues.raise_if_any()
     try:
         return build_network(instances, wires, external_in, external_out)
     except NetworkBuildError as exc:
-        raise ParseFailure(
-            [ParseIssue(SourceSpan(1, 1), p) for p in exc.problems]
-        ) from exc
+        for problem, where in zip(exc.problems, exc.locations):
+            issues.add(lines[where[0]][where[1]] if where else 1, 1, problem)
+        raise ParseFailure(issues.items) from exc
+
+
+def _parse_endpoint(
+    lineno: int, raw: str, externals: List[str], issues: _Issues
+) -> Optional[Endpoint]:
+    """``extern NAME`` (recorded in ``externals``) or ``ID.PORT``; None if malformed."""
+    m = _ENDPOINT_RE.match(raw.strip())
+    if not m:
+        issues.add(lineno, 1, f"malformed endpoint {raw.strip()!r}")
+        return None
+    if m.group(1):
+        if m.group(1) not in externals:
+            externals.append(m.group(1))
+        return ExternalPort(m.group(1))
+    return Port(m.group(2), m.group(3))
 
 
 def _load_instance(

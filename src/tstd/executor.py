@@ -75,9 +75,6 @@ class Trace:
     def tick(self, t: int) -> Dict[str, TimeInterval]:
         return {ch: prefix[t] for ch, prefix in self.channels.items()}
 
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self.channels)
-
 
 def step(
     spec: ComponentSpec,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .streams import IDENT_RE, Message, TimeInterval
 
@@ -34,6 +34,7 @@ __all__ = [
     "VarDecl",
     "VarGuard",
     "VarUpdate",
+    "check_transition",
     "classify_causality_syntactic",
     "enabled_transitions",
     "has_errors",
@@ -338,8 +339,12 @@ class Severity(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Finding:
+    """One validation result; ``location`` (see :func:`check_transition`)
+    lets a parser point at a clause's line, and ``render`` ignores it."""
+
     severity: Severity
     message: str
+    location: Optional[Tuple[int, str, int]] = None
 
     def render(self) -> str:
         return f"{self.severity.value}: {self.message}"
@@ -400,6 +405,64 @@ def _effective_patterns(t: Transition, in_channels: Sequence[str]) -> Dict[str, 
     return eff
 
 
+def check_transition(
+    index: int,
+    t: Transition,
+    states: Collection[str],
+    in_channels: Collection[str],
+    out_channels: Collection[str],
+    variables: Collection[str],
+) -> List[Finding]:
+    """Reference errors of the ``index``-th (1-based) transition of a spec.
+
+    ``t`` may also hold the clauses as written, before :class:`Transition`
+    drops ``any`` guards and empty emissions.  Findings are located at
+    ``(index, clause, position)``: clause ``"trans"`` (position 0) for the
+    states, else ``"when"``, ``"guard"``, ``"emit"`` or ``"set"`` with the
+    0-based position in ``interval_guards``, ``var_guards``, ``outputs`` or
+    ``updates``.
+    """
+    findings: List[Finding] = []
+    where = f"transition {index} ({t.source} -> {t.target})"
+
+    def error(clause: str, position: int, msg: str) -> None:
+        findings.append(Finding(Severity.ERROR, f"{where}: {msg}", (index, clause, position)))
+
+    if t.source not in states:
+        error("trans", 0, f"source state '{t.source}' is not declared")
+    if t.target not in states:
+        error("trans", 0, f"target state '{t.target}' is not declared")
+    guarded = set()
+    for pos, g in enumerate(t.interval_guards):
+        if g.channel not in in_channels:
+            error("when", pos, f"guard on '{g.channel}' which is not an input channel")
+        if g.channel in guarded:
+            error("when", pos, f"more than one guard on channel '{g.channel}'")
+        guarded.add(g.channel)
+        if g.pattern.count is not None and g.pattern.count < 0:
+            error("when", pos, f"negative length bound in guard on '{g.channel}'")
+    for pos, vg in enumerate(t.var_guards):
+        if vg.var not in variables:
+            error("guard", pos, f"guard on undeclared variable '{vg.var}'")
+    emitted = set()
+    for pos, out in enumerate(t.outputs):
+        if out.channel not in out_channels:
+            error("emit", pos, f"emission on '{out.channel}' which is not an output channel")
+        if out.channel in emitted:
+            error("emit", pos, f"more than one emission on channel '{out.channel}'")
+        emitted.add(out.channel)
+        if out.is_pass and out.source not in in_channels:
+            error("emit", pos, f"pass source '{out.source}' is not an input channel")
+    updated = set()
+    for pos, up in enumerate(t.updates):
+        if up.var not in variables:
+            error("set", pos, f"update of undeclared variable '{up.var}'")
+        if up.var in updated:
+            error("set", pos, f"more than one update of variable '{up.var}'")
+        updated.add(up.var)
+    return findings
+
+
 def validate_spec(spec: ComponentSpec) -> List[Finding]:
     """Structural validation: a deterministic list of errors and warnings.
 
@@ -453,39 +516,7 @@ def validate_spec(spec: ComponentSpec) -> List[Finding]:
         error(f"initial state '{spec.initial}' is not declared")
 
     for idx, t in enumerate(spec.transitions, start=1):
-        where = f"transition {idx} ({t.source} -> {t.target})"
-        if t.source not in seen_states:
-            error(f"{where}: source state '{t.source}' is not declared")
-        if t.target not in seen_states:
-            error(f"{where}: target state '{t.target}' is not declared")
-        guarded = set()
-        for g in t.interval_guards:
-            if g.channel not in in_set:
-                error(f"{where}: guard on '{g.channel}' which is not an input channel")
-            if g.channel in guarded:
-                error(f"{where}: more than one guard on channel '{g.channel}'")
-            guarded.add(g.channel)
-            if g.pattern.count is not None and g.pattern.count < 0:
-                error(f"{where}: negative length bound in guard on '{g.channel}'")
-        for vg in t.var_guards:
-            if vg.var not in seen_vars:
-                error(f"{where}: guard on undeclared variable '{vg.var}'")
-        emitted = set()
-        for out in t.outputs:
-            if out.channel not in out_set:
-                error(f"{where}: emission on '{out.channel}' which is not an output channel")
-            if out.channel in emitted:
-                error(f"{where}: more than one emission on channel '{out.channel}'")
-            emitted.add(out.channel)
-            if out.is_pass and out.source not in in_set:
-                error(f"{where}: pass source '{out.source}' is not an input channel")
-        updated = set()
-        for up in t.updates:
-            if up.var not in seen_vars:
-                error(f"{where}: update of undeclared variable '{up.var}'")
-            if up.var in updated:
-                error(f"{where}: more than one update of variable '{up.var}'")
-            updated.add(up.var)
+        findings += check_transition(idx, t, seen_states, in_set, out_set, seen_vars)
 
     if not any(f.severity is Severity.ERROR for f in findings):
         in_order = spec.in_channels()

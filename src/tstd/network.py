@@ -31,6 +31,7 @@ from .model import (
 from .streams import StreamPrefix, TimeInterval
 
 __all__ = [
+    "ChannelSetError",
     "ExternalPort",
     "FeedbackCheck",
     "IllFormedNetworkError",
@@ -54,11 +55,27 @@ MERGE_OUT = "out"
 
 
 class NetworkBuildError(ValueError):
-    """Raised by build_network; carries every wiring violation found."""
+    """Raised by build_network; carries every wiring violation found.
 
-    def __init__(self, problems: Sequence[str]):
+    ``locations[i]`` is ``("wire", k)`` or ``("instance", k)`` for a problem
+    at the k-th (0-based) wire or instance, None for the external port lists.
+    """
+
+    def __init__(self, problems: Sequence[str], locations: Sequence[Optional[Tuple[str, int]]]):
         self.problems = list(problems)
+        self.locations = list(locations)
         super().__init__("; ".join(self.problems))
+
+
+class ChannelSetError(ValueError):
+    """External input trace channels do not match the network boundary."""
+
+    def __init__(self, expected: Tuple[str, ...], got: Tuple[str, ...]):
+        super().__init__(
+            f"external inputs {sorted(got)} do not match network inputs {sorted(expected)}"
+        )
+        self.expected = expected
+        self.got = got
 
 
 class IllFormedNetworkError(ValueError):
@@ -144,12 +161,6 @@ class Network:
     external_in: Tuple[str, ...]
     external_out: Tuple[str, ...]
 
-    def instance(self, id: str) -> Instance:
-        for inst in self.instances:
-            if inst.id == id:
-                return inst
-        raise KeyError(id)
-
 
 def build_network(
     instances: Sequence[Instance],
@@ -161,69 +172,81 @@ def build_network(
 
     Every instance input port and every external output must be driven by
     exactly one wire; sources may fan out freely.  All violations are
-    collected and raised together as a :class:`NetworkBuildError`.
+    collected, each located at a wire or an instance where it has one, and
+    raised together as a :class:`NetworkBuildError`.
     """
     problems: List[str] = []
+    locations: List[Optional[Tuple[str, int]]] = []
+
+    def problem(message: str, where: Optional[Tuple[str, int]] = None) -> None:
+        problems.append(message)
+        locations.append(where)
+
     by_id: Dict[str, Instance] = {}
-    for inst in instances:
+    for i, inst in enumerate(instances):
         if inst.id in by_id:
-            problems.append(f"duplicate instance id '{inst.id}'")
+            problem(f"duplicate instance id '{inst.id}'", ("instance", i))
         by_id[inst.id] = inst
         if inst.kind is InstanceKind.DELAY and inst.delay < 1:
-            problems.append(f"instance '{inst.id}': delay must be at least 1")
+            problem(f"instance '{inst.id}': delay must be at least 1", ("instance", i))
         if inst.kind is InstanceKind.SPEC and inst.spec is None:
-            problems.append(f"instance '{inst.id}': missing spec")
+            problem(f"instance '{inst.id}': missing spec", ("instance", i))
 
     ext_in = list(external_in)
     ext_out = list(external_out)
     for name in ext_in:
         if ext_in.count(name) > 1:
-            problems.append(f"duplicate external input '{name}'")
+            problem(f"duplicate external input '{name}'")
     for name in ext_out:
         if ext_out.count(name) > 1:
-            problems.append(f"duplicate external output '{name}'")
+            problem(f"duplicate external output '{name}'")
 
-    def check_endpoint(ep: Endpoint, as_source: bool) -> None:
+    def check_endpoint(ep: Endpoint, as_source: bool, where: Tuple[str, int]) -> None:
         if isinstance(ep, ExternalPort):
             pool = ext_in if as_source else ext_out
             role = "input" if as_source else "output"
             if ep.name not in pool:
-                problems.append(f"unknown external {role} '{ep.name}'")
+                problem(f"unknown external {role} '{ep.name}'", where)
             return
         inst = by_id.get(ep.instance)
         if inst is None:
-            problems.append(f"wire references unknown instance '{ep.instance}'")
+            problem(f"wire references unknown instance '{ep.instance}'", where)
             return
         ports = inst.out_ports() if as_source else inst.in_ports()
         role = "output" if as_source else "input"
         if ep.port not in ports:
-            problems.append(f"'{ep.path()}' is not an {role} port")
+            problem(f"'{ep.path()}' is not an {role} port", where)
 
-    for wire in wires:
-        check_endpoint(wire.source, as_source=True)
-        check_endpoint(wire.target, as_source=False)
+    for i, wire in enumerate(wires):
+        check_endpoint(wire.source, True, ("wire", i))
+        check_endpoint(wire.target, False, ("wire", i))
 
     if not problems:
-        drivers: Dict[str, int] = {}
-        for wire in wires:
-            key = wire.target.path()
-            drivers[key] = drivers.get(key, 0) + 1
-        for inst in instances:
+        # The indices of the wires driving each path; a path with several
+        # drivers is reported at its second one.
+        drivers: Dict[str, List[int]] = {}
+        for i, wire in enumerate(wires):
+            drivers.setdefault(wire.target.path(), []).append(i)
+
+        def check_driven(path: str, what: str, undriven_at: Optional[Tuple[str, int]]) -> None:
+            found = drivers.get(path, [])
+            if not found:
+                problem(f"{what} is not driven", undriven_at)
+            elif len(found) > 1:
+                problem(
+                    f"{what} is driven by {len(found)} wires (already driven by an earlier one)",
+                    ("wire", found[1]),
+                )
+
+        for i, inst in enumerate(instances):
             for port in inst.in_ports():
-                n = drivers.get(f"{inst.id}.{port}", 0)
-                if n == 0:
-                    problems.append(f"input port '{inst.id}.{port}' is not driven")
-                elif n > 1:
-                    problems.append(f"input port '{inst.id}.{port}' is driven by {n} wires")
+                path = f"{inst.id}.{port}"
+                check_driven(path, f"input port '{path}'", ("instance", i))
         for name in ext_out:
-            n = drivers.get(f"extern {name}", 0)
-            if n == 0:
-                problems.append(f"external output '{name}' is not driven")
-            elif n > 1:
-                problems.append(f"external output '{name}' is driven by {n} wires")
+            check_driven(f"extern {name}", f"external output '{name}'", None)
 
     if problems:
-        raise NetworkBuildError(problems)
+        raise NetworkBuildError(problems, locations)
     return Network(tuple(instances), tuple(wires), tuple(ext_in), tuple(ext_out))
 
 
@@ -391,14 +414,3 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         {name: StreamPrefix(tuple(ivs)) for name, ivs in collected.items()},
         length=ticks,
     )
-
-
-class ChannelSetError(ValueError):
-    """External input trace channels do not match the network boundary."""
-
-    def __init__(self, expected: Tuple[str, ...], got: Tuple[str, ...]):
-        super().__init__(
-            f"external inputs {sorted(got)} do not match network inputs {sorted(expected)}"
-        )
-        self.expected = expected
-        self.got = got

@@ -17,8 +17,31 @@ from tstd.dsl import (
 )
 from tstd.executor import Trace
 from tstd.gen import random_spec
-from tstd.model import validate_spec
-from tstd.network import check_feedback_wellformed
+from tstd.model import (
+    ChannelDecl,
+    ComponentSpec,
+    Direction,
+    IntervalGuard,
+    IntervalPattern,
+    OutputAction,
+    Relation,
+    Severity,
+    Transition,
+    UpdateOp,
+    VarDecl,
+    VarGuard,
+    VarUpdate,
+    validate_spec,
+)
+from tstd.network import (
+    ExternalPort,
+    Instance,
+    NetworkBuildError,
+    Port,
+    Wire,
+    build_network,
+    check_feedback_wellformed,
+)
 from tstd.streams import Message, StreamPrefix, interval
 
 TOGGLER = """\
@@ -31,6 +54,121 @@ trans S0 -> S1
   emit out: tick
 trans S1 -> S0
 """
+
+# Declarations shared by the reference-rule cases: the transition line is 6
+# in the textual style, the header row is 7 and the data row 8 in the table.
+REF_HEADER = "component m\nin chan i\nout chan o\nvar v = 0\nstate S initial\n"
+REF_TABLE_HEADER = (
+    "@component m\n@in i\n@out o\n@var v = 0\n@state S\n@initial S\n"
+    "source, when:i, guard, emit:o, set, target\n"
+)
+
+
+def ref_spec(transition):
+    """The spec REF_HEADER declares, holding one transition."""
+    return ComponentSpec(
+        name="m",
+        channels=(ChannelDecl("i", Direction.IN), ChannelDecl("o", Direction.OUT)),
+        vars=(VarDecl("v", 0),),
+        states=("S",),
+        initial="S",
+        transitions=(transition,),
+    )
+
+
+def error_messages(findings):
+    return [f.message for f in findings if f.severity is Severity.ERROR]
+
+
+EMPTY = IntervalPattern.empty()
+# (trans line, clause lines, the same transition as a value, line of the error)
+REFERENCE_RULES = {
+    "source": ("S9 -> S", [], Transition("S9", "S"), 6),
+    "target": ("S -> S9", [], Transition("S", "S9"), 6),
+    "guard-not-input": (
+        "S -> S",
+        ["when o: empty"],
+        Transition("S", "S", interval_guards=(IntervalGuard("o", EMPTY),)),
+        7,
+    ),
+    "guard-twice": (
+        "S -> S",
+        ["when i: empty", "when i: len>=2"],
+        Transition(
+            "S",
+            "S",
+            interval_guards=(
+                IntervalGuard("i", EMPTY),
+                IntervalGuard("i", IntervalPattern.len_ge(2)),
+            ),
+        ),
+        8,
+    ),
+    "var-guard-undeclared": (
+        "S -> S",
+        ["when i: empty, w > 0"],
+        Transition(
+            "S",
+            "S",
+            interval_guards=(IntervalGuard("i", EMPTY),),
+            var_guards=(VarGuard("w", Relation.GT, 0),),
+        ),
+        7,
+    ),
+    "emit-not-output": (
+        "S -> S",
+        ["emit i: a"],
+        Transition("S", "S", outputs=(OutputAction.literal("i", interval("a")),)),
+        7,
+    ),
+    "emit-twice": (
+        "S -> S",
+        ["emit o: a", "emit o: b"],
+        Transition(
+            "S",
+            "S",
+            outputs=(
+                OutputAction.literal("o", interval("a")),
+                OutputAction.literal("o", interval("b")),
+            ),
+        ),
+        8,
+    ),
+    "pass-source": (
+        "S -> S",
+        ["emit o: pass(o)"],
+        Transition("S", "S", outputs=(OutputAction.passthrough("o", "o"),)),
+        7,
+    ),
+    "update-undeclared": (
+        "S -> S",
+        ["set w := 1"],
+        Transition("S", "S", updates=(VarUpdate("w", UpdateOp.SET, 1),)),
+        7,
+    ),
+    "update-twice": (
+        "S -> S",
+        ["set v := 1", "set v := v + 1"],
+        Transition(
+            "S",
+            "S",
+            updates=(VarUpdate("v", UpdateOp.SET, 1), VarUpdate("v", UpdateOp.ADD, 1)),
+        ),
+        8,
+    ),
+}
+
+# Table rows for the rules the table style can express: its columns come
+# from the declarations, so guards and emissions always name a declared
+# channel of the right direction, at most once.
+TABLE_RULES = {
+    "source": "S9, , , , , S",
+    "target": "S, , , , , S9",
+    "var-guard-undeclared": "S, empty, w > 0, , , S",
+    "pass-source": "S, , , pass(o), , S",
+    "update-undeclared": "S, , , , w := 1, S",
+    "update-twice": "S, , , , v := 1; v := v + 1, S",
+}
 
 
 class TestParseComponent:
@@ -104,6 +242,36 @@ trans S -> S
             parse_component(text)
         assert len(exc.value.issues) == 2
 
+    @pytest.mark.parametrize(
+        "clauses, line, channel",
+        [
+            (["when o: any"], 7, "o"),
+            (["emit i: -"], 7, "i"),
+            (["when i: any", "when i: empty"], 8, "i"),
+            (["emit o: -", "emit o: a"], 8, "o"),
+        ],
+    )
+    def test_normalised_away_clauses_still_checked(self, clauses, line, channel):
+        # `when CH: any` and `emit CH: -` vanish from the Transition value,
+        # yet a wrong one is still rejected at its own line.
+        text = REF_HEADER + "trans S -> S\n" + "".join(f"  {c}\n" for c in clauses)
+        with pytest.raises(ParseFailure) as exc:
+            parse_component(text)
+        [issue] = exc.value.issues
+        assert f"'{channel}'" in issue.message
+        assert issue.span.line == line
+
+    @pytest.mark.parametrize("rule", sorted(REFERENCE_RULES))
+    def test_reference_error_equals_validate_spec(self, rule):
+        trans, clauses, transition, line = REFERENCE_RULES[rule]
+        text = REF_HEADER + f"trans {trans}\n" + "".join(f"  {c}\n" for c in clauses)
+        with pytest.raises(ParseFailure) as exc:
+            parse_component(text)
+        expected = error_messages(validate_spec(ref_spec(transition)))
+        assert len(expected) == 1
+        assert [i.message for i in exc.value.issues] == expected
+        assert exc.value.issues[0].span.line == line
+
 
 class TestParseTable:
     def test_any_row_copies_input_matches_textual(self):
@@ -140,6 +308,23 @@ class TestParseTable:
         with pytest.raises(ParseFailure) as exc:
             parse_table("@component c\n@in i\n@out o\n@state S\n@initial S\nsource, target\n")
         assert "header row" in exc.value.issues[0].message
+
+    @pytest.mark.parametrize("rule", sorted(TABLE_RULES))
+    def test_reference_error_equals_validate_spec(self, rule):
+        with pytest.raises(ParseFailure) as exc:
+            parse_table(REF_TABLE_HEADER + TABLE_RULES[rule] + "\n")
+        expected = error_messages(validate_spec(ref_spec(REFERENCE_RULES[rule][2])))
+        assert [i.message for i in exc.value.issues] == expected
+        assert exc.value.issues[0].span.line == 8
+
+    def test_normalised_away_cells_do_not_hide_a_bad_row(self):
+        # The `any` guard and `-` emission vanish from the Transition value;
+        # the undeclared variable in the same row is still reported there.
+        with pytest.raises(ParseFailure) as exc:
+            parse_table(REF_TABLE_HEADER + "S, any, w > 0, -, , S\n")
+        [issue] = exc.value.issues
+        assert issue.message == "transition 1 (S -> S): guard on undeclared variable 'w'"
+        assert issue.span.line == 8
 
     def test_semicolon_separated_cells(self):
         text = (
@@ -225,6 +410,14 @@ class TestTrace:
         assert text == "ticks\n\n\n\n"
         assert parse_trace(text) == trace
 
+    @pytest.mark.parametrize("comment", ["# note", "   # indented note"])
+    def test_comment_lines_are_not_ticks(self, comment):
+        trace = parse_trace(f"ticks in\nin: a\n{comment}\nin: -\n")
+        assert trace.channels["in"] == StreamPrefix((interval("a"), ()))
+
+    def test_comment_lines_are_not_ticks_without_channels(self):
+        assert parse_trace("ticks\n\n# note\n\n") == Trace({}, 2)
+
     def test_print_parse_identity_on_canonical(self):
         text = "ticks a b\na: x | b: -\na: - | b: y:2 z\n"
         assert print_trace(parse_trace(text)) == text
@@ -278,6 +471,58 @@ class TestNetworkFormat:
             parse_network(text, base_dir=samples)
         issue = exc.value.issues[0]
         assert "already driven" in issue.message and issue.span.line == 3
+
+    def test_undriven_port_reported_at_use_line(self, samples):
+        text = (
+            "use d = delay 1\n"
+            "use p = file passthrough.tstd\n"
+            "wire extern a -> d.in\n"
+            "wire d.out -> extern b\n"
+            "wire p.out -> extern c\n"
+        )
+        with pytest.raises(ParseFailure) as exc:
+            parse_network(text, base_dir=samples)
+        [issue] = exc.value.issues
+        assert issue.message == "input port 'p.in' is not driven"
+        assert issue.span.line == 2
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            (["wire extern a -> p.nope", "wire p.out -> extern b"], 2),
+            (["wire extern a -> p.in", "wire p.in -> extern b"], 3),
+            (["wire extern a -> p.in", "wire ghost.out -> extern b"], 3),
+            (["use p = delay 2", "wire extern a -> p.in", "wire p.out -> extern b"], 2),
+            (["wire extern a -> p.in", "wire p.out -> extern b", "wire p.out -> extern b"], 4),
+        ],
+    )
+    def test_wiring_error_equals_build_network(self, samples, lines, line):
+        # A passthrough instance `p` on line 1, then the listed lines.
+        text = "use p = file passthrough.tstd\n" + "".join(f"{l}\n" for l in lines)
+        with pytest.raises(ParseFailure) as exc:
+            parse_network(text, base_dir=samples)
+
+        def endpoint(raw):
+            if raw.startswith("extern "):
+                return ExternalPort(raw.split(" ", 1)[1])
+            return Port(*raw.split("."))
+
+        spec = parse_component((samples / "passthrough.tstd").read_text())
+        instances = [Instance.of_spec("p", spec)]
+        wires, ext_in, ext_out = [], [], []
+        for l in lines:
+            if l.startswith("use "):
+                instances.append(Instance.of_delay("p", 2))
+                continue
+            src, dst = (endpoint(e.strip()) for e in l[len("wire ") :].split("->"))
+            wires.append(Wire(src, dst))
+            for ep, pool in ((src, ext_in), (dst, ext_out)):
+                if isinstance(ep, ExternalPort) and ep.name not in pool:
+                    pool.append(ep.name)
+        with pytest.raises(NetworkBuildError) as built:
+            build_network(instances, wires, ext_in, ext_out)
+        assert [i.message for i in exc.value.issues] == built.value.problems
+        assert exc.value.issues[0].span.line == line
 
 
 class TestDot:

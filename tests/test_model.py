@@ -128,6 +128,17 @@ class TestValidate:
         spec = make_spec([t], vars=[VarDecl("v", 0)])
         assert any("more than one update" in f.message for f in errors(validate_spec(spec)))
 
+    def test_transition_errors_are_located(self):
+        t = Transition(
+            "S0",
+            "S9",
+            outputs=(OutputAction.literal("in", interval("a")),),
+            updates=(VarUpdate("w", UpdateOp.SET, 1),),
+        )
+        found = errors(validate_spec(make_spec([t])))
+        assert [f.location for f in found] == [(1, "trans", 0), (1, "emit", 0), (1, "set", 0)]
+        assert found[0].render() == f"error: {found[0].message}"
+
     def test_report_is_stable(self):
         spec = make_spec([Transition("S0", "S9")], states=("S0", "S2"))
         assert validate_spec(spec) == validate_spec(spec)

@@ -96,6 +96,25 @@ class TestBuild:
             )
         assert any("not driven" in p for p in exc.value.problems)
 
+    def test_problems_are_located(self):
+        with pytest.raises(NetworkBuildError) as exc:
+            build_network(
+                [Instance.of_spec("p", passthrough()), Instance.of_spec("q", passthrough())],
+                [
+                    wire("extern a", "p.in"),
+                    wire("extern a", "p.in"),
+                    wire("p.out", "extern b"),
+                    wire("q.out", "extern c"),
+                ],
+                ["a"],
+                ["b", "c"],
+            )
+        assert exc.value.problems == [
+            "input port 'p.in' is driven by 2 wires (already driven by an earlier one)",
+            "input port 'q.in' is not driven",
+        ]
+        assert exc.value.locations == [("wire", 1), ("instance", 1)]
+
     def test_delay_depth_must_be_positive(self):
         with pytest.raises(NetworkBuildError):
             build_network(
