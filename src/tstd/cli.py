@@ -156,8 +156,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return OK
 
 
+def _check_result_ticks(ticks: int) -> None:
+    """Refuse a factor that makes the result longer than any sequence can be.
+
+    Checked before the operator runs, which would otherwise fail on the
+    index-sized repeat count or start filling memory.
+    """
+    if ticks > sys.maxsize:
+        raise _Failure(USAGE, f"result too large: more than {sys.maxsize} ticks")
+
+
 def cmd_stream_split(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
+    # split builds an n-tick filler even when the trace is empty.
+    _check_result_ticks(max(trace.length, 1) * args.n)
     strategy = SplitStrategy.parse(args.strategy)
     result = Trace(
         {ch: split(p, args.n, strategy) for ch, p in trace.channels.items()},
@@ -172,6 +184,7 @@ def cmd_stream_join(args: argparse.Namespace) -> int:
     length = trace.length
     if args.pad:
         pad = (-length) % args.n
+        _check_result_ticks(length + pad)
         if pad:
             trace = Trace(
                 {
@@ -222,6 +235,7 @@ def cmd_stream_abstract(args: argparse.Namespace) -> int:
 
 def cmd_stream_delay(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
+    _check_result_ticks(trace.length + args.d)
     result = Trace(
         {ch: delay_stream(p, args.d) for ch, p in trace.channels.items()},
         length=trace.length + args.d,

@@ -1,9 +1,13 @@
 """Tick-by-tick execution of a single component spec.
 
-``step`` fires at most one transition per tick and is total: when nothing is
-enabled the machine stutters in place and stays silent, so time always
-advances and a T-tick input yields exactly a T-tick output.  On top of the
-deterministic ``run`` sit two seeded refutation checks: ``probe_causality``
+A spec is compiled once into a private machine (states as indices, guards
+bound to input and variable positions, literal outputs as tuples) whose
+``fire`` is the only per-tick operation: it fires at most one transition and
+is total, so when nothing is enabled the machine stutters in place and stays
+silent, time always advances and a T-tick input yields exactly a T-tick
+output.  ``run`` compiles the spec and folds ``fire`` over the ticks; ``step``
+is the same tick on named configurations.  Two seeded refutation checks
+compile each spec once and reuse it for every trial: ``probe_causality``
 hunts for same-tick input sensitivity, ``check_untimed_simulation`` compares
 two machines modulo tick boundaries.  Both report evidence, never proofs.
 """
@@ -11,11 +15,20 @@ two machines modulo tick boundaries.  Both report evidence, never proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .gen import probe_alphabet, random_interval, random_trace, spec_tags, fresh_tag
-from .model import ComponentSpec, enabled_transitions
+from .model import (
+    _PATTERN_TESTS,
+    _RELATION_TESTS,
+    CausalityClass,
+    ComponentSpec,
+    Severity,
+    classify_causality_syntactic,
+    validate_spec,
+)
 from .streams import Message, StreamPrefix, TimeInterval, untimed_abstraction
 
 __all__ = [
@@ -76,6 +89,141 @@ class Trace:
         return {ch: prefix[t] for ch, prefix in self.channels.items()}
 
 
+class _Machine:
+    """A component spec compiled once for execution; ``fire`` is one tick.
+
+    States are indices into ``spec.states``, a variable valuation is a
+    tuple in ``var_names`` order, tick inputs are a sequence in
+    ``in_channels`` order and tick outputs a tuple in ``out_channels`` order.
+    ``table[s]`` holds the transitions leaving state ``s`` in declaration
+    order, each as
+    ``(interval_guards, var_guards, outputs, passes, updates, target)``:
+
+    - ``interval_guards``: ``(input position, test, message, count)``;
+    - ``var_guards``: ``(variable position, test, bound)``;
+    - ``outputs``: the literal output tuple, ``()`` where nothing is emitted;
+    - ``passes``: ``(output position, input position)`` pairs forwarded verbatim;
+    - ``updates``: ``(variable position, VarUpdate.apply)`` pairs;
+    - ``target``: the target state index.
+
+    A strongly causal spec also gets ``emits[s]``, the output of every tick
+    spent in state ``s``, so a network can read it before the inputs exist;
+    for a weak spec ``emits`` is None.
+
+    Compiling refuses a spec with errors: the ValueError names the first
+    error finding of ``validate_spec``.
+    """
+
+    __slots__ = (
+        "in_channels",
+        "out_channels",
+        "state_index",
+        "var_names",
+        "initial_state",
+        "initial_env",
+        "silence",
+        "table",
+        "emits",
+    )
+
+    def __init__(self, spec: ComponentSpec):
+        errors = [f for f in validate_spec(spec) if f.severity is Severity.ERROR]
+        if errors:
+            raise ValueError(f"component '{spec.name}': {errors[0].message}")
+        self.in_channels = spec.in_channels()
+        self.out_channels = spec.out_channels()
+        self.state_index = {s: i for i, s in enumerate(spec.states)}
+        self.var_names = tuple(v.name for v in spec.vars)
+        self.initial_state = self.state_index[spec.initial]
+        self.initial_env = tuple(v.initial for v in spec.vars)
+        self.silence: Tuple[TimeInterval, ...] = ((),) * len(self.out_channels)
+
+        in_pos = {ch: i for i, ch in enumerate(self.in_channels)}
+        out_pos = {ch: i for i, ch in enumerate(self.out_channels)}
+        var_pos = {v: i for i, v in enumerate(self.var_names)}
+        table: List[list] = [[] for _ in spec.states]
+        for t in spec.transitions:
+            interval_guards = tuple(
+                (
+                    in_pos[g.channel],
+                    _PATTERN_TESTS[g.pattern.kind],
+                    g.pattern.message,
+                    g.pattern.count,
+                )
+                for g in t.interval_guards
+            )
+            var_guards = tuple(
+                (var_pos[g.var], _RELATION_TESTS[g.relation], g.bound) for g in t.var_guards
+            )
+            outputs = list(self.silence)
+            for action in t.outputs:
+                if not action.is_pass:
+                    outputs[out_pos[action.channel]] = action.messages
+            passes = tuple(
+                (out_pos[action.channel], in_pos[action.source])
+                for action in t.outputs
+                if action.is_pass
+            )
+            updates = tuple((var_pos[u.var], u.apply) for u in t.updates)
+            target = self.state_index[t.target]
+            table[self.state_index[t.source]].append(
+                (interval_guards, var_guards, tuple(outputs), passes, updates, target)
+            )
+        self.table = tuple(tuple(ts) for ts in table)
+        self.emits: Optional[Tuple[Tuple[TimeInterval, ...], ...]] = None
+        if classify_causality_syntactic(spec) is CausalityClass.STRONG:
+            # All transitions leaving a state of a strong spec emit the same
+            # literals, and none at all when the state can stutter.
+            self.emits = tuple(ts[0][2] if ts else self.silence for ts in self.table)
+
+    def fire(
+        self, state: int, env: Tuple[int, ...], inputs: Sequence[TimeInterval]
+    ) -> Tuple[int, Tuple[int, ...], Tuple[TimeInterval, ...]]:
+        """One tick: fire the first enabled transition, or stutter."""
+        for interval_guards, var_guards, outputs, passes, updates, target in self.table[state]:
+            for i, test, message, count in interval_guards:
+                if not test(inputs[i], message, count):
+                    break
+            else:
+                for i, test, bound in var_guards:
+                    if not test(env[i], bound):
+                        break
+                else:
+                    # All guards hold: this transition fires.
+                    if passes:
+                        forwarded = list(outputs)
+                        for o, i in passes:
+                            forwarded[o] = inputs[i]
+                        outputs = tuple(forwarded)
+                    if updates:
+                        updated = list(env)
+                        for i, apply in updates:
+                            updated[i] = apply(updated[i])
+                        env = tuple(updated)
+                    return target, env, outputs
+        return state, env, self.silence
+
+    def outputs(self, inputs: Trace) -> List[Tuple[TimeInterval, ...]]:
+        """The output tuple of every tick of a run from the initial state."""
+        columns = [inputs.channels[ch].intervals for ch in self.in_channels]
+        ticks = zip(*columns) if columns else repeat((), inputs.length)
+        fire = self.fire
+        state, env = self.initial_state, self.initial_env
+        rows = []
+        for tick_inputs in ticks:
+            state, env, out = fire(state, env, tick_inputs)
+            rows.append(out)
+        return rows
+
+    def run(self, inputs: Trace) -> Trace:
+        rows = self.outputs(inputs)
+        columns = zip(*rows) if rows else [()] * len(self.out_channels)
+        return Trace(
+            {ch: StreamPrefix(col) for ch, col in zip(self.out_channels, columns)},
+            length=inputs.length,
+        )
+
+
 def step(
     spec: ComponentSpec,
     cfg: Configuration,
@@ -85,26 +233,29 @@ def step(
 
     Always returns exactly one interval per output channel; channels the
     fired transition does not mention stay empty.  A stutter leaves the
-    configuration untouched and emits only empty intervals.
+    configuration untouched and emits only empty intervals.  Compiles the
+    spec on every call; ``run`` compiles it once per run.
     """
-    outputs: Dict[str, TimeInterval] = {ch: () for ch in spec.out_channels()}
-    enabled = enabled_transitions(spec, cfg.state, cfg.var_env, tick_inputs)
-    if not enabled:
-        return cfg, outputs
-    t = enabled[0]
-    for action in t.outputs:
-        if action.is_pass:
-            outputs[action.channel] = tick_inputs[action.source]
-        else:
-            outputs[action.channel] = action.messages
-    env = dict(cfg.var_env)
-    for update in t.updates:
-        env[update.var] = update.apply(env[update.var])
-    return Configuration(t.target, env), outputs
+    machine = _Machine(spec)
+    state = machine.state_index.get(cfg.state)
+    if state is None:
+        raise ValueError(f"unknown state: {cfg.state!r}")
+    for ch in machine.in_channels:
+        if ch not in tick_inputs:
+            raise ValueError(f"tick inputs missing channel '{ch}'")
+    env = tuple(cfg.var_env[v] for v in machine.var_names)
+    inputs = [tick_inputs[ch] for ch in machine.in_channels]
+    target, new_env, outputs = machine.fire(state, env, inputs)
+    out = dict(zip(machine.out_channels, outputs))
+    if target == state and new_env == env:
+        return cfg, out
+    var_env = dict(cfg.var_env)
+    var_env.update(zip(machine.var_names, new_env))
+    return Configuration(spec.states[target], var_env), out
 
 
 def run(spec: ComponentSpec, inputs: Trace) -> Trace:
-    """Fold ``step`` over all ticks of ``inputs``.
+    """Compile ``spec`` once, then fire it once per tick of ``inputs``.
 
     The input trace must carry exactly the spec's input channels; the result
     carries exactly its output channels and has the same tick count.
@@ -117,16 +268,7 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
         raise ChannelMismatchError(
             f"input trace channels do not match spec: missing {missing}, unexpected {extra}"
         )
-    cfg = Configuration.initial(spec)
-    collected: Dict[str, List[TimeInterval]] = {ch: [] for ch in spec.out_channels()}
-    for t in range(inputs.length):
-        cfg, out = step(spec, cfg, inputs.tick(t))
-        for ch, iv in out.items():
-            collected[ch].append(iv)
-    return Trace(
-        {ch: StreamPrefix(tuple(ivs)) for ch, ivs in collected.items()},
-        length=inputs.length,
-    )
+    return _Machine(spec).run(inputs)
 
 
 @dataclass(frozen=True)
@@ -152,11 +294,9 @@ class CausalityProbeResult:
 
 
 def _diverging_pair(
-    spec: ComponentSpec, horizon: int, rng: Random
+    channels: Sequence[str], alphabet: Sequence[str], horizon: int, rng: Random
 ) -> Tuple[Trace, Trace, int]:
     """Two input traces equal on ticks < cut and different at the cut tick."""
-    channels = spec.in_channels()
-    alphabet = probe_alphabet(spec)
     cut = rng.randrange(horizon)
     a = random_trace(channels, horizon, rng, alphabet=alphabet)
     b_channels: Dict[str, List[TimeInterval]] = {}
@@ -191,13 +331,15 @@ def probe_causality(
     if not spec.in_channels():
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
+    machine = _Machine(spec)
+    alphabet = probe_alphabet(spec)
     for _ in range(trials):
-        a, b, cut = _diverging_pair(spec, horizon, rng)
-        out_a = run(spec, a)
-        out_b = run(spec, b)
+        a, b, cut = _diverging_pair(machine.in_channels, alphabet, horizon, rng)
+        out_a = machine.outputs(a)
+        out_b = machine.outputs(b)
         for t in range(cut + 1):
-            for ch in spec.out_channels():
-                if out_a.channels[ch][t] != out_b.channels[ch][t]:
+            for ch, iv_a, iv_b in zip(machine.out_channels, out_a[t], out_b[t]):
+                if iv_a != iv_b:
                     return CausalityProbeResult(
                         refuted=True,
                         trials=trials,
@@ -242,13 +384,14 @@ def check_untimed_simulation(
         spec_a.out_channels()
     ) != set(spec_b.out_channels()):
         raise ChannelMismatchError("specs have different channel signatures")
+    machine_a, machine_b = _Machine(spec_a), _Machine(spec_b)
     rng = Random(seed)
     tags = sorted(set(spec_tags(spec_a)) | set(spec_tags(spec_b)))
     tags.append(fresh_tag(tags))
     for _ in range(trials):
         inputs = random_trace(spec_a.in_channels(), horizon, rng, alphabet=tags)
-        out_a = run(spec_a, inputs)
-        out_b = run(spec_b, inputs)
+        out_a = machine_a.run(inputs)
+        out_b = machine_b.run(inputs)
         for ch in sorted(spec_a.out_channels()):
             seq_a = untimed_abstraction(out_a.channels[ch])
             seq_b = untimed_abstraction(out_b.channels[ch])

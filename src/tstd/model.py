@@ -12,6 +12,7 @@ syntactic causality classification; the tick semantics live in
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -38,7 +39,6 @@ __all__ = [
     "classify_causality_syntactic",
     "enabled_transitions",
     "has_errors",
-    "state_determined_output",
     "validate_spec",
 ]
 
@@ -68,6 +68,19 @@ class PatternKind(enum.Enum):
     LEN_EQ = "len_eq"
     LEN_GE = "len_ge"
     FIRST_IS = "first_is"
+
+
+# What each pattern kind tests, as f(interval, message, count); shared by
+# IntervalPattern.matches and the compiled machines of tstd.executor.
+_PATTERN_TESTS = {
+    PatternKind.ANY: lambda iv, message, count: True,
+    PatternKind.EMPTY: lambda iv, message, count: not iv,
+    PatternKind.NONEMPTY: lambda iv, message, count: bool(iv),
+    PatternKind.CONTAINS: lambda iv, message, count: message in iv,
+    PatternKind.LEN_EQ: lambda iv, message, count: len(iv) == count,
+    PatternKind.LEN_GE: lambda iv, message, count: len(iv) >= count,
+    PatternKind.FIRST_IS: lambda iv, message, count: len(iv) > 0 and iv[0] == message,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,22 +120,7 @@ class IntervalPattern:
         return cls(PatternKind.FIRST_IS, message=message)
 
     def matches(self, iv: TimeInterval) -> bool:
-        kind = self.kind
-        if kind is PatternKind.ANY:
-            return True
-        if kind is PatternKind.EMPTY:
-            return len(iv) == 0
-        if kind is PatternKind.NONEMPTY:
-            return len(iv) > 0
-        if kind is PatternKind.CONTAINS:
-            return self.message in iv
-        if kind is PatternKind.LEN_EQ:
-            return len(iv) == self.count
-        if kind is PatternKind.LEN_GE:
-            return len(iv) >= self.count
-        if kind is PatternKind.FIRST_IS:
-            return len(iv) > 0 and iv[0] == self.message
-        raise AssertionError(kind)
+        return _PATTERN_TESTS[self.kind](iv, self.message, self.count)
 
     def render(self) -> str:
         """Canonical textual form used by the file formats and DOT labels."""
@@ -174,6 +172,17 @@ class Relation(enum.Enum):
         raise ValueError(f"unknown relation: {token!r}")
 
 
+# What each relation tests, as f(value, bound); shared like _PATTERN_TESTS.
+_RELATION_TESTS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.EQ: operator.eq,
+    Relation.NE: operator.ne,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
+
+
 @dataclass(frozen=True, slots=True)
 class VarGuard:
     var: str
@@ -181,19 +190,7 @@ class VarGuard:
     bound: int
 
     def holds(self, env: Mapping[str, int]) -> bool:
-        v = env[self.var]
-        rel = self.relation
-        if rel is Relation.LT:
-            return v < self.bound
-        if rel is Relation.LE:
-            return v <= self.bound
-        if rel is Relation.EQ:
-            return v == self.bound
-        if rel is Relation.NE:
-            return v != self.bound
-        if rel is Relation.GE:
-            return v >= self.bound
-        return v > self.bound
+        return _RELATION_TESTS[self.relation](env[self.var], self.bound)
 
     def render(self) -> str:
         return f"{self.var} {self.relation.value} {self.bound}"
@@ -591,24 +588,6 @@ def enabled_transitions(
 def _output_profile(t: Transition, out_channels: Sequence[str]) -> Tuple[Tuple[Message, ...], ...]:
     emitted = {o.channel: o.messages for o in t.outputs}
     return tuple(emitted.get(ch) or () for ch in out_channels)
-
-
-def state_determined_output(spec: ComponentSpec, state: str) -> Dict[str, TimeInterval]:
-    """The tick output a strongly causal spec produces from ``state``.
-
-    Meaningful only for specs classified strong: there every transition
-    leaving a state emits the same literals, so the output is a function of
-    the state alone (empty when the state can stutter).
-    """
-    outgoing = [t for t in spec.transitions if t.source == state]
-    out_channels = spec.out_channels()
-    blank = {ch: () for ch in out_channels}
-    if not outgoing:
-        return blank
-    profile = _output_profile(outgoing[0], out_channels)
-    if all(len(iv) == 0 for iv in profile):
-        return blank
-    return dict(zip(out_channels, profile))
 
 
 def classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:

@@ -8,6 +8,12 @@ or a strongly causal machine.  That condition is what
 per-tick evaluation order (a topological sort of same-tick dependencies)
 exist.
 
+:func:`run_network` compiles a network once: every spec into a machine of
+:mod:`tstd.executor`, every instance into a node on a flat list of slots,
+in that evaluation order.  Each tick then takes one ``fire`` per machine: a
+weak machine fires as it emits, while a strong one emits from its per-state
+output table and fires at the end of the tick, once its inputs are known.
+
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
 ``in2``, ``out`` and concatenates its two inputs, left first.
@@ -19,15 +25,12 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .executor import Configuration, Trace, step
-from .model import (
-    CausalityClass,
-    ComponentSpec,
-    classify_causality_syntactic,
-    state_determined_output,
-)
+from .executor import Trace, _Machine
+from .model import CausalityClass, ComponentSpec, classify_causality_syntactic
 from .streams import StreamPrefix, TimeInterval
 
 __all__ = [
@@ -269,6 +272,10 @@ def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     machines) never acquire incoming edges.
     """
     sinks = {inst.id: _is_instantaneous_sink(inst) for inst in net.instances}
+    return _dependency_graph(net, sinks)
+
+
+def _dependency_graph(net: Network, sinks: Mapping[str, bool]) -> Dict[str, Tuple[str, ...]]:
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
         if isinstance(wire.source, Port) and isinstance(wire.target, Port):
@@ -311,27 +318,119 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
     return FeedbackCheck(well_formed=ok, cycle=cycle)
 
 
-class _DelayState:
-    def __init__(self, depth: int):
+# A compiled network is a flat list of slots, one per external input and one
+# per instance output port, and one node per instance.  Per tick each node
+# writes its output slots in topological order (``emit``), then nodes that
+# emit from stored state read their now resolved input slots (``absorb``).
+
+
+def _gather(
+    positions: Sequence[int],
+) -> Callable[[Sequence[TimeInterval]], Tuple[TimeInterval, ...]]:
+    """A function picking ``positions`` out of a slot list, as a tuple."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda slots: (slots[only],)
+    return itemgetter(*positions) if positions else lambda slots: ()
+
+
+class _Node:
+    """One instance on the slot list: reads slots ``ins``, writes ``outs``."""
+
+    __slots__ = ("ins", "outs")
+    absorbs = False
+
+    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...]):
+        self.ins = ins
+        self.outs = outs
+
+    def emit(self, slots: List[TimeInterval]) -> None:
+        raise NotImplementedError
+
+    def absorb(self, slots: List[TimeInterval]) -> None:
+        pass
+
+
+class _MergeNode(_Node):
+    __slots__ = ()
+
+    def emit(self, slots: List[TimeInterval]) -> None:
+        left, right = self.ins
+        slots[self.outs[0]] = slots[left] + slots[right]
+
+
+class _DelayNode(_Node):
+    __slots__ = ("buffer",)
+    absorbs = True
+
+    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...], depth: int):
+        super().__init__(ins, outs)
         self.buffer: deque = deque([()] * depth)
 
-    def emit(self) -> TimeInterval:
-        return self.buffer.popleft()
+    def emit(self, slots: List[TimeInterval]) -> None:
+        slots[self.outs[0]] = self.buffer.popleft()
 
-    def absorb(self, iv: TimeInterval) -> None:
-        self.buffer.append(iv)
+    def absorb(self, slots: List[TimeInterval]) -> None:
+        self.buffer.append(slots[self.ins[0]])
+
+
+class _MachineNode(_Node):
+    """A spec instance; its output slots are contiguous, ``span``."""
+
+    __slots__ = ("machine", "gather", "span", "state", "env")
+
+    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...], machine: _Machine):
+        super().__init__(ins, outs)
+        self.machine = machine
+        self.gather = _gather(ins)
+        self.span = slice(outs[0], outs[-1] + 1)
+        self.state = machine.initial_state
+        self.env = machine.initial_env
+
+
+class _WeakNode(_MachineNode):
+    """Reads its inputs and fires while emitting."""
+
+    __slots__ = ()
+
+    def emit(self, slots: List[TimeInterval]) -> None:
+        self.state, self.env, slots[self.span] = self.machine.fire(
+            self.state, self.env, self.gather(slots)
+        )
+
+
+class _StrongNode(_MachineNode):
+    """Emits from its state table; fires at the end of the tick."""
+
+    __slots__ = ()
+    absorbs = True
+
+    def emit(self, slots: List[TimeInterval]) -> None:
+        slots[self.span] = self.machine.emits[self.state]
+
+    def absorb(self, slots: List[TimeInterval]) -> None:
+        self.state, self.env, _ = self.machine.fire(self.state, self.env, self.gather(slots))
 
 
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output.
 
-    Refuses ill-formed networks.  Per tick, instances emit in topological
-    order of the instantaneous dependency graph; delays and strongly causal
-    machines emit from state first and absorb their inputs at the end of the
-    tick, which is what lets well-formed feedback resolve without iteration.
+    Refuses ill-formed networks.  The network is compiled once: each spec
+    into a machine, each instance into a node on a flat slot list, in
+    topological order of the instantaneous dependency graph.  Per tick every
+    node emits once in that order; delays and strongly causal machines emit
+    from state and absorb their inputs at the end of the tick, which is what
+    lets well-formed feedback resolve without iteration.
     """
-    graph = instantaneous_dependency_graph(net)
-    ok, order, cycle = _toposort(graph)
+    machines = {
+        inst.id: _Machine(inst.spec) for inst in net.instances if inst.kind is InstanceKind.SPEC
+    }
+    sinks = {
+        inst.id: inst.kind is InstanceKind.MERGE
+        or (inst.kind is InstanceKind.SPEC and machines[inst.id].emits is None)
+        for inst in net.instances
+    }
+    ok, order, cycle = _toposort(_dependency_graph(net, sinks))
     if not ok:
         raise IllFormedNetworkError(
             "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
@@ -343,74 +442,44 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             f"external input trace has {external_inputs.length} ticks, expected {ticks}"
         )
 
+    slot_of: Dict[Endpoint, int] = {ExternalPort(name): i for i, name in enumerate(net.external_in)}
+    for inst in net.instances:
+        for port in inst.out_ports():
+            slot_of[Port(inst.id, port)] = len(slot_of)
+    driver = {wire.target: slot_of[wire.source] for wire in net.wires}
+
     instances = {inst.id: inst for inst in net.instances}
-    strong = {
-        inst.id
-        for inst in net.instances
-        if inst.kind is InstanceKind.SPEC and not _is_instantaneous_sink(inst)
-    }
-    cfgs: Dict[str, Configuration] = {
-        inst.id: Configuration.initial(inst.spec)
-        for inst in net.instances
-        if inst.kind is InstanceKind.SPEC
-    }
-    delays: Dict[str, _DelayState] = {
-        inst.id: _DelayState(inst.delay)
-        for inst in net.instances
-        if inst.kind is InstanceKind.DELAY
-    }
-    driver_of: Dict[Tuple[str, str], Endpoint] = {}
-    ext_driver: Dict[str, Endpoint] = {}
-    for wire in net.wires:
-        if isinstance(wire.target, Port):
-            driver_of[(wire.target.instance, wire.target.port)] = wire.source
+    nodes: List[_Node] = []
+    for iid in order:
+        inst = instances[iid]
+        ins = tuple(driver[Port(iid, port)] for port in inst.in_ports())
+        outs = tuple(slot_of[Port(iid, port)] for port in inst.out_ports())
+        if inst.kind is InstanceKind.DELAY:
+            nodes.append(_DelayNode(ins, outs, inst.delay))
+        elif inst.kind is InstanceKind.MERGE:
+            nodes.append(_MergeNode(ins, outs))
+        elif sinks[iid]:
+            nodes.append(_WeakNode(ins, outs, machines[iid]))
         else:
-            ext_driver[wire.target.name] = wire.source
+            nodes.append(_StrongNode(ins, outs, machines[iid]))
+    emits = [node.emit for node in nodes]
+    absorbs = [node.absorb for node in nodes if node.absorbs]
+    boundary = _gather([driver[ExternalPort(name)] for name in net.external_out])
 
-    collected: Dict[str, List[TimeInterval]] = {name: [] for name in net.external_out}
+    n_ext = len(net.external_in)
+    columns = [external_inputs.channels[name].intervals for name in net.external_in]
+    slots: List[TimeInterval] = [()] * len(slot_of)
+    rows = []
+    for row in zip(*columns) if columns else repeat((), ticks):
+        slots[:n_ext] = row
+        for emit in emits:
+            emit(slots)
+        for absorb in absorbs:
+            absorb(slots)
+        rows.append(boundary(slots))
 
-    for t in range(ticks):
-        values: Dict[Tuple[str, str], TimeInterval] = {}
-        ext_values = {name: external_inputs.channels[name][t] for name in net.external_in}
-
-        def resolve(ep: Endpoint) -> TimeInterval:
-            if isinstance(ep, ExternalPort):
-                return ext_values[ep.name]
-            return values[(ep.instance, ep.port)]
-
-        def inputs_for(inst: Instance) -> Dict[str, TimeInterval]:
-            return {
-                port: resolve(driver_of[(inst.id, port)]) for port in inst.in_ports()
-            }
-
-        for iid in order:
-            inst = instances[iid]
-            if inst.kind is InstanceKind.DELAY:
-                values[(iid, DELAY_OUT)] = delays[iid].emit()
-            elif inst.kind is InstanceKind.MERGE:
-                ins = inputs_for(inst)
-                values[(iid, MERGE_OUT)] = ins[MERGE_LEFT] + ins[MERGE_RIGHT]
-            elif iid in strong:
-                for ch, iv in state_determined_output(inst.spec, cfgs[iid].state).items():
-                    values[(iid, ch)] = iv
-            else:
-                cfgs[iid], out = step(inst.spec, cfgs[iid], inputs_for(inst))
-                for ch, iv in out.items():
-                    values[(iid, ch)] = iv
-
-        # End of tick: everything is resolved, so state-first instances can
-        # now absorb their inputs.
-        for iid in order:
-            inst = instances[iid]
-            if inst.kind is InstanceKind.DELAY:
-                delays[iid].absorb(resolve(driver_of[(iid, DELAY_IN)]))
-            elif iid in strong:
-                cfgs[iid], _ = step(inst.spec, cfgs[iid], inputs_for(inst))
-
-        for name in net.external_out:
-            collected[name].append(resolve(ext_driver[name]))
-
+    collected = zip(*rows) if rows else [()] * len(net.external_out)
     return Trace(
-        {name: StreamPrefix(tuple(ivs)) for name, ivs in collected.items()},
+        {name: StreamPrefix(col) for name, col in zip(net.external_out, collected)},
         length=ticks,
     )

@@ -106,6 +106,27 @@ class TestStream:
         r = run_cli("stream", "split", p, "-n", "0")
         assert r.code == 2
 
+    # 10**30 does not fit an index, so these fail before allocating anything.
+    # split builds an n-tick filler even for an empty trace.
+    @pytest.mark.parametrize(
+        "argv, body",
+        [
+            (("split", "-n", str(10**30)), "c: a\nc: -\n"),
+            (("split", "-n", str(10**30)), ""),
+            (("split", "-n", str(10**30), "--strategy", "spread"), "c: -\nc: a\n"),
+            (("delay", "-d", str(10**30)), "c: a\n"),
+            (("delay", "-d", str(10**30)), ""),
+            (("join", "-n", str(10**30), "--pad"), "c: a\n"),
+        ],
+    )
+    def test_huge_factor_is_usage_error(self, tmp_path, argv, body):
+        p = self.write(tmp_path, "ticks c\n" + body)
+        op, *flags = argv
+        r = run_cli("stream", op, p, *flags)
+        assert r.code == 2
+        assert r.out == ""
+        assert "result too large" in r.err
+
     def test_merge(self, tmp_path):
         a = tmp_path / "a.trc"
         a.write_text("ticks c\nc: a\nc: -\n")

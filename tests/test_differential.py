@@ -1,0 +1,181 @@
+"""The compiled ``run`` and ``run_network`` against the reference oracles.
+
+Corpora are seeded, so every run of the suite checks the same inputs.
+Inputs carry payload-bearing messages next to plain ones, so guards and
+pass-throughs see messages that differ only in their payload.
+"""
+
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from tstd import (
+    CausalityClass,
+    IllFormedNetworkError,
+    Instance,
+    Wire,
+    build_network,
+    classify_causality_syntactic,
+    parse_component,
+    parse_network,
+    parse_trace,
+    run,
+    run_network,
+    step,
+)
+from tstd.executor import Configuration, Trace
+from tstd.gen import random_spec, spec_tags
+from tstd.network import ExternalPort, InstanceKind, Port
+from tstd.streams import Message, StreamPrefix
+
+from reference import reference_run, reference_run_network, reference_step
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def payload_trace(channels, ticks, rng, tags=("a", "b")):
+    """Random intervals of up to three messages, about half with a payload."""
+
+    def message():
+        payload = rng.choice((None, None, 0, 1, -3))
+        return Message(rng.choice(tags), payload)
+
+    return Trace(
+        {
+            ch: StreamPrefix(
+                tuple(tuple(message() for _ in range(rng.randint(0, 3))) for _ in range(ticks))
+            )
+            for ch in channels
+        },
+        length=ticks,
+    )
+
+
+def sample_specs():
+    return [
+        parse_component(path.read_text()) for path in sorted(SAMPLES.glob("*.tstd"))
+    ]
+
+
+def test_run_matches_reference_on_random_specs():
+    rng = Random(2024)
+    for i in range(800):
+        spec = random_spec(rng, name=f"r{i}")
+        inputs = payload_trace(spec.in_channels(), rng.randint(0, 24), rng)
+        assert run(spec, inputs) == reference_run(spec, inputs), i
+
+
+@pytest.mark.parametrize("spec", sample_specs(), ids=lambda spec: spec.name)
+def test_run_matches_reference_on_samples(spec):
+    rng = Random(spec.name)
+    tags = spec_tags(spec) + ["z"]
+    for _ in range(40):
+        inputs = payload_trace(spec.in_channels(), rng.randint(0, 30), rng, tags)
+        assert run(spec, inputs) == reference_run(spec, inputs)
+
+
+def test_step_matches_reference_from_every_state():
+    rng = Random(77)
+    for i in range(200):
+        spec = random_spec(rng, name=f"s{i}")
+        tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
+        env = {v.name: rng.randint(-3, 3) for v in spec.vars}
+        for state in spec.states:
+            cfg = Configuration(state, env)
+            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick)
+
+
+def _kind(inst):
+    if inst.kind is InstanceKind.SPEC:
+        strong = classify_causality_syntactic(inst.spec) is CausalityClass.STRONG
+        return "strong" if strong else "weak"
+    return inst.kind.value
+
+
+def _has_cycle(net, skip):
+    """Whether the instance wiring cycles once instances of kinds ``skip`` are cut out."""
+    sorter: TopologicalSorter = TopologicalSorter()
+    kinds = {inst.id: _kind(inst) for inst in net.instances}
+    for wire in net.wires:
+        src, dst = wire.source, wire.target
+        if isinstance(src, Port) and isinstance(dst, Port):
+            if kinds[src.instance] not in skip and kinds[dst.instance] not in skip:
+                sorter.add(dst.instance, src.instance)
+    try:
+        tuple(sorter.static_order())
+    except CycleError:
+        return True
+    return False
+
+
+def random_network(rng, index):
+    """Random instances wired at random: feedback and fan-out arise freely.
+
+    At most two merges, so that no loop can more than quadruple its
+    messages per tick.
+    """
+    instances = []
+    merges = 0
+    for k in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if roll < 0.2 and merges < 2:
+            merges += 1
+            instances.append(Instance.of_merge(f"m{k}"))
+        elif roll < 0.45:
+            instances.append(Instance.of_delay(f"d{k}", rng.randint(1, 3)))
+        else:
+            instances.append(Instance.of_spec(f"c{k}", random_spec(rng, name=f"n{index}_{k}")))
+    external_in = ["x", "y"][: rng.randint(0, 2)]
+    external_out = ["o", "p"][: rng.randint(1, 2)]
+    sources = [ExternalPort(name) for name in external_in]
+    sources += [Port(inst.id, port) for inst in instances for port in inst.out_ports()]
+    wires = [
+        Wire(rng.choice(sources), Port(inst.id, port))
+        for inst in instances
+        for port in inst.in_ports()
+    ]
+    wires += [Wire(rng.choice(sources), ExternalPort(name)) for name in external_out]
+    return build_network(instances, wires, external_in, external_out)
+
+
+def test_run_network_matches_reference_on_random_networks():
+    rng = Random(31)
+    seen = {"ill-formed": 0, "cut by delay": 0, "cut by strong": 0, "fan-out": 0}
+    for i in range(400):
+        net = random_network(rng, i)
+        ticks = rng.randint(0, 10)
+        inputs = payload_trace(net.external_in, ticks, rng)
+        try:
+            expected = reference_run_network(net, inputs, ticks)
+        except IllFormedNetworkError:
+            seen["ill-formed"] += 1
+            with pytest.raises(IllFormedNetworkError):
+                run_network(net, inputs, ticks)
+            continue
+        assert run_network(net, inputs, ticks) == expected, i
+        seen["cut by delay"] += _has_cycle(net, skip={"strong"})
+        seen["cut by strong"] += _has_cycle(net, skip={"delay"})
+        sources = [wire.source for wire in net.wires]
+        seen["fan-out"] += len(set(sources)) < len(sources)
+    # The corpus must keep exercising every shape it is meant to.
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.tnet")), ids=lambda p: p.name)
+def test_run_network_matches_reference_on_samples(path):
+    net = parse_network(path.read_text(), base_dir=SAMPLES)
+    rng = Random(path.name)
+    traces = [payload_trace(net.external_in, ticks, rng) for ticks in (0, 1, 7, 40)]
+    traces.append(parse_trace((SAMPLES / "feedback_in.trc").read_text()))
+    for inputs in traces:
+        if set(inputs.channels) != set(net.external_in):
+            continue
+        try:
+            expected = reference_run_network(net, inputs, inputs.length)
+        except IllFormedNetworkError:
+            with pytest.raises(IllFormedNetworkError):
+                run_network(net, inputs, inputs.length)
+            continue
+        assert run_network(net, inputs, inputs.length) == expected

@@ -19,10 +19,12 @@ from tstd.model import (
     IntervalGuard,
     IntervalPattern,
     OutputAction,
+    Severity,
     Transition,
     UpdateOp,
     VarDecl,
     VarUpdate,
+    validate_spec,
 )
 from tstd.streams import Message, StreamPrefix, interval, untimed_abstraction
 
@@ -75,6 +77,25 @@ class TestStep:
         _, out = step(PASS_THROUGH, Configuration("S0", {}), {"in": interval("a", "b")})
         assert out == {"out": interval("a", "b")}
 
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="unknown state: 'S9'"):
+            step(CONSTANT, Configuration("S9", {}), {"in": ()})
+
+    def test_missing_input_channel_rejected(self):
+        with pytest.raises(ValueError, match="tick inputs missing channel 'in'"):
+            step(CONSTANT, Configuration("S0", {}), {"other": ()})
+
+    def test_var_env_is_a_plain_mapping_by_name(self):
+        t = Transition(
+            "S0",
+            "S0",
+            updates=(VarUpdate("v", UpdateOp.ADD, 2), VarUpdate("w", UpdateOp.SET, 7)),
+        )
+        spec = make_spec([t], vars=[VarDecl("v", 1), VarDecl("w", 0)])
+        cfg, _ = step(spec, Configuration.initial(spec), {"in": ()})
+        assert isinstance(cfg.var_env, dict)
+        assert cfg.var_env == {"v": 3, "w": 7}
+
     def test_first_declared_wins(self):
         t1 = Transition("S0", "S0", outputs=(OutputAction.literal("out", interval("x")),))
         t2 = Transition("S0", "S0", outputs=(OutputAction.literal("out", interval("y")),))
@@ -105,6 +126,22 @@ class TestRun:
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
             run(CONSTANT, Trace.empty(("wrong",), 2))
+
+    @pytest.mark.parametrize(
+        "transition",
+        [
+            Transition("S0", "S0", interval_guards=(IntervalGuard("zz", IntervalPattern.empty()),)),
+            Transition("S0", "S0", updates=(VarUpdate("v", UpdateOp.ADD, 1),)),
+            Transition("S0", "S7"),
+        ],
+        ids=["undeclared-channel", "undeclared-variable", "undeclared-target"],
+    )
+    def test_reference_errors_rejected_before_any_tick(self, transition):
+        spec = make_spec([transition])
+        first = next(f for f in validate_spec(spec) if f.severity is Severity.ERROR)
+        with pytest.raises(ValueError) as exc:
+            run(spec, Trace.empty(("in",), 0))
+        assert str(exc.value) == f"component 'm': {first.message}"
 
     def test_output_length_always_matches_input(self):
         rng = Random(11)
