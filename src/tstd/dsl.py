@@ -51,9 +51,11 @@ lists channels sorted by name.  A comment-only line is not a tick.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .executor import Trace
 from .model import (
@@ -126,6 +128,22 @@ class ParseFailure(ValueError):
         super().__init__("; ".join(i.render() for i in self.issues))
 
 
+class _LongInteger(ValueError):
+    """An integer literal with more digits than ``int`` converts."""
+
+
+def _int(digits: str) -> int:
+    """``int`` of a ``-?\\d+`` literal; raises _LongInteger past the digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("-"))
+        raise _LongInteger(
+            f"integer literal of {count} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
+
+
 class _Issues:
     """Error accumulator shared by all the parsers."""
 
@@ -141,6 +159,14 @@ class _Issues:
     def raise_if_any(self) -> None:
         if self.items:
             raise ParseFailure(self.items)
+
+    @contextmanager
+    def located(self, line: int, column: int = 1) -> Iterator[None]:
+        """Report an integer too long to convert, raised in the block, at (line, column)."""
+        try:
+            yield
+        except _LongInteger as exc:
+            self.add(line, column, str(exc))
 
 
 _MESSAGE_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?::(-?\d+))?\Z")
@@ -159,7 +185,7 @@ def _parse_message(token: str) -> Optional[Message]:
     m = _MESSAGE_RE.match(token)
     if not m:
         return None
-    payload = int(m.group(2)) if m.group(2) is not None else None
+    payload = _int(m.group(2)) if m.group(2) is not None else None
     return Message(m.group(1), payload)
 
 
@@ -173,7 +199,7 @@ def _parse_pattern(text: str) -> Optional[IntervalPattern]:
         return IntervalPattern.nonempty()
     m = _LEN_RE.match(text)
     if m:
-        count = int(m.group(2))
+        count = _int(m.group(2))
         if count < 0:
             return None
         return IntervalPattern.len_ge(count) if m.group(1) == ">=" else IntervalPattern.len_eq(count)
@@ -192,7 +218,7 @@ def _parse_var_guard(text: str) -> Optional[VarGuard]:
     m = _VARGUARD_RE.match(text.strip())
     if not m:
         return None
-    return VarGuard(m.group(1), Relation.parse(m.group(2)), int(m.group(3)))
+    return VarGuard(m.group(1), Relation.parse(m.group(2)), _int(m.group(3)))
 
 
 def _parse_update(text: str) -> Optional[VarUpdate]:
@@ -200,7 +226,7 @@ def _parse_update(text: str) -> Optional[VarUpdate]:
     if not m:
         return None
     target, base, sign, raw = m.groups()
-    value = int(raw)
+    value = _int(raw)
     if base is None:
         return VarUpdate(target, UpdateOp.SET, value)
     if base != target:
@@ -215,12 +241,15 @@ def _strip_comment(raw: str) -> str:
     return raw if pos < 0 else raw[:pos]
 
 
-def _logical_lines(text: str) -> List[Tuple[int, str]]:
+def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
     """(line number, comment-stripped content) pairs: blank lines are kept
     (a trace tick can be one), lines holding only a comment are dropped."""
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
+    if "#" not in text and "\r" not in text:
+        # Nothing to strip: each line is its own content.
+        return enumerate(lines, 1)
     return [
         (i + 1, _strip_comment(raw).rstrip("\r"))
         for i, raw in enumerate(lines)
@@ -377,7 +406,8 @@ def parse_component(text: str) -> ComponentSpec:
             if current is None:
                 issues.add(lineno, 1, "clause outside of a transition")
                 continue
-            _parse_clause(lineno, stripped, current, issues)
+            with issues.located(lineno):
+                _parse_clause(lineno, stripped, current, issues)
             continue
 
         keyword, _, rest = stripped.partition(" ")
@@ -402,7 +432,8 @@ def parse_component(text: str) -> ComponentSpec:
             if not IDENT_RE.match(name) or eq != "=" or not _INT_RE.match(value):
                 issues.add(lineno, 1, "expected 'var NAME = INT'")
             else:
-                builder.declare_var(lineno, name, int(value))
+                with issues.located(lineno):
+                    builder.declare_var(lineno, name, _int(value))
         elif keyword == "state":
             parts = rest.split()
             if not parts or not IDENT_RE.match(parts[0]) or (
@@ -542,7 +573,8 @@ def parse_table(text: str) -> ComponentSpec:
                 if not IDENT_RE.match(name) or eq != "=" or not _INT_RE.match(value):
                     issues.add(lineno, 1, "expected '@var NAME = INT'")
                 else:
-                    builder.declare_var(lineno, name, int(value))
+                    with issues.located(lineno):
+                        builder.declare_var(lineno, name, _int(value))
             elif keyword == "@state":
                 if IDENT_RE.match(rest):
                     builder.declare_state(lineno, rest, initial=False)
@@ -617,42 +649,46 @@ def _parse_table_row(
         cell = cells[idx]
         col = _cell_column(content, idx)
         if cell:
-            pattern = _parse_pattern(cell)
-            if pattern is None:
-                issues.add(lineno, col, f"malformed interval pattern {cell!r}")
-            else:
-                raw.add("when", lineno, IntervalGuard(ch, pattern))
+            with issues.located(lineno, col):
+                pattern = _parse_pattern(cell)
+                if pattern is None:
+                    issues.add(lineno, col, f"malformed interval pattern {cell!r}")
+                else:
+                    raw.add("when", lineno, IntervalGuard(ch, pattern))
         idx += 1
     guard_cell = cells[idx]
     guard_col = _cell_column(content, idx)
     if guard_cell:
-        for part in guard_cell.split(";"):
-            vg = _parse_var_guard(part)
-            if vg is None:
-                issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
-            else:
-                raw.add("guard", lineno, vg)
+        with issues.located(lineno, guard_col):
+            for part in guard_cell.split(";"):
+                vg = _parse_var_guard(part)
+                if vg is None:
+                    issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
+                else:
+                    raw.add("guard", lineno, vg)
     idx += 1
     for ch in outs:
         cell = cells[idx]
         col = _cell_column(content, idx)
         if cell:
             sub = _Issues()
-            action = _parse_emission(lineno, ch, cell, sub)
+            with sub.located(lineno):
+                action = _parse_emission(lineno, ch, cell, sub)
+                if action is not None:
+                    raw.add("emit", lineno, action)
             for issue in sub.items:
                 issues.add(lineno, col, issue.message)
-            if action is not None:
-                raw.add("emit", lineno, action)
         idx += 1
     set_cell = cells[idx]
     set_col = _cell_column(content, idx)
     if set_cell:
-        for part in set_cell.split(";"):
-            update = _parse_update(part)
-            if update is None:
-                issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
-            else:
-                raw.add("set", lineno, update)
+        with issues.located(lineno, set_col):
+            for part in set_cell.split(";"):
+                update = _parse_update(part)
+                if update is None:
+                    issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
+                else:
+                    raw.add("set", lineno, update)
     builder.raw_transitions.append(raw)
 
 
@@ -702,82 +738,93 @@ def print_table(spec: ComponentSpec) -> str:
 
 
 def parse_trace(text: str) -> Trace:
-    """Parse a trace file; raises ParseFailure on any error."""
+    """Parse a trace file; raises ParseFailure on any error.
+
+    One pass over the tick lines appends each interval straight to its
+    channel's column.  Each distinct interval text is parsed once per file:
+    equal texts share one interval tuple.
+    """
     issues = _Issues()
-    header_seen = False
+    lines = iter(_logical_lines(text))
+    for lineno, content in lines:
+        header = content.split()
+        if header:
+            break
+    else:
+        lineno, header = 1, []
+    if header[:1] != ["ticks"]:
+        issues.add(lineno, 1, "expected header line 'ticks CH ...'")
+        issues.raise_if_any()
     channels: List[str] = []
-    ticks: List[Dict[str, TimeInterval]] = []
+    for name in header[1:]:
+        if not IDENT_RE.match(name):
+            issues.add(lineno, 1, f"invalid channel name {name!r}")
+        elif name in channels:
+            issues.add(lineno, 1, f"duplicate channel name '{name}'")
+        else:
+            channels.append(name)
+
+    position = {name: i for i, name in enumerate(channels)}
+    columns: List[List[TimeInterval]] = [[] for _ in channels]
+    # The tick at which each channel was last given an interval.
+    filled_at = [-1] * len(channels)
+    parsed: Dict[str, TimeInterval] = {"-": ()}
     tick_no = 0
-
-    for lineno, content in _logical_lines(text):
+    for lineno, content in lines:
         stripped = content.strip()
-        if not header_seen:
-            if not stripped:
-                continue
-            parts = stripped.split()
-            if parts[0] != "ticks":
-                issues.add(lineno, 1, "expected header line 'ticks CH ...'")
-                issues.raise_if_any()
-            for name in parts[1:]:
-                if not IDENT_RE.match(name):
-                    issues.add(lineno, 1, f"invalid channel name {name!r}")
-                elif name in channels:
-                    issues.add(lineno, 1, f"duplicate channel name '{name}'")
-                else:
-                    channels.append(name)
-            header_seen = True
-            continue
-
         if not stripped:
             if channels:
                 issues.add(lineno, 1, f"tick {tick_no}: missing channel '{channels[0]}'")
-            else:
-                ticks.append({})
             tick_no += 1
             continue
-        seen: Dict[str, TimeInterval] = {}
+        filled = 0
         for segment in stripped.split("|"):
-            name, colon, body = (p.strip() for p in segment.partition(":"))
-            if colon != ":" or not IDENT_RE.match(name):
-                issues.add(lineno, 1, f"malformed channel segment {segment.strip()!r}")
+            name, colon, body = segment.partition(":")
+            name = name.strip()
+            pos = position.get(name)
+            if pos is None or not colon:
+                if not colon or not IDENT_RE.match(name):
+                    issues.add(lineno, 1, f"malformed channel segment {segment.strip()!r}")
+                else:
+                    issues.add(lineno, 1, f"unknown channel '{name}' at tick {tick_no}")
                 continue
-            if name not in channels:
-                issues.add(lineno, 1, f"unknown channel '{name}' at tick {tick_no}")
-                continue
-            if name in seen:
+            if filled_at[pos] == tick_no:
                 issues.add(lineno, 1, f"duplicate channel '{name}' at tick {tick_no}")
                 continue
-            if body == "-":
-                seen[name] = ()
-            else:
-                msgs = []
-                ok = True
-                for token in body.split():
-                    msg = _parse_message(token)
-                    if msg is None:
-                        issues.add(lineno, 1, f"malformed message token {token!r}")
-                        ok = False
-                        break
-                    msgs.append(msg)
-                if ok:
-                    if not msgs:
-                        issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
-                    seen[name] = tuple(msgs)
-        for name in channels:
-            if name not in seen:
-                issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
-        ticks.append(seen)
+            body = body.strip()
+            iv = parsed.get(body)
+            if iv is None:
+                if not body:
+                    issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
+                    iv = ()
+                else:
+                    messages = []
+                    try:
+                        for token in body.split():
+                            msg = _parse_message(token)
+                            if msg is None:
+                                issues.add(lineno, 1, f"malformed message token {token!r}")
+                                break
+                            messages.append(msg)
+                        else:
+                            iv = parsed[body] = tuple(messages)
+                    except _LongInteger as exc:
+                        issues.add(lineno, 1, str(exc))
+                    if iv is None:
+                        continue
+            filled_at[pos] = tick_no
+            columns[pos].append(iv)
+            filled += 1
+        if filled < len(channels):
+            for pos, name in enumerate(channels):
+                if filled_at[pos] != tick_no:
+                    issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
         tick_no += 1
 
-    if not header_seen:
-        issues.add(1, 1, "expected header line 'ticks CH ...'")
     issues.raise_if_any()
     return Trace(
-        {
-            ch: StreamPrefix(tuple(tick.get(ch, ()) for tick in ticks))
-            for ch in channels
-        },
-        length=len(ticks),
+        {ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)},
+        length=tick_no,
     )
 
 
@@ -853,7 +900,8 @@ def parse_network(
                 if not _INT_RE.match(arg):
                     issues.add(lineno, 1, "delay depth must be an integer >= 1")
                 else:
-                    inst = Instance.of_delay(name, int(arg))
+                    with issues.located(lineno):
+                        inst = Instance.of_delay(name, _int(arg))
             elif kind == "merge":
                 if arg:
                     issues.add(lineno, 1, "'merge' takes no argument")

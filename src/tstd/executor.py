@@ -15,7 +15,7 @@ two machines modulo tick boundaries.  Both report evidence, never proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -332,23 +332,29 @@ def probe_causality(
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
+    fire = machine.fire
     alphabet = probe_alphabet(spec)
     for _ in range(trials):
         a, b, cut = _diverging_pair(machine.in_channels, alphabet, horizon, rng)
-        out_a = machine.outputs(a)
-        out_b = machine.outputs(b)
-        for t in range(cut + 1):
-            for ch, iv_a, iv_b in zip(machine.out_channels, out_a[t], out_b[t]):
-                if iv_a != iv_b:
-                    return CausalityProbeResult(
-                        refuted=True,
-                        trials=trials,
-                        witness_a=a,
-                        witness_b=b,
-                        cut=cut,
-                        channel=ch,
-                        tick=t,
-                    )
+        # The pair agrees before the cut, so the deterministic machine reaches
+        # the cut in one state and only the cut tick's outputs can differ.
+        ticks_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
+        state, env = machine.initial_state, machine.initial_env
+        for tick_inputs in islice(ticks_a, cut):
+            state, env, _ = fire(state, env, tick_inputs)
+        _, _, out_a = fire(state, env, next(ticks_a))
+        _, _, out_b = fire(state, env, [b.channels[ch][cut] for ch in machine.in_channels])
+        for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
+            if iv_a != iv_b:
+                return CausalityProbeResult(
+                    refuted=True,
+                    trials=trials,
+                    witness_a=a,
+                    witness_b=b,
+                    cut=cut,
+                    channel=ch,
+                    tick=cut,
+                )
     return CausalityProbeResult(refuted=False, trials=trials)
 
 

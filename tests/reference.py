@@ -1,16 +1,28 @@
-"""Reference oracles for the compiled execution paths.
+"""Reference oracles for the optimised paths.
 
-These are the direct, uncompiled readings of the semantics: one tick of a
-machine straight from ``enabled_transitions``, and a network run that
-resolves every port by name each tick.  They are slow on purpose and are
-used only to check ``tstd.run`` and ``tstd.run_network`` against.
+These are the direct, unoptimised readings of the semantics: one tick of a
+machine straight from ``enabled_transitions``, a network run that resolves
+every port by name each tick, a causality probe that runs both traces of a
+trial over the whole horizon, and a trace parser that parses every interval
+it meets and transposes per-tick rows into columns.  They are slow on purpose
+and are used only to check ``tstd.run``, ``tstd.run_network``,
+``tstd.probe_causality`` and ``tstd.parse_trace`` against.
 """
 
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
+from random import Random
 from typing import Dict, List, Mapping, Tuple
 
-from tstd.executor import Configuration, Trace
+from tstd.dsl import _Issues, _parse_message
+from tstd.executor import (
+    CausalityProbeResult,
+    Configuration,
+    Trace,
+    _diverging_pair,
+    run,
+)
+from tstd.gen import probe_alphabet
 from tstd.model import (
     CausalityClass,
     ComponentSpec,
@@ -25,7 +37,7 @@ from tstd.network import (
     Network,
     instantaneous_dependency_graph,
 )
-from tstd.streams import StreamPrefix, TimeInterval
+from tstd.streams import IDENT_RE, StreamPrefix, TimeInterval
 
 
 def reference_step(
@@ -162,4 +174,125 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
     return Trace(
         {name: StreamPrefix(tuple(ivs)) for name, ivs in collected.items()},
         length=ticks,
+    )
+
+
+def reference_probe_causality(
+    spec: ComponentSpec, trials: int, horizon: int, seed: int
+) -> CausalityProbeResult:
+    """Run both traces of every trial over the whole horizon and compare
+    their outputs tick by tick up to the cut."""
+    if trials < 1 or horizon < 1:
+        raise ValueError("trials and horizon must be positive")
+    rng = Random(seed)
+    if not spec.in_channels():
+        return CausalityProbeResult(refuted=False, trials=0)
+    alphabet = probe_alphabet(spec)
+    for _ in range(trials):
+        a, b, cut = _diverging_pair(spec.in_channels(), alphabet, horizon, rng)
+        out_a = run(spec, a)
+        out_b = run(spec, b)
+        for t in range(cut + 1):
+            for ch in spec.out_channels():
+                if out_a.channels[ch][t] != out_b.channels[ch][t]:
+                    return CausalityProbeResult(
+                        refuted=True,
+                        trials=trials,
+                        witness_a=a,
+                        witness_b=b,
+                        cut=cut,
+                        channel=ch,
+                        tick=t,
+                    )
+    return CausalityProbeResult(refuted=False, trials=trials)
+
+
+def _reference_logical_lines(text: str) -> List[Tuple[int, str]]:
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    return [
+        (i + 1, (raw if "#" not in raw else raw[: raw.find("#")]).rstrip("\r"))
+        for i, raw in enumerate(lines)
+        if not raw.lstrip().startswith("#")
+    ]
+
+
+def reference_parse_trace(text: str) -> Trace:
+    """Parse every tick into a dict of channel intervals, then transpose."""
+    issues = _Issues()
+    header_seen = False
+    channels: List[str] = []
+    ticks: List[Dict[str, TimeInterval]] = []
+    tick_no = 0
+
+    for lineno, content in _reference_logical_lines(text):
+        stripped = content.strip()
+        if not header_seen:
+            if not stripped:
+                continue
+            parts = stripped.split()
+            if parts[0] != "ticks":
+                issues.add(lineno, 1, "expected header line 'ticks CH ...'")
+                issues.raise_if_any()
+            for name in parts[1:]:
+                if not IDENT_RE.match(name):
+                    issues.add(lineno, 1, f"invalid channel name {name!r}")
+                elif name in channels:
+                    issues.add(lineno, 1, f"duplicate channel name '{name}'")
+                else:
+                    channels.append(name)
+            header_seen = True
+            continue
+
+        if not stripped:
+            if channels:
+                issues.add(lineno, 1, f"tick {tick_no}: missing channel '{channels[0]}'")
+            else:
+                ticks.append({})
+            tick_no += 1
+            continue
+        seen: Dict[str, TimeInterval] = {}
+        for segment in stripped.split("|"):
+            name, colon, body = (p.strip() for p in segment.partition(":"))
+            if colon != ":" or not IDENT_RE.match(name):
+                issues.add(lineno, 1, f"malformed channel segment {segment.strip()!r}")
+                continue
+            if name not in channels:
+                issues.add(lineno, 1, f"unknown channel '{name}' at tick {tick_no}")
+                continue
+            if name in seen:
+                issues.add(lineno, 1, f"duplicate channel '{name}' at tick {tick_no}")
+                continue
+            if body == "-":
+                seen[name] = ()
+            else:
+                msgs = []
+                ok = True
+                for token in body.split():
+                    msg = _parse_message(token)
+                    if msg is None:
+                        issues.add(lineno, 1, f"malformed message token {token!r}")
+                        ok = False
+                        break
+                    msgs.append(msg)
+                if ok:
+                    if not msgs:
+                        issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
+                    seen[name] = tuple(msgs)
+        for name in channels:
+            if name not in seen:
+                issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
+        ticks.append(seen)
+        tick_no += 1
+
+    if not header_seen:
+        issues.add(1, 1, "expected header line 'ticks CH ...'")
+    issues.raise_if_any()
+    return Trace(
+        {
+            ch: StreamPrefix(tuple(tick.get(ch, ()) for tick in ticks))
+            for ch in channels
+        },
+        length=len(ticks),
     )

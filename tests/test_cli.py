@@ -24,6 +24,14 @@ class TestValidate:
         r = run_cli("validate", "/no/such/file.tstd")
         assert r.code == 3
 
+    def test_overlong_initial_value_is_reported(self, samples, tmp_path):
+        text = (samples / "counter.tstd").read_text().replace("var n = 0", "var n = " + "9" * 5000)
+        p = tmp_path / "big.tstd"
+        p.write_text(text)
+        r = run_cli("validate", str(p))
+        assert r.code == 1
+        assert r.out.startswith("error: line 5:1: integer literal of 5000 digits")
+
     def test_warnings_only_exit_zero(self, samples):
         r = run_cli("validate", str(samples / "counter.tstd"))
         assert r.code == 0
@@ -70,6 +78,13 @@ class TestSimulate:
         trc.write_text("not a trace\n")
         r = run_cli("simulate", str(samples / "toggler.tstd"), str(trc))
         assert r.code == 2
+
+    def test_overlong_payload_is_usage_error(self, samples, tmp_path):
+        trc = tmp_path / "big.trc"
+        trc.write_text("ticks in\nin: a:" + "9" * 5000 + "\n")
+        r = run_cli("simulate", str(samples / "watchdog.tstd"), str(trc))
+        assert r.code == 2
+        assert "big.trc:2:1: integer literal of 5000 digits" in r.err
 
 
 class TestStream:

@@ -1,4 +1,5 @@
-"""The compiled ``run`` and ``run_network`` against the reference oracles.
+"""The optimised ``run``, ``run_network``, ``probe_causality`` and
+``parse_trace`` against the reference oracles.
 
 Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
@@ -15,12 +16,15 @@ from tstd import (
     CausalityClass,
     IllFormedNetworkError,
     Instance,
+    ParseFailure,
     Wire,
     build_network,
     classify_causality_syntactic,
     parse_component,
     parse_network,
     parse_trace,
+    print_trace,
+    probe_causality,
     run,
     run_network,
     step,
@@ -30,7 +34,13 @@ from tstd.gen import random_spec, spec_tags
 from tstd.network import ExternalPort, InstanceKind, Port
 from tstd.streams import Message, StreamPrefix
 
-from reference import reference_run, reference_run_network, reference_step
+from reference import (
+    reference_parse_trace,
+    reference_probe_causality,
+    reference_run,
+    reference_run_network,
+    reference_step,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -179,3 +189,102 @@ def test_run_network_matches_reference_on_samples(path):
                 run_network(net, inputs, inputs.length)
             continue
         assert run_network(net, inputs, inputs.length) == expected
+
+
+def test_probe_causality_matches_reference_on_random_specs():
+    rng = Random(4242)
+    seen = {"strong": 0, "weak": 0, "refuted": 0, "consistent": 0}
+    for i in range(300):
+        spec = random_spec(rng, name=f"p{i}")
+        trials, horizon, seed = rng.randint(1, 12), rng.randint(1, 16), rng.randrange(10**6)
+        result = probe_causality(spec, trials, horizon, seed)
+        assert result == reference_probe_causality(spec, trials, horizon, seed), i
+        strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
+        seen["strong" if strong else "weak"] += 1
+        seen["refuted" if result.refuted else "consistent"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def _render(text):
+    """The parsed trace, or the rendered issues of the ParseFailure."""
+    try:
+        return reference_parse_trace(text)
+    except ParseFailure as exc:
+        return [issue.render() for issue in exc.issues]
+
+
+def _parse(text):
+    try:
+        return parse_trace(text)
+    except ParseFailure as exc:
+        return [issue.render() for issue in exc.issues]
+
+
+def _spaces(rng):
+    return rng.choice(("", " ", "  ", "\t", " \t"))
+
+
+def _loose_text(trace, rng):
+    """The trace with random spacing, channel order, comments, CRLF and blank lines."""
+    names = list(trace.channels)
+    rng.shuffle(names)
+    lines = [_spaces(rng) + "ticks" + "".join(" " + _spaces(rng) + n for n in names)]
+    for t in range(trace.length):
+        rng.shuffle(names)
+        segments = []
+        for ch in names:
+            iv = trace.channels[ch][t]
+            sep = " " + _spaces(rng)
+            body = sep.join(m.token() for m in iv) if iv else "-"
+            segments.append(f"{_spaces(rng)}{ch}{_spaces(rng)}:{_spaces(rng)}{body}{_spaces(rng)}")
+        line = "|".join(segments)
+        if rng.random() < 0.1:
+            line += " # note: a | b"
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("# comment", "  # indented comment", "")))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def _mutate(text, rng):
+    """One random character inserted, deleted or swapped with its neighbour."""
+    if not text:
+        return rng.choice(":|-# \n")
+    i = rng.randrange(len(text))
+    roll = rng.random()
+    if roll < 0.4:
+        return text[:i] + rng.choice(":|-#a0: \t\r\nx_") + text[i:]
+    if roll < 0.7 or i + 1 == len(text):
+        return text[:i] + text[i + 1 :]
+    return text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+
+
+def trace_corpus():
+    rng = Random(606)
+    texts = ["", "ticks", "ticks\n", "ticks\n\n\n", "ticks\n# c\n\n", "\n\nticks a\na: -\n"]
+    for _ in range(500):
+        names = rng.sample(["a", "b", "c", "in", "out"], rng.randint(0, 3))
+        trace = payload_trace(names, rng.randint(0, 12), rng, tags=("a", "b", "m"))
+        canonical = print_trace(trace)
+        loose = _loose_text(trace, rng)
+        texts += [canonical, loose]
+        for base in (canonical, loose):
+            mutated = base
+            for _ in range(rng.randint(1, 3)):
+                mutated = _mutate(mutated, rng)
+            texts.append(mutated)
+    return texts
+
+
+def test_parse_trace_matches_reference():
+    parsed = failed = 0
+    for i, text in enumerate(trace_corpus()):
+        expected = _render(text)
+        assert _parse(text) == expected, (i, text)
+        if isinstance(expected, list):
+            failed += 1
+        else:
+            parsed += 1
+    # Both outcomes must stay well represented.
+    assert parsed >= 500 and failed >= 300, (parsed, failed)

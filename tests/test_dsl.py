@@ -525,6 +525,72 @@ class TestNetworkFormat:
         assert exc.value.issues[0].span.line == line
 
 
+# More digits than Python's int() converts by default (4300).
+LONG = "9" * 5000
+
+
+def long_integer_issues(parse, text):
+    with pytest.raises(ParseFailure) as exc:
+        parse(text)
+    return [
+        (i.span.line, i.span.column) for i in exc.value.issues if "5000 digits" in i.message
+    ]
+
+
+class TestLongIntegers:
+    """Integer literals past the conversion limit are located parse errors."""
+
+    @pytest.mark.parametrize("body", [f"a:{LONG}", f"b a:-{LONG}"])
+    def test_trace(self, body):
+        text = f"ticks in\nin: -\nin: {body}\n"
+        assert long_integer_issues(parse_trace, text) == [(3, 1)]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            f"var n = {LONG}",
+            f"  when in: len={LONG}",
+            f"  when in: contains(a:{LONG})",
+            f"  when in: first=a:-{LONG}",
+            f"  when in: any, n < {LONG}",
+            f"  emit out: a a:{LONG}",
+            f"  set n := n + {LONG}",
+            f"  set n := {LONG}",
+        ],
+    )
+    def test_component(self, line):
+        head = "component m\nin chan in\nout chan out\nvar n = 0\nstate S initial\ntrans S -> S\n"
+        if line.startswith("var"):
+            text = head.replace("var n = 0", line)
+            where = (4, 1)
+        else:
+            text = head + line + "\n"
+            where = (7, 1)
+        assert long_integer_issues(parse_component, text) == [where]
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            (f"S, len>={LONG}, , , , S", 3),
+            (f"S, , n >= 1; n == {LONG}, , , S", 5),
+            (f"S, , , x a:{LONG}, , S", 7),
+            (f"S, , , , n := n - {LONG}, S", 9),
+        ],
+    )
+    def test_table(self, row, column):
+        head = (
+            "@component m\n@in in\n@out out\n@var n = 0\n@state S\n@initial S\n"
+            "source, when:in, guard, emit:out, set, target\n"
+        )
+        assert long_integer_issues(parse_table, head + row + "\n") == [(8, column)]
+        text = head.replace("@var n = 0", f"@var n = {LONG}") + "S, , , , , S\n"
+        assert long_integer_issues(parse_table, text) == [(4, 1)]
+
+    def test_network(self):
+        text = f"use d = delay 1\nuse e = delay {LONG}\nwire extern in -> d.in\n"
+        assert long_integer_issues(lambda t: parse_network(t, base_dir="."), text) == [(2, 1)]
+
+
 class TestDot:
     def test_single_state(self):
         spec = parse_component("component one\nout chan o\nstate S initial\n")
