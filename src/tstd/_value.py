@@ -1,0 +1,81 @@
+"""Frozen value classes, built without :mod:`dataclasses`.
+
+``@value`` turns a class whose body annotates its fields, some with defaults,
+into an immutable value class: ``__init__`` (ending in ``__post_init__`` when
+the class has one), ``__repr__``, ``__eq__``, ``__hash__``, ``__match_args__``,
+``__setattr__``/``__delattr__`` that raise AttributeError, and ``__reduce__``,
+so pickle and copy rebuild a value through ``__init__``.  A method the class
+defines itself is kept.  ``@value(slots=True)`` rebuilds the class with
+``__slots__``, so its instances have no ``__dict__``.
+
+The per-call methods (``__init__``, ``__eq__``, ``__hash__``) are compiled
+from one generated source text per class; the rest are shared.  This keeps
+import cheap: :mod:`dataclasses` imports :mod:`inspect` and compiles every
+method of every class on its own.
+"""
+
+_METHODS = """\
+def __init__(self, {params}):
+{body}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine},) == ({theirs},)
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine},))
+"""
+
+
+def _repr(self):
+    shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _reduce(self):
+    return (self.__class__, tuple(getattr(self, f) for f in self.__match_args__))
+
+
+def _setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def value(cls=None, *, slots=False):
+    """Class decorator; ``@value`` or ``@value(slots=True)``."""
+    if cls is None:
+        return lambda cls: value(cls, slots=slots)
+    fields = tuple(cls.__annotations__)
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    if slots:
+        body = {k: v for k, v in cls.__dict__.items() if k not in defaults}
+        for k in ("__dict__", "__weakref__"):
+            body.pop(k, None)
+        body.update(__slots__=fields, __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, body)
+    lines = [f"    _set(self, {f!r}, {f})" for f in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(
+        _METHODS.format(
+            params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields),
+            body="\n".join(lines),
+            mine=", ".join(f"self.{f}" for f in fields),
+            theirs=", ".join(f"other.{f}" for f in fields),
+        ),
+        namespace,
+    )
+    methods = dict(
+        __repr__=_repr, __reduce__=_reduce, __setattr__=_setattr, __delattr__=_delattr
+    )
+    for name in ("__init__", "__eq__", "__hash__"):
+        methods[name] = namespace[name]
+        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    cls.__match_args__ = fields
+    return cls

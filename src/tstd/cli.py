@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 a check was refuted or the input failed validation,
 2 usage or parse error, 3 unreadable or unwritable file.  Data goes to
 stdout, diagnostics to stderr; every command is deterministic given its
 arguments, input files, and seed.
+
+Start-up is most of a short command's time, so each command imports only
+what it runs: :mod:`tstd.network` is imported by the network commands alone
+(``compose``, ``check feedback``) and :mod:`tstd.gen` by ``gen-trace`` and
+the probes.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from random import Random
 from typing import Callable, List, Optional, TypeVar
 
 from .dsl import (
@@ -30,15 +34,7 @@ from .executor import (
     probe_causality,
     run,
 )
-from .gen import random_trace
 from .model import ComponentSpec, has_errors, validate_spec
-from .network import (
-    ChannelSetError,
-    IllFormedNetworkError,
-    Network,
-    check_feedback_wellformed,
-    run_network,
-)
 from .streams import (
     IDENT_RE,
     LengthMismatchError,
@@ -134,7 +130,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         spec = _parse_spec_text(text, fmt)
     except ParseFailure as exc:
         for issue in exc.issues:
-            print(f"error: line {issue.render()}: {issue.message}")
+            print(f"error: line {issue.render()}")
         return REFUTED
     findings = validate_spec(spec)
     for f in findings:
@@ -288,6 +284,8 @@ def _load_network(path: str) -> Network:
 
 
 def cmd_check_feedback(args: argparse.Namespace) -> int:
+    from .network import check_feedback_wellformed
+
     net = _load_network(args.network)
     result = check_feedback_wellformed(net)
     if result.well_formed:
@@ -298,6 +296,8 @@ def cmd_check_feedback(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    from .network import ChannelSetError, IllFormedNetworkError, run_network
+
     net = _load_network(args.network)
     inputs = _load_trace(args.trace)
     ticks = args.ticks if args.ticks is not None else inputs.length
@@ -317,6 +317,10 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_trace(args: argparse.Namespace) -> int:
+    from random import Random
+
+    from .gen import random_trace
+
     channels = _name_list(args.channels, "--channels")
     alphabet = _name_list(args.alphabet, "--alphabet")
     rng = Random(args.seed)

@@ -43,6 +43,9 @@ Network (``*.tnet``)::
     wire extern NAME -> B.in
     wire A.out -> extern NAME
 
+:func:`parse_network` and its helpers import :mod:`tstd.network` when called,
+so parsing the other formats does not load it.
+
 Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
 ``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
 lists channels sorted by name.  A comment-only line is not a tick.
@@ -53,10 +56,10 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ._value import value
 from .executor import Trace
 from .model import (
     ChannelDecl,
@@ -72,16 +75,6 @@ from .model import (
     VarGuard,
     VarUpdate,
     check_transition,
-)
-from .network import (
-    Endpoint,
-    ExternalPort,
-    Instance,
-    Network,
-    NetworkBuildError,
-    Port,
-    Wire,
-    build_network,
 )
 from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval
 
@@ -100,7 +93,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class SourceSpan:
     """1-based line/column position of a parse diagnostic."""
 
@@ -111,7 +104,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ParseIssue:
     span: SourceSpan
     message: str
@@ -867,6 +860,8 @@ def parse_network(
     """Parse a network wiring file; referenced component files are loaded
     relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise).
     """
+    from .network import Instance, NetworkBuildError, Wire, build_network
+
     issues = _Issues()
     load = loader or _default_component_loader
     base = Path(base_dir)
@@ -938,6 +933,8 @@ def _parse_endpoint(
     lineno: int, raw: str, externals: List[str], issues: _Issues
 ) -> Optional[Endpoint]:
     """``extern NAME`` (recorded in ``externals``) or ``ID.PORT``; None if malformed."""
+    from .network import ExternalPort, Port
+
     m = _ENDPOINT_RE.match(raw.strip())
     if not m:
         issues.add(lineno, 1, f"malformed endpoint {raw.strip()!r}")
@@ -957,6 +954,8 @@ def _load_instance(
     lineno: int,
     issues: _Issues,
 ) -> Optional[Instance]:
+    from .network import Instance
+
     try:
         path = base / arg
         spec = load(path)

@@ -10,16 +10,15 @@ is the same tick on named configurations.  Two seeded refutation checks
 compile each spec once and reuse it for every trial: ``probe_causality``
 hunts for same-tick input sensitivity, ``check_untimed_simulation`` compares
 two machines modulo tick boundaries.  Both report evidence, never proofs.
+They import :mod:`tstd.gen` when called, so running a spec does not load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, repeat
-from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .gen import probe_alphabet, random_interval, random_trace, spec_tags, fresh_tag
+from ._value import value
 from .model import (
     _PATTERN_TESTS,
     _RELATION_TESTS,
@@ -48,7 +47,7 @@ class ChannelMismatchError(ValueError):
     """A trace's channel set does not match what the spec expects."""
 
 
-@dataclass(frozen=True)
+@value
 class Configuration:
     """Machine snapshot between ticks: control state plus variable valuation."""
 
@@ -60,7 +59,7 @@ class Configuration:
         return cls(spec.initial, spec.initial_env())
 
 
-@dataclass(frozen=True)
+@value
 class Trace:
     """A bundle of equally long stream prefixes, one per named channel."""
 
@@ -271,7 +270,7 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
     return _Machine(spec).run(inputs)
 
 
-@dataclass(frozen=True)
+@value
 class CausalityProbeResult:
     """Outcome of the randomized strong-causality refutation search.
 
@@ -297,6 +296,8 @@ def _diverging_pair(
     channels: Sequence[str], alphabet: Sequence[str], horizon: int, rng: Random
 ) -> Tuple[Trace, Trace, int]:
     """Two input traces equal on ticks < cut and different at the cut tick."""
+    from .gen import random_interval, random_trace
+
     cut = rng.randrange(horizon)
     a = random_trace(channels, horizon, rng, alphabet=alphabet)
     b_channels: Dict[str, List[TimeInterval]] = {}
@@ -325,6 +326,10 @@ def probe_causality(
     causality.  Finding nothing only means the machine is consistent with
     strong causality on the sampled traces.
     """
+    from random import Random
+
+    from .gen import probe_alphabet
+
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
     rng = Random(seed)
@@ -358,7 +363,7 @@ def probe_causality(
     return CausalityProbeResult(refuted=False, trials=trials)
 
 
-@dataclass(frozen=True)
+@value
 class SimulationCheckResult:
     """Outcome of the bounded untimed-equivalence check between two specs."""
 
@@ -384,6 +389,10 @@ def check_untimed_simulation(
     abstractions of the outputs are compared; the first mismatch is returned
     as a witness.  Agreement is only over the sampled horizon, not a proof.
     """
+    from random import Random
+
+    from .gen import fresh_tag, random_trace, spec_tags
+
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
     if set(spec_a.in_channels()) != set(spec_b.in_channels()) or set(

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ._value import value
 from .streams import IDENT_RE, Message, TimeInterval
 
 __all__ = [
@@ -48,13 +48,13 @@ class Direction(enum.Enum):
     OUT = "out"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ChannelDecl:
     name: str
     direction: Direction
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class VarDecl:
     name: str
     initial: int
@@ -83,7 +83,7 @@ _PATTERN_TESTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class IntervalPattern:
     """A per-tick predicate over one channel's time interval."""
 
@@ -142,7 +142,7 @@ class IntervalPattern:
         raise AssertionError(kind)
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class IntervalGuard:
     channel: str
     pattern: IntervalPattern
@@ -183,7 +183,7 @@ _RELATION_TESTS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class VarGuard:
     var: str
     relation: Relation
@@ -196,7 +196,7 @@ class VarGuard:
         return f"{self.var} {self.relation.value} {self.bound}"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class OutputAction:
     """What a transition emits on one output channel.
 
@@ -236,7 +236,7 @@ class UpdateOp(enum.Enum):
     ADD = "add"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class VarUpdate:
     var: str
     op: UpdateOp
@@ -257,7 +257,7 @@ def _guard_sort_key(g: IntervalGuard):
     return (g.channel, g.pattern.kind.value, str(g.pattern.message), g.pattern.count or 0)
 
 
-@dataclass(frozen=True)
+@value
 class Transition:
     """One guarded edge of the diagram.
 
@@ -299,7 +299,7 @@ class Transition:
         return not self.interval_guards and not self.var_guards
 
 
-@dataclass(frozen=True)
+@value
 class ComponentSpec:
     """A full timed state transition diagram.
 
@@ -334,7 +334,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class Finding:
     """One validation result; ``location`` (see :func:`check_transition`)
     lets a parser point at a clause's line, and ``render`` ignores it."""

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ._value import value
 from .executor import Trace, _Machine
 from .model import CausalityClass, ComponentSpec, classify_causality_syntactic
 from .streams import StreamPrefix, TimeInterval
@@ -91,7 +91,7 @@ class InstanceKind(enum.Enum):
     MERGE = "merge"
 
 
-@dataclass(frozen=True)
+@value
 class Instance:
     """One component occurrence in a network, under a unique id."""
 
@@ -127,7 +127,7 @@ class Instance:
         return (MERGE_OUT,)
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class Port:
     """An endpoint on a component instance."""
 
@@ -138,7 +138,7 @@ class Port:
         return f"{self.instance}.{self.port}"
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class ExternalPort:
     """An endpoint on the network boundary."""
 
@@ -151,13 +151,13 @@ class ExternalPort:
 Endpoint = Union[Port, ExternalPort]
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class Wire:
     source: Endpoint
     target: Endpoint
 
 
-@dataclass(frozen=True)
+@value
 class Network:
     instances: Tuple[Instance, ...]
     wires: Tuple[Wire, ...]
@@ -284,7 +284,7 @@ def _dependency_graph(net: Network, sinks: Mapping[str, bool]) -> Dict[str, Tupl
     return {iid: tuple(sorted(succs)) for iid, succs in sorted(edges.items())}
 
 
-@dataclass(frozen=True)
+@value
 class FeedbackCheck:
     well_formed: bool
     cycle: Tuple[str, ...] = ()
@@ -455,7 +455,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         ins = tuple(driver[Port(iid, port)] for port in inst.in_ports())
         outs = tuple(slot_of[Port(iid, port)] for port in inst.out_ports())
         if inst.kind is InstanceKind.DELAY:
-            nodes.append(_DelayNode(ins, outs, inst.delay))
+            # A delay deeper than the run emits nothing but its first empty
+            # intervals, and needs no more of them than there are ticks.
+            nodes.append(_DelayNode(ins, outs, min(inst.delay, ticks)))
         elif inst.kind is InstanceKind.MERGE:
             nodes.append(_MergeNode(ins, outs))
         elif sinks[iid]:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
+
+from ._value import value
 
 __all__ = [
     "IDENT_RE",
@@ -56,7 +57,7 @@ class LengthMismatchError(StreamError):
     """Raised when an operator needs equally long prefixes and got unequal ones."""
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class Message:
     """One symbolic message: a tag plus an optional integer payload.
 
@@ -99,7 +100,7 @@ def interval(*tokens: str | Message) -> TimeInterval:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
+@value(slots=True)
 class StreamPrefix:
     """The first T ticks of a timed stream on one channel.
 

@@ -32,6 +32,13 @@ class TestValidate:
         assert r.code == 1
         assert r.out.startswith("error: line 5:1: integer literal of 5000 digits")
 
+    def test_parse_error_is_printed_once(self, tmp_path):
+        p = tmp_path / "bad.tstd"
+        p.write_text("component m\nin chan i\nout chan o\nvar v = x\nstate S initial\n")
+        r = run_cli("validate", str(p))
+        assert r.code == 1
+        assert r.out == "error: line 4:1: expected 'var NAME = INT'\n"
+
     def test_warnings_only_exit_zero(self, samples):
         r = run_cli("validate", str(samples / "counter.tstd"))
         assert r.code == 0
@@ -256,6 +263,19 @@ class TestCompose:
         r = run_cli("compose", str(samples / "delay1.tnet"), str(trc))
         assert r.code == 0
         assert r.out == "ticks out\nout: -\nout: a\n"
+
+    def test_delay_deeper_than_any_int_index(self, tmp_path):
+        net = tmp_path / "deep.tnet"
+        net.write_text(
+            "use d = delay 1000000000000000000000000000000\n"
+            "wire extern in -> d.in\n"
+            "wire d.out -> extern out\n"
+        )
+        trc = tmp_path / "in.trc"
+        trc.write_text("ticks in\nin: a\nin: b\n")
+        r = run_cli("compose", str(net), str(trc))
+        assert r.code == 0
+        assert r.out == "ticks out\nout: -\nout: -\n"
 
     def test_ill_formed_refused(self, samples):
         r = run_cli(

@@ -173,6 +173,30 @@ def test_run_network_matches_reference_on_random_networks():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def test_run_network_matches_reference_with_delays_deeper_than_the_run():
+    rng = Random(57)
+    deeper = 0
+    for i in range(200):
+        net = random_network(rng, i)
+        ticks = rng.randint(0, 10)
+        depths = (max(ticks, 1), ticks + 1, ticks + 7, 10**5)
+        instances = [
+            Instance.of_delay(inst.id, rng.choice(depths))
+            if inst.kind is InstanceKind.DELAY
+            else inst
+            for inst in net.instances
+        ]
+        net = build_network(instances, net.wires, net.external_in, net.external_out)
+        inputs = payload_trace(net.external_in, ticks, rng)
+        try:
+            expected = reference_run_network(net, inputs, ticks)
+        except IllFormedNetworkError:
+            continue
+        assert run_network(net, inputs, ticks) == expected, i
+        deeper += any(inst.delay > ticks for inst in net.instances)
+    assert deeper >= 40, deeper
+
+
 @pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.tnet")), ids=lambda p: p.name)
 def test_run_network_matches_reference_on_samples(path):
     net = parse_network(path.read_text(), base_dir=SAMPLES)

@@ -1,0 +1,107 @@
+"""The import graph: each CLI command loads only the modules it runs, and
+the package's public names resolve on first use."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tstd
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_NAMES = [
+    "CausalityClass", "ChannelDecl", "ChannelMismatchError", "ChannelSetError",
+    "ComponentSpec", "Configuration", "Direction", "FeedbackCheck", "Finding",
+    "IllFormedNetworkError", "Instance", "IntervalGuard", "IntervalPattern",
+    "InvalidGranularityError", "LengthMismatchError", "Message", "Network",
+    "NetworkBuildError", "NonAlignedPrefixError", "OutputAction", "ParseFailure",
+    "Relation", "Severity", "SplitStrategy", "StreamPrefix", "Trace", "Transition",
+    "VarDecl", "VarGuard", "VarUpdate", "Wire", "build_network",
+    "check_feedback_wellformed", "check_untimed_simulation",
+    "classify_causality_syntactic", "delay_stream", "enabled_transitions", "export_dot",
+    "instantaneous_dependency_graph", "interval", "join", "message_count",
+    "parse_component", "parse_network", "parse_table", "parse_trace", "print_component",
+    "print_table", "print_trace", "probe_causality", "run", "run_network", "split",
+    "step", "timed_merge", "untimed_abstraction", "validate_spec",
+]
+
+# Runs one command in a fresh interpreter without site packages and prints
+# its exit code and every module loaded by then.
+_RUN_COMMAND = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, {src!r})
+from tstd.cli import main
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _modules_after(*argv):
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _RUN_COMMAND.format(src=str(ROOT / "src")), *argv],
+        capture_output=True,
+        text=True,
+        cwd=ROOT / "samples",
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    return code, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "watchdog.tstd"], 0),
+        (["simulate", "watchdog.tstd", "empty4.trc"], 0),
+        (["stream", "split", "empty4.trc", "-n", "3"], 0),
+        (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_command_skips_network_and_dataclasses(argv, code):
+    got, modules = _modules_after(*argv)
+    assert got == code
+    assert "tstd.network" not in modules
+    assert "dataclasses" not in modules
+    assert ("tstd.gen" in modules) == (argv[0] == "check")
+
+
+def test_network_commands_import_network():
+    code, modules = _modules_after("compose", "delay1.tnet", "empty4.trc")
+    assert code == 0
+    assert "tstd.network" in modules
+    assert "dataclasses" not in modules
+
+
+def test_public_names_are_unchanged():
+    assert sorted(tstd.__all__) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(tstd))
+    namespace = {}
+    exec("from tstd import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_resolves_to_its_definition(name):
+    obj = getattr(tstd, name)
+    assert getattr(sys.modules[obj.__module__], name) is obj
+    assert obj.__module__.startswith("tstd.")
+
+
+def test_submodules_are_attributes():
+    assert tstd.network is sys.modules["tstd.network"]
+    assert tstd.gen.random_trace is not None
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tstd.no_such_name
+    assert not hasattr(tstd, "dataclass")
+    with pytest.raises(ImportError):
+        exec("from tstd import no_such_name", {})
