@@ -56,6 +56,7 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -178,8 +179,8 @@ def _parse_message(token: str) -> Optional[Message]:
     m = _MESSAGE_RE.match(token)
     if not m:
         return None
-    payload = _int(m.group(2)) if m.group(2) is not None else None
-    return Message(m.group(1), payload)
+    tag, digits = m.groups()
+    return Message(tag, None if digits is None else _int(digits))
 
 
 def _parse_pattern(text: str) -> Optional[IntervalPattern]:
@@ -236,15 +237,17 @@ def _strip_comment(raw: str) -> str:
 
 def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
     """(line number, comment-stripped content) pairs: blank lines are kept
-    (a trace tick can be one), lines holding only a comment are dropped."""
+    (a trace tick can be one), lines holding only a comment are dropped.
+    A CR before the LF stays in the content; every parser strips the lines
+    it reads."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if "#" not in text and "\r" not in text:
+    if "#" not in text:
         # Nothing to strip: each line is its own content.
         return enumerate(lines, 1)
     return [
-        (i + 1, _strip_comment(raw).rstrip("\r"))
+        (i + 1, _strip_comment(raw))
         for i, raw in enumerate(lines)
         if not raw.lstrip().startswith("#")
     ]
@@ -735,7 +738,11 @@ def parse_trace(text: str) -> Trace:
 
     One pass over the tick lines appends each interval straight to its
     channel's column.  Each distinct interval text is parsed once per file:
-    equal texts share one interval tuple.
+    equal texts share one interval tuple.  A clean tick line made only of
+    interval texts seen on earlier lines is remembered with its intervals in
+    channel order, so each later copy of that line costs one lookup and one
+    append per channel.  Lines with issues are never remembered, and a trace
+    whose every interval text is new remembers nothing.
     """
     issues = _Issues()
     lines = iter(_logical_lines(text))
@@ -762,8 +769,20 @@ def parse_trace(text: str) -> Trace:
     # The tick at which each channel was last given an interval.
     filled_at = [-1] * len(channels)
     parsed: Dict[str, TimeInterval] = {"-": ()}
+    # Clean lines whose bodies were all parsed before -> their intervals in
+    # channel order.  While it is empty (every body new so far), no line is
+    # hashed for a lookup.
+    rows: Dict[str, Tuple[TimeInterval, ...]] = {}
+    appends = [column.append for column in columns]
+    last = itemgetter(-1)
     tick_no = 0
     for lineno, content in lines:
+        row = rows.get(content) if rows else None
+        if row is not None:
+            for append, iv in zip(appends, row):
+                append(iv)
+            tick_no += 1
+            continue
         stripped = content.strip()
         if not stripped:
             if channels:
@@ -771,6 +790,7 @@ def parse_trace(text: str) -> Trace:
             tick_no += 1
             continue
         filled = 0
+        fresh = False
         for segment in stripped.split("|"):
             name, colon, body = segment.partition(":")
             name = name.strip()
@@ -787,6 +807,7 @@ def parse_trace(text: str) -> Trace:
             body = body.strip()
             iv = parsed.get(body)
             if iv is None:
+                fresh = True
                 if not body:
                     issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
                     iv = ()
@@ -806,12 +827,14 @@ def parse_trace(text: str) -> Trace:
                     if iv is None:
                         continue
             filled_at[pos] = tick_no
-            columns[pos].append(iv)
+            appends[pos](iv)
             filled += 1
         if filled < len(channels):
             for pos, name in enumerate(channels):
                 if filled_at[pos] != tick_no:
                     issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
+        elif not fresh and not issues.items:
+            rows[content] = tuple(map(last, columns))
         tick_no += 1
 
     issues.raise_if_any()
@@ -821,18 +844,27 @@ def parse_trace(text: str) -> Trace:
     )
 
 
+def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[str]:
+    """The segments ``CH: BODY`` of one channel, one per tick, made lazily."""
+    head = channel + ": "
+    silent = head + "-"
+    token = Message.token
+    return (head + " ".join(map(token, iv)) if iv else silent for iv in intervals)
+
+
 def print_trace(trace: Trace) -> str:
-    """Canonical trace text: channels sorted by name, '-' for empty intervals."""
+    """Canonical trace text: channels sorted by name, '-' for empty intervals.
+
+    Each channel is rendered as a lazy column of segments, and ``zip`` over
+    the columns joins one tick's segments into its line, so no segment
+    outlives its line.
+    """
     channels = sorted(trace.channels)
-    header = "ticks" + ("" if not channels else " " + " ".join(channels))
-    lines = [header]
-    for t in range(trace.length):
-        segments = []
-        for ch in channels:
-            iv = trace.channels[ch][t]
-            body = " ".join(m.token() for m in iv) if iv else "-"
-            segments.append(f"{ch}: {body}")
-        lines.append(" | ".join(segments))
+    if not channels:
+        return "ticks" + "\n" * (trace.length + 1)
+    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
+    lines = ["ticks " + " ".join(channels)]
+    lines += map(" | ".join, zip(*columns))
     return "\n".join(lines) + "\n"
 
 

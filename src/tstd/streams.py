@@ -61,7 +61,9 @@ class LengthMismatchError(StreamError):
 class Message:
     """One symbolic message: a tag plus an optional integer payload.
 
-    A payload of ``None`` is distinct from a payload of ``0``.
+    A payload of ``None`` is distinct from a payload of ``0``.  Any other
+    payload must be a plain ``int`` (``bool`` is refused), so that every
+    message prints to a token the trace parser reads back.
     """
 
     tag: str
@@ -70,6 +72,8 @@ class Message:
     def __post_init__(self) -> None:
         if not IDENT_RE.match(self.tag):
             raise ValueError(f"invalid message tag: {self.tag!r}")
+        if self.payload is not None and type(self.payload) is not int:
+            raise ValueError(f"invalid message payload: {self.payload!r} (expected an int or None)")
 
     def token(self) -> str:
         """Render as the textual token form ``tag`` or ``tag:int``."""
@@ -161,31 +165,33 @@ def split(s: StreamPrefix, n: int, strategy: SplitStrategy) -> StreamPrefix:
     the first sub-interval, ALL_LAST into the last, and SPREAD places message
     j into sub-interval ``j * n // k``.  The result has length ``n * len(s)``
     and carries exactly the same messages, in the same order, as ``s``.
+
+    The result starts as ``n * len(s)`` empty intervals.  ALL_FIRST and
+    ALL_LAST fill every n-th one with a slice assignment; SPREAD writes each
+    message of an interval with at most n messages as a one-message interval
+    in its place, and only a longer interval is sorted through n buckets.
     """
     _check_granularity(n)
     if n == 1:
         return s
-    out: list[TimeInterval] = []
+    intervals = s.intervals
+    out: list[TimeInterval] = [EMPTY_INTERVAL] * (n * len(intervals))
     if strategy is SplitStrategy.ALL_FIRST:
-        tail = (EMPTY_INTERVAL,) * (n - 1)
-        for iv in s.intervals:
-            out.append(iv)
-            out.extend(tail)
+        out[::n] = intervals
     elif strategy is SplitStrategy.ALL_LAST:
-        head = (EMPTY_INTERVAL,) * (n - 1)
-        for iv in s.intervals:
-            out.extend(head)
-            out.append(iv)
+        out[n - 1 :: n] = intervals
     else:
-        for iv in s.intervals:
+        for base, iv in zip(range(0, len(out), n), intervals):
             k = len(iv)
-            if k == 0:
-                out.extend((EMPTY_INTERVAL,) * n)
-                continue
-            buckets: list[list[Message]] = [[] for _ in range(n)]
-            for j, msg in enumerate(iv):
-                buckets[j * n // k].append(msg)
-            out.extend(tuple(b) for b in buckets)
+            if k <= n:
+                # At most one message per sub-interval: j * n // k is injective.
+                for j, msg in enumerate(iv):
+                    out[base + j * n // k] = (msg,)
+            else:
+                buckets: list[list[Message]] = [[] for _ in range(n)]
+                for j, msg in enumerate(iv):
+                    buckets[j * n // k].append(msg)
+                out[base : base + n] = map(tuple, buckets)
     return StreamPrefix(tuple(out))
 
 
@@ -195,19 +201,17 @@ def join(s: StreamPrefix, n: int) -> StreamPrefix:
     Result interval i is the in-order concatenation of source intervals
     ``i*n .. i*n+n-1``.  The prefix length must be divisible by n; anything
     else raises :class:`NonAlignedPrefixError` rather than silently dropping
-    a partial group.
+    a partial group.  The groups come from ``zip`` over n references to one
+    iterator, so no slice of ``s`` is copied.
     """
     _check_granularity(n)
-    if n == 1:
-        return s
     t = s.length
     if t % n != 0:
         raise NonAlignedPrefixError(f"prefix length {t} is not a multiple of {n}")
-    ivs = s.intervals
-    out = tuple(
-        tuple(chain.from_iterable(ivs[i : i + n])) for i in range(0, t, n)
-    )
-    return StreamPrefix(out)
+    if n == 1 or t == 0:
+        return s
+    groups = zip(*[iter(s.intervals)] * n)
+    return StreamPrefix(tuple(map(tuple, map(chain.from_iterable, groups))))
 
 
 def timed_merge(s1: StreamPrefix, s2: StreamPrefix) -> StreamPrefix:

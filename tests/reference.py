@@ -3,14 +3,18 @@
 These are the direct, unoptimised readings of the semantics: one tick of a
 machine straight from ``enabled_transitions``, a network run that resolves
 every port by name each tick, a causality probe that runs both traces of a
-trial over the whole horizon, and a trace parser that parses every interval
-it meets and transposes per-tick rows into columns.  They are slow on purpose
-and are used only to check ``tstd.run``, ``tstd.run_network``,
-``tstd.probe_causality`` and ``tstd.parse_trace`` against.
+trial over the whole horizon, a trace parser that parses every interval
+it meets and transposes per-tick rows into columns, a trace printer that
+renders tick by tick, and ``split``/``join`` that build each result tick from
+its own list.  They are slow on purpose and are used only to check
+``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
+``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split`` and ``tstd.join``
+against.
 """
 
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
+from itertools import chain
 from random import Random
 from typing import Dict, List, Mapping, Tuple
 
@@ -37,7 +41,14 @@ from tstd.network import (
     Network,
     instantaneous_dependency_graph,
 )
-from tstd.streams import IDENT_RE, StreamPrefix, TimeInterval
+from tstd.streams import (
+    IDENT_RE,
+    Message,
+    NonAlignedPrefixError,
+    SplitStrategy,
+    StreamPrefix,
+    TimeInterval,
+)
 
 
 def reference_step(
@@ -295,4 +306,60 @@ def reference_parse_trace(text: str) -> Trace:
             for ch in channels
         },
         length=len(ticks),
+    )
+
+
+def reference_print_trace(trace: Trace) -> str:
+    """Render tick by tick, each interval looked up by channel and tick."""
+    channels = sorted(trace.channels)
+    header = "ticks" + ("" if not channels else " " + " ".join(channels))
+    lines = [header]
+    for t in range(trace.length):
+        segments = []
+        for ch in channels:
+            iv = trace.channels[ch][t]
+            body = " ".join(m.token() for m in iv) if iv else "-"
+            segments.append(f"{ch}: {body}")
+        lines.append(" | ".join(segments))
+    return "\n".join(lines) + "\n"
+
+
+def reference_split(s: StreamPrefix, n: int, strategy: SplitStrategy) -> StreamPrefix:
+    """Each source tick becomes n result ticks, spread through n buckets."""
+    if n == 1:
+        return s
+    out: List[TimeInterval] = []
+    if strategy is SplitStrategy.ALL_FIRST:
+        tail = ((),) * (n - 1)
+        for iv in s.intervals:
+            out.append(iv)
+            out.extend(tail)
+    elif strategy is SplitStrategy.ALL_LAST:
+        head = ((),) * (n - 1)
+        for iv in s.intervals:
+            out.extend(head)
+            out.append(iv)
+    else:
+        for iv in s.intervals:
+            k = len(iv)
+            if k == 0:
+                out.extend(((),) * n)
+                continue
+            buckets: List[List[Message]] = [[] for _ in range(n)]
+            for j, msg in enumerate(iv):
+                buckets[j * n // k].append(msg)
+            out.extend(tuple(b) for b in buckets)
+    return StreamPrefix(tuple(out))
+
+
+def reference_join(s: StreamPrefix, n: int) -> StreamPrefix:
+    """Concatenate each slice of n consecutive intervals."""
+    if n == 1:
+        return s
+    t = s.length
+    if t % n != 0:
+        raise NonAlignedPrefixError(f"prefix length {t} is not a multiple of {n}")
+    ivs = s.intervals
+    return StreamPrefix(
+        tuple(tuple(chain.from_iterable(ivs[i : i + n])) for i in range(0, t, n))
     )

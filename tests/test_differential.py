@@ -1,5 +1,6 @@
-"""The optimised ``run``, ``run_network``, ``probe_causality`` and
-``parse_trace`` against the reference oracles.
+"""The optimised ``run``, ``run_network``, ``probe_causality``,
+``parse_trace``, ``print_trace``, ``split`` and ``join`` against the
+reference oracles.
 
 Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
@@ -20,6 +21,7 @@ from tstd import (
     Wire,
     build_network,
     classify_causality_syntactic,
+    join,
     parse_component,
     parse_network,
     parse_trace,
@@ -27,18 +29,22 @@ from tstd import (
     probe_causality,
     run,
     run_network,
+    split,
     step,
 )
 from tstd.executor import Configuration, Trace
 from tstd.gen import random_spec, spec_tags
 from tstd.network import ExternalPort, InstanceKind, Port
-from tstd.streams import Message, StreamPrefix
+from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix
 
 from reference import (
+    reference_join,
     reference_parse_trace,
+    reference_print_trace,
     reference_probe_causality,
     reference_run,
     reference_run_network,
+    reference_split,
     reference_step,
 )
 
@@ -284,9 +290,40 @@ def _mutate(text, rng):
     return text[:i] + text[i + 1] + text[i] + text[i + 2 :]
 
 
+def _repeating_text(rng):
+    """Ticks drawn from a few clean lines, respaced or broken now and then.
+
+    Clean lines repeat after error lines and with different spacing, so a
+    parser that remembers lines must neither replay a broken one nor miss
+    an issue of the tick it is on.
+    """
+    names = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+    pool = print_trace(payload_trace(names, 4, rng, tags=("a", "m"))).splitlines()[1:]
+    lines = ["ticks " + " ".join(names)]
+    broken = rng.choice((0.0, 0.03, 0.15))
+    for _ in range(rng.randint(1, 30)):
+        line = rng.choice(pool)
+        roll = rng.random()
+        if roll < broken:
+            line = _mutate(line, rng) if rng.random() < 0.7 else line + " | " + rng.choice(names) + ": -"
+        elif roll < 0.3:
+            line = line.replace(" | ", rng.choice(("|", " |  ", "\t|"))).replace(": ", rng.choice((":", " :  ")))
+        elif roll < 0.4:
+            line = _spaces(rng) + line + _spaces(rng)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
 def trace_corpus():
     rng = Random(606)
     texts = ["", "ticks", "ticks\n", "ticks\n\n\n", "ticks\n# c\n\n", "\n\nticks a\na: -\n"]
+    texts += [
+        "ticks a\na: x\na: 1\na: x\n",
+        "ticks a b\na: x | b: -\na: x\na: x | b: -\na: x | b: -\n",
+        "ticks a b\na: x | b: -\na: x | b: - | a: x\na: x | b: -\na:x|b:-\n",
+        "ticks a a\na: x\na: x\n",
+    ]
+    texts += [_repeating_text(rng) for _ in range(300)]
     for _ in range(500):
         names = rng.sample(["a", "b", "c", "in", "out"], rng.randint(0, 3))
         trace = payload_trace(names, rng.randint(0, 12), rng, tags=("a", "b", "m"))
@@ -312,3 +349,65 @@ def test_parse_trace_matches_reference():
             parsed += 1
     # Both outcomes must stay well represented.
     assert parsed >= 500 and failed >= 300, (parsed, failed)
+
+
+def stream_corpus():
+    """Payload-bearing traces, freshly built and parsed back (equal intervals
+    then share one tuple), plus edge cases: no channels, no ticks, one
+    interval object repeated, and intervals much longer than a split factor."""
+    rng = Random(909)
+    shared = (Message("m", 7), Message("a"))
+    traces = [
+        Trace({}, 0),
+        Trace({}, 5),
+        Trace.empty(["a"], 0),
+        Trace.empty(["a", "b"], 4),
+        Trace({"a": StreamPrefix((shared,) * 9), "b": StreamPrefix(((), shared) * 4 + ((),))}, 9),
+        Trace({"x": StreamPrefix(tuple(
+            tuple(Message("a", j) for j in range(k)) for k in (0, 1, 2, 3, 5, 8, 9, 17, 24, 1000)
+        ))}, 10),
+    ]
+    for _ in range(150):
+        names = rng.sample(["a", "b", "c", "in"], rng.randint(0, 3))
+        fresh = payload_trace(names, rng.randint(0, 20), rng, tags=("a", "b", "m"))
+        traces += [fresh, parse_trace(print_trace(fresh))]
+    return traces
+
+
+def test_print_trace_matches_reference():
+    for i, trace in enumerate(stream_corpus()):
+        text = print_trace(trace)
+        assert text == reference_print_trace(trace), i
+        assert parse_trace(text) == trace, i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("strategy", list(SplitStrategy), ids=lambda s: s.value)
+def test_split_and_join_match_reference(strategy, n):
+    for i, trace in enumerate(stream_corpus()):
+        for prefix in trace.channels.values():
+            refined = split(prefix, n, strategy)
+            assert refined == reference_split(prefix, n, strategy), i
+            assert join(refined, n) == reference_join(refined, n) == prefix, i
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_join_matches_reference_on_arbitrary_prefixes(n):
+    """Groups of unrelated intervals, not only those ``split`` produces."""
+    for i, trace in enumerate(stream_corpus()):
+        for prefix in trace.channels.values():
+            if prefix.length % n == 0:
+                assert join(prefix, n) == reference_join(prefix, n), i
+            else:
+                with pytest.raises(NonAlignedPrefixError):
+                    join(prefix, n)
+                with pytest.raises(NonAlignedPrefixError):
+                    reference_join(prefix, n)
+
+
+def test_spread_of_a_thousand_messages_over_two_ticks():
+    prefix = StreamPrefix((tuple(Message("a", j) for j in range(1000)), ()))
+    refined = split(prefix, 2, SplitStrategy.SPREAD)
+    assert refined == reference_split(prefix, 2, SplitStrategy.SPREAD)
+    assert [len(iv) for iv in refined] == [500, 500, 0, 0]
+    assert join(refined, 2) == prefix

@@ -422,6 +422,66 @@ class TestTrace:
         text = "ticks a b\na: x | b: -\na: - | b: y:2 z\n"
         assert print_trace(parse_trace(text)) == text
 
+    def test_payload_bearing_trace_round_trips(self):
+        payloads = (None, 0, 1, -1, 7, -42, 10**30)
+        shared = tuple(Message("m", p) for p in payloads)
+        trace = Trace(
+            {
+                "a": StreamPrefix(tuple(tuple(Message("a", p) for p in payloads[: k % 4]) for k in range(12))),
+                "b": StreamPrefix((shared, (), shared) * 4),
+            },
+            12,
+        )
+        text = print_trace(trace)
+        assert "m:-42 m:" + "1" + "0" * 30 in text
+        assert parse_trace(text) == trace
+        assert print_trace(parse_trace(text)) == text
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+SAMPLE_PARSERS = {
+    ".tstd": parse_component,
+    ".ttab": parse_table,
+    ".trc": parse_trace,
+    ".tnet": lambda text: parse_network(text, base_dir=SAMPLES),
+}
+
+
+def parse_outcome(parse, text):
+    """The parsed value, or the rendered issues of the ParseFailure."""
+    try:
+        return parse(text)
+    except ParseFailure as exc:
+        return [issue.render() for issue in exc.issues]
+
+
+class TestLineEndings:
+    """CRLF text reads like LF text: every parser strips each line it uses."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(p for p in SAMPLES.iterdir() if p.suffix in SAMPLE_PARSERS), ids=lambda p: p.name
+    )
+    @pytest.mark.parametrize("prefix", ["", "# leading comment\n"], ids=["plain", "commented"])
+    def test_crlf_sample_parses_like_lf(self, path, prefix):
+        parse = SAMPLE_PARSERS[path.suffix]
+        lf = prefix + path.read_text()
+        crlf = lf.replace("\n", "\r\n")
+        assert "\r" in crlf
+        assert parse_outcome(parse, crlf) == parse_outcome(parse, lf)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_trace, "ticks a b\na: x | b: -\na: x | b: -\na: x\na: x | b: -\n"),
+            (parse_trace, "ticks a\na: 1x\na: y # note\na:\na: y\n"),
+            (parse_component, "component c\nin chan x\nstate s initial\ntrans s -> t\n  when x: bogus\n"),
+            (parse_table, "@component c\n@in x\n@state s\nsource, when:x, guard, set, target\ns, nope, , , s\n"),
+        ],
+        ids=["trace-missing", "trace-malformed", "component", "table"],
+    )
+    def test_crlf_issues_equal_lf_issues(self, parse, text):
+        assert parse_outcome(parse, text.replace("\n", "\r\n")) == parse_outcome(parse, text)
+
 
 class TestNetworkFormat:
     def test_identity_net(self, samples):

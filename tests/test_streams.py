@@ -44,6 +44,11 @@ class TestMessage:
         with pytest.raises(ValueError):
             Message("")
 
+    @pytest.mark.parametrize("payload", [True, False, 1.5, "1"])
+    def test_non_int_payload_rejected(self, payload):
+        with pytest.raises(ValueError, match="invalid message payload"):
+            Message("a", payload)
+
 
 class TestSplit:
     def test_all_first_example(self):
@@ -75,6 +80,10 @@ class TestSplit:
     def test_length_law(self, s, n, strat):
         assert split(s, n, strat).length == n * s.length
 
+    @pytest.mark.parametrize("strat", list(SplitStrategy), ids=lambda s: s.value)
+    def test_empty_prefix_with_a_huge_factor(self, strat):
+        assert split(prefix(), 10**30, strat) == prefix()
+
 
 class TestJoin:
     def test_pairs_example(self):
@@ -92,6 +101,9 @@ class TestJoin:
     def test_zero_granularity_rejected(self):
         with pytest.raises(InvalidGranularityError):
             join(prefix(), 0)
+
+    def test_empty_prefix_with_a_huge_factor(self):
+        assert join(prefix(), 10**30) == prefix()
 
 
 class TestRoundTrip:
