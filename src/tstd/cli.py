@@ -153,10 +153,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _check_result_ticks(ticks: int) -> None:
-    """Refuse a factor that makes the result longer than any sequence can be.
+    """Refuse a factor or tick count that makes the result longer than any
+    sequence can be.
 
-    Checked before the operator runs, which would otherwise fail on the
-    index-sized repeat count or start filling memory.
+    Checked before the operator or network runs, which would otherwise fail
+    on the index-sized repeat count or start filling memory.
     """
     if ticks > sys.maxsize:
         raise _Failure(USAGE, f"result too large: more than {sys.maxsize} ticks")
@@ -306,6 +307,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
             USAGE,
             f"--ticks {ticks} conflicts with the {inputs.length}-tick input trace",
         )
+    _check_result_ticks(ticks)
     try:
         outputs = run_network(net, inputs, ticks)
     except IllFormedNetworkError as exc:

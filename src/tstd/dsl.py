@@ -6,10 +6,11 @@ located errors, never an uncaught exception.  Printers are canonical: equal
 values print to identical bytes, and parsing a printed value gives the value
 back.
 
-Parsers check syntax and declarations; reference errors come located from
-:func:`tstd.model.check_transition` and :func:`tstd.network.build_network`,
-and the parsers only map each location (transition clause, wire, instance)
-to its line, so the messages are those of ``validate_spec`` and ``build_network``.
+Parsers check syntax only.  Every reference error comes located from
+:mod:`tstd.model` (the rules of ``validate_spec``) or
+:func:`tstd.network.build_network`, and the parsers map each location
+(declaration, transition clause, wire, instance) to its line.  They refuse a
+second component name or initial state themselves, since a spec holds one.
 
 Component text (``*.tstd``)::
 
@@ -70,12 +71,14 @@ from .model import (
     IntervalPattern,
     OutputAction,
     Relation,
+    Severity,
     Transition,
     UpdateOp,
     VarDecl,
     VarGuard,
     VarUpdate,
-    check_transition,
+    _spec_errors,
+    validate_spec,
 )
 from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval
 
@@ -284,8 +287,9 @@ class _RawTransition:
 class _SpecBuilder:
     """Shared back half of the textual and table parsers.
 
-    Collects declarations plus raw transitions, reports the findings of
-    :func:`check_transition` at their clause lines, and assembles the spec.
+    Collects the declarations and raw transitions as written, reports the
+    findings of :func:`tstd.model._spec_errors` at their lines (line 1 for a
+    missing declaration), and assembles the spec.
     """
 
     def __init__(self, issues: _Issues):
@@ -296,59 +300,65 @@ class _SpecBuilder:
         self.states: List[str] = []
         self.initial: Optional[str] = None
         self.raw_transitions: List[_RawTransition] = []
+        # The line of each declaration, keyed as the locations of _spec_errors.
+        self.lines: Dict[str, List[int]] = {
+            kind: [] for kind in ("component", "channel", "variable", "state", "initial")
+        }
+
+    def declare_component(self, line: int, name: str) -> None:
+        if self.name is not None:
+            self.issues.add(line, 1, "duplicate component declaration")
+        else:
+            self.name = name
+            self.lines["component"].append(line)
 
     def declare_channel(self, line: int, name: str, direction: Direction) -> None:
-        if any(c.name == name for c in self.channels):
-            self.issues.add(line, 1, f"duplicate channel name '{name}'")
-            return
-        if any(v.name == name for v in self.vars):
-            self.issues.add(line, 1, f"channel '{name}' collides with a variable name")
-            return
         self.channels.append(ChannelDecl(name, direction))
+        self.lines["channel"].append(line)
 
-    def declare_var(self, line: int, name: str, initial: int) -> None:
-        if any(v.name == name for v in self.vars):
-            self.issues.add(line, 1, f"duplicate variable name '{name}'")
+    def declare_var(self, line: int, keyword: str, rest: str) -> None:
+        """The ``NAME = INT`` after ``keyword`` on a variable line."""
+        name, eq, value = (p.strip() for p in rest.partition("="))
+        if not IDENT_RE.match(name) or eq != "=" or not _INT_RE.match(value):
+            self.issues.add(line, 1, f"expected '{keyword} NAME = INT'")
             return
-        if any(c.name == name for c in self.channels):
-            self.issues.add(line, 1, f"variable '{name}' collides with a channel name")
-            return
-        self.vars.append(VarDecl(name, initial))
+        with self.issues.located(line):
+            self.vars.append(VarDecl(name, _int(value)))
+            self.lines["variable"].append(line)
 
-    def declare_state(self, line: int, name: str, initial: bool) -> None:
-        if name in self.states:
-            self.issues.add(line, 1, f"duplicate state name '{name}'")
-            return
+    def declare_state(self, line: int, name: str) -> None:
         self.states.append(name)
-        if initial:
-            if self.initial is not None:
-                self.issues.add(line, 1, "more than one initial state")
-            else:
-                self.initial = name
+        self.lines["state"].append(line)
+
+    def declare_initial(self, line: int, name: str) -> None:
+        if self.initial is not None:
+            self.issues.add(line, 1, "more than one initial state")
+        else:
+            self.initial = name
+            self.lines["initial"].append(line)
 
     def in_channels(self) -> List[str]:
-        return [c.name for c in self.channels if c.direction is Direction.IN]
+        return list(dict.fromkeys(c.name for c in self.channels if c.direction is Direction.IN))
 
     def out_channels(self) -> List[str]:
-        return [c.name for c in self.channels if c.direction is Direction.OUT]
+        return list(dict.fromkeys(c.name for c in self.channels if c.direction is Direction.OUT))
+
+    def _line(self, location: Optional[tuple]) -> int:
+        if location is None:
+            return 1
+        if len(location) == 3:
+            index, clause, position = location
+            return self.raw_transitions[index - 1].lines[clause][position]
+        kind, position = location
+        return self.lines[kind][position]
 
     def finish(self) -> Optional[ComponentSpec]:
-        issues = self.issues
-        if self.name is None:
-            issues.add(1, 1, "missing 'component NAME' declaration")
-        if not self.states:
-            issues.add(1, 1, "no states declared")
-        elif self.initial is None:
-            issues.add(1, 1, "no initial state declared")
-        states = set(self.states)
-        in_set = set(self.in_channels())
-        out_set = set(self.out_channels())
-        var_set = {v.name for v in self.vars}
-        for idx, raw in enumerate(self.raw_transitions, start=1):
-            for finding in check_transition(idx, raw, states, in_set, out_set, var_set):
-                _, clause, position = finding.location
-                issues.add(raw.lines[clause][position], 1, finding.message)
-        if issues:
+        findings = _spec_errors(
+            self.name, self.channels, self.vars, self.states, self.initial, self.raw_transitions
+        )
+        for finding in findings:
+            self.issues.add(self._line(finding.location), 1, finding.message)
+        if self.issues:
             return None
         return ComponentSpec(
             name=self.name,
@@ -409,27 +419,16 @@ def parse_component(text: str) -> ComponentSpec:
         keyword, _, rest = stripped.partition(" ")
         rest = rest.strip()
         if keyword == "component":
-            if builder.name is not None:
-                issues.add(lineno, 1, "duplicate component declaration")
-            elif not IDENT_RE.match(rest):
-                issues.add(lineno, 1, f"invalid component name {rest!r}")
-            else:
-                builder.name = rest
+            builder.declare_component(lineno, rest)
         elif keyword in ("in", "out"):
             sub, _, name = rest.partition(" ")
             name = name.strip()
             if sub != "chan" or not IDENT_RE.match(name):
                 issues.add(lineno, 1, f"expected '{keyword} chan NAME'")
             else:
-                direction = Direction.IN if keyword == "in" else Direction.OUT
-                builder.declare_channel(lineno, name, direction)
+                builder.declare_channel(lineno, name, Direction(keyword))
         elif keyword == "var":
-            name, eq, value = (p.strip() for p in rest.partition("="))
-            if not IDENT_RE.match(name) or eq != "=" or not _INT_RE.match(value):
-                issues.add(lineno, 1, "expected 'var NAME = INT'")
-            else:
-                with issues.located(lineno):
-                    builder.declare_var(lineno, name, _int(value))
+            builder.declare_var(lineno, keyword, rest)
         elif keyword == "state":
             parts = rest.split()
             if not parts or not IDENT_RE.match(parts[0]) or (
@@ -437,7 +436,9 @@ def parse_component(text: str) -> ComponentSpec:
             ):
                 issues.add(lineno, 1, "expected 'state NAME [initial]'")
             else:
-                builder.declare_state(lineno, parts[0], len(parts) == 2)
+                builder.declare_state(lineno, parts[0])
+                if len(parts) == 2:
+                    builder.declare_initial(lineno, parts[0])
         elif keyword == "trans":
             m = re.match(r"([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)\Z", rest)
             if not m:
@@ -548,43 +549,21 @@ def parse_table(text: str) -> ComponentSpec:
             keyword, _, rest = stripped.partition(" ")
             rest = rest.strip()
             if keyword == "@component":
-                if builder.name is not None:
-                    issues.add(lineno, 1, "duplicate component declaration")
-                elif not IDENT_RE.match(rest):
-                    issues.add(lineno, 1, f"invalid component name {rest!r}")
-                else:
-                    builder.name = rest
-            elif keyword == "@in":
+                builder.declare_component(lineno, rest)
+            elif keyword in ("@in", "@out"):
                 if IDENT_RE.match(rest):
-                    builder.declare_channel(lineno, rest, Direction.IN)
+                    builder.declare_channel(lineno, rest, Direction(keyword[1:]))
                 else:
-                    issues.add(lineno, 1, "expected '@in NAME'")
-            elif keyword == "@out":
-                if IDENT_RE.match(rest):
-                    builder.declare_channel(lineno, rest, Direction.OUT)
-                else:
-                    issues.add(lineno, 1, "expected '@out NAME'")
+                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
             elif keyword == "@var":
-                name, eq, value = (p.strip() for p in rest.partition("="))
-                if not IDENT_RE.match(name) or eq != "=" or not _INT_RE.match(value):
-                    issues.add(lineno, 1, "expected '@var NAME = INT'")
-                else:
-                    with issues.located(lineno):
-                        builder.declare_var(lineno, name, _int(value))
-            elif keyword == "@state":
-                if IDENT_RE.match(rest):
-                    builder.declare_state(lineno, rest, initial=False)
-                else:
-                    issues.add(lineno, 1, "expected '@state NAME'")
-            elif keyword == "@initial":
+                builder.declare_var(lineno, keyword, rest)
+            elif keyword in ("@state", "@initial"):
                 if not IDENT_RE.match(rest):
-                    issues.add(lineno, 1, "expected '@initial NAME'")
-                elif builder.initial is not None:
-                    issues.add(lineno, 1, "more than one initial state")
-                elif rest not in builder.states:
-                    issues.add(lineno, 1, f"initial state '{rest}' is not declared")
+                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
+                elif keyword == "@state":
+                    builder.declare_state(lineno, rest)
                 else:
-                    builder.initial = rest
+                    builder.declare_initial(lineno, rest)
             else:
                 issues.add(lineno, 1, f"unknown preamble directive {keyword!r}")
             continue
@@ -890,7 +869,8 @@ def parse_network(
     loader: Optional[Callable[[Path], ComponentSpec]] = None,
 ) -> Network:
     """Parse a network wiring file; referenced component files are loaded
-    relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise).
+    relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise)
+    and their parse and ``validate_spec`` errors reported at the ``use`` line.
     """
     from .network import Instance, NetworkBuildError, Wire, build_network
 
@@ -1004,7 +984,10 @@ def _load_instance(
         else:
             issues.add(lineno, 1, f"cannot load component file {arg!r}: {exc}")
         return None
-    return Instance.of_spec(name, spec)
+    errors = [f for f in validate_spec(spec) if f.severity is Severity.ERROR]
+    for finding in errors:
+        issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
+    return None if errors else Instance.of_spec(name, spec)
 
 
 # --------------------------------------------------------------------------

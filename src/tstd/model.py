@@ -336,12 +336,13 @@ class Severity(enum.Enum):
 
 @value(slots=True)
 class Finding:
-    """One validation result; ``location`` (see :func:`check_transition`)
-    lets a parser point at a clause's line, and ``render`` ignores it."""
+    """One validation result; ``location`` (see :func:`check_transition` for
+    a transition clause, :func:`_spec_errors` for a declaration) lets a
+    parser point at its line, and ``render`` ignores it."""
 
     severity: Severity
     message: str
-    location: Optional[Tuple[int, str, int]] = None
+    location: Optional[Tuple] = None
 
     def render(self) -> str:
         return f"{self.severity.value}: {self.message}"
@@ -460,6 +461,61 @@ def check_transition(
     return findings
 
 
+def _spec_errors(
+    name: Optional[str],
+    channels: Sequence[ChannelDecl],
+    vars: Sequence[VarDecl],
+    states: Sequence[str],
+    initial: Optional[str],
+    transitions: Sequence[Transition],
+) -> List[Finding]:
+    """Declaration and reference errors of a spec's parts, which may be as
+    written: repeated declarations, ``name`` or ``initial`` None when absent,
+    raw transitions (see :func:`check_transition`).  A declaration finding is
+    located at ``(kind, position)``: ``"component"`` or ``"initial"`` at 0,
+    or the position in ``channels``, ``vars`` or ``states`` for ``"channel"``,
+    ``"variable"`` or ``"state"``; one about a missing declaration, at None.
+    """
+    findings: List[Finding] = []
+
+    def error(msg: str, location: Optional[Tuple[str, int]] = None) -> None:
+        findings.append(Finding(Severity.ERROR, msg, location))
+
+    if name is None:
+        error("missing 'component NAME' declaration")
+    elif not IDENT_RE.match(name):
+        error(f"component name {name!r} is not a valid identifier", ("component", 0))
+
+    def unique(kind: str, names: Sequence[str]) -> set:
+        seen = set()
+        for pos, n in enumerate(names):
+            if not IDENT_RE.match(n):
+                error(f"{kind} name {n!r} is not a valid identifier", (kind, pos))
+            if n in seen:
+                error(f"duplicate {kind} name '{n}'", (kind, pos))
+            seen.add(n)
+        return seen
+
+    channel_names = unique("channel", [c.name for c in channels])
+    var_names = unique("variable", [v.name for v in vars])
+    for pos, v in enumerate(vars):
+        if v.name in channel_names:
+            error(f"variable '{v.name}' collides with a channel name", ("variable", pos))
+    state_names = unique("state", states)
+    if not states:
+        error("spec declares no states")
+    elif initial is None:
+        error("spec declares no initial state")
+    if initial is not None and initial not in state_names:
+        error(f"initial state '{initial}' is not declared", ("initial", 0))
+
+    in_set = {c.name for c in channels if c.direction is Direction.IN}
+    out_set = {c.name for c in channels if c.direction is Direction.OUT}
+    for idx, t in enumerate(transitions, start=1):
+        findings += check_transition(idx, t, state_names, in_set, out_set, var_names)
+    return findings
+
+
 def validate_spec(spec: ComponentSpec) -> List[Finding]:
     """Structural validation: a deterministic list of errors and warnings.
 
@@ -467,55 +523,16 @@ def validate_spec(spec: ComponentSpec) -> List[Finding]:
     syntactically overlapping transitions and states unreachable from the
     initial one.  The function is pure: equal specs yield equal reports.
     """
-    findings: List[Finding] = []
-
-    def error(msg: str) -> None:
-        findings.append(Finding(Severity.ERROR, msg))
+    findings = _spec_errors(
+        spec.name, spec.channels, spec.vars, spec.states, spec.initial, spec.transitions
+    )
+    if not spec.out_channels():
+        findings.append(Finding(Severity.ERROR, "spec declares no output channel"))
 
     def warning(msg: str) -> None:
         findings.append(Finding(Severity.WARNING, msg))
 
-    if not IDENT_RE.match(spec.name):
-        error(f"component name {spec.name!r} is not a valid identifier")
-
-    seen_channels = set()
-    for ch in spec.channels:
-        if not IDENT_RE.match(ch.name):
-            error(f"channel name {ch.name!r} is not a valid identifier")
-        if ch.name in seen_channels:
-            error(f"duplicate channel name '{ch.name}'")
-        seen_channels.add(ch.name)
-    in_set = set(spec.in_channels())
-    out_set = set(spec.out_channels())
-    if not out_set:
-        error("spec declares no output channel")
-
-    seen_vars = set()
-    for v in spec.vars:
-        if not IDENT_RE.match(v.name):
-            error(f"variable name {v.name!r} is not a valid identifier")
-        if v.name in seen_vars:
-            error(f"duplicate variable name '{v.name}'")
-        if v.name in seen_channels:
-            error(f"variable '{v.name}' collides with a channel name")
-        seen_vars.add(v.name)
-
-    seen_states = set()
-    for s in spec.states:
-        if not IDENT_RE.match(s):
-            error(f"state name {s!r} is not a valid identifier")
-        if s in seen_states:
-            error(f"duplicate state name '{s}'")
-        seen_states.add(s)
-    if not spec.states:
-        error("spec declares no states")
-    if spec.initial not in seen_states:
-        error(f"initial state '{spec.initial}' is not declared")
-
-    for idx, t in enumerate(spec.transitions, start=1):
-        findings += check_transition(idx, t, seen_states, in_set, out_set, seen_vars)
-
-    if not any(f.severity is Severity.ERROR for f in findings):
+    if not findings:
         in_order = spec.in_channels()
         by_source: Dict[str, List[Tuple[int, Transition]]] = {}
         for idx, t in enumerate(spec.transitions, start=1):

@@ -26,7 +26,7 @@ from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._value import value
 from .executor import Trace, _Machine
@@ -272,10 +272,6 @@ def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     machines) never acquire incoming edges.
     """
     sinks = {inst.id: _is_instantaneous_sink(inst) for inst in net.instances}
-    return _dependency_graph(net, sinks)
-
-
-def _dependency_graph(net: Network, sinks: Mapping[str, bool]) -> Dict[str, Tuple[str, ...]]:
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
         if isinstance(wire.source, Port) and isinstance(wire.target, Port):
@@ -422,15 +418,7 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     from state and absorb their inputs at the end of the tick, which is what
     lets well-formed feedback resolve without iteration.
     """
-    machines = {
-        inst.id: _Machine(inst.spec) for inst in net.instances if inst.kind is InstanceKind.SPEC
-    }
-    sinks = {
-        inst.id: inst.kind is InstanceKind.MERGE
-        or (inst.kind is InstanceKind.SPEC and machines[inst.id].emits is None)
-        for inst in net.instances
-    }
-    ok, order, cycle = _toposort(_dependency_graph(net, sinks))
+    ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
     if not ok:
         raise IllFormedNetworkError(
             "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
@@ -460,10 +448,10 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             nodes.append(_DelayNode(ins, outs, min(inst.delay, ticks)))
         elif inst.kind is InstanceKind.MERGE:
             nodes.append(_MergeNode(ins, outs))
-        elif sinks[iid]:
-            nodes.append(_WeakNode(ins, outs, machines[iid]))
         else:
-            nodes.append(_StrongNode(ins, outs, machines[iid]))
+            machine = _Machine(inst.spec)
+            node_type = _WeakNode if machine.emits is None else _StrongNode
+            nodes.append(node_type(ins, outs, machine))
     emits = [node.emit for node in nodes]
     absorbs = [node.absorb for node in nodes if node.absorbs]
     boundary = _gather([driver[ExternalPort(name)] for name in net.external_out])

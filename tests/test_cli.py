@@ -231,13 +231,53 @@ class TestCheck:
         assert r.code == 0
         assert "well-formed" in r.out
 
+    def test_feedback_refuses_invalid_component(self, tmp_path):
+        net = mute_network(tmp_path)
+        r = run_cli("check", "feedback", str(net))
+        assert r.code == 2
+        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.out == ""
+
     def test_feedback_ill_formed(self, samples):
         r = run_cli("check", "feedback", str(samples / "feedback_undelayed.tnet"))
         assert r.code == 1
         assert "cycle" in r.out
 
 
+def mute_network(tmp_path):
+    """A network using a component that declares no output channel."""
+    (tmp_path / "mute.tstd").write_text("component c\nin chan i\nstate S initial\n")
+    net = tmp_path / "mute.tnet"
+    net.write_text("use p = file mute.tstd\nwire extern x -> p.i\n")
+    return net
+
+
 class TestCompose:
+    def test_invalid_component_refused(self, tmp_path):
+        net = mute_network(tmp_path)
+        trc = tmp_path / "in.trc"
+        trc.write_text("ticks x\nx: -\n")
+        r = run_cli("compose", str(net), str(trc))
+        assert r.code == 2
+        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+
+    def test_ticks_too_large_without_external_inputs(self, tmp_path):
+        net = tmp_path / "loop.tnet"
+        net.write_text(
+            "use d = delay 1\n"
+            "use m = merge\n"
+            "wire d.out -> m.in1\n"
+            "wire d.out -> m.in2\n"
+            "wire m.out -> d.in\n"
+            "wire m.out -> extern y\n"
+        )
+        trc = tmp_path / "none.trc"
+        trc.write_text("ticks\n")
+        r = run_cli("compose", str(net), str(trc), "--ticks", "1" + "0" * 30)
+        assert r.code == 2
+        assert r.err.startswith("result too large: ")
+        assert r.out == ""
+
     def test_identity_net(self, samples, tmp_path):
         trc = tmp_path / "in.trc"
         trc.write_text("ticks in\nin: a b\nin: -\n")

@@ -171,6 +171,97 @@ TABLE_RULES = {
 }
 
 
+OUT_O = ChannelDecl("o", Direction.OUT)
+
+
+def decl_spec(**fields):
+    """A transition-free spec with the declarations of ``fields``, as written."""
+    spec = dict(name="m", channels=(OUT_O,), vars=(), states=("S",), initial="S")
+    spec.update(fields)
+    return ComponentSpec(transitions=(), **spec)
+
+
+# (textual text or None, table text, the declarations as a spec, line of the
+# error in both styles)
+DECLARATION_RULES = {
+    "missing-name": (
+        "out chan o\nstate S initial\n",
+        "@out o\n@state S\n@initial S\n",
+        decl_spec(name=None),
+        1,
+    ),
+    "invalid-name": (
+        "out chan o\ncomponent 9m\nstate S initial\n",
+        "@out o\n@component 9m\n@state S\n@initial S\n",
+        decl_spec(name="9m"),
+        2,
+    ),
+    "duplicate-channel": (
+        "component m\nout chan o\nout chan o\nstate S initial\n",
+        # The header row has one column per channel name.
+        "@component m\n@out o\n@out o\n@state S\n@initial S\n"
+        "source, guard, emit:o, set, target\n",
+        decl_spec(channels=(OUT_O, OUT_O)),
+        3,
+    ),
+    "channel-in-and-out": (
+        "component m\nin chan o\nout chan o\nstate S initial\n",
+        "@component m\n@in o\n@out o\n@state S\n@initial S\n",
+        decl_spec(channels=(ChannelDecl("o", Direction.IN), OUT_O)),
+        3,
+    ),
+    "duplicate-variable": (
+        "component m\nout chan o\nvar v = 0\nvar v = 1\nstate S initial\n",
+        "@component m\n@out o\n@var v = 0\n@var v = 1\n@state S\n@initial S\n",
+        decl_spec(vars=(VarDecl("v", 0), VarDecl("v", 1))),
+        4,
+    ),
+    "variable-after-channel": (
+        "component m\nout chan o\nvar o = 0\nstate S initial\n",
+        "@component m\n@out o\n@var o = 0\n@state S\n@initial S\n",
+        decl_spec(vars=(VarDecl("o", 0),)),
+        3,
+    ),
+    "variable-before-channel": (
+        "component m\nvar o = 0\nout chan o\nstate S initial\n",
+        "@component m\n@var o = 0\n@out o\n@state S\n@initial S\n",
+        decl_spec(vars=(VarDecl("o", 0),)),
+        2,
+    ),
+    "duplicate-state": (
+        "component m\nout chan o\nstate S initial\nstate S\n",
+        "@component m\n@out o\n@state S\n@state S\n@initial S\n",
+        decl_spec(states=("S", "S")),
+        4,
+    ),
+    "no-states": (
+        "component m\nout chan o\n",
+        "@component m\n@out o\n",
+        decl_spec(states=(), initial=None),
+        1,
+    ),
+    "no-initial": (
+        "component m\nout chan o\nstate S\n",
+        "@component m\n@out o\n@state S\n",
+        decl_spec(initial=None),
+        1,
+    ),
+    # The textual style declares the initial state on its state line.
+    "undeclared-initial": (
+        None,
+        "@component m\n@out o\n@state S\n@initial T\n",
+        decl_spec(initial="T"),
+        4,
+    ),
+}
+DECLARATION_CASES = [
+    pytest.param(rule, style, id=f"{rule}-{style}")
+    for rule in sorted(DECLARATION_RULES)
+    for style in ("textual", "table")
+    if style == "table" or DECLARATION_RULES[rule][0] is not None
+]
+
+
 class TestParseComponent:
     def test_minimal_program(self):
         spec = parse_component("component tiny\nstate only initial\n")
@@ -337,6 +428,34 @@ class TestParseTable:
         assert len(t.var_guards) == 2
         assert len(t.updates) == 2
         assert parse_table(print_table(spec)) == spec
+
+
+class TestDeclarationRules:
+    @pytest.mark.parametrize("rule, style", DECLARATION_CASES)
+    def test_declaration_error_equals_validate_spec(self, rule, style):
+        textual, table, spec, line = DECLARATION_RULES[rule]
+        with pytest.raises(ParseFailure) as exc:
+            parse_component(textual) if style == "textual" else parse_table(table)
+        expected = error_messages(validate_spec(spec))
+        assert len(expected) == 1
+        assert [(i.span.line, i.message) for i in exc.value.issues] == [(line, expected[0])]
+
+    def test_declaration_findings_follow_syntax_issues(self):
+        text = "component m\nout chan o\nout chan o\nstate S initial\nbogus\n"
+        with pytest.raises(ParseFailure) as exc:
+            parse_component(text)
+        assert [i.render() for i in exc.value.issues] == [
+            "5:1: unknown directive 'bogus'",
+            "3:1: duplicate channel name 'o'",
+        ]
+
+    def test_initial_before_its_state(self):
+        ordered = "@component m\n@in i\n@out o\n@state A\n@state B\n@initial B\n"
+        early = "@initial B\n@component m\n@state A\n@in i\n@state B\n@out o\n"
+        header = "source, when:i, guard, emit:o, set, target\nB, , , a, , A\n"
+        spec = parse_table(early + header)
+        assert spec == parse_table(ordered + header)
+        assert spec.initial == "B"
 
 
 class TestStyleEquivalence:
@@ -511,6 +630,13 @@ class TestNetworkFormat:
         with pytest.raises(ParseFailure) as exc:
             parse_network("use p = file nope.tstd\n", base_dir=tmp_path)
         assert "not found" in exc.value.issues[0].message
+
+    def test_component_validation_errors_surface_at_use_line(self, tmp_path):
+        (tmp_path / "mute.tstd").write_text("component c\nin chan i\nstate S initial\n")
+        with pytest.raises(ParseFailure) as exc:
+            parse_network("wire extern a -> p.i\nuse p = file mute.tstd\n", base_dir=tmp_path)
+        [issue] = exc.value.issues
+        assert issue.render() == "2:1: in 'mute.tstd': spec declares no output channel"
 
     def test_component_parse_errors_surface(self, tmp_path):
         (tmp_path / "bad.tstd").write_text("component x\nstate\n")

@@ -2,11 +2,15 @@ import pytest
 
 from tstd.executor import Trace, run
 from tstd.model import (
+    CausalityClass,
     ChannelDecl,
     ComponentSpec,
     Direction,
+    IntervalGuard,
+    IntervalPattern,
     OutputAction,
     Transition,
+    classify_causality_syntactic,
 )
 from tstd.network import (
     ExternalPort,
@@ -306,6 +310,35 @@ class TestRunNetwork:
         chained = run_network(delays(1, 2), inputs, 5)
         flat = run_network(delays(3), inputs, 5)
         assert chained == flat
+
+    def test_strong_machine_fed_by_a_later_node(self):
+        # The strong machine emits x one tick after a nonempty input.  It
+        # comes first in the evaluation order, before the passthrough that
+        # feeds it, so it must read its input at the end of the tick.
+        strong = ComponentSpec(
+            name="edge",
+            channels=(ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT)),
+            vars=(),
+            states=("A", "B"),
+            initial="A",
+            transitions=(
+                Transition(
+                    "A", "B", interval_guards=(IntervalGuard("in", IntervalPattern.nonempty()),)
+                ),
+                Transition("B", "A", outputs=(OutputAction.literal("out", interval("x")),)),
+            ),
+        )
+        assert classify_causality_syntactic(strong) is CausalityClass.STRONG
+        net = build_network(
+            [Instance.of_spec("a", strong), Instance.of_spec("z", passthrough())],
+            [wire("extern in", "z.in"), wire("z.out", "a.in"), wire("a.out", "extern out")],
+            ["in"],
+            ["out"],
+        )
+        inputs = Trace({"in": StreamPrefix((interval("a"), (), (), interval("b"), ()))}, 5)
+        composed = run_network(net, inputs, 5)
+        assert composed.channels["out"] == run(strong, inputs).channels["out"]
+        assert composed.channels["out"] == StreamPrefix(((), interval("x"), (), (), interval("x")))
 
     def test_tick_locality_by_truncation(self):
         net = build_network(
