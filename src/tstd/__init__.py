@@ -19,6 +19,7 @@ _EXPORTS = {
         "NonAlignedPrefixError",
         "SplitStrategy",
         "StreamPrefix",
+        "Trace",
         "delay_stream",
         "interval",
         "join",
@@ -49,7 +50,6 @@ _EXPORTS = {
     "executor": (
         "ChannelMismatchError",
         "Configuration",
-        "Trace",
         "check_untimed_simulation",
         "probe_causality",
         "run",
@@ -68,20 +68,18 @@ _EXPORTS = {
         "instantaneous_dependency_graph",
         "run_network",
     ),
+    "trace_format": ("ParseFailure", "parse_trace", "print_trace"),
     "dsl": (
-        "ParseFailure",
         "export_dot",
         "parse_component",
         "parse_network",
         "parse_table",
-        "parse_trace",
         "print_component",
         "print_table",
-        "print_trace",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("dsl", "executor", "gen", "model", "network", "streams")
+_SUBMODULES = ("dsl", "executor", "gen", "model", "network", "streams", "trace_format")
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

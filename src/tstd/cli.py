@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 a check was refuted or the input failed validation,
 stdout, diagnostics to stderr; every command is deterministic given its
 arguments, input files, and seed.
 
-Start-up is most of a short command's time, so each command imports only
-what it runs: :mod:`tstd.network` is imported by the network commands alone
-(``compose``, ``check feedback``) and :mod:`tstd.gen` by ``gen-trace`` and
-the probes.
+Start-up is most of a short command's time, so this module imports only
+:mod:`tstd.streams` and :mod:`tstd.trace_format`, which every command uses;
+each command imports the rest of what it runs when it runs.  The ``stream``
+commands and ``gen-trace`` load none of the spec machinery (:mod:`tstd.dsl`,
+:mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.network`).
 """
 
 from __future__ import annotations
@@ -16,37 +17,26 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
-from .dsl import (
-    ParseFailure,
-    export_dot,
-    parse_component,
-    parse_network,
-    parse_table,
-    parse_trace,
-    print_trace,
-)
-from .executor import (
-    ChannelMismatchError,
-    Trace,
-    check_untimed_simulation,
-    probe_causality,
-    run,
-)
-from .model import ComponentSpec, has_errors, validate_spec
 from .streams import (
     IDENT_RE,
     LengthMismatchError,
     NonAlignedPrefixError,
     SplitStrategy,
     StreamPrefix,
+    Trace,
     delay_stream,
     join,
     split,
     timed_merge,
     untimed_abstraction,
 )
+from .trace_format import ParseFailure, parse_trace, print_trace
+
+if TYPE_CHECKING:
+    from .model import ComponentSpec
+    from .network import Network
 
 OK = 0
 REFUTED = 1
@@ -82,6 +72,8 @@ def _infer_format(path: str) -> str:
 
 
 def _parse_spec_text(text: str, fmt: str) -> ComponentSpec:
+    from .dsl import parse_component, parse_table
+
     return parse_table(text) if fmt == "table" else parse_component(text)
 
 
@@ -99,6 +91,8 @@ def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
 
 
 def _load_validated_spec(path: str) -> ComponentSpec:
+    from .model import has_errors, validate_spec
+
     spec = _parse_file(path, lambda text: _parse_spec_text(text, _infer_format(path)))
     findings = validate_spec(spec)
     if has_errors(findings):
@@ -124,6 +118,8 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .model import has_errors, validate_spec
+
     text = _read_text(args.spec)
     fmt = args.format or _infer_format(args.spec)
     try:
@@ -142,6 +138,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .executor import ChannelMismatchError, run
+
     spec = _load_validated_spec(args.spec)
     inputs = _load_trace(args.trace)
     try:
@@ -152,15 +150,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return OK
 
 
-def _check_result_ticks(ticks: int) -> None:
-    """Refuse a factor or tick count that makes the result longer than any
-    sequence can be.
+def _check_result_ticks(count: int, unit: str = "ticks") -> None:
+    """Refuse a factor, tick count or length that makes the result longer
+    than any sequence can be.
 
-    Checked before the operator or network runs, which would otherwise fail
-    on the index-sized repeat count or start filling memory.
+    Checked before the operator, network or generator runs, which would
+    otherwise fail on the index-sized repeat count or start filling memory.
     """
-    if ticks > sys.maxsize:
-        raise _Failure(USAGE, f"result too large: more than {sys.maxsize} ticks")
+    if count > sys.maxsize:
+        raise _Failure(USAGE, f"result too large: more than {sys.maxsize} {unit}")
 
 
 def cmd_stream_split(args: argparse.Namespace) -> int:
@@ -242,6 +240,8 @@ def cmd_stream_delay(args: argparse.Namespace) -> int:
 
 
 def cmd_check_causality(args: argparse.Namespace) -> int:
+    from .executor import probe_causality
+
     spec = _load_validated_spec(args.spec)
     result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
     if result.consistent_with_strong:
@@ -259,6 +259,8 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
 
 
 def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
+    from .executor import ChannelMismatchError, check_untimed_simulation
+
     spec_a = _load_validated_spec(args.spec_a)
     spec_b = _load_validated_spec(args.spec_b)
     try:
@@ -281,6 +283,8 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
 
 
 def _load_network(path: str) -> Network:
+    from .dsl import parse_network
+
     return _parse_file(path, lambda text: parse_network(text, base_dir=Path(path).parent))
 
 
@@ -325,6 +329,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
     channels = _name_list(args.channels, "--channels")
     alphabet = _name_list(args.alphabet, "--alphabet")
+    _check_result_ticks(args.ticks)
+    _check_result_ticks(args.max_len, "messages per interval")
     rng = Random(args.seed)
     trace = random_trace(channels, args.ticks, rng, alphabet=alphabet, max_len=args.max_len)
     sys.stdout.write(print_trace(trace))
@@ -332,6 +338,8 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    from .dsl import export_dot
+
     spec = _load_validated_spec(args.spec)
     sys.stdout.write(export_dot(spec))
     return OK

@@ -1,6 +1,6 @@
-"""Text formats: component specs, tables, networks, traces, and DOT export.
+"""Text formats: component specs, tables, networks, and DOT export.
 
-Four line-oriented formats, all UTF-8 with LF endings and ``#`` comments.
+Three line-oriented formats, all UTF-8 with LF endings and ``#`` comments.
 Parsers are total: any byte sequence either parses or produces a list of
 located errors, never an uncaught exception.  Printers are canonical: equal
 values print to identical bytes, and parsing a printed value gives the value
@@ -47,22 +47,17 @@ Network (``*.tnet``)::
 :func:`parse_network` and its helpers import :mod:`tstd.network` when called,
 so parsing the other formats does not load it.
 
-Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
-``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
-lists channels sorted by name.  A comment-only line is not a tick.
+The trace format (``*.trc``), :class:`ParseFailure` and the lexing shared by
+all the formats live in :mod:`tstd.trace_format`; their names are imported
+here too, so ``tstd.dsl.parse_trace`` and the rest still resolve.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from contextlib import contextmanager
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ._value import value
-from .executor import Trace
 from .model import (
     ChannelDecl,
     ComponentSpec,
@@ -80,7 +75,11 @@ from .model import (
     _spec_errors,
     validate_spec,
 )
-from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval
+from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
+from .trace_format import (
+    _MESSAGE_RE, ParseFailure, ParseIssue, SourceSpan, _int, _Issues, _logical_lines,
+    _LongInteger, _parse_message, _print_column, _strip_comment, parse_trace, print_trace,
+)
 
 __all__ = [
     "ParseFailure",
@@ -97,76 +96,6 @@ __all__ = [
 ]
 
 
-@value(slots=True)
-class SourceSpan:
-    """1-based line/column position of a parse diagnostic."""
-
-    line: int
-    column: int
-
-    def render(self) -> str:
-        return f"{self.line}:{self.column}"
-
-
-@value(slots=True)
-class ParseIssue:
-    span: SourceSpan
-    message: str
-
-    def render(self) -> str:
-        return f"{self.span.render()}: {self.message}"
-
-
-class ParseFailure(ValueError):
-    """Parsing failed; ``issues`` lists every located problem found."""
-
-    def __init__(self, issues: Sequence[ParseIssue]):
-        self.issues = list(issues)
-        super().__init__("; ".join(i.render() for i in self.issues))
-
-
-class _LongInteger(ValueError):
-    """An integer literal with more digits than ``int`` converts."""
-
-
-def _int(digits: str) -> int:
-    """``int`` of a ``-?\\d+`` literal; raises _LongInteger past the digit limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        count = len(digits.lstrip("-"))
-        raise _LongInteger(
-            f"integer literal of {count} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()}"
-        ) from None
-
-
-class _Issues:
-    """Error accumulator shared by all the parsers."""
-
-    def __init__(self) -> None:
-        self.items: List[ParseIssue] = []
-
-    def add(self, line: int, column: int, message: str) -> None:
-        self.items.append(ParseIssue(SourceSpan(line, column), message))
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def raise_if_any(self) -> None:
-        if self.items:
-            raise ParseFailure(self.items)
-
-    @contextmanager
-    def located(self, line: int, column: int = 1) -> Iterator[None]:
-        """Report an integer too long to convert, raised in the block, at (line, column)."""
-        try:
-            yield
-        except _LongInteger as exc:
-            self.add(line, column, str(exc))
-
-
-_MESSAGE_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?::(-?\d+))?\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
 _LEN_RE = re.compile(r"len\s*(>=|=)\s*(-?\d+)\Z")
 _FIRST_RE = re.compile(r"first\s*=\s*(\S+)\Z")
@@ -176,14 +105,6 @@ _UPDATE_RE = re.compile(
     r"([A-Za-z][A-Za-z0-9_]*)\s*:=\s*(?:([A-Za-z][A-Za-z0-9_]*)\s*([+-])\s*)?(-?\d+)\Z"
 )
 _PASS_RE = re.compile(r"pass\(\s*([A-Za-z][A-Za-z0-9_]*)\s*\)\Z")
-
-
-def _parse_message(token: str) -> Optional[Message]:
-    m = _MESSAGE_RE.match(token)
-    if not m:
-        return None
-    tag, digits = m.groups()
-    return Message(tag, None if digits is None else _int(digits))
 
 
 def _parse_pattern(text: str) -> Optional[IntervalPattern]:
@@ -231,29 +152,6 @@ def _parse_update(text: str) -> Optional[VarUpdate]:
     if sign == "-":
         value = -value
     return VarUpdate(target, UpdateOp.ADD, value)
-
-
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    return raw if pos < 0 else raw[:pos]
-
-
-def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
-    """(line number, comment-stripped content) pairs: blank lines are kept
-    (a trace tick can be one), lines holding only a comment are dropped.
-    A CR before the LF stays in the content; every parser strips the lines
-    it reads."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "#" not in text:
-        # Nothing to strip: each line is its own content.
-        return enumerate(lines, 1)
-    return [
-        (i + 1, _strip_comment(raw))
-        for i, raw in enumerate(lines)
-        if not raw.lstrip().startswith("#")
-    ]
 
 
 # --------------------------------------------------------------------------
@@ -709,145 +607,6 @@ def print_table(spec: ComponentSpec) -> str:
 
 
 # --------------------------------------------------------------------------
-# Traces
-
-
-def parse_trace(text: str) -> Trace:
-    """Parse a trace file; raises ParseFailure on any error.
-
-    One pass over the tick lines appends each interval straight to its
-    channel's column.  Each distinct interval text is parsed once per file:
-    equal texts share one interval tuple.  A clean tick line made only of
-    interval texts seen on earlier lines is remembered with its intervals in
-    channel order, so each later copy of that line costs one lookup and one
-    append per channel.  Lines with issues are never remembered, and a trace
-    whose every interval text is new remembers nothing.
-    """
-    issues = _Issues()
-    lines = iter(_logical_lines(text))
-    for lineno, content in lines:
-        header = content.split()
-        if header:
-            break
-    else:
-        lineno, header = 1, []
-    if header[:1] != ["ticks"]:
-        issues.add(lineno, 1, "expected header line 'ticks CH ...'")
-        issues.raise_if_any()
-    channels: List[str] = []
-    for name in header[1:]:
-        if not IDENT_RE.match(name):
-            issues.add(lineno, 1, f"invalid channel name {name!r}")
-        elif name in channels:
-            issues.add(lineno, 1, f"duplicate channel name '{name}'")
-        else:
-            channels.append(name)
-
-    position = {name: i for i, name in enumerate(channels)}
-    columns: List[List[TimeInterval]] = [[] for _ in channels]
-    # The tick at which each channel was last given an interval.
-    filled_at = [-1] * len(channels)
-    parsed: Dict[str, TimeInterval] = {"-": ()}
-    # Clean lines whose bodies were all parsed before -> their intervals in
-    # channel order.  While it is empty (every body new so far), no line is
-    # hashed for a lookup.
-    rows: Dict[str, Tuple[TimeInterval, ...]] = {}
-    appends = [column.append for column in columns]
-    last = itemgetter(-1)
-    tick_no = 0
-    for lineno, content in lines:
-        row = rows.get(content) if rows else None
-        if row is not None:
-            for append, iv in zip(appends, row):
-                append(iv)
-            tick_no += 1
-            continue
-        stripped = content.strip()
-        if not stripped:
-            if channels:
-                issues.add(lineno, 1, f"tick {tick_no}: missing channel '{channels[0]}'")
-            tick_no += 1
-            continue
-        filled = 0
-        fresh = False
-        for segment in stripped.split("|"):
-            name, colon, body = segment.partition(":")
-            name = name.strip()
-            pos = position.get(name)
-            if pos is None or not colon:
-                if not colon or not IDENT_RE.match(name):
-                    issues.add(lineno, 1, f"malformed channel segment {segment.strip()!r}")
-                else:
-                    issues.add(lineno, 1, f"unknown channel '{name}' at tick {tick_no}")
-                continue
-            if filled_at[pos] == tick_no:
-                issues.add(lineno, 1, f"duplicate channel '{name}' at tick {tick_no}")
-                continue
-            body = body.strip()
-            iv = parsed.get(body)
-            if iv is None:
-                fresh = True
-                if not body:
-                    issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
-                    iv = ()
-                else:
-                    messages = []
-                    try:
-                        for token in body.split():
-                            msg = _parse_message(token)
-                            if msg is None:
-                                issues.add(lineno, 1, f"malformed message token {token!r}")
-                                break
-                            messages.append(msg)
-                        else:
-                            iv = parsed[body] = tuple(messages)
-                    except _LongInteger as exc:
-                        issues.add(lineno, 1, str(exc))
-                    if iv is None:
-                        continue
-            filled_at[pos] = tick_no
-            appends[pos](iv)
-            filled += 1
-        if filled < len(channels):
-            for pos, name in enumerate(channels):
-                if filled_at[pos] != tick_no:
-                    issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
-        elif not fresh and not issues.items:
-            rows[content] = tuple(map(last, columns))
-        tick_no += 1
-
-    issues.raise_if_any()
-    return Trace(
-        {ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)},
-        length=tick_no,
-    )
-
-
-def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[str]:
-    """The segments ``CH: BODY`` of one channel, one per tick, made lazily."""
-    head = channel + ": "
-    silent = head + "-"
-    token = Message.token
-    return (head + " ".join(map(token, iv)) if iv else silent for iv in intervals)
-
-
-def print_trace(trace: Trace) -> str:
-    """Canonical trace text: channels sorted by name, '-' for empty intervals.
-
-    Each channel is rendered as a lazy column of segments, and ``zip`` over
-    the columns joins one tick's segments into its line, so no segment
-    outlives its line.
-    """
-    channels = sorted(trace.channels)
-    if not channels:
-        return "ticks" + "\n" * (trace.length + 1)
-    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
-    lines = ["ticks " + " ".join(channels)]
-    lines += map(" | ".join, zip(*columns))
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
 # Networks
 
 
@@ -883,6 +642,7 @@ def parse_network(
     external_out: List[str] = []
     # Source line of each instance and wire, keyed as NetworkBuildError.locations.
     lines: Dict[str, List[int]] = {"instance": [], "wire": []}
+    loaded: Dict[Path, object] = {}
 
     for lineno, content in _logical_lines(text):
         stripped = content.strip()
@@ -902,7 +662,7 @@ def parse_network(
                 if not arg:
                     issues.add(lineno, 1, "expected a file path after 'file'")
                 else:
-                    inst = _load_instance(name, base, arg, load, lineno, issues)
+                    inst = _load_instance(name, base, arg, load, lineno, issues, loaded)
             elif kind == "delay":
                 if not _INT_RE.match(arg):
                     issues.add(lineno, 1, "delay depth must be an integer >= 1")
@@ -965,29 +725,38 @@ def _load_instance(
     load: Callable[[Path], ComponentSpec],
     lineno: int,
     issues: _Issues,
+    loaded: Dict[Path, object],
 ) -> Optional[Instance]:
+    """The instance of ``use name = file arg``, or None with its problems
+    reported at ``lineno``.  ``loaded`` keeps each path's load and validation
+    outcome, so a file that several ``use`` lines name is loaded once."""
     from .network import Instance
 
-    try:
-        path = base / arg
-        spec = load(path)
-    except FileNotFoundError:
-        issues.add(lineno, 1, f"component file not found: {arg!r}")
-        return None
-    except OSError as exc:
-        issues.add(lineno, 1, f"cannot read component file {arg!r}: {exc}")
-        return None
-    except ValueError as exc:
-        if isinstance(exc, ParseFailure):
-            for issue in exc.issues:
-                issues.add(lineno, 1, f"in {arg!r} at {issue.span.render()}: {issue.message}")
+    path = base / arg
+    outcome = loaded.get(path)
+    if outcome is None:
+        try:
+            spec = load(path)
+        except (OSError, ValueError) as exc:
+            outcome = exc
         else:
-            issues.add(lineno, 1, f"cannot load component file {arg!r}: {exc}")
-        return None
-    errors = [f for f in validate_spec(spec) if f.severity is Severity.ERROR]
-    for finding in errors:
-        issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
-    return None if errors else Instance.of_spec(name, spec)
+            outcome = (spec, [f for f in validate_spec(spec) if f.severity is Severity.ERROR])
+        loaded[path] = outcome
+    if isinstance(outcome, FileNotFoundError):
+        issues.add(lineno, 1, f"component file not found: {arg!r}")
+    elif isinstance(outcome, OSError):
+        issues.add(lineno, 1, f"cannot read component file {arg!r}: {outcome}")
+    elif isinstance(outcome, ParseFailure):
+        for issue in outcome.issues:
+            issues.add(lineno, 1, f"in {arg!r} at {issue.span.render()}: {issue.message}")
+    elif isinstance(outcome, ValueError):
+        issues.add(lineno, 1, f"cannot load component file {arg!r}: {outcome}")
+    else:
+        spec, errors = outcome
+        for finding in errors:
+            issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
+        return None if errors else Instance.of_spec(name, spec)
+    return None
 
 
 # --------------------------------------------------------------------------

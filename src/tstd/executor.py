@@ -11,6 +11,7 @@ compile each spec once and reuse it for every trial: ``probe_causality``
 hunts for same-tick input sensitivity, ``check_untimed_simulation`` compares
 two machines modulo tick boundaries.  Both report evidence, never proofs.
 They import :mod:`tstd.gen` when called, so running a spec does not load it.
+:class:`Trace` lives in :mod:`tstd.streams` and is importable from here too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     classify_causality_syntactic,
     validate_spec,
 )
-from .streams import Message, StreamPrefix, TimeInterval, untimed_abstraction
+from .streams import Message, StreamPrefix, TimeInterval, Trace, untimed_abstraction
 
 __all__ = [
     "CausalityProbeResult",
@@ -57,35 +58,6 @@ class Configuration:
     @classmethod
     def initial(cls, spec: ComponentSpec) -> "Configuration":
         return cls(spec.initial, spec.initial_env())
-
-
-@value
-class Trace:
-    """A bundle of equally long stream prefixes, one per named channel."""
-
-    channels: Dict[str, StreamPrefix]
-    length: int
-
-    def __post_init__(self) -> None:
-        for name, prefix in self.channels.items():
-            if prefix.length != self.length:
-                raise ValueError(
-                    f"channel '{name}' has {prefix.length} ticks, expected {self.length}"
-                )
-
-    @classmethod
-    def of(cls, channels: Mapping[str, StreamPrefix]) -> "Trace":
-        if not channels:
-            raise ValueError("cannot infer length of a trace with no channels")
-        length = next(iter(channels.values())).length
-        return cls(dict(channels), length)
-
-    @classmethod
-    def empty(cls, channels: Tuple[str, ...] | List[str], ticks: int) -> "Trace":
-        return cls({ch: StreamPrefix.empty(ticks) for ch in channels}, ticks)
-
-    def tick(self, t: int) -> Dict[str, TimeInterval]:
-        return {ch: prefix[t] for ch, prefix in self.channels.items()}
 
 
 class _Machine:

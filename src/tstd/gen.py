@@ -10,23 +10,12 @@ interesting machine behavior.
 from __future__ import annotations
 
 from random import Random
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .model import (
-    ChannelDecl,
-    ComponentSpec,
-    Direction,
-    IntervalGuard,
-    IntervalPattern,
-    OutputAction,
-    Relation,
-    Transition,
-    UpdateOp,
-    VarDecl,
-    VarGuard,
-    VarUpdate,
-)
-from .streams import Message, StreamPrefix
+from .streams import Message, StreamPrefix, Trace
+
+if TYPE_CHECKING:
+    from .model import ComponentSpec, Transition
 
 __all__ = ["fresh_tag", "random_prefix", "random_spec", "random_trace", "spec_tags"]
 
@@ -54,9 +43,7 @@ def random_trace(
     rng: Random,
     alphabet: Sequence[str] = DEFAULT_ALPHABET,
     max_len: int = 3,
-) -> "Trace":
-    from .executor import Trace
-
+) -> Trace:
     return Trace(
         {ch: random_prefix(rng, ticks, alphabet, max_len) for ch in channels},
         length=ticks,
@@ -91,13 +78,14 @@ def probe_alphabet(spec: ComponentSpec) -> List[str]:
     return tags
 
 
+# Each maker draws one IntervalPattern, passed in as ``P``.
 _PATTERN_MAKERS = (
-    lambda rng, alphabet: IntervalPattern.empty(),
-    lambda rng, alphabet: IntervalPattern.nonempty(),
-    lambda rng, alphabet: IntervalPattern.contains(Message(rng.choice(alphabet))),
-    lambda rng, alphabet: IntervalPattern.len_eq(rng.randint(0, 2)),
-    lambda rng, alphabet: IntervalPattern.len_ge(rng.randint(1, 2)),
-    lambda rng, alphabet: IntervalPattern.first_is(Message(rng.choice(alphabet))),
+    lambda P, rng, alphabet: P.empty(),
+    lambda P, rng, alphabet: P.nonempty(),
+    lambda P, rng, alphabet: P.contains(Message(rng.choice(alphabet))),
+    lambda P, rng, alphabet: P.len_eq(rng.randint(0, 2)),
+    lambda P, rng, alphabet: P.len_ge(rng.randint(1, 2)),
+    lambda P, rng, alphabet: P.first_is(Message(rng.choice(alphabet))),
 )
 
 
@@ -109,6 +97,9 @@ def _random_transition(
     var: Optional[str],
     mode: str,
 ) -> Transition:
+    from .model import IntervalGuard, IntervalPattern, OutputAction, Relation, Transition
+    from .model import UpdateOp, VarGuard, VarUpdate
+
     interval_guards: Tuple[IntervalGuard, ...] = ()
     var_guards: Tuple[VarGuard, ...] = ()
     outputs: Tuple[OutputAction, ...] = ()
@@ -117,7 +108,7 @@ def _random_transition(
     if mode == "free":
         if rng.random() < 0.7:
             maker = rng.choice(_PATTERN_MAKERS)
-            interval_guards = (IntervalGuard("in", maker(rng, alphabet)),)
+            interval_guards = (IntervalGuard("in", maker(IntervalPattern, rng, alphabet)),)
         if var is not None and rng.random() < 0.4:
             rel = rng.choice(list(Relation))
             var_guards = (VarGuard(var, rel, rng.randint(-2, 3)),)
@@ -135,7 +126,7 @@ def _random_transition(
     if mode == "silent":
         if rng.random() < 0.6:
             maker = rng.choice(_PATTERN_MAKERS)
-            interval_guards = (IntervalGuard("in", maker(rng, alphabet)),)
+            interval_guards = (IntervalGuard("in", maker(IntervalPattern, rng, alphabet)),)
         if var is not None and rng.random() < 0.4:
             rel = rng.choice(list(Relation))
             var_guards = (VarGuard(var, rel, rng.randint(-2, 3)),)
@@ -164,6 +155,8 @@ def random_spec(rng: Random, name: str = "rand", max_states: int = 4) -> Compone
     classified strongly causal), and unconstrained machines that usually end
     up weak, pass-throughs included.
     """
+    from .model import ChannelDecl, ComponentSpec, Direction, VarDecl
+
     n_states = rng.randint(1, max_states)
     states = tuple(f"S{i}" for i in range(n_states))
     alphabet = ("a", "b")

@@ -8,9 +8,9 @@ or a strongly causal machine.  That condition is what
 per-tick evaluation order (a topological sort of same-tick dependencies)
 exist.
 
-:func:`run_network` compiles a network once: every spec into a machine of
-:mod:`tstd.executor`, every instance into a node on a flat list of slots,
-in that evaluation order.  Each tick then takes one ``fire`` per machine: a
+:func:`run_network` compiles a network once: every distinct spec into a
+machine of :mod:`tstd.executor`, every instance into a node on a flat list
+of slots, in that evaluation order.  Each tick then takes one ``fire`` per machine: a
 weak machine fires as it emits, while a strong one emits from its per-state
 output table and fires at the end of the tick, once its inputs are known.
 
@@ -411,12 +411,12 @@ class _StrongNode(_MachineNode):
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output.
 
-    Refuses ill-formed networks.  The network is compiled once: each spec
-    into a machine, each instance into a node on a flat slot list, in
-    topological order of the instantaneous dependency graph.  Per tick every
-    node emits once in that order; delays and strongly causal machines emit
-    from state and absorb their inputs at the end of the tick, which is what
-    lets well-formed feedback resolve without iteration.
+    Refuses ill-formed networks.  The network is compiled once: each
+    distinct spec into a machine, each instance into a node on a flat slot
+    list, in topological order of the instantaneous dependency graph.  Per
+    tick every node emits once in that order; delays and strongly causal
+    machines emit from state and absorb their inputs at the end of the tick,
+    which is what lets well-formed feedback resolve without iteration.
     """
     ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
     if not ok:
@@ -437,6 +437,8 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     driver = {wire.target: slot_of[wire.source] for wire in net.wires}
 
     instances = {inst.id: inst for inst in net.instances}
+    # A machine holds no run state, so instances of equal specs share one.
+    machines: Dict[ComponentSpec, _Machine] = {}
     nodes: List[_Node] = []
     for iid in order:
         inst = instances[iid]
@@ -449,7 +451,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         elif inst.kind is InstanceKind.MERGE:
             nodes.append(_MergeNode(ins, outs))
         else:
-            machine = _Machine(inst.spec)
+            machine = machines.get(inst.spec)
+            if machine is None:
+                machine = machines[inst.spec] = _Machine(inst.spec)
             node_type = _WeakNode if machine.emits is None else _StrongNode
             nodes.append(node_type(ins, outs, machine))
     emits = [node.emit for node in nodes]

@@ -3,7 +3,8 @@
 A stream is observed one tick at a time.  During a tick, a channel carries a
 finite (possibly empty) sequence of messages; that per-tick sequence is a
 *time interval*.  An infinite stream is handled through finite prefixes of an
-explicit tick count, so every operator here maps prefixes to prefixes.
+explicit tick count, so every operator here maps prefixes to prefixes.  A
+:class:`Trace` bundles equally long prefixes of named channels.
 
 All values are immutable; the operators are pure functions.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 
@@ -27,6 +28,7 @@ __all__ = [
     "StreamError",
     "StreamPrefix",
     "TimeInterval",
+    "Trace",
     "delay_stream",
     "interval",
     "join",
@@ -135,6 +137,35 @@ class StreamPrefix:
 
     def __getitem__(self, tick: int) -> TimeInterval:
         return self.intervals[tick]
+
+
+@value
+class Trace:
+    """A bundle of equally long stream prefixes, one per named channel."""
+
+    channels: Dict[str, StreamPrefix]
+    length: int
+
+    def __post_init__(self) -> None:
+        for name, prefix in self.channels.items():
+            if prefix.length != self.length:
+                raise ValueError(
+                    f"channel '{name}' has {prefix.length} ticks, expected {self.length}"
+                )
+
+    @classmethod
+    def of(cls, channels: Mapping[str, StreamPrefix]) -> "Trace":
+        if not channels:
+            raise ValueError("cannot infer length of a trace with no channels")
+        length = next(iter(channels.values())).length
+        return cls(dict(channels), length)
+
+    @classmethod
+    def empty(cls, channels: Tuple[str, ...] | List[str], ticks: int) -> "Trace":
+        return cls({ch: StreamPrefix.empty(ticks) for ch in channels}, ticks)
+
+    def tick(self, t: int) -> Dict[str, TimeInterval]:
+        return {ch: prefix[t] for ch, prefix in self.channels.items()}
 
 
 def _check_granularity(n: int) -> None:

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import tstd.gen
 from tstd.dsl import parse_trace
 
 from conftest import run_cli
@@ -375,6 +376,27 @@ class TestGenTrace:
         trace = parse_trace(r.out)
         mean = sum(len(iv) for iv in trace.channels["c"]) / trace.length
         assert abs(mean - 1.5) < 0.1
+
+    # Past sys.maxsize no sequence can hold the result, so these are refused
+    # before a single interval is drawn; a generator that is reached fails
+    # the test instead of filling memory.
+    @pytest.mark.parametrize(
+        "flags, unit",
+        [
+            (("--ticks", "9" * 20), "ticks"),
+            (("--ticks", "3", "--max-len", "9" * 20), "messages per interval"),
+        ],
+    )
+    def test_huge_size_is_usage_error(self, monkeypatch, flags, unit):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_trace reached")
+
+        monkeypatch.setattr(tstd.gen, "random_trace", refuse)
+        r = run_cli("gen-trace", "--channels", "c", *flags)
+        assert r.code == 2
+        assert r.out == ""
+        assert r.err.startswith("result too large: ")
+        assert r.err.rstrip().endswith(unit)
 
 
 class TestExportDot:

@@ -710,6 +710,47 @@ class TestNetworkFormat:
         assert [i.message for i in exc.value.issues] == built.value.problems
         assert exc.value.issues[0].span.line == line
 
+    def test_each_component_file_is_loaded_once(self, samples):
+        # A 20-instance chain whose use lines name 4 files, 5 times each.
+        calls = []
+
+        def loader(path):
+            calls.append(path)
+            return parse_component((samples / "passthrough.tstd").read_text())
+
+        text = "".join(f"use u{i} = file f{i % 4}.tstd\n" for i in range(20))
+        text += "wire extern a -> u0.in\n"
+        text += "".join(f"wire u{i}.out -> u{i + 1}.in\n" for i in range(19))
+        text += "wire u19.out -> extern b\n"
+        net = parse_network(text, base_dir=samples, loader=loader)
+        assert sorted(calls) == [samples / f"f{k}.tstd" for k in range(4)]
+        specs = {inst.id: inst.spec for inst in net.instances}
+        assert all(specs[f"u{i}"] is specs[f"u{i % 4}"] for i in range(20))
+
+    def test_bad_file_is_reported_at_every_use_line(self, tmp_path):
+        (tmp_path / "mute.tstd").write_text("component c\nin chan i\nstate S initial\n")
+        calls = []
+
+        def loader(path):
+            calls.append(path)
+            return parse_component(path.read_text())
+
+        text = (
+            "use p = file mute.tstd\n"
+            "use q = file nope.tstd\n"
+            "use r = file ./mute.tstd\n"
+            "use s = file nope.tstd\n"
+        )
+        with pytest.raises(ParseFailure) as exc:
+            parse_network(text, base_dir=tmp_path, loader=loader)
+        assert [i.render() for i in exc.value.issues] == [
+            "1:1: in 'mute.tstd': spec declares no output channel",
+            "2:1: component file not found: 'nope.tstd'",
+            "3:1: in './mute.tstd': spec declares no output channel",
+            "4:1: component file not found: 'nope.tstd'",
+        ]
+        assert calls == [tmp_path / "mute.tstd", tmp_path / "nope.tstd"]
+
 
 # More digits than Python's int() converts by default (4300).
 LONG = "9" * 5000

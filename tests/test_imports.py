@@ -79,6 +79,51 @@ def test_network_commands_import_network():
     assert "dataclasses" not in modules
 
 
+SPEC_MACHINERY = {"tstd.dsl", "tstd.model", "tstd.executor", "tstd.network"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "split", "empty4.trc", "-n", "3"],
+        ["stream", "join", "empty4.trc", "-n", "2"],
+        ["stream", "merge", "empty4.trc", "empty4.trc"],
+        ["stream", "abstract", "empty4.trc"],
+        ["stream", "delay", "empty4.trc", "-d", "2"],
+        ["gen-trace", "--channels", "in", "--ticks", "0"],
+    ],
+    ids=" ".join,
+)
+def test_trace_commands_skip_the_spec_machinery(argv):
+    code, modules = _modules_after(*argv)
+    assert code == 0
+    assert "tstd.trace_format" in modules
+    assert not modules & SPEC_MACHINERY
+
+
+def test_validate_skips_the_executor():
+    code, modules = _modules_after("validate", "watchdog.tstd")
+    assert code == 0
+    assert {"tstd.dsl", "tstd.model"} <= modules
+    assert "tstd.executor" not in modules
+
+
+def test_moved_names_keep_their_old_homes():
+    import tstd.dsl
+    import tstd.executor
+    import tstd.streams
+    import tstd.trace_format as fmt
+
+    assert tstd.streams.Trace is tstd.executor.Trace is tstd.Trace
+    assert tstd.dsl.parse_trace is tstd.parse_trace
+    for name in (
+        "ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace",
+        "_Issues", "_LongInteger", "_MESSAGE_RE", "_int", "_logical_lines",
+        "_parse_message", "_print_column", "_strip_comment",
+    ):
+        assert getattr(tstd.dsl, name) is getattr(fmt, name)
+
+
 def test_public_names_are_unchanged():
     assert sorted(tstd.__all__) == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(tstd))

@@ -1,5 +1,6 @@
 import pytest
 
+import tstd.executor
 from tstd.executor import Trace, run
 from tstd.model import (
     CausalityClass,
@@ -26,6 +27,8 @@ from tstd.network import (
 )
 from tstd.streams import StreamPrefix, interval
 
+from reference import reference_run_network
+
 
 def passthrough(name="p"):
     return ComponentSpec(
@@ -48,6 +51,23 @@ def silent():
         states=("S0",),
         initial="S0",
         transitions=(Transition("S0", "S0"),),
+    )
+
+
+def edge_detector():
+    """Strong: emits x one tick after each nonempty input tick it sees in A."""
+    return ComponentSpec(
+        name="edge",
+        channels=(ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT)),
+        vars=(),
+        states=("A", "B"),
+        initial="A",
+        transitions=(
+            Transition(
+                "A", "B", interval_guards=(IntervalGuard("in", IntervalPattern.nonempty()),)
+            ),
+            Transition("B", "A", outputs=(OutputAction.literal("out", interval("x")),)),
+        ),
     )
 
 
@@ -282,6 +302,46 @@ class TestRunNetwork:
         with pytest.raises(IllFormedNetworkError):
             run_network(net, Trace({}, 2), 2)
 
+    def test_equal_specs_share_one_machine(self, monkeypatch):
+        # Two passthroughs and a merge feed a strong edge detector: two
+        # distinct specs, so two compilations and two validate_spec calls.
+        calls = []
+        validate = tstd.executor.validate_spec
+        monkeypatch.setattr(
+            tstd.executor, "validate_spec", lambda spec: calls.append(spec) or validate(spec)
+        )
+        edge = edge_detector()
+        net = build_network(
+            [
+                Instance.of_spec("p", passthrough()),
+                Instance.of_spec("q", passthrough()),
+                Instance.of_merge("m"),
+                Instance.of_spec("e", edge),
+            ],
+            [
+                wire("extern a", "p.in"),
+                wire("extern b", "q.in"),
+                wire("p.out", "m.in1"),
+                wire("q.out", "m.in2"),
+                wire("m.out", "e.in"),
+                wire("e.out", "extern y"),
+                wire("q.out", "extern z"),
+            ],
+            ["a", "b"],
+            ["y", "z"],
+        )
+        inputs = Trace(
+            {
+                "a": StreamPrefix((interval("x"), (), (), interval("u"), ())),
+                "b": StreamPrefix(((), (), interval("v"), (), interval("w"))),
+            },
+            5,
+        )
+        out = run_network(net, inputs, 5)
+        assert sorted(spec.name for spec in calls) == ["edge", "p"]
+        assert out == reference_run_network(net, inputs, 5)
+        assert out.channels["y"] == StreamPrefix(((), interval("x"), (), interval("x"), ()))
+
     def test_composition_neutrality(self):
         spec = passthrough()
         net = build_network(
@@ -315,19 +375,7 @@ class TestRunNetwork:
         # The strong machine emits x one tick after a nonempty input.  It
         # comes first in the evaluation order, before the passthrough that
         # feeds it, so it must read its input at the end of the tick.
-        strong = ComponentSpec(
-            name="edge",
-            channels=(ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT)),
-            vars=(),
-            states=("A", "B"),
-            initial="A",
-            transitions=(
-                Transition(
-                    "A", "B", interval_guards=(IntervalGuard("in", IntervalPattern.nonempty()),)
-                ),
-                Transition("B", "A", outputs=(OutputAction.literal("out", interval("x")),)),
-            ),
-        )
+        strong = edge_detector()
         assert classify_causality_syntactic(strong) is CausalityClass.STRONG
         net = build_network(
             [Instance.of_spec("a", strong), Instance.of_spec("z", passthrough())],
