@@ -1,31 +1,33 @@
 """Tick-by-tick execution of a single component spec.
 
-A spec is compiled once into a private machine (states as indices, guards
-bound to input and variable positions, literal outputs as tuples) whose
-``fire`` is the only per-tick operation: it fires at most one transition and
-is total, so when nothing is enabled the machine stutters in place and stays
-silent, time always advances and a T-tick input yields exactly a T-tick
-output.  ``run`` compiles the spec and folds ``fire`` over the ticks; ``step``
-is the same tick on named configurations.  Two seeded refutation checks
-compile each spec once and reuse it for every trial: ``probe_causality``
-hunts for same-tick input sensitivity, ``check_untimed_simulation`` compares
-two machines modulo tick boundaries.  Both report evidence, never proofs.
-They import :mod:`tstd.gen` when called, so running a spec does not load it.
+A spec is compiled once into a private machine: Python source with one
+function per state, generated from the transitions and run through ``exec``.
+Calling the current state's function is the only per-tick operation: it
+fires at most one transition and is total, so when nothing is enabled the
+machine stutters in place and stays silent, time always advances and a
+T-tick input yields exactly a T-tick output.  ``run`` compiles the spec and
+folds the state functions over the ticks; ``step`` is the same tick on named
+configurations.  Two seeded refutation checks compile each spec once and
+reuse it for every trial: ``probe_causality`` hunts for same-tick input
+sensitivity, ``check_untimed_simulation`` compares two machines modulo tick
+boundaries.  Both report evidence, never proofs.  They import
+:mod:`tstd.gen` when called, so running a spec does not load it.
 :class:`Trace` lives in :mod:`tstd.streams` and is importable from here too.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 from .model import (
-    _PATTERN_TESTS,
-    _RELATION_TESTS,
     CausalityClass,
     ComponentSpec,
+    PatternKind,
+    Relation,
     Severity,
+    UpdateOp,
     classify_causality_syntactic,
     validate_spec,
 )
@@ -60,22 +62,41 @@ class Configuration:
         return cls(spec.initial, spec.initial_env())
 
 
+def _tuple(items: Iterable[str]) -> str:
+    """Source text of a tuple display (or target) of ``items``."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+# Each pattern kind and relation as a Python expression over an input
+# interval ``i`` and a constant ``k``; what they test is model's
+# _PATTERN_TESTS and _RELATION_TESTS.
+_PATTERN_CODE = {
+    PatternKind.EMPTY: "not {i}",
+    PatternKind.NONEMPTY: "{i}",
+    PatternKind.CONTAINS: "{k} in {i}",
+    PatternKind.LEN_EQ: "len({i}) == {k}",
+    PatternKind.LEN_GE: "len({i}) >= {k}",
+    PatternKind.FIRST_IS: "{i} and {i}[0] == {k}",
+}
+_RELATION_CODE = {r: "==" if r is Relation.EQ else r.value for r in Relation}
+
+
 class _Machine:
-    """A component spec compiled once for execution; ``fire`` is one tick.
+    """A component spec compiled once into one Python function per state.
 
     States are indices into ``spec.states``, a variable valuation is a
     tuple in ``var_names`` order, tick inputs are a sequence in
     ``in_channels`` order and tick outputs a tuple in ``out_channels`` order.
-    ``table[s]`` holds the transitions leaving state ``s`` in declaration
-    order, each as
-    ``(interval_guards, var_guards, outputs, passes, updates, target)``:
+    ``fns[s](env, inputs)`` is one tick from state ``s`` and returns
+    ``(target, env, outputs)``: it tests the transitions leaving ``s`` in
+    declaration order, each guard an inline expression, and returns from the
+    first one whose guards all hold, with its literal outputs, its
+    pass-throughs and a new env tuple for its updates.  When none holds it
+    stutters: it returns ``s``, the same env and ``silence``.
 
-    - ``interval_guards``: ``(input position, test, message, count)``;
-    - ``var_guards``: ``(variable position, test, bound)``;
-    - ``outputs``: the literal output tuple, ``()`` where nothing is emitted;
-    - ``passes``: ``(output position, input position)`` pairs forwarded verbatim;
-    - ``updates``: ``(variable position, VarUpdate.apply)`` pairs;
-    - ``target``: the target state index.
+    The generated source holds only names it makes and integer indices;
+    every value of the spec (messages, bounds, update values, literal
+    outputs) reaches the functions through their namespace.
 
     A strongly causal spec also gets ``emits[s]``, the output of every tick
     spent in state ``s``, so a network can read it before the inputs exist;
@@ -93,7 +114,7 @@ class _Machine:
         "initial_state",
         "initial_env",
         "silence",
-        "table",
+        "fns",
         "emits",
     )
 
@@ -109,80 +130,89 @@ class _Machine:
         self.initial_env = tuple(v.initial for v in spec.vars)
         self.silence: Tuple[TimeInterval, ...] = ((),) * len(self.out_channels)
 
-        in_pos = {ch: i for i, ch in enumerate(self.in_channels)}
+        in_name = {ch: f"i{i}" for i, ch in enumerate(self.in_channels)}
         out_pos = {ch: i for i, ch in enumerate(self.out_channels)}
         var_pos = {v: i for i, v in enumerate(self.var_names)}
-        table: List[list] = [[] for _ in spec.states]
+        namespace = {"S": self.silence}
+
+        def const(value) -> str:
+            name = f"k{len(namespace)}"
+            namespace[name] = value
+            return name
+
+        bodies: List[List[str]] = [[] for _ in spec.states]
+        closed = set()  # states with an unguarded transition: nothing after it fires
+        reads = set()  # states whose function reads its inputs
+        first: Dict[int, Tuple[TimeInterval, ...]] = {}
         for t in spec.transitions:
-            interval_guards = tuple(
-                (
-                    in_pos[g.channel],
-                    _PATTERN_TESTS[g.pattern.kind],
-                    g.pattern.message,
-                    g.pattern.count,
-                )
-                for g in t.interval_guards
-            )
-            var_guards = tuple(
-                (var_pos[g.var], _RELATION_TESTS[g.relation], g.bound) for g in t.var_guards
-            )
-            outputs = list(self.silence)
+            source = self.state_index[t.source]
+            if source in closed:
+                continue
+            literal = list(self.silence)
             for action in t.outputs:
                 if not action.is_pass:
-                    outputs[out_pos[action.channel]] = action.messages
-            passes = tuple(
-                (out_pos[action.channel], in_pos[action.source])
-                for action in t.outputs
-                if action.is_pass
-            )
-            updates = tuple((var_pos[u.var], u.apply) for u in t.updates)
-            target = self.state_index[t.target]
-            table[self.state_index[t.source]].append(
-                (interval_guards, var_guards, tuple(outputs), passes, updates, target)
-            )
-        self.table = tuple(tuple(ts) for ts in table)
+                    literal[out_pos[action.channel]] = action.messages
+            first.setdefault(source, tuple(literal))
+            passes = any(action.is_pass for action in t.outputs)
+            if t.interval_guards or passes:
+                reads.add(source)
+            if passes:
+                items = [const(iv) for iv in literal]
+                for action in t.outputs:
+                    if action.is_pass:
+                        items[out_pos[action.channel]] = in_name[action.source]
+                outputs = _tuple(items)
+            else:
+                outputs = const(tuple(literal))
+            env = "env"
+            if t.updates:
+                items = [f"env[{j}]" for j in range(len(self.var_names))]
+                for u in t.updates:
+                    j = var_pos[u.var]
+                    plus = f"env[{j}] + " if u.op is UpdateOp.ADD else ""
+                    items[j] = plus + const(u.value)
+                env = _tuple(items)
+            guards = [
+                _PATTERN_CODE[g.pattern.kind].format(
+                    i=in_name[g.channel],
+                    k=const(g.pattern.count if g.pattern.message is None else g.pattern.message),
+                )
+                for g in t.interval_guards
+            ]
+            guards += [
+                f"env[{var_pos[g.var]}] {_RELATION_CODE[g.relation]} {const(g.bound)}"
+                for g in t.var_guards
+            ]
+            fire = f"return {self.state_index[t.target]}, {env}, {outputs}"
+            if guards:
+                bodies[source] += [f"if {' and '.join(guards)}:", "    " + fire]
+            else:
+                bodies[source].append(fire)
+                closed.add(source)
+        lines = []
+        for s, body in enumerate(bodies):
+            if s in reads:
+                body.insert(0, f"{_tuple(in_name.values())} = inputs")
+            if s not in closed:
+                body.append(f"return {s}, env, S")
+            lines += [f"def s{s}(env, inputs):", *("    " + line for line in body)]
+        exec("\n".join(lines), namespace)
+        self.fns = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
         self.emits: Optional[Tuple[Tuple[TimeInterval, ...], ...]] = None
         if classify_causality_syntactic(spec) is CausalityClass.STRONG:
             # All transitions leaving a state of a strong spec emit the same
             # literals, and none at all when the state can stutter.
-            self.emits = tuple(ts[0][2] if ts else self.silence for ts in self.table)
-
-    def fire(
-        self, state: int, env: Tuple[int, ...], inputs: Sequence[TimeInterval]
-    ) -> Tuple[int, Tuple[int, ...], Tuple[TimeInterval, ...]]:
-        """One tick: fire the first enabled transition, or stutter."""
-        for interval_guards, var_guards, outputs, passes, updates, target in self.table[state]:
-            for i, test, message, count in interval_guards:
-                if not test(inputs[i], message, count):
-                    break
-            else:
-                for i, test, bound in var_guards:
-                    if not test(env[i], bound):
-                        break
-                else:
-                    # All guards hold: this transition fires.
-                    if passes:
-                        forwarded = list(outputs)
-                        for o, i in passes:
-                            forwarded[o] = inputs[i]
-                        outputs = tuple(forwarded)
-                    if updates:
-                        updated = list(env)
-                        for i, apply in updates:
-                            updated[i] = apply(updated[i])
-                        env = tuple(updated)
-                    return target, env, outputs
-        return state, env, self.silence
+            self.emits = tuple(first.get(s, self.silence) for s in range(len(spec.states)))
 
     def outputs(self, inputs: Trace) -> List[Tuple[TimeInterval, ...]]:
         """The output tuple of every tick of a run from the initial state."""
         columns = [inputs.channels[ch].intervals for ch in self.in_channels]
         ticks = zip(*columns) if columns else repeat((), inputs.length)
-        fire = self.fire
+        fns = self.fns
         state, env = self.initial_state, self.initial_env
         rows = []
         for tick_inputs in ticks:
-            state, env, out = fire(state, env, tick_inputs)
+            state, env, out = fns[state](env, tick_inputs)
             rows.append(out)
         return rows
 
@@ -205,7 +235,8 @@ def step(
     Always returns exactly one interval per output channel; channels the
     fired transition does not mention stay empty.  A stutter leaves the
     configuration untouched and emits only empty intervals.  Compiles the
-    spec on every call; ``run`` compiles it once per run.
+    spec on every call, which generates its code (about 0.2 ms for a small
+    spec); ``run`` compiles it once per run.
     """
     machine = _Machine(spec)
     state = machine.state_index.get(cfg.state)
@@ -216,7 +247,7 @@ def step(
             raise ValueError(f"tick inputs missing channel '{ch}'")
     env = tuple(cfg.var_env[v] for v in machine.var_names)
     inputs = [tick_inputs[ch] for ch in machine.in_channels]
-    target, new_env, outputs = machine.fire(state, env, inputs)
+    target, new_env, outputs = machine.fns[state](env, inputs)
     out = dict(zip(machine.out_channels, outputs))
     if target == state and new_env == env:
         return cfg, out
@@ -309,7 +340,7 @@ def probe_causality(
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
-    fire = machine.fire
+    fns = machine.fns
     alphabet = probe_alphabet(spec)
     for _ in range(trials):
         a, b, cut = _diverging_pair(machine.in_channels, alphabet, horizon, rng)
@@ -318,9 +349,9 @@ def probe_causality(
         ticks_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
         state, env = machine.initial_state, machine.initial_env
         for tick_inputs in islice(ticks_a, cut):
-            state, env, _ = fire(state, env, tick_inputs)
-        _, _, out_a = fire(state, env, next(ticks_a))
-        _, _, out_b = fire(state, env, [b.channels[ch][cut] for ch in machine.in_channels])
+            state, env, _ = fns[state](env, tick_inputs)
+        _, _, out_a = fns[state](env, next(ticks_a))
+        _, _, out_b = fns[state](env, [b.channels[ch][cut] for ch in machine.in_channels])
         for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
             if iv_a != iv_b:
                 return CausalityProbeResult(

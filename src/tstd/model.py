@@ -70,8 +70,9 @@ class PatternKind(enum.Enum):
     FIRST_IS = "first_is"
 
 
-# What each pattern kind tests, as f(interval, message, count); shared by
-# IntervalPattern.matches and the compiled machines of tstd.executor.
+# What each pattern kind tests, as f(interval, message, count), for
+# IntervalPattern.matches; tstd.executor writes the same tests as inline
+# expressions into the code it generates.
 _PATTERN_TESTS = {
     PatternKind.ANY: lambda iv, message, count: True,
     PatternKind.EMPTY: lambda iv, message, count: not iv,
@@ -172,7 +173,7 @@ class Relation(enum.Enum):
         raise ValueError(f"unknown relation: {token!r}")
 
 
-# What each relation tests, as f(value, bound); shared like _PATTERN_TESTS.
+# What each relation tests, as f(value, bound); used like _PATTERN_TESTS.
 _RELATION_TESTS = {
     Relation.LT: operator.lt,
     Relation.LE: operator.le,
@@ -322,6 +323,17 @@ class ComponentSpec:
 
     def initial_env(self) -> Dict[str, int]:
         return {v.name: v.initial for v in self.vars}
+
+    def __hash__(self) -> int:
+        # Networks key their per-spec work by spec, and hashing every
+        # transition costs about as much as that work: hash once.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(
+                (self.name, self.channels, self.vars, self.states, self.initial, self.transitions)
+            )
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
 
 class CausalityClass(enum.Enum):

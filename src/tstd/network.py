@@ -8,11 +8,13 @@ or a strongly causal machine.  That condition is what
 per-tick evaluation order (a topological sort of same-tick dependencies)
 exist.
 
-:func:`run_network` compiles a network once: every distinct spec into a
-machine of :mod:`tstd.executor`, every instance into a node on a flat list
-of slots, in that evaluation order.  Each tick then takes one ``fire`` per machine: a
-weak machine fires as it emits, while a strong one emits from its per-state
-output table and fires at the end of the tick, once its inputs are known.
+:func:`run_network` compiles a network once per call into one generated
+Python tick loop: every distinct spec into a machine of
+:mod:`tstd.executor`, every port into a local variable and every instance
+into statements of the loop body, in that evaluation order.  Each tick then
+calls one state function per machine: a weak machine fires as it emits,
+while a strong one emits from its per-state output table and fires at the
+end of the tick, once its inputs are known.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -25,13 +27,12 @@ import enum
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
-from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._value import value
-from .executor import Trace, _Machine
+from .executor import Trace, _Machine, _tuple
 from .model import CausalityClass, ComponentSpec, classify_causality_syntactic
-from .streams import StreamPrefix, TimeInterval
+from .streams import StreamPrefix
 
 __all__ = [
     "ChannelSetError",
@@ -253,25 +254,29 @@ def build_network(
     return Network(tuple(instances), tuple(wires), tuple(ext_in), tuple(ext_out))
 
 
-def _is_instantaneous_sink(inst: Instance) -> bool:
-    # Weak machines and merge read their current-tick inputs before emitting;
-    # delays and strong machines emit from stored state alone.
-    if inst.kind is InstanceKind.MERGE:
-        return True
-    if inst.kind is InstanceKind.DELAY:
-        return False
-    return classify_causality_syntactic(inst.spec) is CausalityClass.WEAK
-
-
 def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     """Same-tick data dependencies between instances, as an adjacency map.
 
     An edge A -> B exists when a wire feeds an output of A into an input of B
     and B's tick-t output can depend on its tick-t input.  Instances whose
     output is determined before reading input (delays, strongly causal
-    machines) never acquire incoming edges.
+    machines) never acquire incoming edges.  Each distinct spec is
+    classified once, however many instances it has.
     """
-    sinks = {inst.id: _is_instantaneous_sink(inst) for inst in net.instances}
+    # Weak machines and merge read their current-tick inputs before emitting;
+    # delays and strong machines emit from stored state alone.
+    weak: Dict[ComponentSpec, bool] = {}
+    sinks = {}
+    for inst in net.instances:
+        if inst.kind is InstanceKind.SPEC:
+            sink = weak.get(inst.spec)
+            if sink is None:
+                sink = weak[inst.spec] = (
+                    classify_causality_syntactic(inst.spec) is CausalityClass.WEAK
+                )
+            sinks[inst.id] = sink
+        else:
+            sinks[inst.id] = inst.kind is InstanceKind.MERGE
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
         if isinstance(wire.source, Port) and isinstance(wire.target, Port):
@@ -314,107 +319,14 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
     return FeedbackCheck(well_formed=ok, cycle=cycle)
 
 
-# A compiled network is a flat list of slots, one per external input and one
-# per instance output port, and one node per instance.  Per tick each node
-# writes its output slots in topological order (``emit``), then nodes that
-# emit from stored state read their now resolved input slots (``absorb``).
-
-
-def _gather(
-    positions: Sequence[int],
-) -> Callable[[Sequence[TimeInterval]], Tuple[TimeInterval, ...]]:
-    """A function picking ``positions`` out of a slot list, as a tuple."""
-    if len(positions) == 1:
-        (only,) = positions
-        return lambda slots: (slots[only],)
-    return itemgetter(*positions) if positions else lambda slots: ()
-
-
-class _Node:
-    """One instance on the slot list: reads slots ``ins``, writes ``outs``."""
-
-    __slots__ = ("ins", "outs")
-    absorbs = False
-
-    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...]):
-        self.ins = ins
-        self.outs = outs
-
-    def emit(self, slots: List[TimeInterval]) -> None:
-        raise NotImplementedError
-
-    def absorb(self, slots: List[TimeInterval]) -> None:
-        pass
-
-
-class _MergeNode(_Node):
-    __slots__ = ()
-
-    def emit(self, slots: List[TimeInterval]) -> None:
-        left, right = self.ins
-        slots[self.outs[0]] = slots[left] + slots[right]
-
-
-class _DelayNode(_Node):
-    __slots__ = ("buffer",)
-    absorbs = True
-
-    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...], depth: int):
-        super().__init__(ins, outs)
-        self.buffer: deque = deque([()] * depth)
-
-    def emit(self, slots: List[TimeInterval]) -> None:
-        slots[self.outs[0]] = self.buffer.popleft()
-
-    def absorb(self, slots: List[TimeInterval]) -> None:
-        self.buffer.append(slots[self.ins[0]])
-
-
-class _MachineNode(_Node):
-    """A spec instance; its output slots are contiguous, ``span``."""
-
-    __slots__ = ("machine", "gather", "span", "state", "env")
-
-    def __init__(self, ins: Tuple[int, ...], outs: Tuple[int, ...], machine: _Machine):
-        super().__init__(ins, outs)
-        self.machine = machine
-        self.gather = _gather(ins)
-        self.span = slice(outs[0], outs[-1] + 1)
-        self.state = machine.initial_state
-        self.env = machine.initial_env
-
-
-class _WeakNode(_MachineNode):
-    """Reads its inputs and fires while emitting."""
-
-    __slots__ = ()
-
-    def emit(self, slots: List[TimeInterval]) -> None:
-        self.state, self.env, slots[self.span] = self.machine.fire(
-            self.state, self.env, self.gather(slots)
-        )
-
-
-class _StrongNode(_MachineNode):
-    """Emits from its state table; fires at the end of the tick."""
-
-    __slots__ = ()
-    absorbs = True
-
-    def emit(self, slots: List[TimeInterval]) -> None:
-        slots[self.span] = self.machine.emits[self.state]
-
-    def absorb(self, slots: List[TimeInterval]) -> None:
-        self.state, self.env, _ = self.machine.fire(self.state, self.env, self.gather(slots))
-
-
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output.
 
-    Refuses ill-formed networks.  The network is compiled once: each
-    distinct spec into a machine, each instance into a node on a flat slot
-    list, in topological order of the instantaneous dependency graph.  Per
-    tick every node emits once in that order; delays and strongly causal
+    Refuses ill-formed networks.  The network is compiled once per call into
+    one generated tick loop, its statements in topological order of the
+    instantaneous dependency graph: each distinct spec becomes a machine,
+    each port a local variable, and each instance a statement or two.  Per
+    tick every instance emits once in that order; delays and strongly causal
     machines emit from state and absorb their inputs at the end of the tick,
     which is what lets well-formed feedback resolve without iteration.
     """
@@ -430,48 +342,57 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             f"external input trace has {external_inputs.length} ticks, expected {ticks}"
         )
 
-    slot_of: Dict[Endpoint, int] = {ExternalPort(name): i for i, name in enumerate(net.external_in)}
+    # One local variable per external input and per instance output port;
+    # the names, like every other name of the loop, are made here, and every
+    # value (machines, initial envs, delay buffers) goes in by namespace.
+    var_of: Dict[Endpoint, str] = {
+        ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
+    }
     for inst in net.instances:
         for port in inst.out_ports():
-            slot_of[Port(inst.id, port)] = len(slot_of)
-    driver = {wire.target: slot_of[wire.source] for wire in net.wires}
+            var_of[Port(inst.id, port)] = f"x{len(var_of)}"
+    driver = {wire.target: var_of[wire.source] for wire in net.wires}
 
     instances = {inst.id: inst for inst in net.instances}
     # A machine holds no run state, so instances of equal specs share one.
     machines: Dict[ComponentSpec, _Machine] = {}
-    nodes: List[_Node] = []
-    for iid in order:
+    namespace: Dict[str, object] = {}
+    init: List[str] = []
+    emit: List[str] = []
+    absorb: List[str] = []
+    for n, iid in enumerate(order):
         inst = instances[iid]
-        ins = tuple(driver[Port(iid, port)] for port in inst.in_ports())
-        outs = tuple(slot_of[Port(iid, port)] for port in inst.out_ports())
+        ins = [driver[Port(iid, port)] for port in inst.in_ports()]
+        outs = [var_of[Port(iid, port)] for port in inst.out_ports()]
         if inst.kind is InstanceKind.DELAY:
             # A delay deeper than the run emits nothing but its first empty
             # intervals, and needs no more of them than there are ticks.
-            nodes.append(_DelayNode(ins, outs, min(inst.delay, ticks)))
+            buffer = deque([()] * min(inst.delay, ticks))
+            namespace[f"P{n}"], namespace[f"A{n}"] = buffer.popleft, buffer.append
+            emit.append(f"{outs[0]} = P{n}()")
+            absorb.append(f"A{n}({ins[0]})")
         elif inst.kind is InstanceKind.MERGE:
-            nodes.append(_MergeNode(ins, outs))
+            emit.append(f"{outs[0]} = {ins[0]} + {ins[1]}")
         else:
             machine = machines.get(inst.spec)
             if machine is None:
                 machine = machines[inst.spec] = _Machine(inst.spec)
-            node_type = _WeakNode if machine.emits is None else _StrongNode
-            nodes.append(node_type(ins, outs, machine))
-    emits = [node.emit for node in nodes]
-    absorbs = [node.absorb for node in nodes if node.absorbs]
-    boundary = _gather([driver[ExternalPort(name)] for name in net.external_out])
-
-    n_ext = len(net.external_in)
+            namespace[f"F{n}"], namespace[f"V{n}"] = machine.fns, machine.initial_env
+            init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
+            fire = f"F{n}[s{n}](e{n}, {_tuple(ins)})"
+            if machine.emits is None:
+                emit.append(f"s{n}, e{n}, {_tuple(outs)} = {fire}")
+            else:
+                namespace[f"E{n}"] = machine.emits
+                emit.append(f"{_tuple(outs)} = E{n}[s{n}]")
+                absorb.append(f"s{n}, e{n}, _ = {fire}")
+    boundary = _tuple([driver[ExternalPort(name)] for name in net.external_out])
+    row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
+    loop = ["    " + line for line in emit + absorb + [f"append({boundary})"]]
+    head = ["def kernel(ticks):", *init, "rows = []", "append = rows.append"]
+    exec("\n    ".join([*head, f"for {row} in ticks:", *loop, "return rows"]), namespace)
     columns = [external_inputs.channels[name].intervals for name in net.external_in]
-    slots: List[TimeInterval] = [()] * len(slot_of)
-    rows = []
-    for row in zip(*columns) if columns else repeat((), ticks):
-        slots[:n_ext] = row
-        for emit in emits:
-            emit(slots)
-        for absorb in absorbs:
-            absorb(slots)
-        rows.append(boundary(slots))
-
+    rows = namespace["kernel"](zip(*columns) if columns else repeat((), ticks))
     collected = zip(*rows) if rows else [()] * len(net.external_out)
     return Trace(
         {name: StreamPrefix(col) for name, col in zip(net.external_out, collected)},

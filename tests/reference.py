@@ -24,7 +24,6 @@ from tstd.executor import (
     Configuration,
     Trace,
     _diverging_pair,
-    run,
 )
 from tstd.gen import probe_alphabet
 from tstd.model import (
@@ -191,8 +190,8 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
 def reference_probe_causality(
     spec: ComponentSpec, trials: int, horizon: int, seed: int
 ) -> CausalityProbeResult:
-    """Run both traces of every trial over the whole horizon and compare
-    their outputs tick by tick up to the cut."""
+    """Run both traces of every trial over the whole horizon with
+    ``reference_run`` and compare their outputs tick by tick up to the cut."""
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
     rng = Random(seed)
@@ -201,8 +200,8 @@ def reference_probe_causality(
     alphabet = probe_alphabet(spec)
     for _ in range(trials):
         a, b, cut = _diverging_pair(spec.in_channels(), alphabet, horizon, rng)
-        out_a = run(spec, a)
-        out_b = run(spec, b)
+        out_a = reference_run(spec, a)
+        out_b = reference_run(spec, b)
         for t in range(cut + 1):
             for ch in spec.out_channels():
                 if out_a.channels[ch][t] != out_b.channels[ch][t]:

@@ -4,7 +4,9 @@ reference oracles.
 
 Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
-pass-throughs see messages that differ only in their payload.
+pass-throughs see messages that differ only in their payload.  Specs come
+from ``tstd.gen.random_spec`` and, two channels each way with payload
+guards and up to 64 states, from ``specgen.wide_spec``.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -34,6 +36,20 @@ from tstd import (
 )
 from tstd.executor import Configuration, Trace
 from tstd.gen import random_spec, spec_tags
+from tstd.model import (
+    ChannelDecl,
+    ComponentSpec,
+    Direction,
+    IntervalGuard,
+    IntervalPattern,
+    OutputAction,
+    Relation,
+    Transition,
+    UpdateOp,
+    VarDecl,
+    VarGuard,
+    VarUpdate,
+)
 from tstd.network import ExternalPort, InstanceKind, Port
 from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix
 
@@ -47,6 +63,7 @@ from reference import (
     reference_split,
     reference_step,
 )
+from specgen import INPUTS, wide_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -126,7 +143,7 @@ def _has_cycle(net, skip):
     return False
 
 
-def random_network(rng, index):
+def random_network(rng, index, make_spec=random_spec):
     """Random instances wired at random: feedback and fan-out arise freely.
 
     At most two merges, so that no loop can more than quadruple its
@@ -142,7 +159,7 @@ def random_network(rng, index):
         elif roll < 0.45:
             instances.append(Instance.of_delay(f"d{k}", rng.randint(1, 3)))
         else:
-            instances.append(Instance.of_spec(f"c{k}", random_spec(rng, name=f"n{index}_{k}")))
+            instances.append(Instance.of_spec(f"c{k}", make_spec(rng, f"n{index}_{k}")))
     external_in = ["x", "y"][: rng.randint(0, 2)]
     external_out = ["o", "p"][: rng.randint(1, 2)]
     sources = [ExternalPort(name) for name in external_in]
@@ -233,6 +250,160 @@ def test_probe_causality_matches_reference_on_random_specs():
         seen["strong" if strong else "weak"] += 1
         seen["refuted" if result.refuted else "consistent"] += 1
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_run_and_step_match_reference_on_wide_specs():
+    rng = Random(1909)
+    seen = {"strong": 0, "weak": 0, "over 32 states": 0, "payload out": 0}
+    for i in range(100):
+        spec = wide_spec(rng, f"w{i}")
+        inputs = payload_trace(INPUTS, rng.randint(0, 24), rng)
+        out = run(spec, inputs)
+        assert out == reference_run(spec, inputs), i
+        tick = payload_trace(INPUTS, 1, rng).tick(0)
+        for state in rng.sample(spec.states, min(i % 3, len(spec.states))):
+            cfg = Configuration(state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
+            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), i
+        strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
+        seen["strong" if strong else "weak"] += 1
+        seen["over 32 states"] += len(spec.states) > 32
+        seen["payload out"] += any(
+            m.payload is not None for p in out.channels.values() for iv in p for m in iv
+        )
+    assert all(count >= 25 for count in seen.values()), seen
+
+
+def test_probe_causality_matches_reference_on_wide_specs():
+    rng = Random(1911)
+    seen = {"refuted": 0, "consistent": 0}
+    for i in range(100):
+        spec = wide_spec(rng, f"q{i}", max_states=8)
+        trials, horizon, seed = rng.randint(1, 8), rng.randint(1, 16), rng.randrange(10**6)
+        result = probe_causality(spec, trials, horizon, seed)
+        assert result == reference_probe_causality(spec, trials, horizon, seed), i
+        seen["refuted" if result.refuted else "consistent"] += 1
+    assert all(count >= 15 for count in seen.values()), seen
+
+
+def test_run_network_matches_reference_on_wide_specs():
+    rng = Random(1913)
+    seen = {"ill-formed": 0, "well-formed": 0, "cut by strong": 0}
+    for i in range(150):
+        net = random_network(rng, i, lambda rng, name: wide_spec(rng, name, max_states=12))
+        ticks = rng.randint(0, 10)
+        inputs = payload_trace(net.external_in, ticks, rng)
+        try:
+            expected = reference_run_network(net, inputs, ticks)
+        except IllFormedNetworkError:
+            seen["ill-formed"] += 1
+            with pytest.raises(IllFormedNetworkError):
+                run_network(net, inputs, ticks)
+            continue
+        assert run_network(net, inputs, ticks) == expected, i
+        seen["well-formed"] += 1
+        seen["cut by strong"] += _has_cycle(net, skip={"delay"})
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def _one_instance_network(spec):
+    return build_network(
+        [Instance.of_spec("c", spec)],
+        [Wire(ExternalPort("in"), Port("c", "in")), Wire(Port("c", "out"), ExternalPort("out"))],
+        ["in"],
+        ["out"],
+    )
+
+
+def test_spec_constants_never_reach_the_generated_source():
+    # Python 3.11 and later refuse to turn an int this large into text, so
+    # a spec value formatted into generated source fails the run.  (A guard
+    # cannot name a message this large: Transition sorts guards by text.)
+    huge = 10**5000
+    spec = ComponentSpec(
+        name="huge",
+        channels=(ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT)),
+        vars=(VarDecl("v", huge),),
+        states=("S0", "S1"),
+        initial="S0",
+        transitions=(
+            Transition(
+                "S0",
+                "S1",
+                interval_guards=(IntervalGuard("in", IntervalPattern.contains(Message("a", 7))),),
+                var_guards=(VarGuard("v", Relation.GE, huge),),
+                outputs=(OutputAction.literal("out", (Message("b", huge),)),),
+                updates=(VarUpdate("v", UpdateOp.ADD, huge),),
+            ),
+            Transition(
+                "S1", "S0", interval_guards=(IntervalGuard("in", IntervalPattern.len_ge(huge)),)
+            ),
+            Transition(
+                "S1",
+                "S0",
+                var_guards=(VarGuard("v", Relation.EQ, 2 * huge),),
+                updates=(VarUpdate("v", UpdateOp.SET, huge),),
+            ),
+        ),
+    )
+    hit = (Message("a", 7),)
+    inputs = Trace({"in": StreamPrefix(((Message("a"),), hit, (), hit, ()))}, 5)
+    out = run(spec, inputs)
+    assert out == reference_run(spec, inputs)
+    assert out.channels["out"].intervals == ((), (Message("b", huge),), (), (Message("b", huge),), ())
+    cfg = Configuration("S0", {"v": huge})
+    assert step(spec, cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
+    net = _one_instance_network(spec)
+    assert run_network(net, inputs, 5) == reference_run_network(net, inputs, 5)
+
+
+def test_two_hundred_states_on_one_cycle():
+    n = 200
+    states = tuple(f"S{i}" for i in range(n))
+    spec = ComponentSpec(
+        name="cycle",
+        channels=(ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT)),
+        vars=(VarDecl("v", 0),),
+        states=states,
+        initial="S0",
+        transitions=tuple(
+            Transition(
+                states[i],
+                states[(i + 1) % n],
+                interval_guards=(IntervalGuard("in", IntervalPattern.nonempty()),),
+                outputs=(OutputAction.literal("out", (Message("s", i),)),),
+                updates=(VarUpdate("v", UpdateOp.ADD, 1),),
+            )
+            for i in range(n)
+        ),
+    )
+    inputs = payload_trace(["in"], 3 * n, Random(200))
+    out = run(spec, inputs)
+    assert out == reference_run(spec, inputs)
+    emitted = {m.payload for iv in out.channels["out"] for m in iv}
+    assert emitted == set(range(n))
+    net = _one_instance_network(spec)
+    assert run_network(net, inputs, inputs.length) == out
+
+
+def test_chain_of_fifteen_hundred_instances_with_delayed_feedback():
+    # extern in -> m.in1; m -> p0 -> ... -> p1499 -> d -> m.in2; p1499 -> extern out
+    n = 1500
+    spec = parse_component((SAMPLES / "passthrough.tstd").read_text())
+    instances = [Instance.of_merge("m"), Instance.of_delay("d", 1)]
+    instances += [Instance.of_spec(f"p{i}", spec) for i in range(n)]
+    wires = [
+        Wire(ExternalPort("in"), Port("m", "in1")),
+        Wire(Port("d", "out"), Port("m", "in2")),
+        Wire(Port("m", "out"), Port("p0", "in")),
+        Wire(Port(f"p{n - 1}", "out"), Port("d", "in")),
+        Wire(Port(f"p{n - 1}", "out"), ExternalPort("out")),
+    ]
+    wires += [Wire(Port(f"p{i}", "out"), Port(f"p{i + 1}", "in")) for i in range(n - 1)]
+    net = build_network(instances, wires, ["in"], ["out"])
+    inputs = payload_trace(["in"], 6, Random(1500))
+    out = run_network(net, inputs, 6)
+    assert out == reference_run_network(net, inputs, 6)
+    assert out.channels["out"][5] == sum(reversed(inputs.channels["in"].intervals), ())
 
 
 def _render(text):
