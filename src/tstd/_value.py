@@ -5,7 +5,7 @@ into an immutable value class: ``__init__`` (ending in ``__post_init__`` when
 the class has one), ``__repr__``, ``__eq__``, ``__hash__``, ``__match_args__``,
 ``__setattr__``/``__delattr__`` that raise AttributeError, and ``__reduce__``,
 so pickle and copy rebuild a value through ``__init__``.  A method the class
-defines itself is kept.  ``@value(slots=True)`` rebuilds the class with
+defines itself is kept.  The class is rebuilt with its fields as
 ``__slots__``, so its instances have no ``__dict__``.
 
 The per-call methods (``__init__``, ``__eq__``, ``__hash__``) are compiled
@@ -43,18 +43,15 @@ def _delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def value(cls=None, *, slots=False):
-    """Class decorator; ``@value`` or ``@value(slots=True)``."""
-    if cls is None:
-        return lambda cls: value(cls, slots=slots)
+def value(cls):
+    """Class decorator: ``@value``."""
     fields = tuple(cls.__annotations__)
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-    if slots:
-        body = {k: v for k, v in cls.__dict__.items() if k not in defaults}
-        for k in ("__dict__", "__weakref__"):
-            body.pop(k, None)
-        body.update(__slots__=fields, __qualname__=cls.__qualname__)
-        cls = type(cls)(cls.__name__, cls.__bases__, body)
+    body = {k: v for k, v in cls.__dict__.items() if k not in defaults}
+    for k in ("__dict__", "__weakref__"):
+        body.pop(k, None)
+    body.update(__slots__=fields, __qualname__=cls.__qualname__)
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
     lines = [f"    _set(self, {f!r}, {f})" for f in fields]
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")

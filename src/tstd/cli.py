@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
 from .streams import (
     IDENT_RE,
-    LengthMismatchError,
     NonAlignedPrefixError,
     SplitStrategy,
     StreamPrefix,
@@ -208,13 +207,10 @@ def cmd_stream_merge(args: argparse.Namespace) -> int:
         raise _Failure(
             REFUTED, f"cannot merge traces of lengths {left.length} and {right.length}"
         )
-    try:
-        result = Trace(
-            {ch: timed_merge(left.channels[ch], right.channels[ch]) for ch in left.channels},
-            length=left.length,
-        )
-    except LengthMismatchError as exc:
-        raise _Failure(REFUTED, str(exc)) from exc
+    result = Trace(
+        {ch: timed_merge(left.channels[ch], right.channels[ch]) for ch in left.channels},
+        length=left.length,
+    )
     _emit_trace(result, None)
     return OK
 

@@ -22,13 +22,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 from .model import (
-    CausalityClass,
     ComponentSpec,
     PatternKind,
     Relation,
     Severity,
     UpdateOp,
-    classify_causality_syntactic,
+    _strong_outputs,
     validate_spec,
 )
 from .streams import Message, StreamPrefix, TimeInterval, Trace, untimed_abstraction
@@ -98,9 +97,10 @@ class _Machine:
     every value of the spec (messages, bounds, update values, literal
     outputs) reaches the functions through their namespace.
 
-    A strongly causal spec also gets ``emits[s]``, the output of every tick
-    spent in state ``s``, so a network can read it before the inputs exist;
-    for a weak spec ``emits`` is None.
+    ``emits`` is the strong-causality table of :mod:`tstd.model`: for a
+    strongly causal spec, ``emits[s]`` is the output of every tick spent in
+    state ``s``, so a network can read it before the inputs exist; for a
+    weak spec it is None.
 
     Compiling refuses a spec with errors: the ValueError names the first
     error finding of ``validate_spec``.
@@ -143,7 +143,6 @@ class _Machine:
         bodies: List[List[str]] = [[] for _ in spec.states]
         closed = set()  # states with an unguarded transition: nothing after it fires
         reads = set()  # states whose function reads its inputs
-        first: Dict[int, Tuple[TimeInterval, ...]] = {}
         for t in spec.transitions:
             source = self.state_index[t.source]
             if source in closed:
@@ -152,7 +151,6 @@ class _Machine:
             for action in t.outputs:
                 if not action.is_pass:
                     literal[out_pos[action.channel]] = action.messages
-            first.setdefault(source, tuple(literal))
             passes = any(action.is_pass for action in t.outputs)
             if t.interval_guards or passes:
                 reads.add(source)
@@ -198,11 +196,7 @@ class _Machine:
             lines += [f"def s{s}(env, inputs):", *("    " + line for line in body)]
         exec("\n".join(lines), namespace)
         self.fns = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
-        self.emits: Optional[Tuple[Tuple[TimeInterval, ...], ...]] = None
-        if classify_causality_syntactic(spec) is CausalityClass.STRONG:
-            # All transitions leaving a state of a strong spec emit the same
-            # literals, and none at all when the state can stutter.
-            self.emits = tuple(first.get(s, self.silence) for s in range(len(spec.states)))
+        self.emits = _strong_outputs(spec)
 
     def outputs(self, inputs: Trace) -> List[Tuple[TimeInterval, ...]]:
         """The output tuple of every tick of a run from the initial state."""

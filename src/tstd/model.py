@@ -48,13 +48,13 @@ class Direction(enum.Enum):
     OUT = "out"
 
 
-@value(slots=True)
+@value
 class ChannelDecl:
     name: str
     direction: Direction
 
 
-@value(slots=True)
+@value
 class VarDecl:
     name: str
     initial: int
@@ -84,7 +84,7 @@ _PATTERN_TESTS = {
 }
 
 
-@value(slots=True)
+@value
 class IntervalPattern:
     """A per-tick predicate over one channel's time interval."""
 
@@ -143,7 +143,7 @@ class IntervalPattern:
         raise AssertionError(kind)
 
 
-@value(slots=True)
+@value
 class IntervalGuard:
     channel: str
     pattern: IntervalPattern
@@ -184,7 +184,7 @@ _RELATION_TESTS = {
 }
 
 
-@value(slots=True)
+@value
 class VarGuard:
     var: str
     relation: Relation
@@ -197,7 +197,7 @@ class VarGuard:
         return f"{self.var} {self.relation.value} {self.bound}"
 
 
-@value(slots=True)
+@value
 class OutputAction:
     """What a transition emits on one output channel.
 
@@ -237,7 +237,7 @@ class UpdateOp(enum.Enum):
     ADD = "add"
 
 
-@value(slots=True)
+@value
 class VarUpdate:
     var: str
     op: UpdateOp
@@ -255,7 +255,11 @@ class VarUpdate:
 
 
 def _guard_sort_key(g: IntervalGuard):
-    return (g.channel, g.pattern.kind.value, str(g.pattern.message), g.pattern.count or 0)
+    # The message as values, not text: a payload too long to convert to
+    # text is still a valid guard message.
+    m = g.pattern.message
+    message = () if m is None else (m.tag, m.payload is not None, m.payload or 0)
+    return (g.channel, g.pattern.kind.value, message, g.pattern.count or 0)
 
 
 @value
@@ -324,17 +328,6 @@ class ComponentSpec:
     def initial_env(self) -> Dict[str, int]:
         return {v.name: v.initial for v in self.vars}
 
-    def __hash__(self) -> int:
-        # Networks key their per-spec work by spec, and hashing every
-        # transition costs about as much as that work: hash once.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(
-                (self.name, self.channels, self.vars, self.states, self.initial, self.transitions)
-            )
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
 
 class CausalityClass(enum.Enum):
     STRONG = "strong"
@@ -346,7 +339,7 @@ class Severity(enum.Enum):
     WARNING = "warning"
 
 
-@value(slots=True)
+@value
 class Finding:
     """One validation result; ``location`` (see :func:`check_transition` for
     a transition clause, :func:`_spec_errors` for a declaration) lets a
@@ -614,9 +607,37 @@ def enabled_transitions(
     return result
 
 
-def _output_profile(t: Transition, out_channels: Sequence[str]) -> Tuple[Tuple[Message, ...], ...]:
-    emitted = {o.channel: o.messages for o in t.outputs}
-    return tuple(emitted.get(ch) or () for ch in out_channels)
+def _strong_outputs(spec: ComponentSpec) -> Optional[Tuple[Tuple[TimeInterval, ...], ...]]:
+    """The syntactic strong-causality rule, with the table it licenses.
+
+    None when the rule (see :func:`classify_causality_syntactic`) fails.
+    Otherwise the output tuple, in ``out_channels`` order, of every tick
+    spent in each state, in ``spec.states`` order: silence when all of the
+    state's transitions emit nothing, else the emission of its one always
+    enabled transition.  Transitions from undeclared states take part only
+    in the ``pass`` test.
+    """
+    out_channels = spec.out_channels()
+    outgoing: Dict[str, List[Transition]] = {}
+    for t in spec.transitions:
+        if any(o.is_pass for o in t.outputs):
+            return None
+        outgoing.setdefault(t.source, []).append(t)
+    silence = ((),) * len(out_channels)
+    table = []
+    for state in spec.states:
+        group = outgoing.get(state, ())
+        profiles = set()
+        for t in group:
+            emitted = {o.channel: o.messages for o in t.outputs}
+            profiles.add(tuple(emitted.get(ch, ()) for ch in out_channels))
+        if len(profiles) > 1:
+            return None
+        profile = profiles.pop() if profiles else silence
+        if profile != silence and not (len(group) == 1 and group[0].is_total()):
+            return None
+        table.append(profile)
+    return tuple(table)
 
 
 def classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
@@ -627,22 +648,7 @@ def classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
     too) or the state has exactly one outgoing transition, it is always
     enabled, and every sibling agrees on the emission.  Machines failing the
     test are reported weak even when a semantic analysis might disagree.
+    The same rule, in ``_strong_outputs``, gives the per-state output table
+    that :mod:`tstd.executor` and :mod:`tstd.network` read strong machines by.
     """
-    out_channels = spec.out_channels()
-    for t in spec.transitions:
-        if any(o.is_pass for o in t.outputs):
-            return CausalityClass.WEAK
-    for state in spec.states:
-        outgoing = [t for t in spec.transitions if t.source == state]
-        if not outgoing:
-            continue
-        profiles = {_output_profile(t, out_channels) for t in outgoing}
-        if len(profiles) > 1:
-            return CausalityClass.WEAK
-        profile = next(iter(profiles))
-        if all(len(iv) == 0 for iv in profile):
-            continue
-        if len(outgoing) == 1 and outgoing[0].is_total():
-            continue
-        return CausalityClass.WEAK
-    return CausalityClass.STRONG
+    return CausalityClass.WEAK if _strong_outputs(spec) is None else CausalityClass.STRONG

@@ -128,7 +128,7 @@ class Instance:
         return (MERGE_OUT,)
 
 
-@value(slots=True)
+@value
 class Port:
     """An endpoint on a component instance."""
 
@@ -139,7 +139,7 @@ class Port:
         return f"{self.instance}.{self.port}"
 
 
-@value(slots=True)
+@value
 class ExternalPort:
     """An endpoint on the network boundary."""
 
@@ -152,7 +152,7 @@ class ExternalPort:
 Endpoint = Union[Port, ExternalPort]
 
 
-@value(slots=True)
+@value
 class Wire:
     source: Endpoint
     target: Endpoint
@@ -260,23 +260,17 @@ def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     An edge A -> B exists when a wire feeds an output of A into an input of B
     and B's tick-t output can depend on its tick-t input.  Instances whose
     output is determined before reading input (delays, strongly causal
-    machines) never acquire incoming edges.  Each distinct spec is
-    classified once, however many instances it has.
+    machines) never acquire incoming edges.  Whether a machine is strong is
+    :func:`tstd.model.classify_causality_syntactic`'s verdict on its spec.
     """
     # Weak machines and merge read their current-tick inputs before emitting;
     # delays and strong machines emit from stored state alone.
-    weak: Dict[ComponentSpec, bool] = {}
-    sinks = {}
-    for inst in net.instances:
-        if inst.kind is InstanceKind.SPEC:
-            sink = weak.get(inst.spec)
-            if sink is None:
-                sink = weak[inst.spec] = (
-                    classify_causality_syntactic(inst.spec) is CausalityClass.WEAK
-                )
-            sinks[inst.id] = sink
-        else:
-            sinks[inst.id] = inst.kind is InstanceKind.MERGE
+    sinks = {
+        inst.id: classify_causality_syntactic(inst.spec) is CausalityClass.WEAK
+        if inst.kind is InstanceKind.SPEC
+        else inst.kind is InstanceKind.MERGE
+        for inst in net.instances
+    }
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
         if isinstance(wire.source, Port) and isinstance(wire.target, Port):
@@ -328,7 +322,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     each port a local variable, and each instance a statement or two.  Per
     tick every instance emits once in that order; delays and strongly causal
     machines emit from state and absorb their inputs at the end of the tick,
-    which is what lets well-formed feedback resolve without iteration.
+    which is what lets well-formed feedback resolve without iteration.  A
+    strong machine's emission is its ``_Machine.emits`` table, which
+    :mod:`tstd.model` derives with the causality rule itself.
     """
     ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
     if not ok:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._value import value
 
@@ -59,7 +59,7 @@ class LengthMismatchError(StreamError):
     """Raised when an operator needs equally long prefixes and got unequal ones."""
 
 
-@value(slots=True)
+@value
 class Message:
     """One symbolic message: a tag plus an optional integer payload.
 
@@ -106,7 +106,7 @@ def interval(*tokens: str | Message) -> TimeInterval:
     return tuple(out)
 
 
-@value(slots=True)
+@value
 class StreamPrefix:
     """The first T ticks of a timed stream on one channel.
 
@@ -116,10 +116,6 @@ class StreamPrefix:
     """
 
     intervals: Tuple[TimeInterval, ...] = ()
-
-    @classmethod
-    def of(cls, intervals: Iterable[Sequence[Message]]) -> "StreamPrefix":
-        return cls(tuple(tuple(iv) for iv in intervals))
 
     @classmethod
     def empty(cls, ticks: int) -> "StreamPrefix":
@@ -152,13 +148,6 @@ class Trace:
                 raise ValueError(
                     f"channel '{name}' has {prefix.length} ticks, expected {self.length}"
                 )
-
-    @classmethod
-    def of(cls, channels: Mapping[str, StreamPrefix]) -> "Trace":
-        if not channels:
-            raise ValueError("cannot infer length of a trace with no channels")
-        length = next(iter(channels.values())).length
-        return cls(dict(channels), length)
 
     @classmethod
     def empty(cls, channels: Tuple[str, ...] | List[str], ticks: int) -> "Trace":

@@ -22,7 +22,7 @@ from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
 __all__ = ["ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace"]
 
 
-@value(slots=True)
+@value
 class SourceSpan:
     """1-based line/column position of a parse diagnostic."""
 
@@ -33,7 +33,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@value(slots=True)
+@value
 class ParseIssue:
     span: SourceSpan
     message: str

@@ -9,14 +9,17 @@ renders tick by tick, and ``split``/``join`` that build each result tick from
 its own list.  They are slow on purpose and are used only to check
 ``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
 ``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split`` and ``tstd.join``
-against.
+against.  The syntactic causality rule is read the direct way too: a
+classifier that scans every transition once per state, and an emission
+table taken from the first transition leaving each state; ``tstd.model``
+derives both in one pass over the transitions.
 """
 
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain
 from random import Random
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from tstd.dsl import _Issues, _parse_message
 from tstd.executor import (
@@ -29,7 +32,7 @@ from tstd.gen import probe_alphabet
 from tstd.model import (
     CausalityClass,
     ComponentSpec,
-    classify_causality_syntactic,
+    Transition,
     enabled_transitions,
 )
 from tstd.network import (
@@ -99,10 +102,56 @@ def state_determined_output(spec: ComponentSpec, state: str) -> Dict[str, TimeIn
     return out
 
 
+def _output_profile(t: Transition, out_channels: Sequence[str]) -> Tuple[TimeInterval, ...]:
+    emitted = {o.channel: o.messages for o in t.outputs}
+    return tuple(emitted.get(ch) or () for ch in out_channels)
+
+
+def reference_classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
+    """No pass-through anywhere, and per state either silence on every
+    outgoing transition or one always enabled transition."""
+    out_channels = spec.out_channels()
+    for t in spec.transitions:
+        if any(o.is_pass for o in t.outputs):
+            return CausalityClass.WEAK
+    for state in spec.states:
+        outgoing = [t for t in spec.transitions if t.source == state]
+        if not outgoing:
+            continue
+        profiles = {_output_profile(t, out_channels) for t in outgoing}
+        if len(profiles) > 1:
+            return CausalityClass.WEAK
+        profile = next(iter(profiles))
+        if all(len(iv) == 0 for iv in profile):
+            continue
+        if len(outgoing) == 1 and outgoing[0].is_total():
+            continue
+        return CausalityClass.WEAK
+    return CausalityClass.STRONG
+
+
+def reference_emits(spec: ComponentSpec) -> Optional[Tuple[Tuple[TimeInterval, ...], ...]]:
+    """A valid spec's per-state output table: the literals of the first
+    transition leaving each state (silence for none) when the spec is
+    strong, else None."""
+    out_pos = {ch: i for i, ch in enumerate(spec.out_channels())}
+    silence = ((),) * len(out_pos)
+    first: Dict[str, Tuple[TimeInterval, ...]] = {}
+    for t in spec.transitions:
+        literal = list(silence)
+        for action in t.outputs:
+            if not action.is_pass:
+                literal[out_pos[action.channel]] = action.messages
+        first.setdefault(t.source, tuple(literal))
+    if reference_classify_causality_syntactic(spec) is not CausalityClass.STRONG:
+        return None
+    return tuple(first.get(s, silence) for s in spec.states)
+
+
 def _is_strong(inst: Instance) -> bool:
     return (
         inst.kind is InstanceKind.SPEC
-        and classify_causality_syntactic(inst.spec) is CausalityClass.STRONG
+        and reference_classify_causality_syntactic(inst.spec) is CausalityClass.STRONG
     )
 
 

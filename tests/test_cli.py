@@ -54,6 +54,24 @@ class TestValidate:
         assert r.code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [("simulate",), ("check", "causality"), ("export-dot",)], ids=" ".join
+)
+def test_spec_without_output_channel_exits_1(command, tmp_path):
+    spec = tmp_path / "mute.tstd"
+    spec.write_text("component c\nin chan i\nstate S initial\n")
+    trace = tmp_path / "in.trc"
+    trace.write_text("ticks i\ni: -\n")
+    argv = [*command, str(spec)] + ([str(trace)] if command == ("simulate",) else [])
+    r = run_cli(*argv)
+    assert r.code == 1
+    assert r.err == f"{spec}: error: spec declares no output channel\n"
+    assert r.out == ""
+    r = run_cli("validate", str(spec))
+    assert r.code == 1
+    assert r.out == "error: spec declares no output channel\n"
+
+
 class TestSimulate:
     def test_toggler_golden(self, samples, data, tmp_path):
         out = tmp_path / "out.trc"
@@ -227,6 +245,14 @@ class TestCheck:
         assert r.code == 1
         assert "disagree" in r.out
 
+    def test_untimed_sim_signature_mismatch(self, samples, tmp_path):
+        p = tmp_path / "renamed.tstd"
+        p.write_text("component r\nin chan x\nout chan out\nstate S initial\n")
+        r = run_cli("check", "untimed-sim", str(samples / "passthrough.tstd"), str(p))
+        assert r.code == 1
+        assert r.err == "specs have different channel signatures\n"
+        assert r.out == ""
+
     def test_feedback_well_formed(self, samples):
         r = run_cli("check", "feedback", str(samples / "feedback.tnet"))
         assert r.code == 0
@@ -277,6 +303,14 @@ class TestCompose:
         r = run_cli("compose", str(net), str(trc), "--ticks", "1" + "0" * 30)
         assert r.code == 2
         assert r.err.startswith("result too large: ")
+        assert r.out == ""
+
+    def test_trace_channels_must_be_the_extern_inputs(self, samples, tmp_path):
+        trc = tmp_path / "in.trc"
+        trc.write_text("ticks other\nother: a\n")
+        r = run_cli("compose", str(samples / "identity.tnet"), str(trc))
+        assert r.code == 1
+        assert r.err == "external inputs ['other'] do not match network inputs ['in']\n"
         assert r.out == ""
 
     def test_identity_net(self, samples, tmp_path):
@@ -351,6 +385,16 @@ class TestGenTrace:
     def test_empty_channel_list_rejected(self):
         r = run_cli("gen-trace", "--channels", "", "--ticks", "3")
         assert r.code == 2
+
+    @pytest.mark.parametrize(
+        "channels, message",
+        [("x,1y", "--channels: invalid name '1y'"), ("x,y,x", "--channels lists a name twice")],
+    )
+    def test_bad_channel_names_rejected(self, channels, message):
+        r = run_cli("gen-trace", "--channels", channels, "--ticks", "3")
+        assert r.code == 2
+        assert r.err == message + "\n"
+        assert r.out == ""
 
     def test_output_is_parseable_with_requested_shape(self):
         r = run_cli(

@@ -34,7 +34,7 @@ from tstd import (
     split,
     step,
 )
-from tstd.executor import Configuration, Trace
+from tstd.executor import Configuration, Trace, _Machine
 from tstd.gen import random_spec, spec_tags
 from tstd.model import (
     ChannelDecl,
@@ -49,11 +49,15 @@ from tstd.model import (
     VarDecl,
     VarGuard,
     VarUpdate,
+    has_errors,
+    validate_spec,
 )
 from tstd.network import ExternalPort, InstanceKind, Port
 from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix
 
 from reference import (
+    reference_classify_causality_syntactic,
+    reference_emits,
     reference_join,
     reference_parse_trace,
     reference_print_trace,
@@ -252,6 +256,77 @@ def test_probe_causality_matches_reference_on_random_specs():
     assert all(count >= 50 for count in seen.values()), seen
 
 
+def _with(t, **changes):
+    fields = {f: getattr(t, f) for f in Transition.__match_args__}
+    fields.update(changes)
+    return Transition(**fields)
+
+
+def _broken(spec, rng):
+    """``spec`` with one reference error of a kind the causality rule meets:
+    a transition from an undeclared state, a second emission on a channel,
+    an emission on a channel that is not an output, or a ``pass`` anywhere
+    (from an undeclared state or to a non-output channel included)."""
+    transitions = list(spec.transitions)
+    states = list(spec.states) + ["Z"]
+    outs, ins = spec.out_channels(), spec.in_channels()
+    kind = rng.randrange(4)
+    if kind == 0 or not transitions:
+        model = rng.choice(transitions) if transitions else Transition("S0", "S0")
+        transitions.insert(rng.randint(0, len(transitions)), _with(model, source="Z"))
+    else:
+        i = rng.randrange(len(transitions))
+        t = transitions[i]
+        if kind == 1:
+            extra = OutputAction.literal(rng.choice(outs), (Message(rng.choice("ab")),))
+            extra = (extra, OutputAction.literal(extra.channel, (Message("c"),)))
+        elif kind == 2:
+            extra = (OutputAction.literal(rng.choice(ins + ("nope",)), (Message("a"),)),)
+        else:
+            extra = (OutputAction.passthrough(rng.choice(outs + ("nope",)), rng.choice(ins)),)
+            t = _with(t, source=rng.choice(states))
+        transitions[i] = _with(t, outputs=t.outputs + extra)
+    return ComponentSpec(
+        spec.name, spec.channels, spec.vars, spec.states, spec.initial, tuple(transitions)
+    )
+
+
+def test_causality_rule_matches_reference():
+    rng = Random(2718)
+    corpus = sample_specs()
+    corpus += [random_spec(rng, name=f"c{i}") for i in range(1500)]
+    corpus += [wide_spec(rng, f"v{i}", max_states=rng.choice((4, 16, 64))) for i in range(300)]
+    corpus += [_broken(rng.choice(corpus), rng) for _ in range(1500)]
+    channels = (ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT))
+    a, b = (OutputAction.literal("out", (Message(tag),)) for tag in "ab")
+    empty = (IntervalGuard("in", IntervalPattern.empty()),)
+    corpus += [
+        ComponentSpec("h", channels, (), ("S",), "S", transitions)
+        for transitions in (
+            # The rule ignores an undeclared source's guarded emission.
+            (Transition("Z", "S", empty, outputs=(a,)),),
+            (Transition("S", "S", outputs=(a, b)),),
+            (Transition("S", "S", empty, outputs=(a, b)), Transition("S", "S", outputs=(b,))),
+            (Transition("S", "S", outputs=(OutputAction.literal("in", (Message("a"),)),)),),
+            (Transition("S", "S", empty, outputs=(OutputAction.literal("x", (Message("a"),)),)),),
+            (Transition("Z", "Z", outputs=(OutputAction.passthrough("out", "in"),)),),
+            (Transition("S", "S", outputs=(OutputAction.passthrough("x", "nope"),)),),
+        )
+    ]
+    seen = {"strong": 0, "weak": 0, "strong emits": 0, "invalid strong": 0, "invalid weak": 0}
+    for i, spec in enumerate(corpus):
+        verdict = classify_causality_syntactic(spec)
+        assert verdict is reference_classify_causality_syntactic(spec), i
+        if has_errors(validate_spec(spec)):
+            seen[f"invalid {verdict.value}"] += 1
+            continue
+        emits = _Machine(spec).emits
+        assert emits == reference_emits(spec), i
+        seen[verdict.value] += 1
+        seen["strong emits"] += emits is not None and any(any(row) for row in emits)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
 def test_run_and_step_match_reference_on_wide_specs():
     rng = Random(1909)
     seen = {"strong": 0, "weak": 0, "over 32 states": 0, "payload out": 0}
@@ -316,8 +391,7 @@ def _one_instance_network(spec):
 
 def test_spec_constants_never_reach_the_generated_source():
     # Python 3.11 and later refuse to turn an int this large into text, so
-    # a spec value formatted into generated source fails the run.  (A guard
-    # cannot name a message this large: Transition sorts guards by text.)
+    # a spec value formatted into generated source fails the run.
     huge = 10**5000
     spec = ComponentSpec(
         name="huge",
@@ -354,6 +428,47 @@ def test_spec_constants_never_reach_the_generated_source():
     assert step(spec, cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
     net = _one_instance_network(spec)
     assert run_network(net, inputs, 5) == reference_run_network(net, inputs, 5)
+
+
+def test_guards_may_name_a_payload_too_long_for_text():
+    big = Message("a", 10**5000)
+    spec = ComponentSpec(
+        name="big",
+        channels=(
+            ChannelDecl("in", Direction.IN),
+            ChannelDecl("in2", Direction.IN),
+            ChannelDecl("out", Direction.OUT),
+        ),
+        vars=(),
+        states=("S",),
+        initial="S",
+        transitions=(
+            Transition(
+                "S",
+                "S",
+                interval_guards=(
+                    IntervalGuard("in2", IntervalPattern.first_is(big)),
+                    IntervalGuard("in", IntervalPattern.contains(big)),
+                ),
+                outputs=(OutputAction.literal("out", (big,)),),
+            ),
+            Transition(
+                "S",
+                "S",
+                interval_guards=(IntervalGuard("in", IntervalPattern.first_is(big)),),
+                outputs=(OutputAction.literal("out", (Message("b"),)),),
+            ),
+        ),
+    )
+    assert [g.channel for g in spec.transitions[0].interval_guards] == ["in", "in2"]
+    rows = [((big,), (big,)), ((Message("a"), big), (big,)), ((big,), ()), ((), (big,))]
+    inputs = Trace(
+        {ch: StreamPrefix(tuple(row[k] for row in rows)) for k, ch in enumerate(("in", "in2"))},
+        len(rows),
+    )
+    out = run(spec, inputs)
+    assert out == reference_run(spec, inputs)
+    assert out.channels["out"].intervals == ((big,), (big,), (Message("b"),), ())
 
 
 def test_two_hundred_states_on_one_cycle():

@@ -184,6 +184,17 @@ class TestProbeCausality:
         r2 = probe_causality(PASS_THROUGH, trials=40, horizon=6, seed=9)
         assert r1 == r2
 
+    @pytest.mark.parametrize("trials, horizon", [(0, 6), (5, 0), (-1, -1)])
+    def test_trials_and_horizon_must_be_positive(self, trials, horizon):
+        with pytest.raises(ValueError, match="must be positive"):
+            probe_causality(PASS_THROUGH, trials=trials, horizon=horizon, seed=0)
+
+    def test_no_input_channel_is_consistent_without_trials(self):
+        spec = ComponentSpec("m", (OUT,), (), ("S0",), "S0", ())
+        result = probe_causality(spec, trials=10, horizon=4, seed=0)
+        assert result.consistent_with_strong
+        assert result.trials == 0
+
 
 def delayed_passthrough_one_symbol():
     """Pass-through delayed by one tick, encoded in states.
@@ -233,6 +244,11 @@ class TestUntimedSimulation:
         )
         with pytest.raises(ChannelMismatchError):
             check_untimed_simulation(CONSTANT, other, trials=5, horizon=4, seed=0)
+
+    @pytest.mark.parametrize("trials, horizon", [(0, 6), (5, 0)])
+    def test_trials_and_horizon_must_be_positive(self, trials, horizon):
+        with pytest.raises(ValueError, match="must be positive"):
+            check_untimed_simulation(CONSTANT, CONSTANT, trials=trials, horizon=horizon, seed=0)
 
     def test_delay_agrees_modulo_ticks_when_final_tick_empty(self):
         # Hand traces at horizon 3, one `a` per tick at most.

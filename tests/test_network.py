@@ -257,6 +257,11 @@ class TestRunNetwork:
         out = run_network(net, inputs, 3)
         assert out.channels["b"] == inputs.channels["a"]
 
+    def test_input_trace_of_the_wrong_length_is_refused(self):
+        inputs = Trace({"a": StreamPrefix((interval("x"), ()))}, 2)
+        with pytest.raises(ValueError, match="has 2 ticks, expected 3"):
+            run_network(identity_net(), inputs, 3)
+
     def test_delay_alone(self):
         net = build_network(
             [Instance.of_delay("d", 1)],
