@@ -66,20 +66,17 @@ _EXPORTS = {
         "build_network",
         "check_feedback_wellformed",
         "instantaneous_dependency_graph",
+        "parse_network",
         "run_network",
     ),
     "trace_format": ("ParseFailure", "parse_trace", "print_trace"),
-    "dsl": (
-        "export_dot",
-        "parse_component",
-        "parse_network",
-        "parse_table",
-        "print_component",
-        "print_table",
-    ),
+    "dsl": ("export_dot", "parse_component", "print_component"),
+    "table_format": ("parse_table", "print_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("dsl", "executor", "gen", "model", "network", "streams", "trace_format")
+_SUBMODULES = (
+    "dsl", "executor", "gen", "model", "network", "streams", "table_format", "trace_format"
+)
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

@@ -5,11 +5,15 @@ Exit codes: 0 success, 1 a check was refuted or the input failed validation,
 stdout, diagnostics to stderr; every command is deterministic given its
 arguments, input files, and seed.
 
-Start-up is most of a short command's time, so this module imports only
-:mod:`tstd.streams` and :mod:`tstd.trace_format`, which every command uses;
-each command imports the rest of what it runs when it runs.  The ``stream``
-commands and ``gen-trace`` load none of the spec machinery (:mod:`tstd.dsl`,
-:mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.network`).
+Start-up is most of a short command's time, and without cached bytecode
+most of start-up is compiling source.  So this module imports only
+:mod:`tstd.trace_format` (and through it :mod:`tstd.streams`), which every
+command uses, and each command imports the rest of what it runs when it runs:
+a ``.tstd`` spec loads :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`.
+The handlers of the ``stream`` commands and ``gen-trace`` live in
+:mod:`tstd.trace_commands`, which only those commands compile; they load none
+of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
+:mod:`tstd.executor`, :mod:`tstd.network`).
 """
 
 from __future__ import annotations
@@ -19,23 +23,12 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
-from .streams import (
-    IDENT_RE,
-    NonAlignedPrefixError,
-    SplitStrategy,
-    StreamPrefix,
-    Trace,
-    delay_stream,
-    join,
-    split,
-    timed_merge,
-    untimed_abstraction,
-)
 from .trace_format import ParseFailure, parse_trace, print_trace
 
 if TYPE_CHECKING:
     from .model import ComponentSpec
     from .network import Network
+    from .streams import Trace
 
 OK = 0
 REFUTED = 1
@@ -71,9 +64,13 @@ def _infer_format(path: str) -> str:
 
 
 def _parse_spec_text(text: str, fmt: str) -> ComponentSpec:
-    from .dsl import parse_component, parse_table
+    if fmt == "table":
+        from .table_format import parse_table
 
-    return parse_table(text) if fmt == "table" else parse_component(text)
+        return parse_table(text)
+    from .dsl import parse_component
+
+    return parse_component(text)
 
 
 _T = TypeVar("_T")
@@ -160,81 +157,6 @@ def _check_result_ticks(count: int, unit: str = "ticks") -> None:
         raise _Failure(USAGE, f"result too large: more than {sys.maxsize} {unit}")
 
 
-def cmd_stream_split(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    # split builds an n-tick filler even when the trace is empty.
-    _check_result_ticks(max(trace.length, 1) * args.n)
-    strategy = SplitStrategy.parse(args.strategy)
-    result = Trace(
-        {ch: split(p, args.n, strategy) for ch, p in trace.channels.items()},
-        length=trace.length * args.n,
-    )
-    _emit_trace(result, None)
-    return OK
-
-
-def cmd_stream_join(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    length = trace.length
-    if args.pad:
-        pad = (-length) % args.n
-        _check_result_ticks(length + pad)
-        if pad:
-            trace = Trace(
-                {
-                    ch: StreamPrefix(p.intervals + ((),) * pad)
-                    for ch, p in trace.channels.items()
-                },
-                length=length + pad,
-            )
-    try:
-        result = Trace(
-            {ch: join(p, args.n) for ch, p in trace.channels.items()},
-            length=trace.length // args.n,
-        )
-    except NonAlignedPrefixError as exc:
-        raise _Failure(REFUTED, f"{exc} (use --pad to pad with empty ticks)") from exc
-    _emit_trace(result, None)
-    return OK
-
-
-def cmd_stream_merge(args: argparse.Namespace) -> int:
-    left = _load_trace(args.trace_a)
-    right = _load_trace(args.trace_b)
-    if set(left.channels) != set(right.channels):
-        raise _Failure(REFUTED, "traces carry different channel sets")
-    if left.length != right.length:
-        raise _Failure(
-            REFUTED, f"cannot merge traces of lengths {left.length} and {right.length}"
-        )
-    result = Trace(
-        {ch: timed_merge(left.channels[ch], right.channels[ch]) for ch in left.channels},
-        length=left.length,
-    )
-    _emit_trace(result, None)
-    return OK
-
-
-def cmd_stream_abstract(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    for ch in sorted(trace.channels):
-        seq = untimed_abstraction(trace.channels[ch])
-        body = " ".join(m.token() for m in seq) if seq else "-"
-        print(f"{ch}: {body}")
-    return OK
-
-
-def cmd_stream_delay(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    _check_result_ticks(trace.length + args.d)
-    result = Trace(
-        {ch: delay_stream(p, args.d) for ch, p in trace.channels.items()},
-        length=trace.length + args.d,
-    )
-    _emit_trace(result, None)
-    return OK
-
-
 def cmd_check_causality(args: argparse.Namespace) -> int:
     from .executor import probe_causality
 
@@ -279,7 +201,7 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
 
 
 def _load_network(path: str) -> Network:
-    from .dsl import parse_network
+    from .network import parse_network
 
     return _parse_file(path, lambda text: parse_network(text, base_dir=Path(path).parent))
 
@@ -318,39 +240,12 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_gen_trace(args: argparse.Namespace) -> int:
-    from random import Random
-
-    from .gen import random_trace
-
-    channels = _name_list(args.channels, "--channels")
-    alphabet = _name_list(args.alphabet, "--alphabet")
-    _check_result_ticks(args.ticks)
-    _check_result_ticks(args.max_len, "messages per interval")
-    rng = Random(args.seed)
-    trace = random_trace(channels, args.ticks, rng, alphabet=alphabet, max_len=args.max_len)
-    sys.stdout.write(print_trace(trace))
-    return OK
-
-
 def cmd_export_dot(args: argparse.Namespace) -> int:
     from .dsl import export_dot
 
     spec = _load_validated_spec(args.spec)
     sys.stdout.write(export_dot(spec))
     return OK
-
-
-def _name_list(raw: str, flag: str) -> List[str]:
-    names = [part.strip() for part in raw.split(",") if part.strip()]
-    if not names:
-        raise _Failure(USAGE, f"{flag} must list at least one name")
-    for name in names:
-        if not IDENT_RE.match(name):
-            raise _Failure(USAGE, f"{flag}: invalid name {name!r}")
-    if len(set(names)) != len(names):
-        raise _Failure(USAGE, f"{flag} lists a name twice")
-    return names
 
 
 def _positive_int(raw: str) -> int:
@@ -365,6 +260,17 @@ def _nonneg_int(raw: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
+
+
+def _trace_command(name: str) -> Callable[[argparse.Namespace], int]:
+    """The handler ``name`` of :mod:`tstd.trace_commands`, imported when it runs."""
+
+    def run(args: argparse.Namespace) -> int:
+        from . import trace_commands
+
+        return getattr(trace_commands, name)(args)
+
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,27 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("trace")
     q.add_argument("-n", type=_positive_int, required=True)
     q.add_argument("--strategy", choices=("all-first", "all-last", "spread"), default="all-first")
-    q.set_defaults(func=cmd_stream_split)
+    q.set_defaults(func=_trace_command("cmd_stream_split"))
 
     q = stream_sub.add_parser("join", help="coarsen granularity by a factor")
     q.add_argument("trace")
     q.add_argument("-n", type=_positive_int, required=True)
     q.add_argument("--pad", action="store_true", help="pad with empty ticks to a multiple of n")
-    q.set_defaults(func=cmd_stream_join)
+    q.set_defaults(func=_trace_command("cmd_stream_join"))
 
     q = stream_sub.add_parser("merge", help="tick-wise merge of two traces, left first")
     q.add_argument("trace_a")
     q.add_argument("trace_b")
-    q.set_defaults(func=cmd_stream_merge)
+    q.set_defaults(func=_trace_command("cmd_stream_merge"))
 
     q = stream_sub.add_parser("abstract", help="drop tick boundaries")
     q.add_argument("trace")
-    q.set_defaults(func=cmd_stream_abstract)
+    q.set_defaults(func=_trace_command("cmd_stream_abstract"))
 
     q = stream_sub.add_parser("delay", help="prepend empty ticks")
     q.add_argument("trace")
     q.add_argument("-d", type=_nonneg_int, required=True)
-    q.set_defaults(func=cmd_stream_delay)
+    q.set_defaults(func=_trace_command("cmd_stream_delay"))
 
     p = sub.add_parser("check", help="randomized and structural checks")
     check_sub = p.add_subparsers(dest="kind", required=True)
@@ -445,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-len", type=_nonneg_int, default=3)
     p.add_argument("--alphabet", default="a,b,c", metavar="LIST")
-    p.set_defaults(func=cmd_gen_trace)
+    p.set_defaults(func=_trace_command("cmd_gen_trace"))
 
     p = sub.add_parser("export-dot", help="render a component as a DOT digraph")
     p.add_argument("spec")
@@ -471,4 +377,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # Run the copy that tstd.trace_commands imports, so main catches the
+    # _Failure class its handlers raise.
+    from tstd.cli import main
+
     raise SystemExit(main())

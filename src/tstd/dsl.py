@@ -1,18 +1,16 @@
-"""Text formats: component specs, tables, networks, and DOT export.
+"""Component text (``*.tstd``) and DOT export.
 
-Three line-oriented formats, all UTF-8 with LF endings and ``#`` comments.
-Parsers are total: any byte sequence either parses or produces a list of
-located errors, never an uncaught exception.  Printers are canonical: equal
-values print to identical bytes, and parsing a printed value gives the value
-back.
+UTF-8 with LF endings and ``#`` comments.  The parser is total: any byte
+sequence either parses or produces a list of located errors, never an
+uncaught exception.  The printer is canonical: equal specs print to
+identical bytes, and parsing a printed spec gives the spec back.
 
-Parsers check syntax only.  Every reference error comes located from
-:mod:`tstd.model` (the rules of ``validate_spec``) or
-:func:`tstd.network.build_network`, and the parsers map each location
-(declaration, transition clause, wire, instance) to its line.  They refuse a
-second component name or initial state themselves, since a spec holds one.
+The parser checks syntax only.  Every reference error comes located from
+:mod:`tstd.model` (the rules of ``validate_spec``), and the parser maps each
+location (declaration, transition clause) to its line.  It refuses a second
+component name or initial state itself, since a spec holds one.
 
-Component text (``*.tstd``)::
+Component text::
 
     component NAME
     in chan NAME
@@ -28,35 +26,19 @@ with PATTERN one of ``any``, ``empty``, ``nonempty``, ``contains(tag[:int])``,
 ``len=K``, ``len>=K``, ``first=tag[:int]`` and messages written ``tag`` or
 ``tag:int``.  Clause lines are indented; everything else starts in column 1.
 
-Component table (``*.ttab``): preamble lines ``@component``, ``@in``, ``@out``,
-``@var NAME = INT``, ``@state NAME``, ``@initial NAME``, then a header row
-``source, when:CH..., guard, emit:CH..., set, target`` (one ``when:`` column
-per input channel, one ``emit:`` column per output channel, declaration
-order) and one comma-separated row per transition.  Cells reuse the textual
-clause syntax; multiple guards or updates within a cell are separated by
-``;`` since the comma is the column separator.  An empty cell means
-unconstrained / no emission / no update.
-
-Network (``*.tnet``)::
-
-    use ID = file PATH | delay D | merge
-    wire A.out -> B.in
-    wire extern NAME -> B.in
-    wire A.out -> extern NAME
-
-:func:`parse_network` and its helpers import :mod:`tstd.network` when called,
-so parsing the other formats does not load it.
-
-The trace format (``*.trc``), :class:`ParseFailure` and the lexing shared by
-all the formats live in :mod:`tstd.trace_format`; their names are imported
-here too, so ``tstd.dsl.parse_trace`` and the rest still resolve.
+The other formats have their own modules, so a command loads only the
+format it reads: the table format (``*.ttab``) is :mod:`tstd.table_format`,
+which shares this module's clause parsers and spec builder; the network
+format (``*.tnet``) is :func:`tstd.network.parse_network`; the trace format
+(``*.trc``), :class:`ParseFailure` and the lexing shared by all the formats
+live in :mod:`tstd.trace_format`.  The trace names are imported here too, so
+``tstd.dsl.parse_trace`` and the rest still resolve.
 """
 
 from __future__ import annotations
 
 import re
-from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .model import (
     ChannelDecl,
@@ -66,16 +48,14 @@ from .model import (
     IntervalPattern,
     OutputAction,
     Relation,
-    Severity,
     Transition,
     UpdateOp,
     VarDecl,
     VarGuard,
     VarUpdate,
     _spec_errors,
-    validate_spec,
 )
-from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
+from .streams import IDENT_RE
 from .trace_format import (
     _MESSAGE_RE, ParseFailure, ParseIssue, SourceSpan, _int, _Issues, _logical_lines,
     _LongInteger, _parse_message, _print_column, _strip_comment, parse_trace, print_trace,
@@ -87,11 +67,8 @@ __all__ = [
     "SourceSpan",
     "export_dot",
     "parse_component",
-    "parse_network",
-    "parse_table",
     "parse_trace",
     "print_component",
-    "print_table",
     "print_trace",
 ]
 
@@ -423,340 +400,6 @@ def print_component(spec: ComponentSpec) -> str:
         for u in t.updates:
             out.append(f"  set {u.render()}")
     return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Component: table style
-
-
-def parse_table(text: str) -> ComponentSpec:
-    """Parse the table component style; raises ParseFailure on any error."""
-    issues = _Issues()
-    builder = _SpecBuilder(issues)
-    header: Optional[List[str]] = None
-    expected_header: Optional[List[str]] = None
-
-    for lineno, content in _logical_lines(text):
-        stripped = content.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("@"):
-            if header is not None:
-                issues.add(lineno, 1, "preamble line after the header row")
-                continue
-            keyword, _, rest = stripped.partition(" ")
-            rest = rest.strip()
-            if keyword == "@component":
-                builder.declare_component(lineno, rest)
-            elif keyword in ("@in", "@out"):
-                if IDENT_RE.match(rest):
-                    builder.declare_channel(lineno, rest, Direction(keyword[1:]))
-                else:
-                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
-            elif keyword == "@var":
-                builder.declare_var(lineno, keyword, rest)
-            elif keyword in ("@state", "@initial"):
-                if not IDENT_RE.match(rest):
-                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
-                elif keyword == "@state":
-                    builder.declare_state(lineno, rest)
-                else:
-                    builder.declare_initial(lineno, rest)
-            else:
-                issues.add(lineno, 1, f"unknown preamble directive {keyword!r}")
-            continue
-
-        cells = [c.strip() for c in content.split(",")]
-        if header is None:
-            header = cells
-            expected_header = (
-                ["source"]
-                + [f"when:{ch}" for ch in builder.in_channels()]
-                + ["guard"]
-                + [f"emit:{ch}" for ch in builder.out_channels()]
-                + ["set", "target"]
-            )
-            if cells != expected_header:
-                issues.add(
-                    lineno,
-                    1,
-                    f"header row must be '{', '.join(expected_header)}', got '{', '.join(cells)}'",
-                )
-                header = expected_header
-            continue
-
-        if len(cells) != len(expected_header):
-            issues.add(
-                lineno,
-                1,
-                f"row has {len(cells)} cells, expected {len(expected_header)}",
-            )
-            continue
-        _parse_table_row(lineno, content, cells, builder, issues)
-
-    spec = builder.finish()
-    issues.raise_if_any()
-    return spec
-
-
-def _cell_column(content: str, index: int) -> int:
-    # Character offset of the index-th comma-separated cell, 1-based.
-    pos = 0
-    for _ in range(index):
-        pos = content.find(",", pos) + 1
-    return pos + 1
-
-
-def _parse_table_row(
-    lineno: int,
-    content: str,
-    cells: List[str],
-    builder: _SpecBuilder,
-    issues: _Issues,
-) -> None:
-    ins = builder.in_channels()
-    outs = builder.out_channels()
-    raw = _RawTransition(lineno, cells[0], cells[-1])
-    idx = 1
-    for ch in ins:
-        cell = cells[idx]
-        col = _cell_column(content, idx)
-        if cell:
-            with issues.located(lineno, col):
-                pattern = _parse_pattern(cell)
-                if pattern is None:
-                    issues.add(lineno, col, f"malformed interval pattern {cell!r}")
-                else:
-                    raw.add("when", lineno, IntervalGuard(ch, pattern))
-        idx += 1
-    guard_cell = cells[idx]
-    guard_col = _cell_column(content, idx)
-    if guard_cell:
-        with issues.located(lineno, guard_col):
-            for part in guard_cell.split(";"):
-                vg = _parse_var_guard(part)
-                if vg is None:
-                    issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
-                else:
-                    raw.add("guard", lineno, vg)
-    idx += 1
-    for ch in outs:
-        cell = cells[idx]
-        col = _cell_column(content, idx)
-        if cell:
-            sub = _Issues()
-            with sub.located(lineno):
-                action = _parse_emission(lineno, ch, cell, sub)
-                if action is not None:
-                    raw.add("emit", lineno, action)
-            for issue in sub.items:
-                issues.add(lineno, col, issue.message)
-        idx += 1
-    set_cell = cells[idx]
-    set_col = _cell_column(content, idx)
-    if set_cell:
-        with issues.located(lineno, set_col):
-            for part in set_cell.split(";"):
-                update = _parse_update(part)
-                if update is None:
-                    issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
-                else:
-                    raw.add("set", lineno, update)
-    builder.raw_transitions.append(raw)
-
-
-def print_table(spec: ComponentSpec) -> str:
-    """Canonical table form; ``parse_table`` inverts it exactly."""
-    out: List[str] = [f"@component {spec.name}"]
-    for ch in spec.channels:
-        out.append(f"@{ch.direction.value} {ch.name}")
-    for v in spec.vars:
-        out.append(f"@var {v.name} = {v.initial}")
-    for s in spec.states:
-        out.append(f"@state {s}")
-    out.append(f"@initial {spec.initial}")
-    ins = spec.in_channels()
-    outs = spec.out_channels()
-    header = (
-        ["source"]
-        + [f"when:{ch}" for ch in ins]
-        + ["guard"]
-        + [f"emit:{ch}" for ch in outs]
-        + ["set", "target"]
-    )
-    out.append(", ".join(header))
-    for t in spec.transitions:
-        guards = {g.channel: g.pattern for g in t.interval_guards}
-        emits = {o.channel: o for o in t.outputs}
-        cells = [t.source]
-        for ch in ins:
-            cells.append(guards[ch].render() if ch in guards else "")
-        cells.append("; ".join(vg.render() for vg in t.var_guards))
-        for ch in outs:
-            o = emits.get(ch)
-            if o is None:
-                cells.append("")
-            elif o.is_pass:
-                cells.append(f"pass({o.source})")
-            else:
-                cells.append(" ".join(m.token() for m in o.messages))
-        cells.append("; ".join(u.render() for u in t.updates))
-        cells.append(t.target)
-        out.append(", ".join(cells))
-    return "\n".join(out) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Networks
-
-
-_ENDPOINT_RE = re.compile(
-    r"(?:extern\s+([A-Za-z][A-Za-z0-9_]*)|([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*))\Z"
-)
-
-
-def _default_component_loader(path: Path) -> ComponentSpec:
-    text = path.read_text(encoding="utf-8", errors="replace")
-    if path.suffix == ".ttab":
-        return parse_table(text)
-    return parse_component(text)
-
-
-def parse_network(
-    text: str,
-    base_dir: str | Path = ".",
-    loader: Optional[Callable[[Path], ComponentSpec]] = None,
-) -> Network:
-    """Parse a network wiring file; referenced component files are loaded
-    relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise)
-    and their parse and ``validate_spec`` errors reported at the ``use`` line.
-    """
-    from .network import Instance, NetworkBuildError, Wire, build_network
-
-    issues = _Issues()
-    load = loader or _default_component_loader
-    base = Path(base_dir)
-    instances: List[Instance] = []
-    wires: List[Wire] = []
-    external_in: List[str] = []
-    external_out: List[str] = []
-    # Source line of each instance and wire, keyed as NetworkBuildError.locations.
-    lines: Dict[str, List[int]] = {"instance": [], "wire": []}
-    loaded: Dict[Path, object] = {}
-
-    for lineno, content in _logical_lines(text):
-        stripped = content.strip()
-        if not stripped:
-            continue
-        keyword, _, rest = stripped.partition(" ")
-        rest = rest.strip()
-        if keyword == "use":
-            name, eq, what = (p.strip() for p in rest.partition("="))
-            if not IDENT_RE.match(name) or eq != "=":
-                issues.add(lineno, 1, "expected 'use ID = file PATH | delay D | merge'")
-                continue
-            kind, _, arg = what.partition(" ")
-            arg = arg.strip()
-            inst: Optional[Instance] = None
-            if kind == "file":
-                if not arg:
-                    issues.add(lineno, 1, "expected a file path after 'file'")
-                else:
-                    inst = _load_instance(name, base, arg, load, lineno, issues, loaded)
-            elif kind == "delay":
-                if not _INT_RE.match(arg):
-                    issues.add(lineno, 1, "delay depth must be an integer >= 1")
-                else:
-                    with issues.located(lineno):
-                        inst = Instance.of_delay(name, _int(arg))
-            elif kind == "merge":
-                if arg:
-                    issues.add(lineno, 1, "'merge' takes no argument")
-                else:
-                    inst = Instance.of_merge(name)
-            else:
-                issues.add(lineno, 1, f"unknown instance kind {kind!r}")
-            if inst is not None:
-                instances.append(inst)
-                lines["instance"].append(lineno)
-        elif keyword == "wire":
-            src_raw, arrow, dst_raw = rest.partition("->")
-            if arrow != "->":
-                issues.add(lineno, 1, "expected 'wire SRC -> DST'")
-                continue
-            src = _parse_endpoint(lineno, src_raw, external_in, issues)
-            dst = _parse_endpoint(lineno, dst_raw, external_out, issues)
-            if src is not None and dst is not None:
-                wires.append(Wire(src, dst))
-                lines["wire"].append(lineno)
-        else:
-            issues.add(lineno, 1, f"unknown directive {keyword!r}")
-
-    issues.raise_if_any()
-    try:
-        return build_network(instances, wires, external_in, external_out)
-    except NetworkBuildError as exc:
-        for problem, where in zip(exc.problems, exc.locations):
-            issues.add(lines[where[0]][where[1]] if where else 1, 1, problem)
-        raise ParseFailure(issues.items) from exc
-
-
-def _parse_endpoint(
-    lineno: int, raw: str, externals: List[str], issues: _Issues
-) -> Optional[Endpoint]:
-    """``extern NAME`` (recorded in ``externals``) or ``ID.PORT``; None if malformed."""
-    from .network import ExternalPort, Port
-
-    m = _ENDPOINT_RE.match(raw.strip())
-    if not m:
-        issues.add(lineno, 1, f"malformed endpoint {raw.strip()!r}")
-        return None
-    if m.group(1):
-        if m.group(1) not in externals:
-            externals.append(m.group(1))
-        return ExternalPort(m.group(1))
-    return Port(m.group(2), m.group(3))
-
-
-def _load_instance(
-    name: str,
-    base: Path,
-    arg: str,
-    load: Callable[[Path], ComponentSpec],
-    lineno: int,
-    issues: _Issues,
-    loaded: Dict[Path, object],
-) -> Optional[Instance]:
-    """The instance of ``use name = file arg``, or None with its problems
-    reported at ``lineno``.  ``loaded`` keeps each path's load and validation
-    outcome, so a file that several ``use`` lines name is loaded once."""
-    from .network import Instance
-
-    path = base / arg
-    outcome = loaded.get(path)
-    if outcome is None:
-        try:
-            spec = load(path)
-        except (OSError, ValueError) as exc:
-            outcome = exc
-        else:
-            outcome = (spec, [f for f in validate_spec(spec) if f.severity is Severity.ERROR])
-        loaded[path] = outcome
-    if isinstance(outcome, FileNotFoundError):
-        issues.add(lineno, 1, f"component file not found: {arg!r}")
-    elif isinstance(outcome, OSError):
-        issues.add(lineno, 1, f"cannot read component file {arg!r}: {outcome}")
-    elif isinstance(outcome, ParseFailure):
-        for issue in outcome.issues:
-            issues.add(lineno, 1, f"in {arg!r} at {issue.span.render()}: {issue.message}")
-    elif isinstance(outcome, ValueError):
-        issues.add(lineno, 1, f"cannot load component file {arg!r}: {outcome}")
-    else:
-        spec, errors = outcome
-        for finding in errors:
-            issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
-        return None if errors else Instance.of_spec(name, spec)
-    return None
 
 
 # --------------------------------------------------------------------------

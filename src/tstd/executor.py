@@ -18,7 +18,7 @@ boundaries.  Both report evidence, never proofs.  They import
 from __future__ import annotations
 
 from itertools import islice, repeat
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 from .model import (
@@ -290,18 +290,25 @@ class CausalityProbeResult:
 
 
 def _diverging_pair(
-    channels: Sequence[str], alphabet: Sequence[str], horizon: int, rng: Random
+    channels: Sequence[str],
+    alphabet: Sequence[str],
+    draw: Callable[[Random], TimeInterval],
+    horizon: int,
+    rng: Random,
 ) -> Tuple[Trace, Trace, int]:
-    """Two input traces equal on ticks < cut and different at the cut tick."""
-    from .gen import random_interval, random_trace
+    """Two input traces equal on ticks < cut and different at the cut tick.
+
+    ``draw`` is ``gen.interval_drawer(alphabet, 3)``, built once per probe.
+    """
+    from .gen import draw_trace
 
     cut = rng.randrange(horizon)
-    a = random_trace(channels, horizon, rng, alphabet=alphabet)
+    a = draw_trace(channels, horizon, rng, draw)
     b_channels: Dict[str, List[TimeInterval]] = {}
     for ch in channels:
         ivs = list(a.channels[ch].intervals)
         for t in range(cut, horizon):
-            ivs[t] = random_interval(rng, alphabet, 3)
+            ivs[t] = draw(rng)
         b_channels[ch] = ivs
     if all(b_channels[ch][cut] == a.channels[ch][cut] for ch in channels):
         bump = rng.choice(channels)
@@ -325,7 +332,7 @@ def probe_causality(
     """
     from random import Random
 
-    from .gen import probe_alphabet
+    from .gen import interval_drawer, probe_alphabet
 
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
@@ -336,8 +343,9 @@ def probe_causality(
     machine = _Machine(spec)
     fns = machine.fns
     alphabet = probe_alphabet(spec)
+    draw = interval_drawer(alphabet, 3)
     for _ in range(trials):
-        a, b, cut = _diverging_pair(machine.in_channels, alphabet, horizon, rng)
+        a, b, cut = _diverging_pair(machine.in_channels, alphabet, draw, horizon, rng)
         # The pair agrees before the cut, so the deterministic machine reaches
         # the cut in one state and only the cut tick's outputs can differ.
         ticks_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
@@ -388,7 +396,7 @@ def check_untimed_simulation(
     """
     from random import Random
 
-    from .gen import fresh_tag, random_trace, spec_tags
+    from .gen import draw_trace, fresh_tag, interval_drawer, spec_tags
 
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
@@ -400,8 +408,9 @@ def check_untimed_simulation(
     rng = Random(seed)
     tags = sorted(set(spec_tags(spec_a)) | set(spec_tags(spec_b)))
     tags.append(fresh_tag(tags))
+    draw = interval_drawer(tags, 3)
     for _ in range(trials):
-        inputs = random_trace(spec_a.in_channels(), horizon, rng, alphabet=tags)
+        inputs = draw_trace(spec_a.in_channels(), horizon, rng, draw)
         out_a = machine_a.run(inputs)
         out_b = machine_b.run(inputs)
         for ch in sorted(spec_a.out_channels()):

@@ -10,22 +10,53 @@ interesting machine behavior.
 from __future__ import annotations
 
 from random import Random
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from .streams import Message, StreamPrefix, Trace
+from .streams import Message, StreamPrefix, TimeInterval, Trace
 
 if TYPE_CHECKING:
     from .model import ComponentSpec, Transition
 
-__all__ = ["fresh_tag", "random_prefix", "random_spec", "random_trace", "spec_tags"]
+__all__ = [
+    "draw_trace",
+    "fresh_tag",
+    "interval_drawer",
+    "random_prefix",
+    "random_spec",
+    "random_trace",
+    "spec_tags",
+]
 
 DEFAULT_ALPHABET = ("a", "b", "c")
 
 
-def random_interval(rng: Random, alphabet: Sequence[str], max_len: int) -> Tuple[Message, ...]:
-    """One tick's content: length uniform in 0..max_len, tags uniform."""
-    k = rng.randint(0, max_len)
-    return tuple(Message(rng.choice(alphabet)) for _ in range(k))
+def interval_drawer(alphabet: Sequence[str], max_len: int) -> Callable[[Random], TimeInterval]:
+    """A function that draws one tick's content from its ``rng``: length
+    uniform in 0..max_len, then each message uniform over ``alphabet``.
+
+    The messages are built once, here, so a bad tag raises even when nothing
+    is drawn.  ``randrange(max_len + 1)`` and ``choice(messages)`` make the
+    same ``_randbelow`` draws as ``randint(0, max_len)`` and
+    ``Message(choice(alphabet))``, so a seed gives the same intervals.
+    """
+    messages = tuple(Message(tag) for tag in alphabet)
+    bound = max_len + 1
+
+    def draw(rng: Random) -> TimeInterval:
+        choice = rng.choice
+        return tuple([choice(messages) for _ in range(rng.randrange(bound))])
+
+    return draw
+
+
+def draw_trace(
+    channels: Sequence[str], ticks: int, rng: Random, draw: Callable[[Random], TimeInterval]
+) -> Trace:
+    """A trace whose intervals come from ``draw``, channel after channel."""
+    return Trace(
+        {ch: StreamPrefix(tuple([draw(rng) for _ in range(ticks)])) for ch in channels},
+        length=ticks,
+    )
 
 
 def random_prefix(
@@ -34,7 +65,8 @@ def random_prefix(
     alphabet: Sequence[str] = DEFAULT_ALPHABET,
     max_len: int = 3,
 ) -> StreamPrefix:
-    return StreamPrefix(tuple(random_interval(rng, alphabet, max_len) for _ in range(ticks)))
+    draw = interval_drawer(alphabet, max_len)
+    return StreamPrefix(tuple([draw(rng) for _ in range(ticks)]))
 
 
 def random_trace(
@@ -44,10 +76,7 @@ def random_trace(
     alphabet: Sequence[str] = DEFAULT_ALPHABET,
     max_len: int = 3,
 ) -> Trace:
-    return Trace(
-        {ch: random_prefix(rng, ticks, alphabet, max_len) for ch in channels},
-        length=ticks,
-    )
+    return draw_trace(channels, ticks, rng, interval_drawer(alphabet, max_len))
 
 
 def spec_tags(spec: ComponentSpec) -> List[str]:

@@ -19,20 +19,41 @@ end of the tick, once its inputs are known.
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
 ``in2``, ``out`` and concatenates its two inputs, left first.
+
+Network text (``*.tnet``), read by :func:`parse_network`, UTF-8 with LF
+endings and ``#`` comments like the other formats::
+
+    use ID = file PATH | delay D | merge
+    wire A.out -> B.in
+    wire extern NAME -> B.in
+    wire A.out -> extern NAME
+
+A component file is read as a table (:mod:`tstd.table_format`) when its name
+ends in ``.ttab`` and as component text (:mod:`tstd.dsl`) otherwise.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ._value import value
+from .dsl import _INT_RE, parse_component
 from .executor import Trace, _Machine, _tuple
-from .model import CausalityClass, ComponentSpec, classify_causality_syntactic
-from .streams import StreamPrefix
+from .model import (
+    CausalityClass,
+    ComponentSpec,
+    Severity,
+    classify_causality_syntactic,
+    validate_spec,
+)
+from .streams import IDENT_RE, StreamPrefix
+from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
 __all__ = [
     "ChannelSetError",
@@ -48,6 +69,7 @@ __all__ = [
     "build_network",
     "check_feedback_wellformed",
     "instantaneous_dependency_graph",
+    "parse_network",
     "run_network",
 ]
 
@@ -394,3 +416,152 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         {name: StreamPrefix(col) for name, col in zip(net.external_out, collected)},
         length=ticks,
     )
+
+
+# --------------------------------------------------------------------------
+# The network text format
+
+
+_ENDPOINT_RE = re.compile(
+    r"(?:extern\s+([A-Za-z][A-Za-z0-9_]*)|([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*))\Z"
+)
+
+
+def _default_component_loader(path: Path) -> ComponentSpec:
+    text = path.read_text(encoding="utf-8", errors="replace")
+    if path.suffix == ".ttab":
+        from .table_format import parse_table
+
+        return parse_table(text)
+    return parse_component(text)
+
+
+def parse_network(
+    text: str,
+    base_dir: str | Path = ".",
+    loader: Optional[Callable[[Path], ComponentSpec]] = None,
+) -> Network:
+    """Parse a network wiring file; referenced component files are loaded
+    relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise)
+    and their parse and ``validate_spec`` errors reported at the ``use`` line.
+    """
+    issues = _Issues()
+    load = loader or _default_component_loader
+    base = Path(base_dir)
+    instances: List[Instance] = []
+    wires: List[Wire] = []
+    external_in: List[str] = []
+    external_out: List[str] = []
+    # Source line of each instance and wire, keyed as NetworkBuildError.locations.
+    lines: Dict[str, List[int]] = {"instance": [], "wire": []}
+    loaded: Dict[Path, object] = {}
+
+    for lineno, content in _logical_lines(text):
+        stripped = content.strip()
+        if not stripped:
+            continue
+        keyword, _, rest = stripped.partition(" ")
+        rest = rest.strip()
+        if keyword == "use":
+            name, eq, what = (p.strip() for p in rest.partition("="))
+            if not IDENT_RE.match(name) or eq != "=":
+                issues.add(lineno, 1, "expected 'use ID = file PATH | delay D | merge'")
+                continue
+            kind, _, arg = what.partition(" ")
+            arg = arg.strip()
+            inst: Optional[Instance] = None
+            if kind == "file":
+                if not arg:
+                    issues.add(lineno, 1, "expected a file path after 'file'")
+                else:
+                    inst = _load_instance(name, base, arg, load, lineno, issues, loaded)
+            elif kind == "delay":
+                if not _INT_RE.match(arg):
+                    issues.add(lineno, 1, "delay depth must be an integer >= 1")
+                else:
+                    with issues.located(lineno):
+                        inst = Instance.of_delay(name, _int(arg))
+            elif kind == "merge":
+                if arg:
+                    issues.add(lineno, 1, "'merge' takes no argument")
+                else:
+                    inst = Instance.of_merge(name)
+            else:
+                issues.add(lineno, 1, f"unknown instance kind {kind!r}")
+            if inst is not None:
+                instances.append(inst)
+                lines["instance"].append(lineno)
+        elif keyword == "wire":
+            src_raw, arrow, dst_raw = rest.partition("->")
+            if arrow != "->":
+                issues.add(lineno, 1, "expected 'wire SRC -> DST'")
+                continue
+            src = _parse_endpoint(lineno, src_raw, external_in, issues)
+            dst = _parse_endpoint(lineno, dst_raw, external_out, issues)
+            if src is not None and dst is not None:
+                wires.append(Wire(src, dst))
+                lines["wire"].append(lineno)
+        else:
+            issues.add(lineno, 1, f"unknown directive {keyword!r}")
+
+    issues.raise_if_any()
+    try:
+        return build_network(instances, wires, external_in, external_out)
+    except NetworkBuildError as exc:
+        for problem, where in zip(exc.problems, exc.locations):
+            issues.add(lines[where[0]][where[1]] if where else 1, 1, problem)
+        raise ParseFailure(issues.items) from exc
+
+
+def _parse_endpoint(
+    lineno: int, raw: str, externals: List[str], issues: _Issues
+) -> Optional[Endpoint]:
+    """``extern NAME`` (recorded in ``externals``) or ``ID.PORT``; None if malformed."""
+    m = _ENDPOINT_RE.match(raw.strip())
+    if not m:
+        issues.add(lineno, 1, f"malformed endpoint {raw.strip()!r}")
+        return None
+    if m.group(1):
+        if m.group(1) not in externals:
+            externals.append(m.group(1))
+        return ExternalPort(m.group(1))
+    return Port(m.group(2), m.group(3))
+
+
+def _load_instance(
+    name: str,
+    base: Path,
+    arg: str,
+    load: Callable[[Path], ComponentSpec],
+    lineno: int,
+    issues: _Issues,
+    loaded: Dict[Path, object],
+) -> Optional[Instance]:
+    """The instance of ``use name = file arg``, or None with its problems
+    reported at ``lineno``.  ``loaded`` keeps each path's load and validation
+    outcome, so a file that several ``use`` lines name is loaded once."""
+    path = base / arg
+    outcome = loaded.get(path)
+    if outcome is None:
+        try:
+            spec = load(path)
+        except (OSError, ValueError) as exc:
+            outcome = exc
+        else:
+            outcome = (spec, [f for f in validate_spec(spec) if f.severity is Severity.ERROR])
+        loaded[path] = outcome
+    if isinstance(outcome, FileNotFoundError):
+        issues.add(lineno, 1, f"component file not found: {arg!r}")
+    elif isinstance(outcome, OSError):
+        issues.add(lineno, 1, f"cannot read component file {arg!r}: {outcome}")
+    elif isinstance(outcome, ParseFailure):
+        for issue in outcome.issues:
+            issues.add(lineno, 1, f"in {arg!r} at {issue.span.render()}: {issue.message}")
+    elif isinstance(outcome, ValueError):
+        issues.add(lineno, 1, f"cannot load component file {arg!r}: {outcome}")
+    else:
+        spec, errors = outcome
+        for finding in errors:
+            issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
+        return None if errors else Instance.of_spec(name, spec)
+    return None

@@ -1,0 +1,210 @@
+"""The component table format (``*.ttab``).
+
+Preamble lines ``@component``, ``@in``, ``@out``, ``@var NAME = INT``,
+``@state NAME``, ``@initial NAME``, then a header row
+``source, when:CH..., guard, emit:CH..., set, target`` (one ``when:`` column
+per input channel, one ``emit:`` column per output channel, declaration
+order) and one comma-separated row per transition.  Cells reuse the textual
+clause syntax of :mod:`tstd.dsl`; multiple guards or updates within a cell are
+separated by ``;`` since the comma is the column separator.  An empty cell
+means unconstrained / no emission / no update.
+
+The parser shares its clause parsers and its back half, with every
+reference check, with :func:`tstd.dsl.parse_component`.  The CLI and the
+network loader import this module only for a ``.ttab`` file.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional
+
+from .dsl import (
+    _parse_emission,
+    _parse_pattern,
+    _parse_update,
+    _parse_var_guard,
+    _RawTransition,
+    _SpecBuilder,
+)
+from .model import ComponentSpec, Direction, IntervalGuard
+from .streams import IDENT_RE
+from .trace_format import _Issues, _logical_lines
+
+__all__ = ["parse_table", "print_table"]
+
+
+def parse_table(text: str) -> ComponentSpec:
+    """Parse the table component style; raises ParseFailure on any error."""
+    issues = _Issues()
+    builder = _SpecBuilder(issues)
+    header: Optional[List[str]] = None
+    expected_header: Optional[List[str]] = None
+
+    for lineno, content in _logical_lines(text):
+        stripped = content.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("@"):
+            if header is not None:
+                issues.add(lineno, 1, "preamble line after the header row")
+                continue
+            keyword, _, rest = stripped.partition(" ")
+            rest = rest.strip()
+            if keyword == "@component":
+                builder.declare_component(lineno, rest)
+            elif keyword in ("@in", "@out"):
+                if IDENT_RE.match(rest):
+                    builder.declare_channel(lineno, rest, Direction(keyword[1:]))
+                else:
+                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
+            elif keyword == "@var":
+                builder.declare_var(lineno, keyword, rest)
+            elif keyword in ("@state", "@initial"):
+                if not IDENT_RE.match(rest):
+                    issues.add(lineno, 1, f"expected '{keyword} NAME'")
+                elif keyword == "@state":
+                    builder.declare_state(lineno, rest)
+                else:
+                    builder.declare_initial(lineno, rest)
+            else:
+                issues.add(lineno, 1, f"unknown preamble directive {keyword!r}")
+            continue
+
+        cells = [c.strip() for c in content.split(",")]
+        if header is None:
+            header = cells
+            expected_header = (
+                ["source"]
+                + [f"when:{ch}" for ch in builder.in_channels()]
+                + ["guard"]
+                + [f"emit:{ch}" for ch in builder.out_channels()]
+                + ["set", "target"]
+            )
+            if cells != expected_header:
+                issues.add(
+                    lineno,
+                    1,
+                    f"header row must be '{', '.join(expected_header)}', got '{', '.join(cells)}'",
+                )
+                header = expected_header
+            continue
+
+        if len(cells) != len(expected_header):
+            issues.add(
+                lineno,
+                1,
+                f"row has {len(cells)} cells, expected {len(expected_header)}",
+            )
+            continue
+        _parse_table_row(lineno, content, cells, builder, issues)
+
+    spec = builder.finish()
+    issues.raise_if_any()
+    return spec
+
+
+def _cell_column(content: str, index: int) -> int:
+    # Character offset of the index-th comma-separated cell, 1-based.
+    pos = 0
+    for _ in range(index):
+        pos = content.find(",", pos) + 1
+    return pos + 1
+
+
+def _parse_table_row(
+    lineno: int,
+    content: str,
+    cells: List[str],
+    builder: _SpecBuilder,
+    issues: _Issues,
+) -> None:
+    ins = builder.in_channels()
+    outs = builder.out_channels()
+    raw = _RawTransition(lineno, cells[0], cells[-1])
+    idx = 1
+    for ch in ins:
+        cell = cells[idx]
+        col = _cell_column(content, idx)
+        if cell:
+            with issues.located(lineno, col):
+                pattern = _parse_pattern(cell)
+                if pattern is None:
+                    issues.add(lineno, col, f"malformed interval pattern {cell!r}")
+                else:
+                    raw.add("when", lineno, IntervalGuard(ch, pattern))
+        idx += 1
+    guard_cell = cells[idx]
+    guard_col = _cell_column(content, idx)
+    if guard_cell:
+        with issues.located(lineno, guard_col):
+            for part in guard_cell.split(";"):
+                vg = _parse_var_guard(part)
+                if vg is None:
+                    issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
+                else:
+                    raw.add("guard", lineno, vg)
+    idx += 1
+    for ch in outs:
+        cell = cells[idx]
+        col = _cell_column(content, idx)
+        if cell:
+            sub = _Issues()
+            with sub.located(lineno):
+                action = _parse_emission(lineno, ch, cell, sub)
+                if action is not None:
+                    raw.add("emit", lineno, action)
+            for issue in sub.items:
+                issues.add(lineno, col, issue.message)
+        idx += 1
+    set_cell = cells[idx]
+    set_col = _cell_column(content, idx)
+    if set_cell:
+        with issues.located(lineno, set_col):
+            for part in set_cell.split(";"):
+                update = _parse_update(part)
+                if update is None:
+                    issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
+                else:
+                    raw.add("set", lineno, update)
+    builder.raw_transitions.append(raw)
+
+
+def print_table(spec: ComponentSpec) -> str:
+    """Canonical table form; ``parse_table`` inverts it exactly."""
+    out: List[str] = [f"@component {spec.name}"]
+    for ch in spec.channels:
+        out.append(f"@{ch.direction.value} {ch.name}")
+    for v in spec.vars:
+        out.append(f"@var {v.name} = {v.initial}")
+    for s in spec.states:
+        out.append(f"@state {s}")
+    out.append(f"@initial {spec.initial}")
+    ins = spec.in_channels()
+    outs = spec.out_channels()
+    header = (
+        ["source"]
+        + [f"when:{ch}" for ch in ins]
+        + ["guard"]
+        + [f"emit:{ch}" for ch in outs]
+        + ["set", "target"]
+    )
+    out.append(", ".join(header))
+    for t in spec.transitions:
+        guards = {g.channel: g.pattern for g in t.interval_guards}
+        emits = {o.channel: o for o in t.outputs}
+        cells = [t.source]
+        for ch in ins:
+            cells.append(guards[ch].render() if ch in guards else "")
+        cells.append("; ".join(vg.render() for vg in t.var_guards))
+        for ch in outs:
+            o = emits.get(ch)
+            if o is None:
+                cells.append("")
+            elif o.is_pass:
+                cells.append(f"pass({o.source})")
+            else:
+                cells.append(" ".join(m.token() for m in o.messages))
+        cells.append("; ".join(u.render() for u in t.updates))
+        cells.append(t.target)
+        out.append(", ".join(cells))
+    return "\n".join(out) + "\n"

@@ -9,7 +9,9 @@ renders tick by tick, and ``split``/``join`` that build each result tick from
 its own list.  They are slow on purpose and are used only to check
 ``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
 ``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split`` and ``tstd.join``
-against.  The syntactic causality rule is read the direct way too: a
+against.  The random generator is kept as first written, one ``randint``
+and a new ``Message`` per drawn tag, as the oracle for ``tstd.gen``'s
+prebuilt-message drawers and the probe's ``_diverging_pair``.  The syntactic causality rule is read the direct way too: a
 classifier that scans every transition once per state, and an emission
 table taken from the first transition leaving each state; ``tstd.model``
 derives both in one pass over the transitions.
@@ -26,7 +28,6 @@ from tstd.executor import (
     CausalityProbeResult,
     Configuration,
     Trace,
-    _diverging_pair,
 )
 from tstd.gen import probe_alphabet
 from tstd.model import (
@@ -236,6 +237,50 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
     )
 
 
+def reference_random_interval(
+    rng: Random, alphabet: Sequence[str], max_len: int
+) -> Tuple[Message, ...]:
+    """One tick's content: length uniform in 0..max_len, tags uniform."""
+    k = rng.randint(0, max_len)
+    return tuple(Message(rng.choice(alphabet)) for _ in range(k))
+
+
+def reference_random_trace(
+    channels: Sequence[str], ticks: int, rng: Random, alphabet: Sequence[str], max_len: int
+) -> Trace:
+    return Trace(
+        {
+            ch: StreamPrefix(
+                tuple(reference_random_interval(rng, alphabet, max_len) for _ in range(ticks))
+            )
+            for ch in channels
+        },
+        length=ticks,
+    )
+
+
+def reference_diverging_pair(
+    channels: Sequence[str], alphabet: Sequence[str], horizon: int, rng: Random
+) -> Tuple[Trace, Trace, int]:
+    """Two input traces equal on ticks < cut and different at the cut tick."""
+    cut = rng.randrange(horizon)
+    a = reference_random_trace(channels, horizon, rng, alphabet, 3)
+    b_channels: Dict[str, List[Tuple[Message, ...]]] = {}
+    for ch in channels:
+        ivs = list(a.channels[ch].intervals)
+        for t in range(cut, horizon):
+            ivs[t] = reference_random_interval(rng, alphabet, 3)
+        b_channels[ch] = ivs
+    if all(b_channels[ch][cut] == a.channels[ch][cut] for ch in channels):
+        bump = rng.choice(channels)
+        b_channels[bump][cut] = b_channels[bump][cut] + (Message(alphabet[-1]),)
+    b = Trace(
+        {ch: StreamPrefix(tuple(ivs)) for ch, ivs in b_channels.items()},
+        length=horizon,
+    )
+    return a, b, cut
+
+
 def reference_probe_causality(
     spec: ComponentSpec, trials: int, horizon: int, seed: int
 ) -> CausalityProbeResult:
@@ -248,7 +293,7 @@ def reference_probe_causality(
         return CausalityProbeResult(refuted=False, trials=0)
     alphabet = probe_alphabet(spec)
     for _ in range(trials):
-        a, b, cut = _diverging_pair(spec.in_channels(), alphabet, horizon, rng)
+        a, b, cut = reference_diverging_pair(spec.in_channels(), alphabet, horizon, rng)
         out_a = reference_run(spec, a)
         out_b = reference_run(spec, b)
         for t in range(cut + 1):

@@ -16,11 +16,8 @@ from tstd.dsl import (
     ParseFailure,
     export_dot,
     parse_component,
-    parse_network,
-    parse_table,
     parse_trace,
     print_component,
-    print_table,
     print_trace,
 )
 from tstd.executor import Trace, probe_causality, run
@@ -43,6 +40,7 @@ from tstd.network import (
     Wire,
     build_network,
     check_feedback_wellformed,
+    parse_network,
     run_network,
 )
 from tstd.streams import (
@@ -55,6 +53,7 @@ from tstd.streams import (
     split,
     untimed_abstraction,
 )
+from tstd.table_format import parse_table, print_table
 
 ALPHABET_8 = ("a", "b", "c", "d", "e", "f", "g", "h")
 STRATEGIES = list(SplitStrategy)

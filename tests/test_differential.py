@@ -1,6 +1,6 @@
 """The optimised ``run``, ``run_network``, ``probe_causality``,
-``parse_trace``, ``print_trace``, ``split`` and ``join`` against the
-reference oracles.
+``parse_trace``, ``print_trace``, ``split``, ``join`` and the random trace
+generator against the reference oracles.
 
 Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
@@ -34,8 +34,8 @@ from tstd import (
     split,
     step,
 )
-from tstd.executor import Configuration, Trace, _Machine
-from tstd.gen import random_spec, spec_tags
+from tstd.executor import Configuration, Trace, _diverging_pair, _Machine
+from tstd.gen import interval_drawer, random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
     ChannelDecl,
     ComponentSpec,
@@ -57,11 +57,14 @@ from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPr
 
 from reference import (
     reference_classify_causality_syntactic,
+    reference_diverging_pair,
     reference_emits,
     reference_join,
     reference_parse_trace,
     reference_print_trace,
     reference_probe_causality,
+    reference_random_interval,
+    reference_random_trace,
     reference_run,
     reference_run_network,
     reference_split,
@@ -254,6 +257,56 @@ def test_probe_causality_matches_reference_on_random_specs():
         seen["strong" if strong else "weak"] += 1
         seen["refuted" if result.refuted else "consistent"] += 1
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def _generator_cases(count):
+    """Seeded (seed, channels, alphabet, max_len, ticks) cases: one to four
+    channels, alphabets of one to six tags with repeats allowed, and the
+    zero edges of both ``max_len`` and ``ticks``."""
+    rng = Random(2718)
+    tags = ("a", "b", "c", "tick", "x_1", "fresh")
+    for _ in range(count):
+        channels = [f"c{i}" for i in range(rng.randint(1, 4))]
+        alphabet = [rng.choice(tags) for _ in range(rng.randint(1, 6))]
+        max_len = rng.choice((0, 1, 2, 3, 5, 9))
+        ticks = rng.choice((0, 1, 2, 7, 16, 40))
+        yield rng.randrange(10**9), channels, alphabet, max_len, ticks
+
+
+def test_random_trace_matches_reference_generator():
+    for case in _generator_cases(400):
+        seed, channels, alphabet, max_len, ticks = case
+        rng, ref = Random(seed), Random(seed)
+        got = random_trace(channels, ticks, rng, alphabet=alphabet, max_len=max_len)
+        assert got == reference_random_trace(channels, ticks, ref, alphabet, max_len), case
+        assert random_prefix(rng, ticks, alphabet, max_len) == StreamPrefix(
+            tuple(reference_random_interval(ref, alphabet, max_len) for _ in range(ticks))
+        ), case
+        assert rng.getstate() == ref.getstate(), case
+
+
+def test_diverging_pair_matches_reference_generator():
+    for case in _generator_cases(400):
+        seed, channels, alphabet, _, ticks = case
+        horizon = max(ticks, 1)
+        rng, ref = Random(seed), Random(seed)
+        draw = interval_drawer(alphabet, 3)
+        for _ in range(3):
+            got = _diverging_pair(channels, alphabet, draw, horizon, rng)
+            assert got == reference_diverging_pair(channels, alphabet, horizon, ref), case
+        assert rng.getstate() == ref.getstate(), case
+
+
+@pytest.mark.parametrize("ticks, max_len", [(0, 3), (4, 0), (0, 0)])
+def test_bad_tag_raises_even_when_nothing_is_drawn(ticks, max_len):
+    # The one difference from the reference generator, which never builds a
+    # message for an undrawn tag: the drawer builds every message up front.
+    ref = reference_random_trace(["in"], ticks, Random(1), ["a", "1bad"], max_len)
+    assert all(iv == () for iv in ref.channels["in"])
+    with pytest.raises(ValueError, match="invalid message tag: '1bad'"):
+        random_trace(["in"], ticks, Random(1), alphabet=["a", "1bad"], max_len=max_len)
+    with pytest.raises(ValueError, match="invalid message tag"):
+        random_prefix(Random(1), ticks, alphabet=["a", ""], max_len=max_len)
 
 
 def _with(t, **changes):

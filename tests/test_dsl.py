@@ -8,11 +8,8 @@ from tstd.dsl import (
     ParseFailure,
     export_dot,
     parse_component,
-    parse_network,
-    parse_table,
     parse_trace,
     print_component,
-    print_table,
     print_trace,
 )
 from tstd.executor import Trace
@@ -41,8 +38,10 @@ from tstd.network import (
     Wire,
     build_network,
     check_feedback_wellformed,
+    parse_network,
 )
 from tstd.streams import Message, StreamPrefix, interval
+from tstd.table_format import parse_table, print_table
 
 TOGGLER = """\
 component toggler

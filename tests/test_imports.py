@@ -2,6 +2,7 @@
 the package's public names resolve on first use."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -70,16 +71,31 @@ def test_command_skips_network_and_dataclasses(argv, code):
     assert "tstd.network" not in modules
     assert "dataclasses" not in modules
     assert ("tstd.gen" in modules) == (argv[0] == "check")
+    # A .tstd spec needs no table code, and the spec commands no trace handlers.
+    assert "tstd.table_format" not in modules
+    assert ("tstd.trace_commands" in modules) == (argv[0] == "stream")
+
+
+def test_table_spec_loads_the_table_format():
+    code, modules = _modules_after("validate", "watchdog.ttab")
+    assert code == 0
+    assert {"tstd.table_format", "tstd.dsl", "tstd.model"} <= modules
+    assert not modules & {"tstd.executor", "tstd.network", "tstd.trace_commands"}
 
 
 def test_network_commands_import_network():
-    code, modules = _modules_after("compose", "delay1.tnet", "empty4.trc")
-    assert code == 0
-    assert "tstd.network" in modules
-    assert "dataclasses" not in modules
+    for argv in (["compose", "delay1.tnet", "empty4.trc"], ["check", "feedback", "feedback.tnet"]):
+        code, modules = _modules_after(*argv)
+        assert code == 0
+        assert "tstd.network" in modules
+        assert "dataclasses" not in modules
+        # Their components are all .tstd files.
+        assert not modules & {"tstd.table_format", "tstd.trace_commands"}
 
 
-SPEC_MACHINERY = {"tstd.dsl", "tstd.model", "tstd.executor", "tstd.network"}
+SPEC_MACHINERY = {
+    "tstd.dsl", "tstd.model", "tstd.executor", "tstd.network", "tstd.table_format"
+}
 
 
 @pytest.mark.parametrize(
@@ -97,8 +113,27 @@ SPEC_MACHINERY = {"tstd.dsl", "tstd.model", "tstd.executor", "tstd.network"}
 def test_trace_commands_skip_the_spec_machinery(argv):
     code, modules = _modules_after(*argv)
     assert code == 0
-    assert "tstd.trace_format" in modules
+    assert {"tstd.trace_format", "tstd.trace_commands"} <= modules
     assert not modules & SPEC_MACHINERY
+
+
+@pytest.mark.parametrize("module", ["tstd", "tstd.cli"])
+def test_entry_points_report_a_trace_command_failure(module):
+    # The handler raises the _Failure of the imported tstd.cli, which the
+    # script must catch also when tstd.cli itself runs as __main__.
+    done = subprocess.run(
+        [sys.executable, "-m", module, "stream", "join", "empty4.trc", "-n", "3"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT / "samples",
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == (
+        "prefix length 4 is not a multiple of 3 (use --pad to pad with empty ticks)\n"
+    )
 
 
 def test_validate_skips_the_executor():
