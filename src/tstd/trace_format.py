@@ -4,6 +4,11 @@ Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
 ``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
 lists channels sorted by name.  A comment-only line is not a tick.
 
+One reader, :func:`_read_ticks`, serves all: :func:`parse_trace` decodes its
+rows, and the ``stream`` commands transform and render each distinct interval,
+group or pair once per file.  A trace whose every interval is distinct shares
+nothing, and costs them a few dictionary operations per tick more.
+
 :class:`ParseFailure`, line splitting and message tokens serve :mod:`tstd.dsl`
 too.  Only :mod:`tstd.streams` is imported, so traces load no spec code.
 """
@@ -129,17 +134,13 @@ def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
 # Traces
 
 
-def parse_trace(text: str) -> Trace:
-    """Parse a trace file; raises ParseFailure on any error.
-
-    One pass over the tick lines appends each interval straight to its
-    channel's column.  Each distinct interval text is parsed once per file:
-    equal texts share one interval tuple.  A clean tick line made only of
-    interval texts seen on earlier lines is remembered with its intervals in
-    channel order, so each later copy of that line costs one lookup and one
-    append per channel.  Lines with issues are never remembered, and a trace
-    whose every interval text is new remembers nothing.
-    """
+def _read_ticks(text: str) -> Tuple[List[str], List[Tuple[str, ...]], Dict[str, TimeInterval]]:
+    """The channels, one tuple of stripped body texts per tick in channel
+    order, and the table from each body text to its interval, parsed once
+    per file.  Raises ParseFailure on any error.  A clean line made only of
+    bodies seen before is remembered, so each later copy costs one lookup
+    and one append and shares its tuple.  A line with issues is never
+    remembered, nor is any line of a trace whose every body is new."""
     issues = _Issues()
     lines = iter(_logical_lines(text))
     for lineno, content in lines:
@@ -161,31 +162,24 @@ def parse_trace(text: str) -> Trace:
             channels.append(name)
 
     position = {name: i for i, name in enumerate(channels)}
-    columns: List[List[TimeInterval]] = [[] for _ in channels]
-    # The tick at which each channel was last given an interval.
-    filled_at = [-1] * len(channels)
-    parsed: Dict[str, TimeInterval] = {"-": ()}
-    # Clean lines whose bodies were all parsed before -> their intervals in
-    # channel order.  While it is empty (every body new so far), no line is
-    # hashed for a lookup.
-    rows: Dict[str, Tuple[TimeInterval, ...]] = {}
-    appends = [column.append for column in columns]
-    last = itemgetter(-1)
-    tick_no = 0
+    unfilled: List[Optional[str]] = [None] * len(channels)
+    table: Dict[str, TimeInterval] = {"-": ()}
+    rows: List[Tuple[str, ...]] = []
+    append = rows.append
+    # Clean lines of known bodies -> their rows; while it is empty, no line is hashed.
+    seen: Dict[str, Tuple[str, ...]] = {}
     for lineno, content in lines:
-        row = rows.get(content) if rows else None
+        row = seen.get(content) if seen else None
         if row is not None:
-            for append, iv in zip(appends, row):
-                append(iv)
-            tick_no += 1
+            append(row)
             continue
         stripped = content.strip()
         if not stripped:
             if channels:
-                issues.add(lineno, 1, f"tick {tick_no}: missing channel '{channels[0]}'")
-            tick_no += 1
+                issues.add(lineno, 1, f"tick {len(rows)}: missing channel '{channels[0]}'")
+            append(())
             continue
-        filled = 0
+        bodies = unfilled.copy()
         fresh = False
         for segment in stripped.split("|"):
             name, colon, body = segment.partition(":")
@@ -195,18 +189,17 @@ def parse_trace(text: str) -> Trace:
                 if not colon or not IDENT_RE.match(name):
                     issues.add(lineno, 1, f"malformed channel segment {segment.strip()!r}")
                 else:
-                    issues.add(lineno, 1, f"unknown channel '{name}' at tick {tick_no}")
+                    issues.add(lineno, 1, f"unknown channel '{name}' at tick {len(rows)}")
                 continue
-            if filled_at[pos] == tick_no:
-                issues.add(lineno, 1, f"duplicate channel '{name}' at tick {tick_no}")
+            if bodies[pos] is not None:
+                issues.add(lineno, 1, f"duplicate channel '{name}' at tick {len(rows)}")
                 continue
             body = body.strip()
-            iv = parsed.get(body)
+            iv = table.get(body)
             if iv is None:
                 fresh = True
                 if not body:
                     issues.add(lineno, 1, f"empty interval must be written '-' ({name})")
-                    iv = ()
                 else:
                     messages = []
                     try:
@@ -217,27 +210,32 @@ def parse_trace(text: str) -> Trace:
                                 break
                             messages.append(msg)
                         else:
-                            iv = parsed[body] = tuple(messages)
+                            iv = table[body] = tuple(messages)
                     except _LongInteger as exc:
                         issues.add(lineno, 1, str(exc))
                     if iv is None:
                         continue
-            filled_at[pos] = tick_no
-            appends[pos](iv)
-            filled += 1
-        if filled < len(channels):
+            bodies[pos] = body
+        row = tuple(bodies)
+        if None in row:
             for pos, name in enumerate(channels):
-                if filled_at[pos] != tick_no:
-                    issues.add(lineno, 1, f"tick {tick_no}: missing channel '{name}'")
+                if row[pos] is None:
+                    issues.add(lineno, 1, f"tick {len(rows)}: missing channel '{name}'")
         elif not fresh and not issues.items:
-            rows[content] = tuple(map(last, columns))
-        tick_no += 1
+            seen[content] = row
+        append(row)
 
     issues.raise_if_any()
-    return Trace(
-        {ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)},
-        length=tick_no,
-    )
+    return channels, rows, table
+
+
+def parse_trace(text: str) -> Trace:
+    """Parse a trace file; raises ParseFailure on any error.  The reader's rows
+    are decoded a channel at a time in C, so equal bodies share one tuple."""
+    channels, rows, table = _read_ticks(text)
+    decode = table.__getitem__
+    columns = [tuple(map(decode, map(itemgetter(i), rows))) for i in range(len(channels))]
+    return Trace(dict(zip(channels, map(StreamPrefix, columns))), length=len(rows))
 
 
 def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[str]:
@@ -248,17 +246,18 @@ def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[s
     return (head + " ".join(map(token, iv)) if iv else silent for iv in intervals)
 
 
-def print_trace(trace: Trace) -> str:
-    """Canonical trace text: channels sorted by name, '-' for empty intervals.
-
-    Each channel is rendered as a lazy column of segments, and ``zip`` over
-    the columns joins one tick's segments into its line, so no segment
-    outlives its line.
-    """
-    channels = sorted(trace.channels)
+def _trace_text(channels: List[str], columns: Iterable[Iterable[str]], length: int) -> str:
+    """The text of a ``length``-tick trace from its sorted channels and their
+    lazy segment columns, joined a line at a time so no segment outlives it."""
     if not channels:
-        return "ticks" + "\n" * (trace.length + 1)
-    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
+        return "ticks" + "\n" * (length + 1)
     lines = ["ticks " + " ".join(channels)]
     lines += map(" | ".join, zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def print_trace(trace: Trace) -> str:
+    """Canonical trace text: channels sorted by name, '-' for empty intervals."""
+    channels = sorted(trace.channels)
+    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
+    return _trace_text(channels, columns, trace.length)

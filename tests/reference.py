@@ -5,11 +5,12 @@ machine straight from ``enabled_transitions``, a network run that resolves
 every port by name each tick, a causality probe that runs both traces of a
 trial over the whole horizon, a trace parser that parses every interval
 it meets and transposes per-tick rows into columns, a trace printer that
-renders tick by tick, and ``split``/``join`` that build each result tick from
-its own list.  They are slow on purpose and are used only to check
-``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
-``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split`` and ``tstd.join``
-against.  The random generator is kept as first written, one ``randint``
+renders tick by tick, ``split``/``join`` that build each result tick from
+its own list, and the ``stream`` commands as whole-prefix operator calls
+between that parser and that printer.  They are slow on purpose and are used
+only to check ``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
+``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split``, ``tstd.join``
+and the ``tstd stream`` commands against.  The random generator is kept as first written, one ``randint``
 and a new ``Message`` per drawn tag, as the oracle for ``tstd.gen``'s
 prebuilt-message drawers and the probe's ``_diverging_pair``.  The syntactic causality rule is read the direct way too: a
 classifier that scans every transition once per state, and an emission
@@ -20,10 +21,11 @@ derives both in one pass over the transitions.
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain
+from pathlib import Path
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from tstd.dsl import _Issues, _parse_message
+from tstd.dsl import ParseFailure, _Issues, _parse_message
 from tstd.executor import (
     CausalityProbeResult,
     Configuration,
@@ -51,6 +53,11 @@ from tstd.streams import (
     SplitStrategy,
     StreamPrefix,
     TimeInterval,
+    delay_stream,
+    join,
+    split,
+    timed_merge,
+    untimed_abstraction,
 )
 
 
@@ -456,3 +463,54 @@ def reference_join(s: StreamPrefix, n: int) -> StreamPrefix:
     return StreamPrefix(
         tuple(tuple(chain.from_iterable(ivs[i : i + n])) for i in range(0, t, n))
     )
+
+
+def reference_stream_command(argv: Sequence[str]) -> Tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``tstd stream ARGV`` the old way:
+    ``reference_parse_trace`` of each file, the ``tstd.streams`` operator on
+    whole prefixes, then ``reference_print_trace``."""
+    op, *rest = argv
+    paths = [a for a in rest if a.endswith(".trc")]
+    flags = dict(zip(rest[len(paths) :: 2], rest[len(paths) + 1 :: 2]))
+    traces = []
+    for path in paths:
+        try:
+            text = Path(path).read_text(encoding="utf-8", errors="replace")
+            traces.append(reference_parse_trace(text))
+        except ParseFailure as exc:
+            return 2, "", "".join(f"{path}:{issue.render()}\n" for issue in exc.issues)
+    trace = traces[0]
+    chans = trace.channels
+    if op == "split":
+        n = int(flags["-n"])
+        how = SplitStrategy.parse(flags.get("--strategy", "all-first"))
+        result = Trace({ch: split(p, n, how) for ch, p in chans.items()}, trace.length * n)
+    elif op == "join":
+        n = int(flags["-n"])
+        if "--pad" in rest:
+            pad = (-trace.length) % n
+            chans = {ch: StreamPrefix(p.intervals + ((),) * pad) for ch, p in chans.items()}
+            trace = Trace(chans, trace.length + pad)
+        try:
+            result = Trace({ch: join(p, n) for ch, p in chans.items()}, trace.length // n)
+        except NonAlignedPrefixError as exc:
+            return 1, "", f"{exc} (use --pad to pad with empty ticks)\n"
+    elif op == "delay":
+        d = int(flags["-d"])
+        result = Trace({ch: delay_stream(p, d) for ch, p in chans.items()}, trace.length + d)
+    elif op == "merge":
+        right = traces[1]
+        if set(chans) != set(right.channels):
+            return 1, "", "traces carry different channel sets\n"
+        if trace.length != right.length:
+            return 1, "", f"cannot merge traces of lengths {trace.length} and {right.length}\n"
+        merged = {ch: timed_merge(p, right.channels[ch]) for ch, p in chans.items()}
+        result = Trace(merged, trace.length)
+    else:
+        assert op == "abstract", op
+        lines = []
+        for ch in sorted(chans):
+            seq = untimed_abstraction(chans[ch])
+            lines.append(f"{ch}: {' '.join(m.token() for m in seq) if seq else '-'}\n")
+        return 0, "".join(lines), ""
+    return 0, reference_print_trace(result), ""

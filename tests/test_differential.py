@@ -1,6 +1,6 @@
 """The optimised ``run``, ``run_network``, ``probe_causality``,
-``parse_trace``, ``print_trace``, ``split``, ``join`` and the random trace
-generator against the reference oracles.
+``parse_trace``, ``print_trace``, ``split``, ``join``, the ``tstd stream``
+commands and the random trace generator against the reference oracles.
 
 Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
@@ -69,7 +69,9 @@ from reference import (
     reference_run_network,
     reference_split,
     reference_step,
+    reference_stream_command,
 )
+from conftest import run_cli
 from specgen import INPUTS, wide_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -750,3 +752,88 @@ def test_spread_of_a_thousand_messages_over_two_ticks():
     assert refined == reference_split(prefix, 2, SplitStrategy.SPREAD)
     assert [len(iv) for iv in refined] == [500, 500, 0, 0]
     assert join(refined, 2) == prefix
+
+
+STREAM_COMMANDS = [
+    *(
+        ["split", "-n", str(n), "--strategy", strategy.value]
+        for strategy in SplitStrategy
+        for n in (1, 2, 3, 8)
+    ),
+    ["join", "-n", "1"],
+    ["join", "-n", "2"],
+    ["join", "-n", "3"],
+    ["join", "-n", "2", "--pad"],
+    ["join", "-n", "3", "--pad"],
+    ["delay", "-d", "0"],
+    ["delay", "-d", "3"],
+    ["abstract"],
+]
+
+# No channels, no ticks, and headers whose channels are not sorted.
+EDGE_TRACES = [
+    "ticks\n",
+    "ticks\n\n\n\n",
+    "ticks a b\n",
+    "ticks b a\nb: x | a: -\na: y:3 z | b: -\nb: - | a: -\n",
+    "ticks c a b\nc: m:1 | a: x | b: -\na: x | b: - | c: m:1\nc: - | b: y | a: x\n",
+]
+
+
+def _cli_case(tmp_path, texts, command):
+    """Write ``texts``, run ``tstd stream`` on them in process, and return
+    both its (code, stdout, stderr) and the old path's."""
+    paths = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"{i}.trc"
+        path.write_bytes(text.encode())
+        paths.append(str(path))
+    argv = [command[0], *paths, *command[1:]]
+    got = run_cli("stream", *argv)
+    return (got.code, got.out, got.err), reference_stream_command(argv)
+
+
+@pytest.fixture(scope="module")
+def corpora():
+    return trace_corpus(), stream_corpus()
+
+
+@pytest.mark.parametrize("command", STREAM_COMMANDS, ids=" ".join)
+def test_stream_commands_match_the_old_path(tmp_path, corpora, command):
+    """Every ``stream`` command through ``tstd.cli.main`` against parsing,
+    whole-prefix operators and printing, on loose, commented, CRLF and
+    broken texts and on printed payload traces."""
+    texts, traces = corpora
+    k = STREAM_COMMANDS.index(command)
+    texts = EDGE_TRACES + texts[k::83] + list(map(print_trace, traces[k % 10 :: 10]))
+    codes = set()
+    for i, text in enumerate(texts):
+        got, expected = _cli_case(tmp_path, [text], command)
+        assert got == expected, (i, text)
+        codes.add(got[0])
+    assert 0 in codes and 2 in codes
+
+
+def test_stream_merge_matches_the_old_path(tmp_path, corpora):
+    """Equal, mismatched and reordered channel sets, equal and unequal
+    lengths, and broken texts on either side."""
+    rng = Random(4242)
+    corpus, traces = corpora
+    texts = EDGE_TRACES + list(map(print_trace, traces[::8]))
+    pairs = [(a, b) for a in EDGE_TRACES for b in EDGE_TRACES]
+    for text in texts:
+        trace = parse_trace(text)
+        names = list(trace.channels)
+        same_shape = payload_trace(names, trace.length, rng, tags=("a", "m"))
+        rng.shuffle(names)
+        longer = payload_trace(names, trace.length + 1, rng)
+        pairs += [(text, text), (text, print_trace(same_shape)), (text, rng.choice(texts))]
+        pairs += [(text, _loose_text(same_shape, rng)), (_loose_text(longer, rng), text)]
+    pairs += [(corpus[i], corpus[i + 1]) for i in range(0, len(corpus) - 1, 83)]
+    outcomes = []
+    for i, pair in enumerate(pairs):
+        got, expected = _cli_case(tmp_path, pair, ["merge"])
+        assert got == expected, (i, pair)
+        outcomes.append(got[0] if got[0] != 1 else got[2][:14])
+    for outcome in (0, 2, "traces carry d", "cannot merge t"):
+        assert outcomes.count(outcome) > 10, (outcome, outcomes)

@@ -102,10 +102,15 @@ SPEC_MACHINERY = {
     "argv",
     [
         ["stream", "split", "empty4.trc", "-n", "3"],
+        ["stream", "split", "feedback_in.trc", "-n", "2", "--strategy", "spread"],
         ["stream", "join", "empty4.trc", "-n", "2"],
+        ["stream", "join", "feedback_in.trc", "-n", "2", "--pad"],
         ["stream", "merge", "empty4.trc", "empty4.trc"],
+        ["stream", "merge", "feedback_in.trc", "feedback_in.trc"],
         ["stream", "abstract", "empty4.trc"],
+        ["stream", "abstract", "feedback_in.trc"],
         ["stream", "delay", "empty4.trc", "-d", "2"],
+        ["stream", "delay", "feedback_in.trc", "-d", "0"],
         ["gen-trace", "--channels", "in", "--ticks", "0"],
     ],
     ids=" ".join,
@@ -115,6 +120,27 @@ def test_trace_commands_skip_the_spec_machinery(argv):
     assert code == 0
     assert {"tstd.trace_format", "tstd.trace_commands"} <= modules
     assert not modules & SPEC_MACHINERY
+    assert ("tstd.gen" in modules) == (argv[0] == "gen-trace")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "watchdog.tstd", "empty4.trc"], 0),
+        (["compose", "delay1.tnet", "empty4.trc"], 0),
+        (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
+        (["check", "untimed-sim", "toggler.tstd", "toggler.ttab", "--trials", "5"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_spec_commands_skip_the_trace_handlers(argv, code):
+    """They read traces through tstd.trace_format only, and the checks draw
+    traces without compiling the random spec generator."""
+    got, modules = _modules_after(*argv)
+    assert got == code
+    assert "tstd.trace_format" in modules
+    assert "tstd.trace_commands" not in modules
+    assert "tstd.random_specs" not in modules
 
 
 @pytest.mark.parametrize("module", ["tstd", "tstd.cli"])
