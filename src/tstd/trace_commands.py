@@ -6,21 +6,22 @@ these commands runs, so the spec commands do not compile it.  Like the rest of
 the trace side, it loads none of the spec machinery (:mod:`tstd.dsl`,
 :mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.network`).
 
-The ``stream`` commands work on dictionary-encoded columns.  They read a file
-with :func:`tstd.trace_format._read_ticks`, the reader behind
+``stream split``, ``join`` and ``delay`` work on dictionary-encoded columns.
+They read a file with :func:`tstd.trace_format._read_ticks`, the reader behind
 :func:`~tstd.trace_format.parse_trace`, which gives each tick's body texts and
-the file's table from body text to interval.  For each channel, a command
-collects the distinct keys: bodies for ``split``, ``delay`` and ``abstract``,
-n-tick groups of bodies for ``join``, and pairs of bodies for ``merge``.  It
-calls the :mod:`tstd.streams` operator once, on a prefix made of the distinct
-keys' intervals, and renders that result once.  Each output tick then looks
-up its key's segments, and the lines are joined as
-:func:`~tstd.trace_format.print_trace` joins them.  So each distinct interval,
-group or pair is transformed and rendered once per file.  On a trace whose
-every interval is distinct nothing is shared: the keys then cost a few
-dictionary operations per tick, and ``split -n 8`` and ``join -n 8`` take
-about 3-13% longer than parsing, one operator call per channel on whole
-prefixes and printing would (10k ticks, 1 and 3 channels).
+the file's table from body text to interval.  For each channel,
+:func:`_encoded_column` collects the distinct keys (bodies, or n-tick groups
+of bodies for ``join``), calls the :mod:`tstd.streams` operator once on a
+prefix made of their intervals, renders that result once and gives each
+output tick its key's segments.  So each distinct interval or group is
+transformed and rendered once per file.  On a trace whose every interval is
+distinct nothing is shared, and the keys cost a few dictionary operations
+per tick: ``split -n 8``, ``join -n 8`` and ``delay -d 2`` take about 5-12%
+longer than parsing, one operator call per channel on whole prefixes and
+printing would (10k ticks, 1 and 3 channels).  ``merge`` and ``abstract``
+parse with :func:`~tstd.trace_format.parse_trace`, the same reader, and run
+their operator on whole prefixes: keyed by pairs or bodies, they took up to
+15% and 27% longer on such traces.
 """
 
 from __future__ import annotations
@@ -29,25 +30,32 @@ import argparse
 import sys
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
-from .cli import OK, REFUTED, USAGE, _check_result_ticks, _Failure, _parse_file
+from .cli import (
+    OK,
+    REFUTED,
+    USAGE,
+    _check_result_ticks,
+    _emit_trace,
+    _Failure,
+    _load_trace,
+    _parse_file,
+)
 from .streams import (
     IDENT_RE,
-    Message,
     NonAlignedPrefixError,
     SplitStrategy,
     StreamPrefix,
     TimeInterval,
+    Trace,
     delay_stream,
     join,
     split,
     timed_merge,
     untimed_abstraction,
 )
-from .trace_format import _print_column, _read_ticks, _trace_text, print_trace
-
-_K = TypeVar("_K")
+from .trace_format import _print_column, _read_ticks, print_trace
 
 
 def _read_columns(path: str) -> Tuple[List[Tuple[str, List[str]]], int, Dict[str, TimeInterval]]:
@@ -62,35 +70,52 @@ def _prefix(table: Dict[str, TimeInterval], bodies: Iterable[str]) -> StreamPref
     return StreamPrefix(tuple(map(table.__getitem__, bodies)))
 
 
-def _regroup(
-    segments: Iterator[str], keys: Sequence[_K], distinct: List[_K], size: int = 1
+def _encoded_column(
+    channel: str,
+    keys: Sequence[Hashable],
+    operate: Callable[[List[Hashable]], StreamPrefix],
+    size: int = 1,
+    lead: int = 0,
 ) -> Iterator[str]:
-    """The output column: for each key, the ``size`` segments that
-    ``segments`` holds, in order, for its place among the ``distinct`` keys."""
+    """The output segments of ``channel``, whose ticks hold ``keys``.
+    ``operate`` maps the distinct keys, in order of first use, to the
+    operator's result on their intervals, which is rendered once.  After the
+    result's first ``lead`` ticks, each key gives the ``size`` segments that
+    the result holds for its place among the distinct keys."""
+    distinct = list(dict.fromkeys(keys))
+    segments = _print_column(channel, operate(distinct).intervals)
+    head = list(islice(segments, lead))
     if len(distinct) == len(keys):
         # Every key is new where it stands: the segments are the column.
-        return segments
+        return chain(head, segments)
     if size == 1:
-        return map(dict(zip(distinct, segments)).__getitem__, keys)
+        return chain(head, map(dict(zip(distinct, segments)).__getitem__, keys))
     groups = dict(zip(distinct, zip(*[segments] * size)))
-    return chain.from_iterable(map(groups.__getitem__, keys))
+    return chain(head, chain.from_iterable(map(groups.__getitem__, keys)))
 
 
-def _write(columns: List[Tuple[str, List[str]]], out: List[Iterator[str]], length: int) -> None:
-    sys.stdout.write(_trace_text([ch for ch, _ in columns], out, length))
+def _write(channels: List[str], columns: List[Iterator[str]], length: int) -> None:
+    """Print a ``length``-tick trace from its sorted channels and their lazy
+    segment columns, laid out as :func:`~tstd.trace_format.print_trace` does."""
+    if not channels:
+        sys.stdout.write("ticks" + "\n" * (length + 1))
+        return
+    lines = ["ticks " + " ".join(channels)]
+    lines += map(" | ".join, zip(*columns))
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def cmd_stream_split(args: argparse.Namespace) -> int:
     columns, length, table = _read_columns(args.trace)
     # split builds an n-tick filler even when the trace is empty.
     _check_result_ticks(max(length, 1) * args.n)
-    strategy = SplitStrategy.parse(args.strategy)
-    out = []
-    for ch, bodies in columns:
-        distinct = list(dict.fromkeys(bodies))
-        refined = split(_prefix(table, distinct), args.n, strategy)
-        out.append(_regroup(_print_column(ch, refined.intervals), bodies, distinct, args.n))
-    _write(columns, out, length * args.n)
+    n, strategy = args.n, SplitStrategy.parse(args.strategy)
+
+    def operate(distinct: List[str]) -> StreamPrefix:
+        return split(_prefix(table, distinct), n, strategy)
+
+    out = [_encoded_column(ch, bodies, operate, size=n) for ch, bodies in columns]
+    _write([ch for ch, _ in columns], out, length * n)
     return OK
 
 
@@ -103,52 +128,48 @@ def cmd_stream_join(args: argparse.Namespace) -> int:
         length += pad
         for _, bodies in columns:
             bodies += ["-"] * pad
-    out = []
+
+    def operate(distinct: List[Tuple[str, ...]]) -> StreamPrefix:
+        return join(_prefix(table, chain.from_iterable(distinct)), n)
+
     try:
         if columns and length % n:
             # join refuses a prefix of this length, in its own words; the
-            # distinct groups below would hide the misalignment from it.
+            # distinct groups would hide the misalignment from it.
             join(StreamPrefix.empty(length), n)
-        for ch, bodies in columns:
-            groups = list(zip(*[iter(bodies)] * n))
-            distinct = list(dict.fromkeys(groups))
-            joined = join(_prefix(table, chain.from_iterable(distinct)), n)
-            out.append(_regroup(_print_column(ch, joined.intervals), groups, distinct))
+        out = [
+            _encoded_column(ch, list(zip(*[iter(bodies)] * n)), operate)
+            for ch, bodies in columns
+        ]
     except NonAlignedPrefixError as exc:
         raise _Failure(REFUTED, f"{exc} (use --pad to pad with empty ticks)") from exc
-    _write(columns, out, length // n)
+    _write([ch for ch, _ in columns], out, length // n)
     return OK
 
 
 def cmd_stream_merge(args: argparse.Namespace) -> int:
-    left, length, left_table = _read_columns(args.trace_a)
-    right, right_length, right_table = _read_columns(args.trace_b)
-    if [ch for ch, _ in left] != [ch for ch, _ in right]:
+    left = _load_trace(args.trace_a)
+    right = _load_trace(args.trace_b)
+    if set(left.channels) != set(right.channels):
         raise _Failure(REFUTED, "traces carry different channel sets")
-    if length != right_length:
-        raise _Failure(REFUTED, f"cannot merge traces of lengths {length} and {right_length}")
-    out = []
-    for (ch, left_bodies), (_, right_bodies) in zip(left, right):
-        pairs = list(zip(left_bodies, right_bodies))
-        distinct = list(dict.fromkeys(pairs))
-        merged = timed_merge(
-            _prefix(left_table, map(itemgetter(0), distinct)),
-            _prefix(right_table, map(itemgetter(1), distinct)),
+    if left.length != right.length:
+        raise _Failure(
+            REFUTED, f"cannot merge traces of lengths {left.length} and {right.length}"
         )
-        out.append(_regroup(_print_column(ch, merged.intervals), pairs, distinct))
-    _write(left, out, length)
+    result = Trace(
+        {ch: timed_merge(left.channels[ch], right.channels[ch]) for ch in left.channels},
+        length=left.length,
+    )
+    _emit_trace(result, None)
     return OK
 
 
 def cmd_stream_abstract(args: argparse.Namespace) -> int:
-    columns, _, table = _read_columns(args.trace)
-    for ch, bodies in columns:
-        distinct = list(dict.fromkeys(bodies))
-        prefix = _prefix(table, distinct)
-        tokens = map(Message.token, untimed_abstraction(prefix))
-        # The tokens of each distinct interval, in turn.
-        text = {b: " ".join(islice(tokens, len(iv))) for b, iv in zip(distinct, prefix)}
-        print(f"{ch}: {' '.join(filter(None, map(text.__getitem__, bodies))) or '-'}")
+    trace = _load_trace(args.trace)
+    for ch in sorted(trace.channels):
+        seq = untimed_abstraction(trace.channels[ch])
+        body = " ".join(m.token() for m in seq) if seq else "-"
+        print(f"{ch}: {body}")
     return OK
 
 
@@ -156,13 +177,12 @@ def cmd_stream_delay(args: argparse.Namespace) -> int:
     columns, length, table = _read_columns(args.trace)
     d = args.d
     _check_result_ticks(length + d)
-    out = []
-    for ch, bodies in columns:
-        distinct = list(dict.fromkeys(bodies))
-        segments = _print_column(ch, delay_stream(_prefix(table, distinct), d).intervals)
-        head = list(islice(segments, d))
-        out.append(chain(head, _regroup(segments, bodies, distinct)))
-    _write(columns, out, length + d)
+
+    def operate(distinct: List[str]) -> StreamPrefix:
+        return delay_stream(_prefix(table, distinct), d)
+
+    out = [_encoded_column(ch, bodies, operate, lead=d) for ch, bodies in columns]
+    _write([ch for ch, _ in columns], out, length + d)
     return OK
 
 

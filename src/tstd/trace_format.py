@@ -4,10 +4,8 @@ Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
 ``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
 lists channels sorted by name.  A comment-only line is not a tick.
 
-One reader, :func:`_read_ticks`, serves all: :func:`parse_trace` decodes its
-rows, and the ``stream`` commands transform and render each distinct interval,
-group or pair once per file.  A trace whose every interval is distinct shares
-nothing, and costs them a few dictionary operations per tick more.
+One reader, :func:`_read_ticks`, serves :func:`parse_trace` and the
+``stream`` commands, which transform each distinct interval once per file.
 
 :class:`ParseFailure`, line splitting and message tokens serve :mod:`tstd.dsl`
 too.  Only :mod:`tstd.streams` is imported, so traces load no spec code.
@@ -246,18 +244,17 @@ def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[s
     return (head + " ".join(map(token, iv)) if iv else silent for iv in intervals)
 
 
-def _trace_text(channels: List[str], columns: Iterable[Iterable[str]], length: int) -> str:
-    """The text of a ``length``-tick trace from its sorted channels and their
-    lazy segment columns, joined a line at a time so no segment outlives it."""
+def print_trace(trace: Trace) -> str:
+    """Canonical trace text: channels sorted by name, '-' for empty intervals.
+
+    Each channel is rendered as a lazy column of segments, and ``zip`` over
+    the columns joins one tick's segments into its line, so no segment
+    outlives its line.
+    """
+    channels = sorted(trace.channels)
     if not channels:
-        return "ticks" + "\n" * (length + 1)
+        return "ticks" + "\n" * (trace.length + 1)
+    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
     lines = ["ticks " + " ".join(channels)]
     lines += map(" | ".join, zip(*columns))
     return "\n".join(lines) + "\n"
-
-
-def print_trace(trace: Trace) -> str:
-    """Canonical trace text: channels sorted by name, '-' for empty intervals."""
-    channels = sorted(trace.channels)
-    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
-    return _trace_text(channels, columns, trace.length)
