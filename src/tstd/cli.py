@@ -10,6 +10,7 @@ most of start-up is compiling source.  So this module imports only
 :mod:`tstd.trace_format` (and through it :mod:`tstd.streams`), which every
 command uses, and each command imports the rest of what it runs when it runs:
 a ``.tstd`` spec loads :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`.
+Likewise only the named command's argument parser is built.
 The handlers of the ``stream`` commands and ``gen-trace`` live in
 :mod:`tstd.trace_commands`, which only those commands compile; they load none
 of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
@@ -273,25 +274,20 @@ def _trace_command(name: str) -> Callable[[argparse.Namespace], int]:
     return run
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tstd",
-        description="Validate, simulate, compose and check timed state transition diagrams.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a component and report findings")
+def _add_validate(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("--format", choices=("textual", "table"))
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="run a component on an input trace")
+
+def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("trace")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("stream", help="apply a stream operator to a trace file")
+
+def _add_stream(p: argparse.ArgumentParser) -> None:
     stream_sub = p.add_subparsers(dest="op", required=True)
 
     q = stream_sub.add_parser("split", help="refine granularity by a factor")
@@ -320,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-d", type=_nonneg_int, required=True)
     q.set_defaults(func=_trace_command("cmd_stream_delay"))
 
-    p = sub.add_parser("check", help="randomized and structural checks")
+
+def _add_check(p: argparse.ArgumentParser) -> None:
     check_sub = p.add_subparsers(dest="kind", required=True)
 
     q = check_sub.add_parser("causality", help="probe strong causality of a component")
@@ -338,14 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("network")
     q.set_defaults(func=cmd_check_feedback)
 
-    p = sub.add_parser("compose", help="run a component network on a trace")
+
+def _add_compose(p: argparse.ArgumentParser) -> None:
     p.add_argument("network")
     p.add_argument("trace")
     p.add_argument("--ticks", type=_nonneg_int)
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("gen-trace", help="generate a seeded random trace")
+
+def _add_gen_trace(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channels", required=True, metavar="LIST")
     p.add_argument("--ticks", type=_nonneg_int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -353,10 +352,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="a,b,c", metavar="LIST")
     p.set_defaults(func=_trace_command("cmd_gen_trace"))
 
-    p = sub.add_parser("export-dot", help="render a component as a DOT digraph")
+
+def _add_export_dot(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.set_defaults(func=cmd_export_dot)
 
+
+# Each command: its help line and what adds its arguments, in --help order.
+_COMMANDS = {
+    "validate": ("parse a component and report findings", _add_validate),
+    "simulate": ("run a component on an input trace", _add_simulate),
+    "stream": ("apply a stream operator to a trace file", _add_stream),
+    "check": ("randomized and structural checks", _add_check),
+    "compose": ("run a component network on a trace", _add_compose),
+    "gen-trace": ("generate a seeded random trace", _add_gen_trace),
+    "export-dot": ("render a component as a DOT digraph", _add_export_dot),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command's name, a parser
+    with only that command's subparser, which takes less time to build.
+
+    The one-command parser parses that command's arguments as the full one
+    does and prints the same help and errors: only the top-level parser
+    lists the other commands, and it does so in its usage line, which the
+    one-command parser writes out in full."""
+    parser = argparse.ArgumentParser(
+        prog="tstd",
+        description="Validate, simulate, compose and check timed state transition diagrams.",
+    )
+    names = _COMMANDS if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -366,14 +397,26 @@ def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _parser_for(argv: List[str]) -> argparse.ArgumentParser:
+    """The one-command parser when ``argv`` starts with a command's name,
+    else the full parser (for ``--help``, no command or an unknown one)."""
+    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser_for(argv).parse_args(argv)
     try:
         return args.func(args)
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except MemoryError:
+        # A result or buffer sized from the arguments that cannot be
+        # allocated, such as `stream delay -d` with a huge depth.
+        print("result too large: not enough memory", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

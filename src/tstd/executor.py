@@ -1,24 +1,27 @@
 """Tick-by-tick execution of a single component spec.
 
-A spec is compiled once into a private machine: Python source with one
-function per state, generated from the transitions and run through ``exec``.
-Calling the current state's function is the only per-tick operation: it
-fires at most one transition and is total, so when nothing is enabled the
-machine stutters in place and stays silent, time always advances and a
-T-tick input yields exactly a T-tick output.  ``run`` compiles the spec and
-folds the state functions over the ticks; ``step`` is the same tick on named
-configurations.  Two seeded refutation checks compile each spec once and
-reuse it for every trial: ``probe_causality`` hunts for same-tick input
-sensitivity, ``check_untimed_simulation`` compares two machines modulo tick
-boundaries.  Both report evidence, never proofs.  They import
-:mod:`tstd.gen` when called, so running a spec does not load it.
-:class:`Trace` lives in :mod:`tstd.streams` and is importable from here too.
+A spec is compiled once into a private machine: Python source generated from
+the transitions and run through ``exec``.  Each tick fires at most one
+transition, the first enabled one, and is total, so when nothing is enabled
+the machine stutters in place and stays silent, time always advances and a
+T-tick input yields exactly a T-tick output.  Most ticks of a run stay in
+one control state, so each state is one generated loop that keeps reading
+ticks for as long as the machine stays there, with the variables as local
+variables and one output column per channel.  A small driver calls the
+current state's loop until the input runs out: ``run`` drives a whole
+trace, ``step`` one tick on named configurations.  Two seeded refutation
+checks compile each spec once and reuse it for every trial:
+``probe_causality`` hunts for same-tick input sensitivity,
+``check_untimed_simulation`` compares two machines modulo tick boundaries.
+Both report evidence, never proofs.  They import :mod:`tstd.gen` when
+called, so running a spec does not load it.  :class:`Trace` lives in
+:mod:`tstd.streams` and is importable from here too.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 from .model import (
@@ -26,6 +29,7 @@ from .model import (
     PatternKind,
     Relation,
     Severity,
+    Transition,
     UpdateOp,
     _strong_outputs,
     validate_spec,
@@ -66,6 +70,11 @@ def _tuple(items: Iterable[str]) -> str:
     return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
+def _guarded(guard: str, lines: List[str]) -> List[str]:
+    """Source ``lines`` under ``if guard:``, or as they are when unguarded."""
+    return [f"if {guard}:", *("    " + line for line in lines)] if guard else lines
+
+
 # Each pattern kind and relation as a Python expression over an input
 # interval ``i`` and a constant ``k``; what they test is model's
 # _PATTERN_TESTS and _RELATION_TESTS.
@@ -81,17 +90,36 @@ _RELATION_CODE = {r: "==" if r is Relation.EQ else r.value for r in Relation}
 
 
 class _Machine:
-    """A component spec compiled once into one Python function per state.
+    """A component spec compiled once into generated Python functions.
 
-    States are indices into ``spec.states``, a variable valuation is a
-    tuple in ``var_names`` order, tick inputs are a sequence in
-    ``in_channels`` order and tick outputs a tuple in ``out_channels`` order.
-    ``fns[s](env, inputs)`` is one tick from state ``s`` and returns
-    ``(target, env, outputs)``: it tests the transitions leaving ``s`` in
-    declaration order, each guard an inline expression, and returns from the
-    first one whose guards all hold, with its literal outputs, its
-    pass-throughs and a new env tuple for its updates.  When none holds it
-    stutters: it returns ``s``, the same env and ``silence``.
+    States are indices into ``spec.states``, a variable valuation (an env)
+    is a tuple in ``var_names`` order, tick inputs come in ``in_channels``
+    order and tick outputs in ``out_channels`` order.
+
+    Each transition becomes source fragments, made in one place
+    (:meth:`_fragments`): its guard as one inline expression over the tick's
+    input intervals ``i0, i1, ...`` and the variables ``v0, v1, ...``, its
+    output interval on each channel, its updates as assignments to those
+    variables, and its target.  A state keeps its transitions in declaration
+    order up to the first unguarded one, after which nothing can fire.  The
+    fragments are wrapped two ways:
+
+    - The state loop ``s<s>(ticks, appends, env)`` reads ticks from the
+      shared iterator ``ticks`` for as long as the machine stays in state
+      ``s``.  ``appends`` holds the ``append`` of each output channel's
+      column, and the variables are its locals.  Each transition is a flat
+      ``if`` block that appends its output interval on each channel,
+      updates the locals, and then either goes on to the next tick (a
+      self-loop) or returns ``(target, env)``.  When no guard holds the
+      machine stutters: every channel gets an empty interval.  When
+      ``ticks`` runs out the loop returns ``(~s, env)``, a negative state,
+      which ends :meth:`drive`.  Each loop is compiled when the machine
+      first enters its state, so a machine that only a network runs never
+      compiles one.
+    - :meth:`tick_functions` makes ``t<s>(env, i0, i1, ...)``, one tick from
+      state ``s`` that returns ``(target, env, outputs)``, for
+      :func:`tstd.network.run_network`, which advances all of a network's
+      machines in lock step.
 
     The generated source holds only names it makes and integer indices;
     every value of the spec (messages, bounds, update values, literal
@@ -113,9 +141,10 @@ class _Machine:
         "var_names",
         "initial_state",
         "initial_env",
-        "silence",
-        "fns",
         "emits",
+        "_loops",
+        "_states",
+        "_namespace",
     )
 
     def __init__(self, spec: ComponentSpec):
@@ -128,93 +157,153 @@ class _Machine:
         self.var_names = tuple(v.name for v in spec.vars)
         self.initial_state = self.state_index[spec.initial]
         self.initial_env = tuple(v.initial for v in spec.vars)
-        self.silence: Tuple[TimeInterval, ...] = ((),) * len(self.out_channels)
+        self._namespace: Dict[str, object] = {"S": ((),) * len(self.out_channels)}
+        self._states = self._fragments(spec)
+        self._loops = [self._first_entry(s) for s in range(len(spec.states))]
+        self.emits = _strong_outputs(spec)
 
+    def _fragments(self, spec: ComponentSpec) -> List[Tuple[list, bool, bool, bool]]:
+        """Per state, ``(fragments, closed, reads, uses_vars)``: the
+        fragments of its transitions up to the first unguarded one, whether
+        there is one (then the state never stutters), whether they read the
+        tick's inputs and whether they name a variable.  A fragment is
+        ``(guard, outputs, output_tuple, updates, target)``: the guard
+        expression ("" when unguarded), the expression of each channel's
+        output interval, the expression of the whole output tuple, the
+        update statements and the target's index."""
+        namespace = self._namespace
         in_name = {ch: f"i{i}" for i, ch in enumerate(self.in_channels)}
         out_pos = {ch: i for i, ch in enumerate(self.out_channels)}
-        var_pos = {v: i for i, v in enumerate(self.var_names)}
-        namespace = {"S": self.silence}
+        var_name = {v: f"v{j}" for j, v in enumerate(self.var_names)}
 
         def const(value) -> str:
             name = f"k{len(namespace)}"
             namespace[name] = value
             return name
 
-        bodies: List[List[str]] = [[] for _ in spec.states]
-        closed = set()  # states with an unguarded transition: nothing after it fires
-        reads = set()  # states whose function reads its inputs
+        outgoing: Dict[str, List[Transition]] = {s: [] for s in spec.states}
         for t in spec.transitions:
-            source = self.state_index[t.source]
-            if source in closed:
-                continue
-            literal = list(self.silence)
-            for action in t.outputs:
-                if not action.is_pass:
-                    literal[out_pos[action.channel]] = action.messages
-            passes = any(action.is_pass for action in t.outputs)
-            if t.interval_guards or passes:
-                reads.add(source)
-            if passes:
-                items = [const(iv) for iv in literal]
+            outgoing[t.source].append(t)
+        states = []
+        for source in spec.states:
+            fragments = []
+            closed = reads = uses_vars = False
+            for t in outgoing[source]:
+                literal = [()] * len(self.out_channels)
+                outputs = ["()"] * len(self.out_channels)
+                passes = False
                 for action in t.outputs:
+                    c = out_pos[action.channel]
                     if action.is_pass:
-                        items[out_pos[action.channel]] = in_name[action.source]
-                outputs = _tuple(items)
-            else:
-                outputs = const(tuple(literal))
-            env = "env"
-            if t.updates:
-                items = [f"env[{j}]" for j in range(len(self.var_names))]
-                for u in t.updates:
-                    j = var_pos[u.var]
-                    plus = f"env[{j}] + " if u.op is UpdateOp.ADD else ""
-                    items[j] = plus + const(u.value)
-                env = _tuple(items)
-            guards = [
-                _PATTERN_CODE[g.pattern.kind].format(
-                    i=in_name[g.channel],
-                    k=const(g.pattern.count if g.pattern.message is None else g.pattern.message),
-                )
-                for g in t.interval_guards
-            ]
-            guards += [
-                f"env[{var_pos[g.var]}] {_RELATION_CODE[g.relation]} {const(g.bound)}"
-                for g in t.var_guards
-            ]
-            fire = f"return {self.state_index[t.target]}, {env}, {outputs}"
-            if guards:
-                bodies[source] += [f"if {' and '.join(guards)}:", "    " + fire]
-            else:
-                bodies[source].append(fire)
-                closed.add(source)
-        lines = []
-        for s, body in enumerate(bodies):
-            if s in reads:
-                body.insert(0, f"{_tuple(in_name.values())} = inputs")
-            if s not in closed:
-                body.append(f"return {s}, env, S")
-            lines += [f"def s{s}(env, inputs):", *("    " + line for line in body)]
-        exec("\n".join(lines), namespace)
-        self.fns = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
-        self.emits = _strong_outputs(spec)
+                        outputs[c] = in_name[action.source]
+                        passes = True
+                    elif action.messages:
+                        literal[c] = action.messages
+                        outputs[c] = const(action.messages)
+                guards = [
+                    _PATTERN_CODE[g.pattern.kind].format(
+                        i=in_name[g.channel],
+                        k=const(g.pattern.count if g.pattern.message is None else g.pattern.message),
+                    )
+                    for g in t.interval_guards
+                ]
+                guards += [
+                    f"{var_name[g.var]} {_RELATION_CODE[g.relation]} {const(g.bound)}"
+                    for g in t.var_guards
+                ]
+                updates = [
+                    f"{var_name[u.var]} = "
+                    + (f"{var_name[u.var]} + " if u.op is UpdateOp.ADD else "")
+                    + const(u.value)
+                    for u in t.updates
+                ]
+                output_tuple = _tuple(outputs) if passes else const(tuple(literal))
+                target = self.state_index[t.target]
+                fragments.append((" and ".join(guards), outputs, output_tuple, updates, target))
+                reads = reads or passes or bool(t.interval_guards)
+                uses_vars = uses_vars or bool(t.var_guards or t.updates)
+                if not guards:
+                    closed = True
+                    break
+            states.append((fragments, closed, reads, uses_vars))
+        return states
 
-    def outputs(self, inputs: Trace) -> List[Tuple[TimeInterval, ...]]:
-        """The output tuple of every tick of a run from the initial state."""
-        columns = [inputs.channels[ch].intervals for ch in self.in_channels]
-        ticks = zip(*columns) if columns else repeat((), inputs.length)
-        fns = self.fns
-        state, env = self.initial_state, self.initial_env
-        rows = []
-        for tick_inputs in ticks:
-            state, env, out = fns[state](env, tick_inputs)
-            rows.append(out)
-        return rows
+    def _first_entry(self, s: int) -> Callable:
+        """Stands in for state ``s``'s loop until the machine first enters
+        ``s``: then it compiles the loop, puts it in its place and runs it.
+        So a run compiles the states it visits, and ``step`` one or two."""
+
+        def enter(ticks: Iterator, appends: tuple, env: tuple) -> Tuple[int, tuple]:
+            exec("\n".join(self._loop_source(s, *self._states[s])), self._namespace)
+            loop = self._loops[s] = self._namespace[f"s{s}"]
+            return loop(ticks, appends, env)
+
+        return enter
+
+    def _loop_source(
+        self, s: int, fragments: list, closed: bool, reads: bool, uses_vars: bool
+    ) -> List[str]:
+        appends = [f"a{c}" for c in range(len(self.out_channels))]
+        env = _tuple(f"v{j}" for j in range(len(self.var_names))) if uses_vars else "env"
+        body: List[str] = []
+        for guard, outputs, _, updates, target in fragments:
+            fire = [f"{a}({out})" for a, out in zip(appends, outputs)] + updates
+            fire.append("continue" if target == s else f"return {target}, {env}")
+            body += _guarded(guard, fire)
+        if not closed:
+            body += [f"{a}(())" for a in appends]
+        inputs = _tuple(f"i{i}" for i in range(len(self.in_channels))) if reads else "_"
+        return [
+            f"def s{s}(ticks, appends, env):",
+            *([f"    {_tuple(appends)} = appends"] if appends else []),
+            *([f"    {env} = env"] if uses_vars else []),
+            f"    for {inputs} in ticks:",
+            *("        " + line for line in body or ["pass"]),
+            f"    return {~s}, {env}",
+        ]
+
+    def _tick_source(
+        self, s: int, fragments: list, closed: bool, reads: bool, uses_vars: bool
+    ) -> List[str]:
+        variables = _tuple(f"v{j}" for j in range(len(self.var_names)))
+        body = [f"{variables} = env"] if uses_vars else []
+        for guard, _, output_tuple, updates, target in fragments:
+            env = variables if updates else "env"
+            body += _guarded(guard, [*updates, f"return {target}, {env}, {output_tuple}"])
+        if not closed:
+            body.append(f"return {s}, env, S")
+        inputs = "".join(f", i{i}" for i in range(len(self.in_channels)))
+        return [f"def t{s}(env{inputs}):", *("    " + line for line in body)]
+
+    def tick_functions(self) -> tuple:
+        """``t<s>(env, i0, i1, ...)`` for each state ``s``: one tick from
+        ``s`` that returns ``(target, env, outputs)``.  Compiled on each
+        call; :func:`tstd.network.run_network` calls it once per spec."""
+        lines: List[str] = []
+        for s, state in enumerate(self._states):
+            lines += self._tick_source(s, *state)
+        exec("\n".join(lines), self._namespace)
+        return tuple(self._namespace[f"t{s}"] for s in range(len(self._states)))
+
+    def drive(
+        self, ticks: Iterator[Sequence[TimeInterval]], state: int, env: tuple
+    ) -> Tuple[int, tuple, List[List[TimeInterval]]]:
+        """Run from ``state`` and ``env`` until the iterator ``ticks`` of
+        tick inputs runs out.  Returns the final state, the final env and
+        one list per output channel with the interval of each tick read."""
+        columns: List[List[TimeInterval]] = [[] for _ in self.out_channels]
+        appends = tuple([column.append for column in columns])
+        loops = self._loops
+        while state >= 0:
+            state, env = loops[state](ticks, appends, env)
+        return ~state, env, columns
 
     def run(self, inputs: Trace) -> Trace:
-        rows = self.outputs(inputs)
-        columns = zip(*rows) if rows else [()] * len(self.out_channels)
+        columns = [inputs.channels[ch].intervals for ch in self.in_channels]
+        ticks = zip(*columns) if columns else repeat((), inputs.length)
+        _, _, outputs = self.drive(ticks, self.initial_state, self.initial_env)
         return Trace(
-            {ch: StreamPrefix(col) for ch, col in zip(self.out_channels, columns)},
+            {ch: StreamPrefix(tuple(col)) for ch, col in zip(self.out_channels, outputs)},
             length=inputs.length,
         )
 
@@ -229,8 +318,9 @@ def step(
     Always returns exactly one interval per output channel; channels the
     fired transition does not mention stay empty.  A stutter leaves the
     configuration untouched and emits only empty intervals.  Compiles the
-    spec on every call, which generates its code (about 0.2 ms for a small
-    spec); ``run`` compiles it once per run.
+    spec on every call: it validates the spec and generates the code of the
+    one or two states the tick visits (about 0.3 ms for a small spec);
+    ``run`` compiles it once per run.
     """
     machine = _Machine(spec)
     state = machine.state_index.get(cfg.state)
@@ -240,9 +330,9 @@ def step(
         if ch not in tick_inputs:
             raise ValueError(f"tick inputs missing channel '{ch}'")
     env = tuple(cfg.var_env[v] for v in machine.var_names)
-    inputs = [tick_inputs[ch] for ch in machine.in_channels]
-    target, new_env, outputs = machine.fns[state](env, inputs)
-    out = dict(zip(machine.out_channels, outputs))
+    inputs = tuple(tick_inputs[ch] for ch in machine.in_channels)
+    target, new_env, columns = machine.drive(iter((inputs,)), state, env)
+    out = {ch: column[0] for ch, column in zip(machine.out_channels, columns)}
     if target == state and new_env == env:
         return cfg, out
     var_env = dict(cfg.var_env)
@@ -341,21 +431,21 @@ def probe_causality(
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
-    fns = machine.fns
     alphabet = probe_alphabet(spec)
     draw = interval_drawer(alphabet, 3)
     for _ in range(trials):
         a, b, cut = _diverging_pair(machine.in_channels, alphabet, draw, horizon, rng)
         # The pair agrees before the cut, so the deterministic machine reaches
-        # the cut in one state and only the cut tick's outputs can differ.
+        # the cut in one configuration and only the cut tick's outputs can
+        # differ: run the prefix once, then the cut tick of each.
         ticks_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
-        state, env = machine.initial_state, machine.initial_env
-        for tick_inputs in islice(ticks_a, cut):
-            state, env, _ = fns[state](env, tick_inputs)
-        _, _, out_a = fns[state](env, next(ticks_a))
-        _, _, out_b = fns[state](env, [b.channels[ch][cut] for ch in machine.in_channels])
-        for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
-            if iv_a != iv_b:
+        start = machine.initial_state, machine.initial_env
+        state, env, _ = machine.drive(islice(ticks_a, cut), *start)
+        tick_b = tuple(b.channels[ch][cut] for ch in machine.in_channels)
+        _, _, out_a = machine.drive(islice(ticks_a, 1), state, env)
+        _, _, out_b = machine.drive(iter((tick_b,)), state, env)
+        for ch, col_a, col_b in zip(machine.out_channels, out_a, out_b):
+            if col_a != col_b:
                 return CausalityProbeResult(
                     refuted=True,
                     trials=trials,

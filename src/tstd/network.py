@@ -11,10 +11,12 @@ exist.
 :func:`run_network` compiles a network once per call into one generated
 Python tick loop: every distinct spec into a machine of
 :mod:`tstd.executor`, every port into a local variable and every instance
-into statements of the loop body, in that evaluation order.  Each tick then
-calls one state function per machine: a weak machine fires as it emits,
-while a strong one emits from its per-state output table and fires at the
-end of the tick, once its inputs are known.
+into statements of the loop body, in that evaluation order.  The machines
+advance in lock step, so each tick calls one per-tick state function per
+machine, made from the same transition fragments as the machine's own state
+loops: a weak machine fires as it emits, while a strong one emits from its
+per-state output table and fires at the end of the tick, once its inputs
+are known.  Each external output is appended to a column of its own.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -52,7 +54,7 @@ from .model import (
     classify_causality_syntactic,
     validate_spec,
 )
-from .streams import IDENT_RE, StreamPrefix
+from .streams import IDENT_RE, StreamPrefix, TimeInterval
 from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
 __all__ = [
@@ -345,8 +347,13 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     tick every instance emits once in that order; delays and strongly causal
     machines emit from state and absorb their inputs at the end of the tick,
     which is what lets well-formed feedback resolve without iteration.  A
-    strong machine's emission is its ``_Machine.emits`` table, which
-    :mod:`tstd.model` derives with the causality rule itself.
+    machine fires through its per-tick state functions
+    (``_Machine.tick_functions``), generated from the same guard, update and
+    output fragments as the state loops that ``run`` drives.  A strong
+    machine's emission is its ``_Machine.emits`` table, which
+    :mod:`tstd.model` derives with the causality rule itself.  The loop
+    appends each external output to its own column, which becomes that
+    output's stream prefix.
     """
     ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
     if not ok:
@@ -372,8 +379,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     driver = {wire.target: var_of[wire.source] for wire in net.wires}
 
     instances = {inst.id: inst for inst in net.instances}
-    # A machine holds no run state, so instances of equal specs share one.
-    machines: Dict[ComponentSpec, _Machine] = {}
+    # A machine holds no run state, so instances of equal specs share one,
+    # and its tick functions.
+    machines: Dict[ComponentSpec, Tuple[_Machine, tuple]] = {}
     namespace: Dict[str, object] = {}
     init: List[str] = []
     emit: List[str] = []
@@ -392,28 +400,35 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         elif inst.kind is InstanceKind.MERGE:
             emit.append(f"{outs[0]} = {ins[0]} + {ins[1]}")
         else:
-            machine = machines.get(inst.spec)
-            if machine is None:
-                machine = machines[inst.spec] = _Machine(inst.spec)
-            namespace[f"F{n}"], namespace[f"V{n}"] = machine.fns, machine.initial_env
+            if inst.spec not in machines:
+                machine = _Machine(inst.spec)
+                machines[inst.spec] = machine, machine.tick_functions()
+            machine, namespace[f"F{n}"] = machines[inst.spec]
+            namespace[f"V{n}"] = machine.initial_env
             init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
-            fire = f"F{n}[s{n}](e{n}, {_tuple(ins)})"
+            fire = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"
             if machine.emits is None:
                 emit.append(f"s{n}, e{n}, {_tuple(outs)} = {fire}")
             else:
                 namespace[f"E{n}"] = machine.emits
                 emit.append(f"{_tuple(outs)} = E{n}[s{n}]")
                 absorb.append(f"s{n}, e{n}, _ = {fire}")
-    boundary = _tuple([driver[ExternalPort(name)] for name in net.external_out])
+    # Each external output is a column of its own, filled by its append o<k>.
+    appends = [f"o{k}" for k in range(len(net.external_out))]
+    collect = [
+        f"{append}({driver[ExternalPort(name)]})" for append, name in zip(appends, net.external_out)
+    ]
     row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
-    loop = ["    " + line for line in emit + absorb + [f"append({boundary})"]]
-    head = ["def kernel(ticks):", *init, "rows = []", "append = rows.append"]
-    exec("\n    ".join([*head, f"for {row} in ticks:", *loop, "return rows"]), namespace)
+    loop = ["    " + line for line in emit + absorb + collect]
+    head = [f"def kernel(ticks{''.join(', ' + a for a in appends)}):", *init]
+    exec("\n    ".join([*head, f"for {row} in ticks:", *(loop or ["    pass"])]), namespace)
     columns = [external_inputs.channels[name].intervals for name in net.external_in]
-    rows = namespace["kernel"](zip(*columns) if columns else repeat((), ticks))
-    collected = zip(*rows) if rows else [()] * len(net.external_out)
+    collected: List[List[TimeInterval]] = [[] for _ in net.external_out]
+    namespace["kernel"](
+        zip(*columns) if columns else repeat((), ticks), *[col.append for col in collected]
+    )
     return Trace(
-        {name: StreamPrefix(col) for name, col in zip(net.external_out, collected)},
+        {name: StreamPrefix(tuple(col)) for name, col in zip(net.external_out, collected)},
         length=ticks,
     )
 

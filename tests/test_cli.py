@@ -1,8 +1,12 @@
+import argparse
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import tstd.gen
+from tstd import cli
 from tstd.dsl import parse_trace
 
 from conftest import run_cli
@@ -167,6 +171,19 @@ class TestStream:
         assert r.code == 2
         assert r.out == ""
         assert "result too large" in r.err
+
+    # 10**15 fits an index, so these ask for 8 PB of empty ticks, more than
+    # any address space holds: the allocation fails at once.
+    @pytest.mark.parametrize(
+        "argv", [("delay", "-d", str(10**15)), ("join", "-n", str(10**15), "--pad")]
+    )
+    def test_unallocatable_result_is_usage_error(self, tmp_path, argv):
+        p = self.write(tmp_path, "ticks c\nc: a\n")
+        op, *flags = argv
+        r = run_cli("stream", op, p, *flags)
+        assert r.code == 2
+        assert r.out == ""
+        assert r.err == "result too large: not enough memory\n"
 
     def test_merge(self, tmp_path):
         a = tmp_path / "a.trc"
@@ -460,3 +477,60 @@ class TestExportDot:
         p.write_text("xyzzy\n")
         r = run_cli("export-dot", str(p))
         assert r.code == 2
+
+
+def _parse_outcome(parser, argv):
+    """stdout, stderr and the exit code or parsed arguments of ``argv``;
+    a handler is compared by its name and the values it closes over."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return out.getvalue(), err.getvalue(), exc.code
+    func = args.pop("func")
+    handler = func.__name__, [cell.cell_contents for cell in func.__closure__ or ()]
+    return out.getvalue(), err.getvalue(), (args, handler)
+
+
+PARSER_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["bogus", "--help"],
+    ["--bogus", "simulate", "a", "b"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    *([name] for name in cli._COMMANDS),
+    *(["stream", op, "--help"] for op in ("split", "join", "merge", "abstract", "delay")),
+    *(["check", kind, "--help"] for kind in ("causality", "untimed-sim", "feedback")),
+    ["stream", "bogus"],
+    ["check", "bogus"],
+    ["stream", "split", "t"],
+    ["check", "untimed-sim", "a"],
+    ["gen-trace", "--ticks", "3"],
+    ["simulate", "a", "b", "--bogus"],
+    ["validate", "a", "extra"],
+    ["stream", "merge", "a", "b", "c"],
+    ["check", "feedback", "n", "--trials", "3"],
+    ["validate", "x", "--format", "yaml"],
+    ["stream", "split", "t", "-n", "2", "--strategy", "x"],
+    ["stream", "split", "t", "-n", "0"],
+    ["compose", "n", "t", "--ticks", "-1"],
+    ["check", "causality", "s", "--horizon", "x"],
+    ["simulate", "a", "b", "--out", "o"],
+    ["stream", "join", "t", "-n", "2", "--pad"],
+    ["stream", "delay", "t", "-d", "3"],
+    ["check", "causality", "s", "--trials", "5"],
+    ["gen-trace", "--channels", "a", "--ticks", "3", "--max-len", "1"],
+    ["export-dot", "s"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_command_parser_matches_the_full_parser(argv):
+    parser = cli._parser_for(argv)
+    known = bool(argv) and argv[0] in cli._COMMANDS
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == (argv[:1] if known else list(cli._COMMANDS))
+    assert _parse_outcome(parser, argv) == _parse_outcome(cli.build_parser(), argv)

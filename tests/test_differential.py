@@ -403,6 +403,21 @@ def test_run_and_step_match_reference_on_wide_specs():
     assert all(count >= 25 for count in seen.values()), seen
 
 
+def test_step_matches_reference_from_every_state_of_wide_specs():
+    rng = Random(1915)
+    seen = {"strong": 0, "weak": 0, "over 32 states": 0}
+    for i in range(40):
+        spec = wide_spec(rng, f"x{i}")
+        tick = payload_trace(INPUTS, 1, rng).tick(0)
+        for state in spec.states:
+            cfg = Configuration(state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
+            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+        strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
+        seen["strong" if strong else "weak"] += 1
+        seen["over 32 states"] += len(spec.states) > 32
+    assert all(count >= 8 for count in seen.values()), seen
+
+
 def test_probe_causality_matches_reference_on_wide_specs():
     rng = Random(1911)
     seen = {"refuted": 0, "consistent": 0}
@@ -433,6 +448,89 @@ def test_run_network_matches_reference_on_wide_specs():
         seen["well-formed"] += 1
         seen["cut by strong"] += _has_cycle(net, skip={"delay"})
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_run_matches_reference_on_random_traces():
+    """``random_spec`` × ``gen.random_trace``, zero-tick traces included."""
+    rng = Random(2026)
+    seen = {"zero ticks": 0, "emits": 0}
+    for i in range(400):
+        spec = random_spec(rng, name=f"t{i}")
+        ticks = rng.choice((0, 0, 1, 2, 5, 16, 60))
+        inputs = random_trace(spec.in_channels(), ticks, rng, alphabet=spec_tags(spec) + ["z"])
+        out = run(spec, inputs)
+        assert out == reference_run(spec, inputs), i
+        seen["zero ticks"] += ticks == 0
+        seen["emits"] += any(any(p) for p in out.channels.values())
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def _without_inputs(spec):
+    """``spec`` with no input channel: interval guards are dropped and each
+    ``pass`` becomes a literal on the same channel."""
+
+    def literal(action):
+        if action.is_pass:
+            return OutputAction.literal(action.channel, (Message("p", 1),))
+        return action
+
+    transitions = tuple(
+        _with(t, interval_guards=(), outputs=tuple(map(literal, t.outputs)))
+        for t in spec.transitions
+    )
+    channels = tuple(ch for ch in spec.channels if ch.direction is Direction.OUT)
+    return ComponentSpec(spec.name, channels, spec.vars, spec.states, spec.initial, transitions)
+
+
+def _stutter_only(spec, rng):
+    """``spec`` with no transition leaving its initial state, nor about half
+    of its other states: a run never leaves the initial state."""
+    quiet = {s for s in spec.states if s == spec.initial or rng.random() < 0.5}
+    transitions = tuple(t for t in spec.transitions if t.source not in quiet)
+    return ComponentSpec(
+        spec.name, spec.channels, spec.vars, spec.states, spec.initial, transitions
+    )
+
+
+def edge_corpus():
+    """Wide specs without input channels, wide specs whose initial state
+    only stutters, and a spec of one stutter-only state, each with traces
+    of zero and of several ticks."""
+    rng = Random(1917)
+    specs = []
+    for i in range(60):
+        spec = wide_spec(rng, f"e{i}", max_states=12)
+        specs += [_without_inputs(spec), _stutter_only(spec, rng)]
+    specs.append(
+        ComponentSpec("idle", (ChannelDecl("y", Direction.OUT),), (), ("S",), "S", ())
+    )
+    specs = [spec for spec in specs if not has_errors(validate_spec(spec))]
+    return [
+        (spec, payload_trace(spec.in_channels(), ticks, rng))
+        for spec in specs
+        for ticks in (0, rng.randint(1, 20))
+    ]
+
+
+def test_run_step_and_probe_match_reference_on_edge_specs():
+    rng = Random(1921)
+    seen = {"no inputs": 0, "stutter-only start": 0, "zero ticks": 0, "emits": 0}
+    for i, (spec, inputs) in enumerate(edge_corpus()):
+        out = run(spec, inputs)
+        assert out == reference_run(spec, inputs), i
+        tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
+        env = {v.name: rng.randint(-3, 3) for v in spec.vars}
+        for state in spec.states:
+            cfg = Configuration(state, env)
+            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+        trials, horizon, seed = rng.randint(1, 6), rng.randint(1, 12), rng.randrange(10**6)
+        result = probe_causality(spec, trials, horizon, seed)
+        assert result == reference_probe_causality(spec, trials, horizon, seed), i
+        seen["no inputs"] += not spec.in_channels()
+        seen["stutter-only start"] += not any(t.source == spec.initial for t in spec.transitions)
+        seen["zero ticks"] += inputs.length == 0
+        seen["emits"] += any(any(p) for p in out.channels.values())
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def _one_instance_network(spec):
@@ -553,6 +651,13 @@ def test_two_hundred_states_on_one_cycle():
     assert emitted == set(range(n))
     net = _one_instance_network(spec)
     assert run_network(net, inputs, inputs.length) == out
+    for tick in ({"in": ()}, {"in": (Message("a"),)}):
+        for state in states:
+            cfg = Configuration(state, {"v": n})
+            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), state
+    result = probe_causality(spec, 20, 16, 200)
+    assert result == reference_probe_causality(spec, 20, 16, 200)
+    assert result.refuted
 
 
 def test_chain_of_fifteen_hundred_instances_with_delayed_feedback():
