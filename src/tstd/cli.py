@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check was refuted or the input failed validation,
-2 usage or parse error, 3 unreadable or unwritable file.  Data goes to
-stdout, diagnostics to stderr; every command is deterministic given its
-arguments, input files, and seed.
+2 usage or parse error, 3 unreadable or unwritable file, stdout included.
+Data goes to stdout, diagnostics to stderr; every command is deterministic
+given its arguments, input files, and seed.
 
 Start-up is most of a short command's time, and without cached bytecode
 most of start-up is compiling source.  So this module imports only
@@ -20,6 +20,7 @@ of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
@@ -58,6 +59,39 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise _Failure(IO_ERROR, f"cannot write '{path}': {exc}") from exc
+
+
+def _stdout_failure(exc: OSError) -> _Failure:
+    """The failure of a write or flush of stdout.
+
+    Stdout is pointed at the null device first, so that the interpreter's
+    flush at exit of what is still buffered does not fail a second time.
+    """
+    import os
+
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        pass  # not a file, so nothing of it is flushed at exit
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return _Failure(IO_ERROR, f"cannot write to stdout: {exc}")
+
+
+def _write_stdout(text: str) -> None:
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_failure(exc) from exc
+
+
+def _flush_stdout() -> None:
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _stdout_failure(exc) from exc
 
 
 def _infer_format(path: str) -> str:
@@ -107,10 +141,11 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
     if out_path:
         _write_text(out_path, text)
         if summary:
-            print(summary)
+            _write_stdout(summary + "\n")
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
         if summary:
+            _flush_stdout()  # the trace is out before the summary says so
             print(summary, file=sys.stderr)
 
 
@@ -122,15 +157,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
     try:
         spec = _parse_spec_text(text, fmt)
     except ParseFailure as exc:
-        for issue in exc.issues:
-            print(f"error: line {issue.render()}")
+        _write_stdout("".join(f"error: line {issue.render()}\n" for issue in exc.issues))
         return REFUTED
     findings = validate_spec(spec)
-    for f in findings:
-        print(f.render())
+    _write_stdout("".join(f"{f.render()}\n" for f in findings))
     if has_errors(findings):
         return REFUTED
-    print(f"ok: component '{spec.name}'")
+    _write_stdout(f"ok: component '{spec.name}'\n")
     return OK
 
 
@@ -164,16 +197,14 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
     spec = _load_validated_spec(args.spec)
     result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
     if result.consistent_with_strong:
-        print(f"consistent-with-strong ({args.trials} trials, horizon {args.horizon})")
+        _write_stdout(f"consistent-with-strong ({args.trials} trials, horizon {args.horizon})\n")
         return OK
-    print(
+    _write_stdout(
         f"refuted-strong: outputs diverge at tick {result.tick} on channel "
-        f"'{result.channel}'; inputs diverge only at tick {result.cut}"
+        f"'{result.channel}'; inputs diverge only at tick {result.cut}\n"
+        f"# input a\n{print_trace(result.witness_a)}"
+        f"# input b\n{print_trace(result.witness_b)}"
     )
-    print("# input a")
-    sys.stdout.write(print_trace(result.witness_a))
-    print("# input b")
-    sys.stdout.write(print_trace(result.witness_b))
     return REFUTED
 
 
@@ -189,15 +220,16 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     except ChannelMismatchError as exc:
         raise _Failure(REFUTED, str(exc)) from exc
     if result.agree:
-        print(f"agree ({args.trials} trials, horizon {args.horizon})")
+        _write_stdout(f"agree ({args.trials} trials, horizon {args.horizon})\n")
         return OK
     seq_a = " ".join(m.token() for m in result.abstraction_a) or "-"
     seq_b = " ".join(m.token() for m in result.abstraction_b) or "-"
-    print(f"disagree: untimed outputs differ on channel '{result.channel}'")
-    print("# input")
-    sys.stdout.write(print_trace(result.witness))
-    print(f"# abstraction a: {seq_a}")
-    print(f"# abstraction b: {seq_b}")
+    _write_stdout(
+        f"disagree: untimed outputs differ on channel '{result.channel}'\n"
+        f"# input\n{print_trace(result.witness)}"
+        f"# abstraction a: {seq_a}\n"
+        f"# abstraction b: {seq_b}\n"
+    )
     return REFUTED
 
 
@@ -213,9 +245,9 @@ def cmd_check_feedback(args: argparse.Namespace) -> int:
     net = _load_network(args.network)
     result = check_feedback_wellformed(net)
     if result.well_formed:
-        print("well-formed")
+        _write_stdout("well-formed\n")
         return OK
-    print("ill-formed: instantaneous cycle " + " -> ".join(result.cycle))
+    _write_stdout("ill-formed: instantaneous cycle " + " -> ".join(result.cycle) + "\n")
     return REFUTED
 
 
@@ -245,7 +277,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     from .dsl import export_dot
 
     spec = _load_validated_spec(args.spec)
-    sys.stdout.write(export_dot(spec))
+    _write_stdout(export_dot(spec))
     return OK
 
 
@@ -406,9 +438,14 @@ def _parser_for(argv: List[str]) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser_for(argv).parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            args = _parser_for(argv).parse_args(argv)
+            return args.func(args)
+        finally:
+            # Flush now, not at exit, so that a failed write is reported
+            # here; argparse writes --help to stdout before it exits.
+            _flush_stdout()
     except _Failure as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
@@ -419,9 +456,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE
 
 
+def run() -> int:
+    """The process entry point: ``python -m tstd``, ``python -m tstd.cli``
+    and the ``tstd`` script all run :func:`main` through it.
+
+    A command leaves a few hundred objects of cyclic garbage whatever its
+    input size, so it runs with the cyclic collector off, and what it built
+    is frozen before the interpreter's last collection at shutdown, which
+    then skips it.  Atexit handlers, the flush of stdio and the exit code
+    are unchanged.  :func:`main` itself leaves the collector as it is.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
     # Run the copy that tstd.trace_commands imports, so main catches the
     # _Failure class its handlers raise.
-    from tstd.cli import main
+    from tstd.cli import run
 
-    raise SystemExit(main())
+    raise SystemExit(run())

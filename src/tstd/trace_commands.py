@@ -27,7 +27,6 @@ their operator on whole prefixes: keyed by pairs or bodies, they took up to
 from __future__ import annotations
 
 import argparse
-import sys
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
@@ -41,6 +40,7 @@ from .cli import (
     _Failure,
     _load_trace,
     _parse_file,
+    _write_stdout,
 )
 from .streams import (
     IDENT_RE,
@@ -98,11 +98,11 @@ def _write(channels: List[str], columns: List[Iterator[str]], length: int) -> No
     """Print a ``length``-tick trace from its sorted channels and their lazy
     segment columns, laid out as :func:`~tstd.trace_format.print_trace` does."""
     if not channels:
-        sys.stdout.write("ticks" + "\n" * (length + 1))
+        _write_stdout("ticks" + "\n" * (length + 1))
         return
     lines = ["ticks " + " ".join(channels)]
     lines += map(" | ".join, zip(*columns))
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_stdout("\n".join(lines) + "\n")
 
 
 def cmd_stream_split(args: argparse.Namespace) -> int:
@@ -166,10 +166,12 @@ def cmd_stream_merge(args: argparse.Namespace) -> int:
 
 def cmd_stream_abstract(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
+    lines = []
     for ch in sorted(trace.channels):
         seq = untimed_abstraction(trace.channels[ch])
         body = " ".join(m.token() for m in seq) if seq else "-"
-        print(f"{ch}: {body}")
+        lines.append(f"{ch}: {body}\n")
+    _write_stdout("".join(lines))
     return OK
 
 
@@ -197,7 +199,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
     _check_result_ticks(args.max_len, "messages per interval")
     rng = Random(args.seed)
     trace = random_trace(channels, args.ticks, rng, alphabet=alphabet, max_len=args.max_len)
-    sys.stdout.write(print_trace(trace))
+    _write_stdout(print_trace(trace))
     return OK
 
 

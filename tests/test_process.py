@@ -1,0 +1,224 @@
+"""tstd as a process: the three entry points, the collector policy of
+`tstd.cli.run`, and commands whose stdout cannot be written."""
+
+import gc
+import io
+import os
+import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tstd import cli
+
+from conftest import run_cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "samples"
+
+
+def _python(args, *, stdout=subprocess.PIPE, unbuffered=True):
+    """Run ``python ARGS`` over this checkout's source from the samples
+    directory; stdout is captured unless given."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+        env=env, cwd=SAMPLES, timeout=120,
+    )
+
+
+def _console_script():
+    """``python -c`` arguments that do what the installed ``tstd`` script
+    does: import the function pyproject.toml names and exit with its result."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, func = re.search(r'^tstd = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return ["-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+ENTRY_POINTS = {
+    "script": _console_script(),
+    "python -m tstd": ["-m", "tstd"],
+    "python -m tstd.cli": ["-m", "tstd.cli"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "toggler.tstd", "empty4.trc"], 0),
+        (["check", "causality", "passthrough.tstd", "--trials", "20"], 1),
+        (["simulate", "toggler.tstd"], 2),
+    ],
+    ids=["success", "refutation", "usage error"],
+)
+def test_entry_points_agree(argv, code):
+    results = {
+        name: _python([*prefix, *argv]) for name, prefix in ENTRY_POINTS.items()
+    }
+    outcomes = {(r.returncode, r.stdout, r.stderr) for r in results.values()}
+    assert len(outcomes) == 1, results
+    assert results["python -m tstd"].returncode == code
+
+
+# The script's code, or runpy running a module as `python -m` does, after an
+# atexit handler that reports the collector's state at exit: that the handler
+# runs at all shows that run keeps atexit.
+_STARTERS = {
+    "script": ENTRY_POINTS["script"][1],
+    **{
+        f"python -m {module}": (
+            f"import runpy; runpy.run_module({module!r}, run_name='__main__', alter_sys=True)"
+        )
+        for module in ("tstd", "tstd.cli")
+    },
+}
+_REPORT_AT_EXIT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('collector', gc.isenabled(), gc.get_freeze_count() > 0,"
+    " file=sys.stderr))\n"
+)
+
+
+@pytest.mark.parametrize("entry", _STARTERS)
+def test_every_entry_point_runs_without_the_collector(entry):
+    argv = ["simulate", "toggler.tstd", "empty4.trc"]
+    done = _python(["-c", _REPORT_AT_EXIT + _STARTERS[entry], *argv])
+    assert done.returncode == 0
+    assert done.stderr.decode() == "simulated 4 ticks\ncollector False True\n"
+
+
+def test_main_leaves_the_collector_as_it_is(samples):
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        for collector_on in (True, False):
+            (gc.enable if collector_on else gc.disable)()
+            spec, trace = str(samples / "toggler.tstd"), str(samples / "empty4.trc")
+            assert run_cli("simulate", spec, trace).code == 0
+            assert run_cli("simulate", spec).code == 2
+            assert gc.isenabled() is collector_on
+            assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+# Runs main with the collector off, as run does, and prints its exit code and
+# what a final collection finds: the cyclic garbage the command left.
+_GARBAGE_AFTER = """
+import gc, sys
+gc.disable()
+from tstd.cli import main
+code = main(sys.argv[1:])
+print(code, gc.collect(), file=sys.stderr)
+"""
+
+# Each command's cyclic garbage is a few hundred objects (argparse, imports,
+# generated code), whatever the input size, which is what makes running
+# with the collector off safe.
+GARBAGE_BUDGET = 500
+
+
+def _garbage_after(argv, code):
+    done = _python(["-c", _GARBAGE_AFTER, *argv], stdout=subprocess.DEVNULL)
+    got, garbage = map(int, done.stderr.decode().splitlines()[-1].split())
+    assert got == code, done.stderr
+    return garbage
+
+
+def _gen_trace(path, channel, ticks):
+    done = _python(["-m", "tstd", "gen-trace", "--channels", channel, "--ticks", str(ticks)])
+    path.write_bytes(done.stdout)
+    return str(path)
+
+
+def _sized_command(case, size, tmp_path):
+    """The command of a garbage case on an input of ``size``."""
+    trace = tmp_path / f"{size}.trc"
+    if case == "simulate":
+        return ["simulate", "watchdog.tstd", _gen_trace(trace, "in", size)]
+    if case == "causality":
+        return ["check", "causality", "toggler.tstd", "--trials", str(size)]
+    if case == "compose":
+        return ["compose", "feedback.tnet", _gen_trace(trace, "src", size)]
+    # A trace full of integers too long to convert: a parse error per line.
+    digits = "7" * (sys.get_int_max_str_digits() + 100)
+    trace.write_text("ticks in\n" + f"in: a:{digits}\n" * size)
+    return ["simulate", "watchdog.tstd", str(trace)]
+
+
+@pytest.mark.parametrize(
+    "case, small, large, code",
+    [
+        ("simulate", 2000, 8000, 0),
+        ("causality", 100, 2000, 0),
+        ("compose", 150, 600, 0),
+        ("long integers", 100, 400, 2),
+    ],
+)
+def test_cyclic_garbage_does_not_grow_with_input_size(case, small, large, code, tmp_path):
+    before, after = (
+        _garbage_after(_sized_command(case, size, tmp_path), code) for size in (small, large)
+    )
+    assert after <= GARBAGE_BUDGET
+    assert after <= before + before // 4
+
+
+class _FullStream(io.StringIO):
+    """A text stream whose every write fails, like stdout on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_failed_stdout_write_exits_3(samples):
+    err = io.StringIO()
+    with redirect_stdout(_FullStream()), redirect_stderr(err):
+        code = cli.main(["validate", str(samples / "watchdog.tstd")])
+    assert code == cli.IO_ERROR
+    assert err.getvalue() == "cannot write to stdout: [Errno 28] No space left on device\n"
+
+
+def _assert_one_stdout_failure(done):
+    assert done.returncode == cli.IO_ERROR
+    lines = done.stderr.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("cannot write to stdout: [Errno ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "watchdog.tstd"],
+        ["simulate", "toggler.tstd", "empty4.trc"],
+        ["gen-trace", "--channels", "a", "--ticks", "20000"],
+    ],
+    ids=" ".join,
+)
+def test_full_disk_on_stdout_exits_3(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        done = _python(["-m", "tstd", *argv], stdout=full, unbuffered=unbuffered)
+    _assert_one_stdout_failure(done)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "watchdog.tstd"], ["gen-trace", "--channels", "a", "--ticks", "20000"]],
+    ids=" ".join,
+)
+def test_closed_pipe_on_stdout_exits_3(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python(["-m", "tstd", *argv], stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    _assert_one_stdout_failure(done)
+    assert "Broken pipe" in done.stderr.decode()
