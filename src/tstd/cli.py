@@ -94,6 +94,18 @@ def _flush_stdout() -> None:
         raise _stdout_failure(exc) from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes its help to stdout through :func:`_write_stdout`, so a failed
+    write is reported: argparse's own writer drops the error.  The parsers
+    of the subcommands are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write_stdout(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def _infer_format(path: str) -> str:
     return "table" if path.endswith(".ttab") else "textual"
 
@@ -410,7 +422,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     does and prints the same help and errors: only the top-level parser
     lists the other commands, and it does so in its usage line, which the
     one-command parser writes out in full."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tstd",
         description="Validate, simulate, compose and check timed state transition diagrams.",
     )

@@ -7,21 +7,21 @@ the machine stutters in place and stays silent, time always advances and a
 T-tick input yields exactly a T-tick output.  Most ticks of a run stay in
 one control state, so each state is one generated loop that keeps reading
 ticks for as long as the machine stays there, with the variables as local
-variables and one output column per channel.  A small driver calls the
-current state's loop until the input runs out: ``run`` drives a whole
-trace, ``step`` one tick on named configurations.  Two seeded refutation
-checks compile each spec once and reuse it for every trial:
-``probe_causality`` hunts for same-tick input sensitivity,
-``check_untimed_simulation`` compares two machines modulo tick boundaries.
-Both report evidence, never proofs.  They import :mod:`tstd.gen` when
-called, so running a spec does not load it.  :class:`Trace` lives in
-:mod:`tstd.streams` and is importable from here too.
+variables and one output column per channel; ``run`` calls the current
+state's loop until the input runs out.  Each state is also one generated
+function that fires a single tick, which ``step`` calls on named
+configurations.  Two seeded refutation checks compile each spec once and
+reuse it for every trial: ``probe_causality`` hunts for same-tick input
+sensitivity, ``check_untimed_simulation`` compares two machines modulo tick
+boundaries.  Both report evidence, never proofs.  They import
+:mod:`tstd.gen` when called, so running a spec does not load it.
+:class:`Trace` lives in :mod:`tstd.streams` and is importable from here too.
 """
 
 from __future__ import annotations
 
 from itertools import islice, repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._value import value
 from .model import (
@@ -102,24 +102,25 @@ class _Machine:
     output interval on each channel, its updates as assignments to those
     variables, and its target.  A state keeps its transitions in declaration
     order up to the first unguarded one, after which nothing can fire.  The
-    fragments are wrapped two ways:
+    fragments are wrapped two ways, and one ``exec`` in ``__init__``
+    compiles both forms of every state, one entry per state in ``loops`` and
+    in ``ticks``:
 
-    - The state loop ``s<s>(ticks, appends, env)`` reads ticks from the
-      shared iterator ``ticks`` for as long as the machine stays in state
-      ``s``.  ``appends`` holds the ``append`` of each output channel's
-      column, and the variables are its locals.  Each transition is a flat
-      ``if`` block that appends its output interval on each channel,
-      updates the locals, and then either goes on to the next tick (a
-      self-loop) or returns ``(target, env)``.  When no guard holds the
+    - The state loop ``s<s>(ticks, appends, env)``, for a whole run, reads
+      ticks from the shared iterator ``ticks`` for as long as the machine
+      stays in state ``s``.  ``appends`` holds the ``append`` of each output
+      channel's column, and the variables are its locals.  Each transition
+      is a flat ``if`` block that appends its output interval on each
+      channel, updates the locals, and then either goes on to the next tick
+      (a self-loop) or returns ``(target, env)``.  When no guard holds the
       machine stutters: every channel gets an empty interval.  When
       ``ticks`` runs out the loop returns ``(~s, env)``, a negative state,
-      which ends :meth:`drive`.  Each loop is compiled when the machine
-      first enters its state, so a machine that only a network runs never
-      compiles one.
-    - :meth:`tick_functions` makes ``t<s>(env, i0, i1, ...)``, one tick from
-      state ``s`` that returns ``(target, env, outputs)``, for
+      which ends :meth:`run`.
+    - The tick function ``t<s>(env, i0, i1, ...)``, for a single tick, fires
+      once from state ``s`` and returns ``(target, env, outputs)``.
+      :func:`step`, the cut ticks of :func:`probe_causality` and
       :func:`tstd.network.run_network`, which advances all of a network's
-      machines in lock step.
+      machines in lock step, call it.
 
     The generated source holds only names it makes and integer indices;
     every value of the spec (messages, bounds, update values, literal
@@ -142,9 +143,8 @@ class _Machine:
         "initial_state",
         "initial_env",
         "emits",
-        "_loops",
-        "_states",
-        "_namespace",
+        "loops",
+        "ticks",
     )
 
     def __init__(self, spec: ComponentSpec):
@@ -157,12 +157,19 @@ class _Machine:
         self.var_names = tuple(v.name for v in spec.vars)
         self.initial_state = self.state_index[spec.initial]
         self.initial_env = tuple(v.initial for v in spec.vars)
-        self._namespace: Dict[str, object] = {"S": ((),) * len(self.out_channels)}
-        self._states = self._fragments(spec)
-        self._loops = [self._first_entry(s) for s in range(len(spec.states))]
+        namespace: Dict[str, object] = {"S": ((),) * len(self.out_channels)}
+        lines: List[str] = []
+        for s, state in enumerate(self._fragments(spec, namespace)):
+            lines += self._loop_source(s, *state)
+            lines += self._tick_source(s, *state)
+        exec("\n".join(lines), namespace)
+        self.loops = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
+        self.ticks = tuple(namespace[f"t{s}"] for s in range(len(spec.states)))
         self.emits = _strong_outputs(spec)
 
-    def _fragments(self, spec: ComponentSpec) -> List[Tuple[list, bool, bool, bool]]:
+    def _fragments(
+        self, spec: ComponentSpec, namespace: Dict[str, object]
+    ) -> List[Tuple[list, bool, bool, bool]]:
         """Per state, ``(fragments, closed, reads, uses_vars)``: the
         fragments of its transitions up to the first unguarded one, whether
         there is one (then the state never stutters), whether they read the
@@ -171,7 +178,6 @@ class _Machine:
         expression ("" when unguarded), the expression of each channel's
         output interval, the expression of the whole output tuple, the
         update statements and the target's index."""
-        namespace = self._namespace
         in_name = {ch: f"i{i}" for i, ch in enumerate(self.in_channels)}
         out_pos = {ch: i for i, ch in enumerate(self.out_channels)}
         var_name = {v: f"v{j}" for j, v in enumerate(self.var_names)}
@@ -228,18 +234,6 @@ class _Machine:
             states.append((fragments, closed, reads, uses_vars))
         return states
 
-    def _first_entry(self, s: int) -> Callable:
-        """Stands in for state ``s``'s loop until the machine first enters
-        ``s``: then it compiles the loop, puts it in its place and runs it.
-        So a run compiles the states it visits, and ``step`` one or two."""
-
-        def enter(ticks: Iterator, appends: tuple, env: tuple) -> Tuple[int, tuple]:
-            exec("\n".join(self._loop_source(s, *self._states[s])), self._namespace)
-            loop = self._loops[s] = self._namespace[f"s{s}"]
-            return loop(ticks, appends, env)
-
-        return enter
-
     def _loop_source(
         self, s: int, fragments: list, closed: bool, reads: bool, uses_vars: bool
     ) -> List[str]:
@@ -275,33 +269,15 @@ class _Machine:
         inputs = "".join(f", i{i}" for i in range(len(self.in_channels)))
         return [f"def t{s}(env{inputs}):", *("    " + line for line in body)]
 
-    def tick_functions(self) -> tuple:
-        """``t<s>(env, i0, i1, ...)`` for each state ``s``: one tick from
-        ``s`` that returns ``(target, env, outputs)``.  Compiled on each
-        call; :func:`tstd.network.run_network` calls it once per spec."""
-        lines: List[str] = []
-        for s, state in enumerate(self._states):
-            lines += self._tick_source(s, *state)
-        exec("\n".join(lines), self._namespace)
-        return tuple(self._namespace[f"t{s}"] for s in range(len(self._states)))
-
-    def drive(
-        self, ticks: Iterator[Sequence[TimeInterval]], state: int, env: tuple
-    ) -> Tuple[int, tuple, List[List[TimeInterval]]]:
-        """Run from ``state`` and ``env`` until the iterator ``ticks`` of
-        tick inputs runs out.  Returns the final state, the final env and
-        one list per output channel with the interval of each tick read."""
-        columns: List[List[TimeInterval]] = [[] for _ in self.out_channels]
-        appends = tuple([column.append for column in columns])
-        loops = self._loops
-        while state >= 0:
-            state, env = loops[state](ticks, appends, env)
-        return ~state, env, columns
-
     def run(self, inputs: Trace) -> Trace:
         columns = [inputs.channels[ch].intervals for ch in self.in_channels]
         ticks = zip(*columns) if columns else repeat((), inputs.length)
-        _, _, outputs = self.drive(ticks, self.initial_state, self.initial_env)
+        outputs: List[List[TimeInterval]] = [[] for _ in self.out_channels]
+        appends = tuple([column.append for column in outputs])
+        loops = self.loops
+        state, env = self.initial_state, self.initial_env
+        while state >= 0:
+            state, env = loops[state](ticks, appends, env)
         return Trace(
             {ch: StreamPrefix(tuple(col)) for ch, col in zip(self.out_channels, outputs)},
             length=inputs.length,
@@ -318,9 +294,10 @@ def step(
     Always returns exactly one interval per output channel; channels the
     fired transition does not mention stay empty.  A stutter leaves the
     configuration untouched and emits only empty intervals.  Compiles the
-    spec on every call: it validates the spec and generates the code of the
-    one or two states the tick visits (about 0.3 ms for a small spec);
-    ``run`` compiles it once per run.
+    whole spec on every call, every state's loop and tick function, so its
+    cost grows with the number of states (about 0.4 ms for a sample spec,
+    60 ms for 200 states), and then calls the tick function of
+    ``cfg.state`` once; ``run`` compiles the spec once per run.
     """
     machine = _Machine(spec)
     state = machine.state_index.get(cfg.state)
@@ -331,8 +308,8 @@ def step(
             raise ValueError(f"tick inputs missing channel '{ch}'")
     env = tuple(cfg.var_env[v] for v in machine.var_names)
     inputs = tuple(tick_inputs[ch] for ch in machine.in_channels)
-    target, new_env, columns = machine.drive(iter((inputs,)), state, env)
-    out = {ch: column[0] for ch, column in zip(machine.out_channels, columns)}
+    target, new_env, outputs = machine.ticks[state](env, *inputs)
+    out = dict(zip(machine.out_channels, outputs))
     if target == state and new_env == env:
         return cfg, out
     var_env = dict(cfg.var_env)
@@ -431,21 +408,22 @@ def probe_causality(
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
+    ticks = machine.ticks
     alphabet = probe_alphabet(spec)
     draw = interval_drawer(alphabet, 3)
     for _ in range(trials):
         a, b, cut = _diverging_pair(machine.in_channels, alphabet, draw, horizon, rng)
         # The pair agrees before the cut, so the deterministic machine reaches
         # the cut in one configuration and only the cut tick's outputs can
-        # differ: run the prefix once, then the cut tick of each.
-        ticks_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
-        start = machine.initial_state, machine.initial_env
-        state, env, _ = machine.drive(islice(ticks_a, cut), *start)
-        tick_b = tuple(b.channels[ch][cut] for ch in machine.in_channels)
-        _, _, out_a = machine.drive(islice(ticks_a, 1), state, env)
-        _, _, out_b = machine.drive(iter((tick_b,)), state, env)
-        for ch, col_a, col_b in zip(machine.out_channels, out_a, out_b):
-            if col_a != col_b:
+        # differ: fire the prefix once, then the cut tick of each.
+        rows_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
+        state, env = machine.initial_state, machine.initial_env
+        for inputs in islice(rows_a, cut):
+            state, env, _ = ticks[state](env, *inputs)
+        _, _, out_a = ticks[state](env, *next(rows_a))
+        _, _, out_b = ticks[state](env, *(b.channels[ch][cut] for ch in machine.in_channels))
+        for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
+            if iv_a != iv_b:
                 return CausalityProbeResult(
                     refuted=True,
                     trials=trials,

@@ -347,9 +347,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     tick every instance emits once in that order; delays and strongly causal
     machines emit from state and absorb their inputs at the end of the tick,
     which is what lets well-formed feedback resolve without iteration.  A
-    machine fires through its per-tick state functions
-    (``_Machine.tick_functions``), generated from the same guard, update and
-    output fragments as the state loops that ``run`` drives.  A strong
+    machine fires through its per-tick state functions (``_Machine.ticks``),
+    compiled with the machine, from the same guard, update and output
+    fragments as the state loops that ``run`` drives.  A strong
     machine's emission is its ``_Machine.emits`` table, which
     :mod:`tstd.model` derives with the causality rule itself.  The loop
     appends each external output to its own column, which becomes that
@@ -379,9 +379,8 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     driver = {wire.target: var_of[wire.source] for wire in net.wires}
 
     instances = {inst.id: inst for inst in net.instances}
-    # A machine holds no run state, so instances of equal specs share one,
-    # and its tick functions.
-    machines: Dict[ComponentSpec, Tuple[_Machine, tuple]] = {}
+    # A machine holds no run state, so instances of equal specs share one.
+    machines: Dict[ComponentSpec, _Machine] = {}
     namespace: Dict[str, object] = {}
     init: List[str] = []
     emit: List[str] = []
@@ -401,9 +400,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             emit.append(f"{outs[0]} = {ins[0]} + {ins[1]}")
         else:
             if inst.spec not in machines:
-                machine = _Machine(inst.spec)
-                machines[inst.spec] = machine, machine.tick_functions()
-            machine, namespace[f"F{n}"] = machines[inst.spec]
+                machines[inst.spec] = _Machine(inst.spec)
+            machine = machines[inst.spec]
+            namespace[f"F{n}"] = machine.ticks
             namespace[f"V{n}"] = machine.initial_env
             init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
             fire = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"

@@ -55,7 +55,7 @@ from .streams import (
     timed_merge,
     untimed_abstraction,
 )
-from .trace_format import _print_column, _read_ticks, print_trace
+from .trace_format import _print_column, _read_ticks, _trace_text, print_trace
 
 
 def _read_columns(path: str) -> Tuple[List[Tuple[str, List[str]]], int, Dict[str, TimeInterval]]:
@@ -94,17 +94,6 @@ def _encoded_column(
     return chain(head, chain.from_iterable(map(groups.__getitem__, keys)))
 
 
-def _write(channels: List[str], columns: List[Iterator[str]], length: int) -> None:
-    """Print a ``length``-tick trace from its sorted channels and their lazy
-    segment columns, laid out as :func:`~tstd.trace_format.print_trace` does."""
-    if not channels:
-        _write_stdout("ticks" + "\n" * (length + 1))
-        return
-    lines = ["ticks " + " ".join(channels)]
-    lines += map(" | ".join, zip(*columns))
-    _write_stdout("\n".join(lines) + "\n")
-
-
 def cmd_stream_split(args: argparse.Namespace) -> int:
     columns, length, table = _read_columns(args.trace)
     # split builds an n-tick filler even when the trace is empty.
@@ -115,7 +104,7 @@ def cmd_stream_split(args: argparse.Namespace) -> int:
         return split(_prefix(table, distinct), n, strategy)
 
     out = [_encoded_column(ch, bodies, operate, size=n) for ch, bodies in columns]
-    _write([ch for ch, _ in columns], out, length * n)
+    _write_stdout(_trace_text([ch for ch, _ in columns], out, length * n))
     return OK
 
 
@@ -143,7 +132,7 @@ def cmd_stream_join(args: argparse.Namespace) -> int:
         ]
     except NonAlignedPrefixError as exc:
         raise _Failure(REFUTED, f"{exc} (use --pad to pad with empty ticks)") from exc
-    _write([ch for ch, _ in columns], out, length // n)
+    _write_stdout(_trace_text([ch for ch, _ in columns], out, length // n))
     return OK
 
 
@@ -184,7 +173,7 @@ def cmd_stream_delay(args: argparse.Namespace) -> int:
         return delay_stream(_prefix(table, distinct), d)
 
     out = [_encoded_column(ch, bodies, operate, lead=d) for ch, bodies in columns]
-    _write([ch for ch, _ in columns], out, length + d)
+    _write_stdout(_trace_text([ch for ch, _ in columns], out, length + d))
     return OK
 
 

@@ -244,17 +244,23 @@ def _print_column(channel: str, intervals: Iterable[TimeInterval]) -> Iterator[s
     return (head + " ".join(map(token, iv)) if iv else silent for iv in intervals)
 
 
-def print_trace(trace: Trace) -> str:
-    """Canonical trace text: channels sorted by name, '-' for empty intervals.
+def _trace_text(channels: Sequence[str], columns: Iterable[Iterator[str]], length: int) -> str:
+    """The text of a ``length``-tick trace from its sorted channels and
+    their lazy segment columns: the header line, then one line per tick.
 
-    Each channel is rendered as a lazy column of segments, and ``zip`` over
-    the columns joins one tick's segments into its line, so no segment
-    outlives its line.
+    ``zip`` over the columns joins one tick's segments into its line, so no
+    segment outlives its line.
     """
-    channels = sorted(trace.channels)
     if not channels:
-        return "ticks" + "\n" * (trace.length + 1)
-    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
+        return "ticks" + "\n" * (length + 1)
     lines = ["ticks " + " ".join(channels)]
     lines += map(" | ".join, zip(*columns))
     return "\n".join(lines) + "\n"
+
+
+def print_trace(trace: Trace) -> str:
+    """Canonical trace text: channels sorted by name, '-' for empty intervals,
+    each channel rendered as a lazy column of segments."""
+    channels = sorted(trace.channels)
+    columns = [_print_column(ch, trace.channels[ch].intervals) for ch in channels]
+    return _trace_text(channels, columns, trace.length)

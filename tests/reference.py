@@ -3,19 +3,23 @@
 These are the direct, unoptimised readings of the semantics: one tick of a
 machine straight from ``enabled_transitions``, a network run that resolves
 every port by name each tick, a causality probe that runs both traces of a
-trial over the whole horizon, a trace parser that parses every interval
-it meets and transposes per-tick rows into columns, a trace printer that
-renders tick by tick, ``split``/``join`` that build each result tick from
-its own list, and the ``stream`` commands as whole-prefix operator calls
-between that parser and that printer.  They are slow on purpose and are used
-only to check ``tstd.run``, ``tstd.run_network``, ``tstd.probe_causality``,
-``tstd.parse_trace``, ``tstd.print_trace``, ``tstd.split``, ``tstd.join``
-and the ``tstd stream`` commands against.  The random generator is kept as first written, one ``randint``
-and a new ``Message`` per drawn tag, as the oracle for ``tstd.gen``'s
-prebuilt-message drawers and the probe's ``_diverging_pair``.  The syntactic causality rule is read the direct way too: a
-classifier that scans every transition once per state, and an emission
-table taken from the first transition leaving each state; ``tstd.model``
-derives both in one pass over the transitions.
+trial over the whole horizon, an untimed-simulation check that runs both
+specs that way and concatenates each output channel's intervals, a trace
+parser that parses every interval it meets and transposes per-tick rows
+into columns, a trace printer that renders tick by tick, ``split``/``join``
+that build each result tick from its own list, and the ``stream`` commands
+as whole-prefix operator calls between that parser and that printer.  They
+are slow on purpose and are used only to check ``tstd.run``,
+``tstd.run_network``, ``tstd.probe_causality``,
+``tstd.check_untimed_simulation``, ``tstd.parse_trace``,
+``tstd.print_trace``, ``tstd.split``, ``tstd.join`` and the ``tstd stream``
+commands against.  The random generator is kept as first written, one
+``randint`` and a new ``Message`` per drawn tag, as the oracle for
+``tstd.gen``'s prebuilt-message drawers and the probe's ``_diverging_pair``.
+The syntactic causality rule is read the direct way too: a classifier that
+scans every transition once per state, and an emission table taken from the
+first transition leaving each state; ``tstd.model`` derives both in one pass
+over the transitions.
 """
 
 from collections import deque
@@ -29,9 +33,10 @@ from tstd.dsl import ParseFailure, _Issues, _parse_message
 from tstd.executor import (
     CausalityProbeResult,
     Configuration,
+    SimulationCheckResult,
     Trace,
 )
-from tstd.gen import probe_alphabet
+from tstd.gen import fresh_tag, probe_alphabet, spec_tags
 from tstd.model import (
     CausalityClass,
     ComponentSpec,
@@ -316,6 +321,35 @@ def reference_probe_causality(
                         tick=t,
                     )
     return CausalityProbeResult(refuted=False, trials=trials)
+
+
+def reference_check_untimed_simulation(
+    spec_a: ComponentSpec, spec_b: ComponentSpec, trials: int, horizon: int, seed: int
+) -> SimulationCheckResult:
+    """Run every trial's input through both specs with ``reference_run`` and
+    compare each output channel's messages, read tick after tick.  The specs
+    must have equal channel signatures."""
+    if trials < 1 or horizon < 1:
+        raise ValueError("trials and horizon must be positive")
+    rng = Random(seed)
+    tags = sorted(set(spec_tags(spec_a)) | set(spec_tags(spec_b)))
+    tags.append(fresh_tag(tags))
+    for _ in range(trials):
+        inputs = reference_random_trace(spec_a.in_channels(), horizon, rng, tags, 3)
+        out_a, out_b = reference_run(spec_a, inputs), reference_run(spec_b, inputs)
+        for ch in sorted(spec_a.out_channels()):
+            seq_a = tuple(chain.from_iterable(out_a.channels[ch].intervals))
+            seq_b = tuple(chain.from_iterable(out_b.channels[ch].intervals))
+            if seq_a != seq_b:
+                return SimulationCheckResult(
+                    agree=False,
+                    trials=trials,
+                    witness=inputs,
+                    channel=ch,
+                    abstraction_a=seq_a,
+                    abstraction_b=seq_b,
+                )
+    return SimulationCheckResult(agree=True, trials=trials)
 
 
 def _reference_logical_lines(text: str) -> List[Tuple[int, str]]:

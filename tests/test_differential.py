@@ -22,10 +22,12 @@ from tstd import (
     ParseFailure,
     Wire,
     build_network,
+    check_untimed_simulation,
     classify_causality_syntactic,
     join,
     parse_component,
     parse_network,
+    parse_table,
     parse_trace,
     print_trace,
     probe_causality,
@@ -56,6 +58,7 @@ from tstd.network import ExternalPort, InstanceKind, Port
 from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix
 
 from reference import (
+    reference_check_untimed_simulation,
     reference_classify_causality_syntactic,
     reference_diverging_pair,
     reference_emits,
@@ -259,6 +262,30 @@ def test_probe_causality_matches_reference_on_random_specs():
         seen["strong" if strong else "weak"] += 1
         seen["refuted" if result.refuted else "consistent"] += 1
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_check_untimed_simulation_matches_reference_on_random_spec_pairs():
+    rng = Random(5150)
+    seen = {"agree": 0, "disagree": 0}
+    for i in range(300):
+        spec_a = random_spec(rng, name=f"a{i}")
+        spec_b = random_spec(rng, name=f"b{i}")
+        trials, horizon, seed = rng.randint(1, 8), rng.randint(1, 16), rng.randrange(10**6)
+        result = check_untimed_simulation(spec_a, spec_b, trials, horizon, seed)
+        expected = reference_check_untimed_simulation(spec_a, spec_b, trials, horizon, seed)
+        assert result == expected, i
+        seen["agree" if result.agree else "disagree"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_untimed_simulation_matches_reference_on_the_toggler_pair(seed):
+    text = parse_component((SAMPLES / "toggler.tstd").read_text())
+    table = parse_table((SAMPLES / "toggler.ttab").read_text())
+    for spec_a, spec_b in ((text, table), (table, text)):
+        result = check_untimed_simulation(spec_a, spec_b, 20, 16, seed)
+        assert result.agree
+        assert result == reference_check_untimed_simulation(spec_a, spec_b, 20, 16, seed)
 
 
 def _generator_cases(count):

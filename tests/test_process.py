@@ -198,6 +198,9 @@ def _assert_one_stdout_failure(done):
         ["validate", "watchdog.tstd"],
         ["simulate", "toggler.tstd", "empty4.trc"],
         ["gen-trace", "--channels", "a", "--ticks", "20000"],
+        # argparse's own writer would drop the error of an unbuffered write.
+        ["--help"],
+        ["simulate", "--help"],
     ],
     ids=" ".join,
 )
