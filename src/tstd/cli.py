@@ -134,12 +134,12 @@ def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
 
 
 def _load_validated_spec(path: str) -> ComponentSpec:
-    from .model import has_errors, validate_spec
+    from .model import _errors
 
     spec = _parse_file(path, lambda text: _parse_spec_text(text, _infer_format(path)))
-    findings = validate_spec(spec)
-    if has_errors(findings):
-        report = "\n".join(f"{path}: {f.render()}" for f in findings)
+    errors = _errors(spec)
+    if errors:
+        report = "\n".join(f"{path}: {f.render()}" for f in errors)
         raise _Failure(REFUTED, report)
     return spec
 

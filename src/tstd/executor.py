@@ -28,11 +28,10 @@ from .model import (
     ComponentSpec,
     PatternKind,
     Relation,
-    Severity,
     Transition,
     UpdateOp,
+    _errors,
     _strong_outputs,
-    validate_spec,
 )
 from .streams import Message, StreamPrefix, TimeInterval, Trace, untimed_abstraction
 
@@ -126,10 +125,10 @@ class _Machine:
     every value of the spec (messages, bounds, update values, literal
     outputs) reaches the functions through their namespace.
 
-    ``emits`` is the strong-causality table of :mod:`tstd.model`: for a
-    strongly causal spec, ``emits[s]`` is the output of every tick spent in
-    state ``s``, so a network can read it before the inputs exist; for a
-    weak spec it is None.
+    ``emits`` is the strong-causality rule of :mod:`tstd.model`, per
+    channel: ``emits[s][c]`` is channel ``c``'s output on every tick spent
+    in state ``s`` when the state fixes it, so a network can read it before
+    the inputs exist, and None on a channel that is not fixed.
 
     Compiling refuses a spec with errors: the ValueError names the first
     error finding of ``validate_spec``.
@@ -148,7 +147,7 @@ class _Machine:
     )
 
     def __init__(self, spec: ComponentSpec):
-        errors = [f for f in validate_spec(spec) if f.severity is Severity.ERROR]
+        errors = _errors(spec)
         if errors:
             raise ValueError(f"component '{spec.name}': {errors[0].message}")
         self.in_channels = spec.in_channels()
@@ -165,7 +164,9 @@ class _Machine:
         exec("\n".join(lines), namespace)
         self.loops = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
         self.ticks = tuple(namespace[f"t{s}"] for s in range(len(spec.states)))
-        self.emits = _strong_outputs(spec)
+        columns = _strong_outputs(spec)
+        unfixed = (None,) * len(spec.states)
+        self.emits = tuple(zip(*(columns[ch] or unfixed for ch in self.out_channels)))
 
     def _fragments(
         self, spec: ComponentSpec, namespace: Dict[str, object]

@@ -521,6 +521,16 @@ def _spec_errors(
     return findings
 
 
+def _errors(spec: ComponentSpec) -> List[Finding]:
+    """The error findings of :func:`validate_spec`, without its warnings."""
+    findings = _spec_errors(
+        spec.name, spec.channels, spec.vars, spec.states, spec.initial, spec.transitions
+    )
+    if not spec.out_channels():
+        findings.append(Finding(Severity.ERROR, "spec declares no output channel"))
+    return findings
+
+
 def validate_spec(spec: ComponentSpec) -> List[Finding]:
     """Structural validation: a deterministic list of errors and warnings.
 
@@ -528,11 +538,7 @@ def validate_spec(spec: ComponentSpec) -> List[Finding]:
     syntactically overlapping transitions and states unreachable from the
     initial one.  The function is pure: equal specs yield equal reports.
     """
-    findings = _spec_errors(
-        spec.name, spec.channels, spec.vars, spec.states, spec.initial, spec.transitions
-    )
-    if not spec.out_channels():
-        findings.append(Finding(Severity.ERROR, "spec declares no output channel"))
+    findings = _errors(spec)
 
     def warning(msg: str) -> None:
         findings.append(Finding(Severity.WARNING, msg))
@@ -607,37 +613,35 @@ def enabled_transitions(
     return result
 
 
-def _strong_outputs(spec: ComponentSpec) -> Optional[Tuple[Tuple[TimeInterval, ...], ...]]:
-    """The syntactic strong-causality rule, with the table it licenses.
+def _strong_outputs(spec: ComponentSpec) -> Dict[str, Optional[Tuple[TimeInterval, ...]]]:
+    """The syntactic strong-causality rule, per output channel.
 
-    None when the rule (see :func:`classify_causality_syntactic`) fails.
-    Otherwise the output tuple, in ``out_channels`` order, of every tick
-    spent in each state, in ``spec.states`` order: silence when all of the
-    state's transitions emit nothing, else the emission of its one always
-    enabled transition.  Transitions from undeclared states take part only
-    in the ``pass`` test.
+    A channel is fixed when no ``pass`` targets it and, in every state, all
+    transitions emit the same on it, and that emission is silence or comes
+    from the state's single total transition: then every tick in the state,
+    a stutter included, emits it.  A fixed channel maps to its emission in
+    each of ``spec.states``, and any other to None, including a non-output
+    channel that a ``pass`` targets.  Transitions from undeclared states
+    take part only in the ``pass`` test.
     """
-    out_channels = spec.out_channels()
     outgoing: Dict[str, List[Transition]] = {}
+    passed = set()
     for t in spec.transitions:
-        if any(o.is_pass for o in t.outputs):
-            return None
+        passed.update(o.channel for o in t.outputs if o.is_pass)
         outgoing.setdefault(t.source, []).append(t)
-    silence = ((),) * len(out_channels)
-    table = []
-    for state in spec.states:
-        group = outgoing.get(state, ())
-        profiles = set()
-        for t in group:
-            emitted = {o.channel: o.messages for o in t.outputs}
-            profiles.add(tuple(emitted.get(ch, ()) for ch in out_channels))
-        if len(profiles) > 1:
-            return None
-        profile = profiles.pop() if profiles else silence
-        if profile != silence and not (len(group) == 1 and group[0].is_total()):
-            return None
-        table.append(profile)
-    return tuple(table)
+
+    def column(ch: str) -> Optional[Tuple[TimeInterval, ...]]:
+        emissions = []
+        for state in spec.states:
+            group = outgoing.get(state, [])
+            options = {{o.channel: o.messages for o in t.outputs}.get(ch, ()) for t in group}
+            emission = options.pop() if options else ()
+            if options or emission and not (len(group) == 1 and group[0].is_total()):
+                return None
+            emissions.append(emission)
+        return tuple(emissions)
+
+    return {ch: None if ch in passed else column(ch) for ch in (*spec.out_channels(), *passed)}
 
 
 def classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
@@ -648,7 +652,8 @@ def classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
     too) or the state has exactly one outgoing transition, it is always
     enabled, and every sibling agrees on the emission.  Machines failing the
     test are reported weak even when a semantic analysis might disagree.
-    The same rule, in ``_strong_outputs``, gives the per-state output table
-    that :mod:`tstd.executor` and :mod:`tstd.network` read strong machines by.
+    The rule is ``_strong_outputs``, which :mod:`tstd.network` applies per
+    channel: a spec is strong exactly when it fixes every channel.
     """
-    return CausalityClass.WEAK if _strong_outputs(spec) is None else CausalityClass.STRONG
+    fixed = all(column is not None for column in _strong_outputs(spec).values())
+    return CausalityClass.STRONG if fixed else CausalityClass.WEAK

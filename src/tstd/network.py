@@ -2,21 +2,21 @@
 
 Components run in lockstep, one tick at a time.  Within a tick, values flow
 along wires instantly, so feedback is only meaningful when every loop is cut
-by something whose current output ignores its current input: a delay element
-or a strongly causal machine.  That condition is what
-:func:`check_feedback_wellformed` enforces, and it is exactly what makes the
-per-tick evaluation order (a topological sort of same-tick dependencies)
-exist.
+by a port that its instance fixes from state, before reading its inputs: a
+delay's output, or a machine's channel that :mod:`tstd.model`'s causality
+rule finds fixed (all of a strongly causal machine's, some of a weak one's).
+That condition is what :func:`check_feedback_wellformed` enforces, and it is
+exactly what makes the per-tick evaluation order (a topological sort of
+same-tick dependencies) exist.
 
 :func:`run_network` compiles a network once per call into one generated
 Python tick loop: every distinct spec into a machine of
 :mod:`tstd.executor`, every port into a local variable and every instance
-into statements of the loop body, in that evaluation order.  The machines
-advance in lock step, so each tick calls one per-tick state function per
-machine, made from the same transition fragments as the machine's own state
-loops: a weak machine fires as it emits, while a strong one emits from its
-per-state output table and fires at the end of the tick, once its inputs
-are known.  Each external output is appended to a column of its own.
+into the same two statements: an emit, which writes its fixed ports, and a
+fire, which reads its inputs, writes its other ports and updates its state
+(a machine through one per-tick state function).  Each tick runs every
+emit, then the fires in that evaluation order, and appends each external
+output to a column of its own.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -47,13 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ._value import value
 from .dsl import _INT_RE, parse_component
 from .executor import Trace, _Machine, _tuple
-from .model import (
-    CausalityClass,
-    ComponentSpec,
-    Severity,
-    classify_causality_syntactic,
-    validate_spec,
-)
+from .model import ComponentSpec, _errors, _strong_outputs
 from .streams import IDENT_RE, StreamPrefix, TimeInterval
 from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
@@ -278,28 +272,30 @@ def build_network(
     return Network(tuple(instances), tuple(wires), tuple(ext_in), tuple(ext_out))
 
 
+def _fixed_ports(inst: Instance) -> Tuple[str, ...]:
+    """The output ports ``inst`` writes from state before it reads: a delay's
+    ``out``, a machine's channels that ``model._strong_outputs`` fixes."""
+    if inst.kind is InstanceKind.SPEC:
+        fixed = _strong_outputs(inst.spec)
+        return tuple(ch for ch in inst.out_ports() if fixed[ch] is not None)
+    return (DELAY_OUT,) if inst.kind is InstanceKind.DELAY else ()
+
+
 def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     """Same-tick data dependencies between instances, as an adjacency map.
 
-    An edge A -> B exists when a wire feeds an output of A into an input of B
-    and B's tick-t output can depend on its tick-t input.  Instances whose
-    output is determined before reading input (delays, strongly causal
-    machines) never acquire incoming edges.  Whether a machine is strong is
-    :func:`tstd.model.classify_causality_syntactic`'s verdict on its spec.
+    An edge A -> B exists when a wire feeds B a port of A that A does not
+    fix (:func:`_fixed_ports`): A writes that port only once it has read its
+    own inputs.  Fixed ports are written before anything reads, so a wire
+    from one makes no edge; that is how a delay or a machine cuts a loop.
     """
-    # Weak machines and merge read their current-tick inputs before emitting;
-    # delays and strong machines emit from stored state alone.
-    sinks = {
-        inst.id: classify_causality_syntactic(inst.spec) is CausalityClass.WEAK
-        if inst.kind is InstanceKind.SPEC
-        else inst.kind is InstanceKind.MERGE
-        for inst in net.instances
-    }
+    fixed = {inst.id: _fixed_ports(inst) for inst in net.instances}
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
-        if isinstance(wire.source, Port) and isinstance(wire.target, Port):
-            if sinks[wire.target.instance]:
-                edges[wire.source.instance].add(wire.target.instance)
+        source, target = wire.source, wire.target
+        if isinstance(source, Port) and isinstance(target, Port):
+            if source.port not in fixed[source.instance]:
+                edges[source.instance].add(target.instance)
     return {iid: tuple(sorted(succs)) for iid, succs in sorted(edges.items())}
 
 
@@ -330,8 +326,9 @@ def _toposort(graph: Dict[str, Tuple[str, ...]]) -> Tuple[bool, List[str], Tuple
 def check_feedback_wellformed(net: Network) -> FeedbackCheck:
     """Acyclicity of the instantaneous dependency graph.
 
-    Equivalently: every feedback loop passes through at least one delay or
-    strongly causal component.  An offending cycle is reported by instance id.
+    Equivalently: every feedback loop passes through at least one port that
+    its instance fixes from state.  An offending cycle is reported by
+    instance id.
     """
     ok, _, cycle = _toposort(instantaneous_dependency_graph(net))
     return FeedbackCheck(well_formed=ok, cycle=cycle)
@@ -341,19 +338,13 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output.
 
     Refuses ill-formed networks.  The network is compiled once per call into
-    one generated tick loop, its statements in topological order of the
-    instantaneous dependency graph: each distinct spec becomes a machine,
-    each port a local variable, and each instance a statement or two.  Per
-    tick every instance emits once in that order; delays and strongly causal
-    machines emit from state and absorb their inputs at the end of the tick,
-    which is what lets well-formed feedback resolve without iteration.  A
-    machine fires through its per-tick state functions (``_Machine.ticks``),
-    compiled with the machine, from the same guard, update and output
-    fragments as the state loops that ``run`` drives.  A strong
-    machine's emission is its ``_Machine.emits`` table, which
-    :mod:`tstd.model` derives with the causality rule itself.  The loop
-    appends each external output to its own column, which becomes that
-    output's stream prefix.
+    one generated tick loop (see the module docstring).  An instance's emit
+    is a delay's ``popleft``, a row of the machine's ``_Machine.emits``, or
+    nothing for a merge; its fire is a delay's ``append``, the merge's ``+``
+    or one call of the machine's per-tick function in ``_Machine.ticks``.
+    Every emit runs first, then the fires in topological order of
+    :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
+    in one pass.  Each external output's column becomes its stream prefix.
     """
     ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
     if not ok:
@@ -384,20 +375,24 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     namespace: Dict[str, object] = {}
     init: List[str] = []
     emit: List[str] = []
-    absorb: List[str] = []
+    fire: List[str] = []
     for n, iid in enumerate(order):
         inst = instances[iid]
         ins = [driver[Port(iid, port)] for port in inst.in_ports()]
-        outs = [var_of[Port(iid, port)] for port in inst.out_ports()]
+        fixed = _fixed_ports(inst)
+        # The emit writes the fixed ports, the fire the rest; each has ``_`` for the other's.
+        outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
+        emitted = [var if is_fixed else "_" for var, is_fixed in outs]
+        fired = ["_" if is_fixed else var for var, is_fixed in outs]
         if inst.kind is InstanceKind.DELAY:
             # A delay deeper than the run emits nothing but its first empty
             # intervals, and needs no more of them than there are ticks.
             buffer = deque([()] * min(inst.delay, ticks))
             namespace[f"P{n}"], namespace[f"A{n}"] = buffer.popleft, buffer.append
-            emit.append(f"{outs[0]} = P{n}()")
-            absorb.append(f"A{n}({ins[0]})")
+            emit.append(f"{emitted[0]} = P{n}()")
+            fire.append(f"A{n}({ins[0]})")
         elif inst.kind is InstanceKind.MERGE:
-            emit.append(f"{outs[0]} = {ins[0]} + {ins[1]}")
+            fire.append(f"{fired[0]} = {ins[0]} + {ins[1]}")
         else:
             if inst.spec not in machines:
                 machines[inst.spec] = _Machine(inst.spec)
@@ -405,20 +400,19 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             namespace[f"F{n}"] = machine.ticks
             namespace[f"V{n}"] = machine.initial_env
             init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
-            fire = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"
-            if machine.emits is None:
-                emit.append(f"s{n}, e{n}, {_tuple(outs)} = {fire}")
-            else:
+            if fixed:
                 namespace[f"E{n}"] = machine.emits
-                emit.append(f"{_tuple(outs)} = E{n}[s{n}]")
-                absorb.append(f"s{n}, e{n}, _ = {fire}")
+                emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
+            outputs = _tuple(fired) if len(fixed) < len(fired) else "_"
+            call = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"
+            fire.append(f"s{n}, e{n}, {outputs} = {call}")
     # Each external output is a column of its own, filled by its append o<k>.
     appends = [f"o{k}" for k in range(len(net.external_out))]
     collect = [
         f"{append}({driver[ExternalPort(name)]})" for append, name in zip(appends, net.external_out)
     ]
     row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
-    loop = ["    " + line for line in emit + absorb + collect]
+    loop = ["    " + line for line in emit + fire + collect]
     head = [f"def kernel(ticks{''.join(', ' + a for a in appends)}):", *init]
     exec("\n    ".join([*head, f"for {row} in ticks:", *(loop or ["    pass"])]), namespace)
     columns = [external_inputs.channels[name].intervals for name in net.external_in]
@@ -562,7 +556,7 @@ def _load_instance(
         except (OSError, ValueError) as exc:
             outcome = exc
         else:
-            outcome = (spec, [f for f in validate_spec(spec) if f.severity is Severity.ERROR])
+            outcome = (spec, _errors(spec))
         loaded[path] = outcome
     if isinstance(outcome, FileNotFoundError):
         issues.add(lineno, 1, f"component file not found: {arg!r}")

@@ -2,7 +2,8 @@
 
 These are the direct, unoptimised readings of the semantics: one tick of a
 machine straight from ``enabled_transitions``, a network run that resolves
-every port by name each tick, a causality probe that runs both traces of a
+each tick constructively, firing any instance whose inputs are known, with
+no schedule worked out beforehand, a causality probe that runs both traces of a
 trial over the whole horizon, an untimed-simulation check that runs both
 specs that way and concatenates each output channel's intervals, a trace
 parser that parses every interval it meets and transposes per-tick rows
@@ -17,13 +18,13 @@ commands against.  The random generator is kept as first written, one
 ``randint`` and a new ``Message`` per drawn tag, as the oracle for
 ``tstd.gen``'s prebuilt-message drawers and the probe's ``_diverging_pair``.
 The syntactic causality rule is read the direct way too: a classifier that
-scans every transition once per state, and an emission table taken from the
-first transition leaving each state; ``tstd.model`` derives both in one pass
-over the transitions.
+scans every transition once per state, the channels a state fixes read one
+channel at a time, and an emission table taken from the first transition
+leaving each state; ``tstd.model`` derives all three in one pass over the
+transitions.
 """
 
 from collections import deque
-from graphlib import CycleError, TopologicalSorter
 from itertools import chain
 from pathlib import Path
 from random import Random
@@ -49,7 +50,7 @@ from tstd.network import (
     Instance,
     InstanceKind,
     Network,
-    instantaneous_dependency_graph,
+    Port,
 )
 from tstd.streams import (
     IDENT_RE,
@@ -100,24 +101,49 @@ def reference_run(spec: ComponentSpec, inputs: Trace) -> Trace:
     )
 
 
-def state_determined_output(spec: ComponentSpec, state: str) -> Dict[str, TimeInterval]:
-    """The tick output a strongly causal spec produces from ``state``.
-
-    Every transition leaving a state of a strong spec emits the same
-    literals, so the output is a function of the state alone (empty when the
-    state can stutter).
-    """
-    outgoing = [t for t in spec.transitions if t.source == state]
-    out = {ch: () for ch in spec.out_channels()}
-    if outgoing:
-        for action in outgoing[0].outputs:
-            out[action.channel] = action.messages
-    return out
+def _emission(t: Transition, channel: str) -> TimeInterval:
+    """The literal ``t`` emits on ``channel``; silence when it emits nothing."""
+    return {o.channel: o.messages for o in t.outputs}.get(channel) or ()
 
 
 def _output_profile(t: Transition, out_channels: Sequence[str]) -> Tuple[TimeInterval, ...]:
-    emitted = {o.channel: o.messages for o in t.outputs}
-    return tuple(emitted.get(ch) or () for ch in out_channels)
+    return tuple(_emission(t, ch) for ch in out_channels)
+
+
+def reference_fixed_channels(spec: ComponentSpec) -> List[str]:
+    """The output channels the state fixes, read one channel at a time: no
+    ``pass`` targets the channel, and from each state every transition
+    emits the same on it, which is silence or the emission of the state's
+    one always enabled transition."""
+    fixed = []
+    for ch in spec.out_channels():
+        if any(o.is_pass and o.channel == ch for t in spec.transitions for o in t.outputs):
+            continue
+        for state in spec.states:
+            outgoing = [t for t in spec.transitions if t.source == state]
+            emissions = {_emission(t, ch) for t in outgoing}
+            if len(emissions) > 1:
+                break
+            if any(emissions) and not (len(outgoing) == 1 and outgoing[0].is_total()):
+                break
+        else:
+            fixed.append(ch)
+    return fixed
+
+
+def state_determined_output(spec: ComponentSpec, state: str) -> Dict[str, TimeInterval]:
+    """The output on each channel the state fixes: what the first
+    transition leaving ``state`` emits on it (silence when none leaves).
+
+    Every transition leaving the state emits the same on such a channel,
+    and a stutter emits silence only where they all do, so the output is a
+    function of the state alone.
+    """
+    outgoing = [t for t in spec.transitions if t.source == state]
+    return {
+        ch: _emission(outgoing[0], ch) if outgoing else ()
+        for ch in reference_fixed_channels(spec)
+    }
 
 
 def reference_classify_causality_syntactic(spec: ComponentSpec) -> CausalityClass:
@@ -143,50 +169,30 @@ def reference_classify_causality_syntactic(spec: ComponentSpec) -> CausalityClas
     return CausalityClass.STRONG
 
 
-def reference_emits(spec: ComponentSpec) -> Optional[Tuple[Tuple[TimeInterval, ...], ...]]:
-    """A valid spec's per-state output table: the literals of the first
-    transition leaving each state (silence for none) when the spec is
-    strong, else None."""
-    out_pos = {ch: i for i, ch in enumerate(spec.out_channels())}
-    silence = ((),) * len(out_pos)
-    first: Dict[str, Tuple[TimeInterval, ...]] = {}
-    for t in spec.transitions:
-        literal = list(silence)
-        for action in t.outputs:
-            if not action.is_pass:
-                literal[out_pos[action.channel]] = action.messages
-        first.setdefault(t.source, tuple(literal))
-    if reference_classify_causality_syntactic(spec) is not CausalityClass.STRONG:
-        return None
-    return tuple(first.get(s, silence) for s in spec.states)
-
-
-def _is_strong(inst: Instance) -> bool:
-    return (
-        inst.kind is InstanceKind.SPEC
-        and reference_classify_causality_syntactic(inst.spec) is CausalityClass.STRONG
-    )
+def reference_emits(spec: ComponentSpec) -> Tuple[Tuple[Optional[TimeInterval], ...], ...]:
+    """A valid spec's per-state output table, in ``out_channels`` order:
+    ``state_determined_output`` on the channels the state fixes, None on
+    the others."""
+    rows = []
+    for state in spec.states:
+        out = state_determined_output(spec, state)
+        rows.append(tuple(out.get(ch) for ch in spec.out_channels()))
+    return tuple(rows)
 
 
 def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
-    """Run a network by resolving each port by name, every tick.
+    """Run a network by resolving each tick constructively, without a
+    schedule.
 
-    Instances emit in a topological order of the instantaneous dependency
-    graph; delays and strong machines emit from state and absorb their
-    inputs once the whole tick is resolved.
+    First every port that its instance fixes from state is written: a
+    delay's oldest interval, and a machine's ``state_determined_output``.
+    Then any instance whose inputs are all known fires (a delay stores its
+    input, a merge concatenates, a machine takes ``reference_step``), until
+    every instance has fired.  A machine's step must agree with what its
+    state fixed.  When no instance is ready, the network is ill-formed.  A
+    run of no ticks still resolves one tick, on empty inputs, and drops it,
+    so that an ill-formed network is refused whatever the length.
     """
-    graph = instantaneous_dependency_graph(net)
-    sorter: TopologicalSorter = TopologicalSorter()
-    for node, succs in graph.items():
-        sorter.add(node)
-        for succ in succs:
-            sorter.add(succ, node)
-    try:
-        order = list(sorter.static_order())
-    except CycleError as exc:
-        raise IllFormedNetworkError("network has an instantaneous feedback cycle") from exc
-
-    instances = {inst.id: inst for inst in net.instances}
     cfgs = {
         inst.id: Configuration.initial(inst.spec)
         for inst in net.instances
@@ -197,51 +203,50 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
         for inst in net.instances
         if inst.kind is InstanceKind.DELAY
     }
-    driver_of = {}
-    ext_driver = {}
-    for wire in net.wires:
-        if isinstance(wire.target, ExternalPort):
-            ext_driver[wire.target.name] = wire.source
-        else:
-            driver_of[(wire.target.instance, wire.target.port)] = wire.source
+    driver_of = {wire.target: wire.source for wire in net.wires}
 
     collected: Dict[str, List[TimeInterval]] = {name: [] for name in net.external_out}
-    for t in range(ticks):
-        values: Dict[Tuple[str, str], TimeInterval] = {}
-        ext_values = {name: external_inputs.channels[name][t] for name in net.external_in}
-
-        def resolve(ep) -> TimeInterval:
-            if isinstance(ep, ExternalPort):
-                return ext_values[ep.name]
-            return values[(ep.instance, ep.port)]
+    for t in range(max(ticks, 1)):
+        values: Dict[object, TimeInterval] = {
+            ExternalPort(name): external_inputs.channels[name][t] if ticks else ()
+            for name in net.external_in
+        }
+        for inst in net.instances:
+            if inst.kind is InstanceKind.DELAY:
+                values[Port(inst.id, "out")] = delays[inst.id].popleft()
+            elif inst.kind is InstanceKind.SPEC:
+                fixed = state_determined_output(inst.spec, cfgs[inst.id].state)
+                for ch, iv in fixed.items():
+                    values[Port(inst.id, ch)] = iv
 
         def inputs_for(inst: Instance) -> Dict[str, TimeInterval]:
-            return {port: resolve(driver_of[(inst.id, port)]) for port in inst.in_ports()}
+            return {port: values[driver_of[Port(inst.id, port)]] for port in inst.in_ports()}
 
-        for iid in order:
-            inst = instances[iid]
-            if inst.kind is InstanceKind.DELAY:
-                values[(iid, "out")] = delays[iid].popleft()
-            elif inst.kind is InstanceKind.MERGE:
+        pending = list(net.instances)
+        while pending:
+            waiting = []
+            for inst in pending:
+                if not all(driver_of[Port(inst.id, port)] in values for port in inst.in_ports()):
+                    waiting.append(inst)
+                    continue
                 ins = inputs_for(inst)
-                values[(iid, "out")] = ins["in1"] + ins["in2"]
-            elif _is_strong(inst):
-                for ch, iv in state_determined_output(inst.spec, cfgs[iid].state).items():
-                    values[(iid, ch)] = iv
-            else:
-                cfgs[iid], out = reference_step(inst.spec, cfgs[iid], inputs_for(inst))
-                for ch, iv in out.items():
-                    values[(iid, ch)] = iv
+                if inst.kind is InstanceKind.DELAY:
+                    delays[inst.id].append(ins["in"])
+                elif inst.kind is InstanceKind.MERGE:
+                    values[Port(inst.id, "out")] = ins["in1"] + ins["in2"]
+                else:
+                    cfgs[inst.id], out = reference_step(inst.spec, cfgs[inst.id], ins)
+                    for ch, iv in out.items():
+                        port = Port(inst.id, ch)
+                        assert values.setdefault(port, iv) == iv, (port, values[port], iv)
+            if len(waiting) == len(pending):
+                stuck = ", ".join(inst.id for inst in waiting)
+                raise IllFormedNetworkError(f"no instance can fire: {stuck}")
+            pending = waiting
 
-        for iid in order:
-            inst = instances[iid]
-            if inst.kind is InstanceKind.DELAY:
-                delays[iid].append(resolve(driver_of[(iid, "in")]))
-            elif _is_strong(inst):
-                cfgs[iid], _ = reference_step(inst.spec, cfgs[iid], inputs_for(inst))
-
-        for name in net.external_out:
-            collected[name].append(resolve(ext_driver[name]))
+        if ticks:
+            for name in net.external_out:
+                collected[name].append(values[driver_of[ExternalPort(name)]])
 
     return Trace(
         {name: StreamPrefix(tuple(ivs)) for name, ivs in collected.items()},

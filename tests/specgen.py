@@ -99,6 +99,30 @@ def wide_spec(rng: Random, name: str, max_states: int = 64) -> ComponentSpec:
             continue
         for _ in range(rng.choice((0, 1, 2, 2, 3))):
             transitions.append(_transition(rng, source, states, not strong, True, True))
+    return _spec(rng, name, states, transitions)
+
+
+def tap_spec(rng: Random, name: str, max_states: int = 12) -> ComponentSpec:
+    """A valid spec whose ``z`` the state fixes next to a ``y`` that may
+    pass an input, so a loop may close through ``z`` but not through ``y``.
+
+    Each state either has a single unguarded transition, which may emit a
+    literal on ``z``, or guarded ones that are all silent on ``z``.
+    """
+    states = tuple(f"S{i}" for i in range(rng.randint(1, max_states)))
+    transitions = []
+    for source in states:
+        single = rng.random() < 0.5
+        for _ in range(1 if single else rng.choice((0, 1, 2, 2, 3))):
+            t = _transition(rng, source, states, True, True, not single)
+            outputs = tuple(o for o in t.outputs if o.channel != "z" or single and not o.is_pass)
+            transitions.append(
+                Transition(t.source, t.target, t.interval_guards, t.var_guards, outputs, t.updates)
+            )
+    return _spec(rng, name, states, transitions)
+
+
+def _spec(rng: Random, name: str, states, transitions) -> ComponentSpec:
     return ComponentSpec(
         name=name,
         channels=tuple(ChannelDecl(ch, Direction.IN) for ch in INPUTS)

@@ -285,7 +285,35 @@ class TestCheck:
     def test_feedback_ill_formed(self, samples):
         r = run_cli("check", "feedback", str(samples / "feedback_undelayed.tnet"))
         assert r.code == 1
-        assert "cycle" in r.out
+        assert r.out == "ill-formed: instantaneous cycle m -> p\n"
+
+    def test_feedback_weak_self_loop(self, samples, tmp_path):
+        net = tmp_path / "self.tnet"
+        net.write_text(
+            f"use p = file {samples / 'passthrough.tstd'}\n"
+            "wire p.out -> p.in\n"
+            "wire p.out -> extern out\n"
+        )
+        r = run_cli("check", "feedback", str(net))
+        assert r.code == 1
+        assert r.out == "ill-formed: instantaneous cycle p\n"
+
+    def test_loop_through_a_fixed_port_is_well_formed(self, samples, tmp_path):
+        # The tap's y passes its input a, while its state fixes z, so the
+        # loop from z back to a resolves within the tick.
+        net = tmp_path / "tap_self.tnet"
+        net.write_text(
+            f"use m = file {samples / 'tap.tstd'}\n"
+            "wire m.z -> m.a\n"
+            "wire m.y -> extern out\n"
+        )
+        r = run_cli("check", "feedback", str(net))
+        assert (r.code, r.out) == (0, "well-formed\n")
+        trc = tmp_path / "none.trc"
+        trc.write_text("ticks\n")
+        r = run_cli("compose", str(net), str(trc), "--ticks", "4")
+        assert r.code == 0
+        assert r.out == "ticks out\n" + "out: tick\n" * 4
 
 
 def mute_network(tmp_path):
@@ -348,6 +376,11 @@ class TestCompose:
         )
         assert r.code == 0
         assert out.read_text() == (data / "feedback_out3.trc").read_text()
+
+    def test_tap_loop_golden(self, samples, data):
+        r = run_cli("compose", str(samples / "tap_loop.tnet"), str(samples / "empty4.trc"))
+        assert r.code == 0
+        assert r.out == (data / "tap_loop_out4.trc").read_text()
 
     def test_delay_net(self, samples, tmp_path):
         trc = tmp_path / "in.trc"

@@ -6,7 +6,10 @@ Corpora are seeded, so every run of the suite checks the same inputs.
 Inputs carry payload-bearing messages next to plain ones, so guards and
 pass-throughs see messages that differ only in their payload.  Specs come
 from ``tstd.gen.random_spec`` and, two channels each way with payload
-guards and up to 64 states, from ``specgen.wide_spec``.
+guards and up to 64 states, from ``specgen.wide_spec`` and
+``specgen.tap_spec``.  ``check_feedback_wellformed`` and ``run_network``
+are checked against a constructive oracle that shares no scheduling code
+with them.
 """
 
 from graphlib import CycleError, TopologicalSorter
@@ -22,6 +25,7 @@ from tstd import (
     ParseFailure,
     Wire,
     build_network,
+    check_feedback_wellformed,
     check_untimed_simulation,
     classify_causality_syntactic,
     join,
@@ -62,6 +66,7 @@ from reference import (
     reference_classify_causality_syntactic,
     reference_diverging_pair,
     reference_emits,
+    reference_fixed_channels,
     reference_join,
     reference_parse_trace,
     reference_print_trace,
@@ -75,7 +80,7 @@ from reference import (
     reference_stream_command,
 )
 from conftest import run_cli
-from specgen import INPUTS, wide_spec
+from specgen import INPUTS, tap_spec, wide_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -132,6 +137,18 @@ def test_step_matches_reference_from_every_state():
             assert step(spec, cfg, tick) == reference_step(spec, cfg, tick)
 
 
+def machine_step(machine, spec, cfg, tick):
+    """``step`` through a machine compiled once: the tick function of
+    ``cfg.state``, its env and outputs read back by name."""
+    env = tuple(cfg.var_env[v] for v in machine.var_names)
+    inputs = (tick[ch] for ch in machine.in_channels)
+    target, env, outputs = machine.ticks[machine.state_index[cfg.state]](env, *inputs)
+    return (
+        Configuration(spec.states[target], dict(zip(machine.var_names, env))),
+        dict(zip(machine.out_channels, outputs)),
+    )
+
+
 def _kind(inst):
     if inst.kind is InstanceKind.SPEC:
         strong = classify_causality_syntactic(inst.spec) is CausalityClass.STRONG
@@ -185,6 +202,24 @@ def random_network(rng, index, make_spec=random_spec):
     return build_network(instances, wires, external_in, external_out)
 
 
+def matches_reference(net, inputs, ticks, where):
+    """Whether ``net`` is well-formed, after checking that
+    ``check_feedback_wellformed`` and ``run_network`` agree with the
+    constructive oracle: both refuse what it refuses, and ``run_network``
+    gives its output on the rest."""
+    well_formed = check_feedback_wellformed(net).well_formed
+    try:
+        expected = reference_run_network(net, inputs, ticks)
+    except IllFormedNetworkError:
+        assert not well_formed, where
+        with pytest.raises(IllFormedNetworkError):
+            run_network(net, inputs, ticks)
+        return False
+    assert well_formed, where
+    assert run_network(net, inputs, ticks) == expected, where
+    return True
+
+
 def test_run_network_matches_reference_on_random_networks():
     rng = Random(31)
     seen = {"ill-formed": 0, "cut by delay": 0, "cut by strong": 0, "fan-out": 0}
@@ -192,14 +227,9 @@ def test_run_network_matches_reference_on_random_networks():
         net = random_network(rng, i)
         ticks = rng.randint(0, 10)
         inputs = payload_trace(net.external_in, ticks, rng)
-        try:
-            expected = reference_run_network(net, inputs, ticks)
-        except IllFormedNetworkError:
+        if not matches_reference(net, inputs, ticks, i):
             seen["ill-formed"] += 1
-            with pytest.raises(IllFormedNetworkError):
-                run_network(net, inputs, ticks)
             continue
-        assert run_network(net, inputs, ticks) == expected, i
         seen["cut by delay"] += _has_cycle(net, skip={"strong"})
         seen["cut by strong"] += _has_cycle(net, skip={"delay"})
         sources = [wire.source for wire in net.wires]
@@ -223,11 +253,8 @@ def test_run_network_matches_reference_with_delays_deeper_than_the_run():
         ]
         net = build_network(instances, net.wires, net.external_in, net.external_out)
         inputs = payload_trace(net.external_in, ticks, rng)
-        try:
-            expected = reference_run_network(net, inputs, ticks)
-        except IllFormedNetworkError:
+        if not matches_reference(net, inputs, ticks, i):
             continue
-        assert run_network(net, inputs, ticks) == expected, i
         deeper += any(inst.delay > ticks for inst in net.instances)
     assert deeper >= 40, deeper
 
@@ -239,15 +266,8 @@ def test_run_network_matches_reference_on_samples(path):
     traces = [payload_trace(net.external_in, ticks, rng) for ticks in (0, 1, 7, 40)]
     traces.append(parse_trace((SAMPLES / "feedback_in.trc").read_text()))
     for inputs in traces:
-        if set(inputs.channels) != set(net.external_in):
-            continue
-        try:
-            expected = reference_run_network(net, inputs, inputs.length)
-        except IllFormedNetworkError:
-            with pytest.raises(IllFormedNetworkError):
-                run_network(net, inputs, inputs.length)
-            continue
-        assert run_network(net, inputs, inputs.length) == expected
+        if set(inputs.channels) == set(net.external_in):
+            matches_reference(net, inputs, inputs.length, (path.name, inputs.length))
 
 
 def test_probe_causality_matches_reference_on_random_specs():
@@ -379,6 +399,7 @@ def test_causality_rule_matches_reference():
     corpus += [random_spec(rng, name=f"c{i}") for i in range(1500)]
     corpus += [wide_spec(rng, f"v{i}", max_states=rng.choice((4, 16, 64))) for i in range(300)]
     corpus += [_broken(rng.choice(corpus), rng) for _ in range(1500)]
+    corpus += [tap_spec(rng, f"t{i}", max_states=rng.choice((4, 16))) for i in range(200)]
     channels = (ChannelDecl("in", Direction.IN), ChannelDecl("out", Direction.OUT))
     a, b = (OutputAction.literal("out", (Message(tag),)) for tag in "ab")
     empty = (IntervalGuard("in", IntervalPattern.empty()),)
@@ -395,7 +416,14 @@ def test_causality_rule_matches_reference():
             (Transition("S", "S", outputs=(OutputAction.passthrough("x", "nope"),)),),
         )
     ]
-    seen = {"strong": 0, "weak": 0, "strong emits": 0, "invalid strong": 0, "invalid weak": 0}
+    seen = {
+        "strong": 0,
+        "weak": 0,
+        "strong emits": 0,
+        "weak fixes some": 0,
+        "invalid strong": 0,
+        "invalid weak": 0,
+    }
     for i, spec in enumerate(corpus):
         verdict = classify_causality_syntactic(spec)
         assert verdict is reference_classify_causality_syntactic(spec), i
@@ -404,8 +432,12 @@ def test_causality_rule_matches_reference():
             continue
         emits = _Machine(spec).emits
         assert emits == reference_emits(spec), i
+        fixed = reference_fixed_channels(spec)
+        # Strong exactly when the state fixes every channel.
+        assert (verdict is CausalityClass.STRONG) == (len(fixed) == len(spec.out_channels())), i
         seen[verdict.value] += 1
-        seen["strong emits"] += emits is not None and any(any(row) for row in emits)
+        seen["strong emits"] += verdict is CausalityClass.STRONG and any(map(any, emits))
+        seen["weak fixes some"] += verdict is CausalityClass.WEAK and bool(fixed)
     assert all(count >= 100 for count in seen.values()), seen
 
 
@@ -431,14 +463,20 @@ def test_run_and_step_match_reference_on_wide_specs():
 
 
 def test_step_matches_reference_from_every_state_of_wide_specs():
+    """Every state's tick function of one compiled machine, and ``step``,
+    which compiles the spec on each call, from the first two states."""
     rng = Random(1915)
     seen = {"strong": 0, "weak": 0, "over 32 states": 0}
     for i in range(40):
         spec = wide_spec(rng, f"x{i}")
+        machine = _Machine(spec)
         tick = payload_trace(INPUTS, 1, rng).tick(0)
-        for state in spec.states:
+        for k, state in enumerate(spec.states):
             cfg = Configuration(state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
-            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+            expected = reference_step(spec, cfg, tick)
+            assert machine_step(machine, spec, cfg, tick) == expected, (i, state)
+            if k < 2:
+                assert step(spec, cfg, tick) == expected, (i, state)
         strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
         seen["strong" if strong else "weak"] += 1
         seen["over 32 states"] += len(spec.states) > 32
@@ -464,17 +502,33 @@ def test_run_network_matches_reference_on_wide_specs():
         net = random_network(rng, i, lambda rng, name: wide_spec(rng, name, max_states=12))
         ticks = rng.randint(0, 10)
         inputs = payload_trace(net.external_in, ticks, rng)
-        try:
-            expected = reference_run_network(net, inputs, ticks)
-        except IllFormedNetworkError:
+        if not matches_reference(net, inputs, ticks, i):
             seen["ill-formed"] += 1
-            with pytest.raises(IllFormedNetworkError):
-                run_network(net, inputs, ticks)
             continue
-        assert run_network(net, inputs, ticks) == expected, i
         seen["well-formed"] += 1
         seen["cut by strong"] += _has_cycle(net, skip={"delay"})
     assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_run_network_matches_reference_on_tap_specs():
+    """Networks of specs whose ``z`` the state fixes next to a ``y`` that
+    may pass an input: a loop through ``z`` is cut, one through ``y`` is
+    not.  At least a tenth of the networks have a loop that no delay or
+    strongly causal machine cuts, and are well-formed only by that rule."""
+    rng = Random(1931)
+    seen = {"ill-formed": 0, "well-formed": 0, "cut by a fixed port only": 0}
+    count = 150
+    for i in range(count):
+        net = random_network(rng, i, tap_spec)
+        ticks = rng.randint(0, 10)
+        inputs = payload_trace(net.external_in, ticks, rng)
+        if not matches_reference(net, inputs, ticks, i):
+            seen["ill-formed"] += 1
+            continue
+        seen["well-formed"] += 1
+        seen["cut by a fixed port only"] += _has_cycle(net, skip={"delay", "strong"})
+    assert seen["cut by a fixed port only"] >= count // 10, seen
+    assert all(n >= 15 for n in seen.values()), seen
 
 
 def test_run_matches_reference_on_random_traces():
@@ -547,9 +601,13 @@ def test_run_step_and_probe_match_reference_on_edge_specs():
         assert out == reference_run(spec, inputs), i
         tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
         env = {v.name: rng.randint(-3, 3) for v in spec.vars}
-        for state in spec.states:
+        machine = _Machine(spec)
+        for k, state in enumerate(spec.states):
             cfg = Configuration(state, env)
-            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+            expected = reference_step(spec, cfg, tick)
+            assert machine_step(machine, spec, cfg, tick) == expected, (i, state)
+            if k < 2:
+                assert step(spec, cfg, tick) == expected, (i, state)
         trials, horizon, seed = rng.randint(1, 6), rng.randint(1, 12), rng.randrange(10**6)
         result = probe_causality(spec, trials, horizon, seed)
         assert result == reference_probe_causality(spec, trials, horizon, seed), i
@@ -678,10 +736,14 @@ def test_two_hundred_states_on_one_cycle():
     assert emitted == set(range(n))
     net = _one_instance_network(spec)
     assert run_network(net, inputs, inputs.length) == out
+    machine = _Machine(spec)
     for tick in ({"in": ()}, {"in": (Message("a"),)}):
         for state in states:
             cfg = Configuration(state, {"v": n})
-            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), state
+            expected = reference_step(spec, cfg, tick)
+            assert machine_step(machine, spec, cfg, tick) == expected, state
+            if state in (states[0], states[-1]):
+                assert step(spec, cfg, tick) == expected, state
     result = probe_causality(spec, 20, 16, 200)
     assert result == reference_probe_causality(spec, 20, 16, 200)
     assert result.refuted

@@ -167,8 +167,10 @@ class TestDependencyGraph:
             ["b"],
         )
         graph = instantaneous_dependency_graph(net)
-        # The delay absorbs w1's edge; its own output feeds the weak w2.
-        assert graph == {"d": ("w2",), "w1": (), "w2": ()}
+        # w1 writes its output as it reads, so the delay's fire waits for
+        # w1's; the delay's own output is fixed by its state, so w2 waits
+        # for nothing.
+        assert graph == {"d": (), "w1": ("d",), "w2": ()}
 
     def test_strong_self_loop_has_no_edges(self):
         net = build_network(
@@ -226,6 +228,40 @@ class TestFeedbackWellformed:
             ["b"],
         )
         assert check_feedback_wellformed(net).well_formed
+
+    def test_loop_through_a_fixed_channel_is_well_formed(self):
+        # y passes the input on, but z ticks on the only transition: the
+        # state fixes z, so feeding z back into the machine is no cycle.
+        tap = ComponentSpec(
+            name="tap",
+            channels=(
+                ChannelDecl("a", Direction.IN),
+                ChannelDecl("y", Direction.OUT),
+                ChannelDecl("z", Direction.OUT),
+            ),
+            vars=(),
+            states=("S0",),
+            initial="S0",
+            transitions=(
+                Transition(
+                    "S0",
+                    "S0",
+                    outputs=(
+                        OutputAction.passthrough("y", "a"),
+                        OutputAction.literal("z", interval("tick")),
+                    ),
+                ),
+            ),
+        )
+        assert classify_causality_syntactic(tap) is CausalityClass.WEAK
+        net = build_network(
+            [Instance.of_spec("m", tap)], [wire("m.z", "m.a"), wire("m.y", "extern out")], [], ["out"]
+        )
+        assert instantaneous_dependency_graph(net) == {"m": ()}
+        assert check_feedback_wellformed(net).well_formed
+        out = run_network(net, Trace({}, 3), 3)
+        assert out.channels["out"] == StreamPrefix((interval("tick"),) * 3)
+        assert out == reference_run_network(net, Trace({}, 3), 3)
 
     def test_two_cycle_with_one_delay(self):
         net = build_network(
@@ -309,11 +345,11 @@ class TestRunNetwork:
 
     def test_equal_specs_share_one_machine(self, monkeypatch):
         # Two passthroughs and a merge feed a strong edge detector: two
-        # distinct specs, so two compilations and two validate_spec calls.
+        # distinct specs, so two compilations and two error checks.
         calls = []
-        validate = tstd.executor.validate_spec
+        errors = tstd.executor._errors
         monkeypatch.setattr(
-            tstd.executor, "validate_spec", lambda spec: calls.append(spec) or validate(spec)
+            tstd.executor, "_errors", lambda spec: calls.append(spec) or errors(spec)
         )
         edge = edge_detector()
         net = build_network(
