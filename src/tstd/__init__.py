@@ -47,14 +47,8 @@ _EXPORTS = {
         "enabled_transitions",
         "validate_spec",
     ),
-    "executor": (
-        "ChannelMismatchError",
-        "Configuration",
-        "check_untimed_simulation",
-        "probe_causality",
-        "run",
-        "step",
-    ),
+    "executor": ("ChannelMismatchError", "Configuration", "run", "step"),
+    "checks": ("check_untimed_simulation", "probe_causality"),
     "network": (
         "ChannelSetError",
         "FeedbackCheck",
@@ -75,7 +69,8 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (
-    "dsl", "executor", "gen", "model", "network", "streams", "table_format", "trace_format"
+    "checks", "dsl", "executor", "gen", "model", "network", "streams", "table_format",
+    "trace_format",
 )
 
 __all__ = sorted(_MODULE_OF)

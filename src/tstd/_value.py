@@ -12,6 +12,8 @@ The per-call methods (``__init__``, ``__eq__``, ``__hash__``) are compiled
 from one generated source text per class; the rest are shared.  This keeps
 import cheap: :mod:`dataclasses` imports :mod:`inspect` and compiles every
 method of every class on its own.
+
+A value that holds a mapping stores it as a :class:`FrozenDict`.
 """
 
 _METHODS = """\
@@ -76,3 +78,26 @@ def value(cls):
             setattr(cls, name, method)
     cls.__match_args__ = fields
     return cls
+
+
+class FrozenDict(dict):
+    """A dict whose mutators raise TypeError, hashed by its items.
+
+    It prints and compares as a dict.  ``__reduce__`` rebuilds it from a
+    plain dict: pickle and copy would fill an empty one through
+    ``__setitem__``.
+    """
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{self.__class__.__name__} does not support item assignment")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return (self.__class__, (dict(self),))

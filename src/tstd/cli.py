@@ -14,7 +14,7 @@ Likewise only the named command's argument parser is built.
 The handlers of the ``stream`` commands and ``gen-trace`` live in
 :mod:`tstd.trace_commands`, which only those commands compile; they load none
 of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
-:mod:`tstd.executor`, :mod:`tstd.network`).
+:mod:`tstd.executor`, :mod:`tstd.checks`, :mod:`tstd.network`).
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _check_result_ticks(count: int, unit: str = "ticks") -> None:
 
 
 def cmd_check_causality(args: argparse.Namespace) -> int:
-    from .executor import probe_causality
+    from .checks import probe_causality
 
     spec = _load_validated_spec(args.spec)
     result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
@@ -221,7 +221,8 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
 
 
 def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
-    from .executor import ChannelMismatchError, check_untimed_simulation
+    from .checks import check_untimed_simulation
+    from .executor import ChannelMismatchError
 
     spec_a = _load_validated_spec(args.spec_a)
     spec_b = _load_validated_spec(args.spec_b)

@@ -10,42 +10,29 @@ ticks for as long as the machine stays there, with the variables as local
 variables and one output column per channel; ``run`` calls the current
 state's loop until the input runs out.  Each state is also one generated
 function that fires a single tick, which ``step`` calls on named
-configurations.  Two seeded refutation checks compile each spec once and
-reuse it for every trial: ``probe_causality`` hunts for same-tick input
-sensitivity, ``check_untimed_simulation`` compares two machines modulo tick
-boundaries.  Both report evidence, never proofs.  They import
-:mod:`tstd.gen` when called, so running a spec does not load it.
-:class:`Trace` lives in :mod:`tstd.streams` and is importable from here too.
+configurations.  The seeded checks that run these machines live in
+:mod:`tstd.checks`; their names resolve from here too, as does
+:class:`Trace`, which lives in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ._value import value
+from ._value import FrozenDict, value
 from .model import (
-    ComponentSpec,
-    PatternKind,
-    Relation,
-    Transition,
-    UpdateOp,
-    _errors,
-    _strong_outputs,
+    ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors, _strong_outputs
 )
-from .streams import Message, StreamPrefix, TimeInterval, Trace, untimed_abstraction
+from .streams import StreamPrefix, TimeInterval, Trace
 
-__all__ = [
-    "CausalityProbeResult",
-    "ChannelMismatchError",
-    "Configuration",
-    "SimulationCheckResult",
-    "Trace",
-    "check_untimed_simulation",
-    "probe_causality",
-    "run",
-    "step",
-]
+__all__ = ["ChannelMismatchError", "Configuration", "Trace", "run", "step"]
+
+# Kept in tstd.checks, which running a spec does not need; see __getattr__.
+_CHECKS = (
+    "CausalityProbeResult", "SimulationCheckResult", "_diverging_pair",
+    "check_untimed_simulation", "probe_causality",
+)
 
 
 class ChannelMismatchError(ValueError):
@@ -58,6 +45,9 @@ class Configuration:
 
     state: str
     var_env: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "var_env", FrozenDict(self.var_env))
 
     @classmethod
     def initial(cls, spec: ComponentSpec) -> "Configuration":
@@ -117,7 +107,7 @@ class _Machine:
       which ends :meth:`run`.
     - The tick function ``t<s>(env, i0, i1, ...)``, for a single tick, fires
       once from state ``s`` and returns ``(target, env, outputs)``.
-      :func:`step`, the cut ticks of :func:`probe_causality` and
+      :func:`step`, the cut ticks of :func:`tstd.checks.probe_causality` and
       :func:`tstd.network.run_network`, which advances all of a network's
       machines in lock step, call it.
 
@@ -146,7 +136,7 @@ class _Machine:
         "ticks",
     )
 
-    def __init__(self, spec: ComponentSpec):
+    def __init__(self, spec: ComponentSpec, strong: Optional[Mapping] = None):
         errors = _errors(spec)
         if errors:
             raise ValueError(f"component '{spec.name}': {errors[0].message}")
@@ -164,7 +154,7 @@ class _Machine:
         exec("\n".join(lines), namespace)
         self.loops = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
         self.ticks = tuple(namespace[f"t{s}"] for s in range(len(spec.states)))
-        columns = _strong_outputs(spec)
+        columns = _strong_outputs(spec) if strong is None else strong
         unfixed = (None,) * len(spec.states)
         self.emits = tuple(zip(*(columns[ch] or unfixed for ch in self.out_channels)))
 
@@ -335,163 +325,11 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
     return _Machine(spec).run(inputs)
 
 
-@value
-class CausalityProbeResult:
-    """Outcome of the randomized strong-causality refutation search.
+def __getattr__(name: str):
+    """The seeded checks are kept in :mod:`tstd.checks`, which ``simulate``
+    and ``compose`` do not compile, and still resolve from here."""
+    if name in _CHECKS:
+        from . import checks
 
-    ``refuted`` means a pair of input traces agreeing strictly before the cut
-    tick and differing at it produced outputs that already differ at or
-    before the cut.  The witness pair is kept for replay.
-    """
-
-    refuted: bool
-    trials: int
-    witness_a: Optional[Trace] = None
-    witness_b: Optional[Trace] = None
-    cut: Optional[int] = None
-    channel: Optional[str] = None
-    tick: Optional[int] = None
-
-    @property
-    def consistent_with_strong(self) -> bool:
-        return not self.refuted
-
-
-def _diverging_pair(
-    channels: Sequence[str],
-    alphabet: Sequence[str],
-    draw: Callable[[Random], TimeInterval],
-    horizon: int,
-    rng: Random,
-) -> Tuple[Trace, Trace, int]:
-    """Two input traces equal on ticks < cut and different at the cut tick.
-
-    ``draw`` is ``gen.interval_drawer(alphabet, 3)``, built once per probe.
-    """
-    from .gen import draw_trace
-
-    cut = rng.randrange(horizon)
-    a = draw_trace(channels, horizon, rng, draw)
-    b_channels: Dict[str, List[TimeInterval]] = {}
-    for ch in channels:
-        ivs = list(a.channels[ch].intervals)
-        for t in range(cut, horizon):
-            ivs[t] = draw(rng)
-        b_channels[ch] = ivs
-    if all(b_channels[ch][cut] == a.channels[ch][cut] for ch in channels):
-        bump = rng.choice(channels)
-        b_channels[bump][cut] = b_channels[bump][cut] + (Message(alphabet[-1]),)
-    b = Trace(
-        {ch: StreamPrefix(tuple(ivs)) for ch, ivs in b_channels.items()},
-        length=horizon,
-    )
-    return a, b, cut
-
-
-def probe_causality(
-    spec: ComponentSpec, trials: int, horizon: int, seed: int
-) -> CausalityProbeResult:
-    """Search for evidence that output at some tick depends on same-tick input.
-
-    Runs ``trials`` input pairs through the machine.  Any output difference
-    at a tick no later than the pair's divergence point refutes strong
-    causality.  Finding nothing only means the machine is consistent with
-    strong causality on the sampled traces.
-    """
-    from random import Random
-
-    from .gen import interval_drawer, probe_alphabet
-
-    if trials < 1 or horizon < 1:
-        raise ValueError("trials and horizon must be positive")
-    rng = Random(seed)
-    if not spec.in_channels():
-        # With no inputs there is nothing the output could depend on.
-        return CausalityProbeResult(refuted=False, trials=0)
-    machine = _Machine(spec)
-    ticks = machine.ticks
-    alphabet = probe_alphabet(spec)
-    draw = interval_drawer(alphabet, 3)
-    for _ in range(trials):
-        a, b, cut = _diverging_pair(machine.in_channels, alphabet, draw, horizon, rng)
-        # The pair agrees before the cut, so the deterministic machine reaches
-        # the cut in one configuration and only the cut tick's outputs can
-        # differ: fire the prefix once, then the cut tick of each.
-        rows_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
-        state, env = machine.initial_state, machine.initial_env
-        for inputs in islice(rows_a, cut):
-            state, env, _ = ticks[state](env, *inputs)
-        _, _, out_a = ticks[state](env, *next(rows_a))
-        _, _, out_b = ticks[state](env, *(b.channels[ch][cut] for ch in machine.in_channels))
-        for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
-            if iv_a != iv_b:
-                return CausalityProbeResult(
-                    refuted=True,
-                    trials=trials,
-                    witness_a=a,
-                    witness_b=b,
-                    cut=cut,
-                    channel=ch,
-                    tick=cut,
-                )
-    return CausalityProbeResult(refuted=False, trials=trials)
-
-
-@value
-class SimulationCheckResult:
-    """Outcome of the bounded untimed-equivalence check between two specs."""
-
-    agree: bool
-    trials: int
-    witness: Optional[Trace] = None
-    channel: Optional[str] = None
-    abstraction_a: Optional[Tuple[Message, ...]] = None
-    abstraction_b: Optional[Tuple[Message, ...]] = None
-
-
-def check_untimed_simulation(
-    spec_a: ComponentSpec,
-    spec_b: ComponentSpec,
-    trials: int,
-    horizon: int,
-    seed: int,
-) -> SimulationCheckResult:
-    """Compare two machines' outputs modulo tick boundaries on random inputs.
-
-    Both specs must expose identical channel names.  For each trial the same
-    input trace is run through both machines and the per-channel untimed
-    abstractions of the outputs are compared; the first mismatch is returned
-    as a witness.  Agreement is only over the sampled horizon, not a proof.
-    """
-    from random import Random
-
-    from .gen import draw_trace, fresh_tag, interval_drawer, spec_tags
-
-    if trials < 1 or horizon < 1:
-        raise ValueError("trials and horizon must be positive")
-    if set(spec_a.in_channels()) != set(spec_b.in_channels()) or set(
-        spec_a.out_channels()
-    ) != set(spec_b.out_channels()):
-        raise ChannelMismatchError("specs have different channel signatures")
-    machine_a, machine_b = _Machine(spec_a), _Machine(spec_b)
-    rng = Random(seed)
-    tags = sorted(set(spec_tags(spec_a)) | set(spec_tags(spec_b)))
-    tags.append(fresh_tag(tags))
-    draw = interval_drawer(tags, 3)
-    for _ in range(trials):
-        inputs = draw_trace(spec_a.in_channels(), horizon, rng, draw)
-        out_a = machine_a.run(inputs)
-        out_b = machine_b.run(inputs)
-        for ch in sorted(spec_a.out_channels()):
-            seq_a = untimed_abstraction(out_a.channels[ch])
-            seq_b = untimed_abstraction(out_b.channels[ch])
-            if seq_a != seq_b:
-                return SimulationCheckResult(
-                    agree=False,
-                    trials=trials,
-                    witness=inputs,
-                    channel=ch,
-                    abstraction_a=seq_a,
-                    abstraction_b=seq_b,
-                )
-    return SimulationCheckResult(agree=True, trials=trials)
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -101,15 +101,15 @@ def fresh_tag(taken: Sequence[str]) -> str:
     return tag
 
 
-def probe_alphabet(spec: ComponentSpec) -> List[str]:
-    """The spec's own tags plus one tag it never mentions."""
-    tags = spec_tags(spec)
+def probe_alphabet(*specs: ComponentSpec) -> List[str]:
+    """Every tag the specs mention, sorted, plus one tag none of them mentions."""
+    tags = sorted({tag for spec in specs for tag in spec_tags(spec)})
     tags.append(fresh_tag(tags))
     return tags
 
 
 def __getattr__(name: str) -> Callable[..., ComponentSpec]:
-    """``random_spec`` is kept in :mod:`tstd.random_specs`, which the probes
+    """``random_spec`` is kept in :mod:`tstd.random_specs`, which the checks
     do not need, so the ``check`` commands do not compile it."""
     if name == "random_spec":
         from .random_specs import random_spec

@@ -42,13 +42,12 @@ from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._value import value
 from .dsl import _INT_RE, parse_component
-from .executor import Trace, _Machine, _tuple
 from .model import ComponentSpec, _errors, _strong_outputs
-from .streams import IDENT_RE, StreamPrefix, TimeInterval
+from .streams import IDENT_RE, StreamPrefix, TimeInterval, Trace
 from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
 __all__ = [
@@ -272,12 +271,14 @@ def build_network(
     return Network(tuple(instances), tuple(wires), tuple(ext_in), tuple(ext_out))
 
 
-def _fixed_ports(inst: Instance) -> Tuple[str, ...]:
+def _fixed_ports(inst: Instance, strong: Dict[ComponentSpec, Mapping]) -> Tuple[str, ...]:
     """The output ports ``inst`` writes from state before it reads: a delay's
-    ``out``, a machine's channels that ``model._strong_outputs`` fixes."""
+    ``out``, a machine's channels that ``model._strong_outputs`` fixes.
+    ``strong`` keeps that rule's answer for each distinct spec."""
     if inst.kind is InstanceKind.SPEC:
-        fixed = _strong_outputs(inst.spec)
-        return tuple(ch for ch in inst.out_ports() if fixed[ch] is not None)
+        if inst.spec not in strong:
+            strong[inst.spec] = _strong_outputs(inst.spec)
+        return tuple(ch for ch in inst.out_ports() if strong[inst.spec][ch] is not None)
     return (DELAY_OUT,) if inst.kind is InstanceKind.DELAY else ()
 
 
@@ -289,7 +290,13 @@ def instantaneous_dependency_graph(net: Network) -> Dict[str, Tuple[str, ...]]:
     own inputs.  Fixed ports are written before anything reads, so a wire
     from one makes no edge; that is how a delay or a machine cuts a loop.
     """
-    fixed = {inst.id: _fixed_ports(inst) for inst in net.instances}
+    return _dependency_graph(net, {})
+
+
+def _dependency_graph(
+    net: Network, strong: Dict[ComponentSpec, Mapping]
+) -> Dict[str, Tuple[str, ...]]:
+    fixed = {inst.id: _fixed_ports(inst, strong) for inst in net.instances}
     edges: Dict[str, set] = {inst.id: set() for inst in net.instances}
     for wire in net.wires:
         source, target = wire.source, wire.target
@@ -346,7 +353,13 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
     in one pass.  Each external output's column becomes its stream prefix.
     """
-    ok, order, cycle = _toposort(instantaneous_dependency_graph(net))
+    # Imported here: check feedback builds networks but runs no machine.
+    from .executor import _Machine, _tuple
+
+    # The causality rule's answer for each distinct spec, shared by the
+    # graph and the kernel.
+    strong: Dict[ComponentSpec, Mapping] = {}
+    ok, order, cycle = _toposort(_dependency_graph(net, strong))
     if not ok:
         raise IllFormedNetworkError(
             "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
@@ -379,7 +392,7 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     for n, iid in enumerate(order):
         inst = instances[iid]
         ins = [driver[Port(iid, port)] for port in inst.in_ports()]
-        fixed = _fixed_ports(inst)
+        fixed = _fixed_ports(inst, strong)
         # The emit writes the fixed ports, the fire the rest; each has ``_`` for the other's.
         outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
         emitted = [var if is_fixed else "_" for var, is_fixed in outs]
@@ -395,7 +408,7 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             fire.append(f"{fired[0]} = {ins[0]} + {ins[1]}")
         else:
             if inst.spec not in machines:
-                machines[inst.spec] = _Machine(inst.spec)
+                machines[inst.spec] = _Machine(inst.spec, strong[inst.spec])
             machine = machines[inst.spec]
             namespace[f"F{n}"] = machine.ticks
             namespace[f"V{n}"] = machine.initial_env

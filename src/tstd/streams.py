@@ -16,7 +16,7 @@ import re
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ._value import value
+from ._value import FrozenDict, value
 
 __all__ = [
     "IDENT_RE",
@@ -143,6 +143,7 @@ class Trace:
     length: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "channels", FrozenDict(self.channels))
         for name, prefix in self.channels.items():
             if prefix.length != self.length:
                 raise ValueError(

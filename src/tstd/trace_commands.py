@@ -4,7 +4,8 @@ and ``gen-trace``.
 :mod:`tstd.cli` parses the arguments and imports this module only when one of
 these commands runs, so the spec commands do not compile it.  Like the rest of
 the trace side, it loads none of the spec machinery (:mod:`tstd.dsl`,
-:mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.network`).
+:mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.checks`,
+:mod:`tstd.network`).
 
 ``stream split``, ``join`` and ``delay`` work on dictionary-encoded columns.
 They read a file with :func:`tstd.trace_format._read_ticks`, the reader behind

@@ -91,10 +91,31 @@ def test_network_commands_import_network():
         assert "dataclasses" not in modules
         # Their components are all .tstd files.
         assert not modules & {"tstd.table_format", "tstd.trace_commands"}
+        # Only compose runs machines.
+        assert ("tstd.executor" in modules) == (argv[0] == "compose")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "watchdog.tstd"], 0),
+        (["simulate", "watchdog.tstd", "empty4.trc"], 0),
+        (["compose", "delay1.tnet", "empty4.trc"], 0),
+        (["check", "feedback", "feedback.tnet"], 0),
+        (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
+        (["check", "untimed-sim", "toggler.tstd", "toggler.ttab", "--trials", "5"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_only_the_seeded_checks_load_the_checks(argv, code):
+    got, modules = _modules_after(*argv)
+    assert got == code
+    seeded = argv[:2] in (["check", "causality"], ["check", "untimed-sim"])
+    assert ("tstd.checks" in modules) == seeded
 
 
 SPEC_MACHINERY = {
-    "tstd.dsl", "tstd.model", "tstd.executor", "tstd.network", "tstd.table_format"
+    "tstd.dsl", "tstd.model", "tstd.executor", "tstd.checks", "tstd.network", "tstd.table_format"
 }
 
 
@@ -170,12 +191,21 @@ def test_validate_skips_the_executor():
 
 
 def test_moved_names_keep_their_old_homes():
+    import tstd.checks
     import tstd.dsl
     import tstd.executor
     import tstd.streams
     import tstd.trace_format as fmt
 
     assert tstd.streams.Trace is tstd.executor.Trace is tstd.Trace
+    for name in (
+        "CausalityProbeResult", "SimulationCheckResult", "_diverging_pair",
+        "check_untimed_simulation", "probe_causality",
+    ):
+        assert getattr(tstd.executor, name) is getattr(tstd.checks, name)
+        assert name not in vars(tstd.executor)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tstd.executor.no_such_name
     assert tstd.dsl.parse_trace is tstd.parse_trace
     for name in (
         "ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace",

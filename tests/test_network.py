@@ -1,6 +1,7 @@
 import pytest
 
 import tstd.executor
+import tstd.network
 from tstd.executor import Trace, run
 from tstd.model import (
     CausalityClass,
@@ -345,12 +346,17 @@ class TestRunNetwork:
 
     def test_equal_specs_share_one_machine(self, monkeypatch):
         # Two passthroughs and a merge feed a strong edge detector: two
-        # distinct specs, so two compilations and two error checks.
-        calls = []
-        errors = tstd.executor._errors
+        # distinct specs, so two compilations, two error checks and two
+        # answers of the causality rule, which the graph and the kernel share.
+        calls, rule_calls = [], []
+        errors, rule = tstd.executor._errors, tstd.executor._strong_outputs
         monkeypatch.setattr(
             tstd.executor, "_errors", lambda spec: calls.append(spec) or errors(spec)
         )
+        for module in (tstd.executor, tstd.network):
+            monkeypatch.setattr(
+                module, "_strong_outputs", lambda spec: rule_calls.append(spec) or rule(spec)
+            )
         edge = edge_detector()
         net = build_network(
             [
@@ -380,6 +386,7 @@ class TestRunNetwork:
         )
         out = run_network(net, inputs, 5)
         assert sorted(spec.name for spec in calls) == ["edge", "p"]
+        assert sorted(spec.name for spec in rule_calls) == ["edge", "p"]
         assert out == reference_run_network(net, inputs, 5)
         assert out.channels["y"] == StreamPrefix(((), interval("x"), (), interval("x"), ()))
 

@@ -34,7 +34,7 @@ from tstd import (
     Wire,
 )
 from tstd.dsl import ParseIssue, SourceSpan
-from tstd.executor import CausalityProbeResult, SimulationCheckResult
+from tstd.checks import CausalityProbeResult, SimulationCheckResult
 from tstd.model import PatternKind, UpdateOp
 from tstd.network import ExternalPort, InstanceKind, Port
 
@@ -186,8 +186,9 @@ CASES = {
     ),
 }
 
-# Values holding a dict (or a value that does) are compared but not hashed.
-UNHASHABLE = {"Configuration", "Trace"}
+# Values that are compared but not hashed.  A value holding a mapping
+# stores it as a read-only dict, so it hashes too.
+UNHASHABLE = set()
 
 # Values with nested fields, also checked for deep copies.
 NESTED = [SPEC, TRACE, Network((INST,), (WIRE,), ("i",), ()), TRANS, PREFIX]
@@ -283,6 +284,39 @@ def test_fields_are_frozen(name):
         assert getattr(value, field) is before
 
 
+@pytest.mark.parametrize(
+    "mapping",
+    [TRACE.channels, Configuration("s", {"v": 1}).var_env],
+    ids=["Trace.channels", "Configuration.var_env"],
+)
+def test_mappings_are_frozen(mapping):
+    before = dict(mapping)
+    with pytest.raises(TypeError):
+        mapping["y"] = 1
+    with pytest.raises(TypeError):
+        del mapping[next(iter(mapping))]
+    with pytest.raises(TypeError):
+        mapping |= {"y": 1}
+    for change in (
+        lambda m: m.clear(),
+        lambda m: m.pop(next(iter(m))),
+        lambda m: m.popitem(),
+        lambda m: m.setdefault("y", 1),
+        lambda m: m.update(y=1),
+    ):
+        with pytest.raises(TypeError):
+            change(mapping)
+    assert mapping == before
+
+
+def test_a_mapping_given_to_a_value_is_copied():
+    channels, var_env = {"x": PREFIX}, {"v": 1}
+    trace, cfg = Trace(channels, 2), Configuration("s", var_env)
+    channels["y"] = PREFIX
+    var_env["v"] = 2
+    assert trace == TRACE and cfg == Configuration("s", {"v": 1})
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_pickle_and_copy_round_trip(name):
     value = _make(name)
@@ -294,6 +328,8 @@ def test_pickle_and_copy_round_trip(name):
         assert type(clone) is type(value)
         assert clone == value
         assert repr(clone) == repr(value)
+        if name not in UNHASHABLE:
+            assert hash(clone) == hash(value)
 
 
 @pytest.mark.parametrize("value", NESTED, ids=lambda v: type(v).__name__)
