@@ -6,21 +6,23 @@ Each compiles every spec it is given once, into a machine of
 :mod:`tstd.executor`, and reuses it for every trial.  Both draw their
 trials the same way (:func:`_trials`): from ``Random(seed)``, over every
 tag the specs mention plus one they never mention, up to three messages a
-tick.  Both report evidence, never proofs.  Only the ``check`` commands
-import this module, and with it :mod:`tstd.gen`.
+tick, one column of intervals per input channel, channel after channel.
+They fire those columns on the machines and make a :class:`Trace` only of
+a witness they return.  Both report evidence, never proofs.  Only the
+``check`` commands import this module, and with it :mod:`tstd.gen`.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ._value import value
 from .executor import ChannelMismatchError, _Machine
-from .gen import draw_trace, interval_drawer, probe_alphabet
+from .gen import interval_drawer, probe_alphabet
 from .model import ComponentSpec
-from .streams import Message, StreamPrefix, TimeInterval, Trace, untimed_abstraction
+from .streams import Message, StreamPrefix, TimeInterval, Trace
 
 __all__ = [
     "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation", "probe_causality"
@@ -38,6 +40,11 @@ def _trials(
         raise ValueError("trials and horizon must be positive")
     alphabet = probe_alphabet(*specs)
     return Random(seed), alphabet, interval_drawer(alphabet, 3)
+
+
+def _witness(channels: Sequence[str], columns: List[list], horizon: int) -> Trace:
+    """The trace of the input ``columns``, one per channel, in order."""
+    return Trace({ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)}, horizon)
 
 
 @value
@@ -62,28 +69,6 @@ class CausalityProbeResult:
         return not self.refuted
 
 
-def _diverging_pair(
-    channels: Sequence[str], alphabet: Sequence[str], draw: Draw, horizon: int, rng: Random
-) -> Tuple[Trace, Trace, int]:
-    """Two input traces equal on ticks < cut and different at the cut tick.
-
-    ``draw`` is ``gen.interval_drawer(alphabet, 3)``, built once per probe.
-    """
-    cut = rng.randrange(horizon)
-    a = draw_trace(channels, horizon, rng, draw)
-    b_channels: Dict[str, List[TimeInterval]] = {}
-    for ch in channels:
-        ivs = list(a.channels[ch].intervals)
-        for t in range(cut, horizon):
-            ivs[t] = draw(rng)
-        b_channels[ch] = ivs
-    if all(b_channels[ch][cut] == a.channels[ch][cut] for ch in channels):
-        bump = rng.choice(channels)
-        b_channels[bump][cut] = b_channels[bump][cut] + (Message(alphabet[-1]),)
-    b = Trace({ch: StreamPrefix(tuple(ivs)) for ch, ivs in b_channels.items()}, length=horizon)
-    return a, b, cut
-
-
 def probe_causality(
     spec: ComponentSpec, trials: int, horizon: int, seed: int
 ) -> CausalityProbeResult:
@@ -99,23 +84,31 @@ def probe_causality(
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
-    ticks = machine.ticks
+    channels, ticks = machine.in_channels, machine.ticks
+    bump = Message(alphabet[-1])
     for _ in range(trials):
-        a, b, cut = _diverging_pair(machine.in_channels, alphabet, draw, horizon, rng)
+        # Input a, then the ticks of input b from the cut on, which differ
+        # from a's at the cut: when the draws agree there, a message is added.
+        cut = rng.randrange(horizon)
+        a = [[draw(rng) for _ in range(horizon)] for _ in channels]
+        b_tails = [[draw(rng) for _ in range(cut, horizon)] for _ in channels]
+        if all(col[cut] == tail[0] for col, tail in zip(a, b_tails)):
+            rng.choice(b_tails)[0] += (bump,)
         # The pair agrees before the cut, so the deterministic machine reaches
         # the cut in one configuration and only the cut tick's outputs can
         # differ: fire the prefix once, then the cut tick of each.
-        rows_a = zip(*(a.channels[ch].intervals for ch in machine.in_channels))
+        rows_a = zip(*a)
         state, env = machine.initial_state, machine.initial_env
         for inputs in islice(rows_a, cut):
             state, env, _ = ticks[state](env, *inputs)
         _, _, out_a = ticks[state](env, *next(rows_a))
-        _, _, out_b = ticks[state](env, *(b.channels[ch][cut] for ch in machine.in_channels))
+        _, _, out_b = ticks[state](env, *(tail[0] for tail in b_tails))
         for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
             if iv_a != iv_b:
+                b = [col[:cut] + tail for col, tail in zip(a, b_tails)]
                 return CausalityProbeResult(
-                    refuted=True, trials=trials, witness_a=a, witness_b=b,
-                    cut=cut, channel=ch, tick=cut,
+                    refuted=True, trials=trials, witness_a=_witness(channels, a, horizon),
+                    witness_b=_witness(channels, b, horizon), cut=cut, channel=ch, tick=cut,
                 )
     return CausalityProbeResult(refuted=False, trials=trials)
 
@@ -138,24 +131,31 @@ def check_untimed_simulation(
     """Compare two machines' outputs modulo tick boundaries on random inputs.
 
     Both specs must expose identical channel names.  For each trial the same
-    input trace is run through both machines and the per-channel untimed
-    abstractions of the outputs are compared; the first mismatch is returned
-    as a witness.  Agreement is only over the sampled horizon, not a proof.
+    input columns, drawn in ``spec_a``'s channel order, are fired on both
+    machines, each column on the channel of its name, and the per-channel
+    untimed abstractions of the outputs are compared; the first mismatch's
+    input is returned as a witness.  Agreement is only over the sampled
+    horizon, not a proof.
     """
     rng, _, draw = _trials(trials, horizon, seed, spec_a, spec_b)
     sides = [(set(s.in_channels()), set(s.out_channels())) for s in (spec_a, spec_b)]
     if sides[0] != sides[1]:
         raise ChannelMismatchError("specs have different channel signatures")
     machine_a, machine_b = _Machine(spec_a), _Machine(spec_b)
+    channels = machine_a.in_channels
     for _ in range(trials):
-        inputs = draw_trace(spec_a.in_channels(), horizon, rng, draw)
-        out_a, out_b = machine_a.run(inputs), machine_b.run(inputs)
-        for ch in sorted(spec_a.out_channels()):
-            seq_a = untimed_abstraction(out_a.channels[ch])
-            seq_b = untimed_abstraction(out_b.channels[ch])
+        inputs = [[draw(rng) for _ in range(horizon)] for _ in channels]
+        # spec_b may declare the same channels in another order.
+        by_name = dict(zip(channels, inputs))
+        inputs_b = [by_name[ch] for ch in machine_b.in_channels]
+        out_a = dict(zip(machine_a.out_channels, machine_a.run(inputs, horizon)))
+        out_b = dict(zip(machine_b.out_channels, machine_b.run(inputs_b, horizon)))
+        for ch in sorted(out_a):
+            seq_a = tuple(chain.from_iterable(out_a[ch]))
+            seq_b = tuple(chain.from_iterable(out_b[ch]))
             if seq_a != seq_b:
                 return SimulationCheckResult(
-                    agree=False, trials=trials, witness=inputs, channel=ch,
-                    abstraction_a=seq_a, abstraction_b=seq_b,
+                    agree=False, trials=trials, witness=_witness(channels, inputs, horizon),
+                    channel=ch, abstraction_a=seq_a, abstraction_b=seq_b,
                 )
     return SimulationCheckResult(agree=True, trials=trials)

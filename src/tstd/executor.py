@@ -18,20 +18,17 @@ configurations.  The seeded checks that run these machines live in
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ._value import FrozenDict, value
-from .model import (
-    ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors, _strong_outputs
-)
+from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
 from .streams import StreamPrefix, TimeInterval, Trace
 
 __all__ = ["ChannelMismatchError", "Configuration", "Trace", "run", "step"]
 
 # Kept in tstd.checks, which running a spec does not need; see __getattr__.
 _CHECKS = (
-    "CausalityProbeResult", "SimulationCheckResult", "_diverging_pair",
-    "check_untimed_simulation", "probe_causality",
+    "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation", "probe_causality"
 )
 
 
@@ -82,8 +79,9 @@ class _Machine:
     """A component spec compiled once into generated Python functions.
 
     States are indices into ``spec.states``, a variable valuation (an env)
-    is a tuple in ``var_names`` order, tick inputs come in ``in_channels``
-    order and tick outputs in ``out_channels`` order.
+    is a tuple in ``var_names`` order, and a machine sees only intervals:
+    tick inputs and the input columns of :meth:`run` come in ``in_channels``
+    order, tick outputs and output columns in ``out_channels`` order.
 
     Each transition becomes source fragments, made in one place
     (:meth:`_fragments`): its guard as one inline expression over the tick's
@@ -115,11 +113,6 @@ class _Machine:
     every value of the spec (messages, bounds, update values, literal
     outputs) reaches the functions through their namespace.
 
-    ``emits`` is the strong-causality rule of :mod:`tstd.model`, per
-    channel: ``emits[s][c]`` is channel ``c``'s output on every tick spent
-    in state ``s`` when the state fixes it, so a network can read it before
-    the inputs exist, and None on a channel that is not fixed.
-
     Compiling refuses a spec with errors: the ValueError names the first
     error finding of ``validate_spec``.
     """
@@ -131,12 +124,11 @@ class _Machine:
         "var_names",
         "initial_state",
         "initial_env",
-        "emits",
         "loops",
         "ticks",
     )
 
-    def __init__(self, spec: ComponentSpec, strong: Optional[Mapping] = None):
+    def __init__(self, spec: ComponentSpec):
         errors = _errors(spec)
         if errors:
             raise ValueError(f"component '{spec.name}': {errors[0].message}")
@@ -154,9 +146,6 @@ class _Machine:
         exec("\n".join(lines), namespace)
         self.loops = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
         self.ticks = tuple(namespace[f"t{s}"] for s in range(len(spec.states)))
-        columns = _strong_outputs(spec) if strong is None else strong
-        unfixed = (None,) * len(spec.states)
-        self.emits = tuple(zip(*(columns[ch] or unfixed for ch in self.out_channels)))
 
     def _fragments(
         self, spec: ComponentSpec, namespace: Dict[str, object]
@@ -260,19 +249,15 @@ class _Machine:
         inputs = "".join(f", i{i}" for i in range(len(self.in_channels)))
         return [f"def t{s}(env{inputs}):", *("    " + line for line in body)]
 
-    def run(self, inputs: Trace) -> Trace:
-        columns = [inputs.channels[ch].intervals for ch in self.in_channels]
-        ticks = zip(*columns) if columns else repeat((), inputs.length)
+    def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
+        ticks = zip(*columns) if columns else repeat((), length)
         outputs: List[List[TimeInterval]] = [[] for _ in self.out_channels]
         appends = tuple([column.append for column in outputs])
         loops = self.loops
         state, env = self.initial_state, self.initial_env
         while state >= 0:
             state, env = loops[state](ticks, appends, env)
-        return Trace(
-            {ch: StreamPrefix(tuple(col)) for ch, col in zip(self.out_channels, outputs)},
-            length=inputs.length,
-        )
+        return outputs
 
 
 def step(
@@ -322,7 +307,10 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
         raise ChannelMismatchError(
             f"input trace channels do not match spec: missing {missing}, unexpected {extra}"
         )
-    return _Machine(spec).run(inputs)
+    machine = _Machine(spec)
+    columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
+    outputs = zip(machine.out_channels, machine.run(columns, inputs.length))
+    return Trace({ch: StreamPrefix(tuple(col)) for ch, col in outputs}, length=inputs.length)
 
 
 def __getattr__(name: str):

@@ -19,7 +19,6 @@ if TYPE_CHECKING:
     from .model import ComponentSpec
 
 __all__ = [
-    "draw_trace",
     "fresh_tag",
     "interval_drawer",
     "random_prefix",
@@ -50,16 +49,6 @@ def interval_drawer(alphabet: Sequence[str], max_len: int) -> Callable[[Random],
     return draw
 
 
-def draw_trace(
-    channels: Sequence[str], ticks: int, rng: Random, draw: Callable[[Random], TimeInterval]
-) -> Trace:
-    """A trace whose intervals come from ``draw``, channel after channel."""
-    return Trace(
-        {ch: StreamPrefix(tuple([draw(rng) for _ in range(ticks)])) for ch in channels},
-        length=ticks,
-    )
-
-
 def random_prefix(
     rng: Random,
     ticks: int,
@@ -77,7 +66,9 @@ def random_trace(
     alphabet: Sequence[str] = DEFAULT_ALPHABET,
     max_len: int = 3,
 ) -> Trace:
-    return draw_trace(channels, ticks, rng, interval_drawer(alphabet, max_len))
+    draw = interval_drawer(alphabet, max_len)
+    columns = {ch: StreamPrefix(tuple([draw(rng) for _ in range(ticks)])) for ch in channels}
+    return Trace(columns, length=ticks)
 
 
 def spec_tags(spec: ComponentSpec) -> List[str]:

@@ -322,12 +322,26 @@ def _toposort(graph: Dict[str, Tuple[str, ...]]) -> Tuple[bool, List[str], Tuple
             sorter.add(succ, node)
     try:
         order = list(sorter.static_order())
-    except CycleError as exc:
-        cycle = list(exc.args[1])
-        if len(cycle) > 1 and cycle[0] == cycle[-1]:
-            cycle = cycle[:-1]
-        return False, [], tuple(cycle)
+    except CycleError:
+        return False, [], _cycle_witness(graph)
     return True, order, ()
+
+
+def _cycle_witness(graph: Dict[str, Tuple[str, ...]]) -> Tuple[str, ...]:
+    """The shortest cycle through the first node, in sorted order, that lies
+    on a cycle, found breadth first along the sorted successors; () when
+    there is none.  Edges that lie on no cycle cannot change it."""
+    for start in sorted(graph):
+        seen, paths = {start}, deque([(start,)])
+        while paths:
+            path = paths.popleft()
+            for succ in graph[path[-1]]:
+                if succ == start:
+                    return path
+                if succ not in seen:
+                    seen.add(succ)
+                    paths.append(path + (succ,))
+    return ()
 
 
 def check_feedback_wellformed(net: Network) -> FeedbackCheck:
@@ -335,7 +349,8 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
 
     Equivalently: every feedback loop passes through at least one port that
     its instance fixes from state.  An offending cycle is reported by
-    instance id.
+    instance id: the shortest through the first id, in sorted order, that
+    lies on a cycle.
     """
     ok, _, cycle = _toposort(instantaneous_dependency_graph(net))
     return FeedbackCheck(well_formed=ok, cycle=cycle)
@@ -346,9 +361,12 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
 
     Refuses ill-formed networks.  The network is compiled once per call into
     one generated tick loop (see the module docstring).  An instance's emit
-    is a delay's ``popleft``, a row of the machine's ``_Machine.emits``, or
-    nothing for a merge; its fire is a delay's ``append``, the merge's ``+``
-    or one call of the machine's per-tick function in ``_Machine.ticks``.
+    is a delay's ``popleft``, nothing for a merge, or for a machine a row of
+    its emit table, built here from the causality rule's answer that the
+    graph already read: per state, the intervals the state fixes on the
+    instance's fixed ports.  Its fire is a delay's ``append``, the merge's
+    ``+`` or one call of the machine's per-tick function in
+    ``_Machine.ticks``.
     Every emit runs first, then the fires in topological order of
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
     in one pass.  Each external output's column becomes its stream prefix.
@@ -393,9 +411,9 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         inst = instances[iid]
         ins = [driver[Port(iid, port)] for port in inst.in_ports()]
         fixed = _fixed_ports(inst, strong)
-        # The emit writes the fixed ports, the fire the rest; each has ``_`` for the other's.
+        # The emit writes the fixed ports, the fire the rest, with ``_`` for the fixed ones.
         outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
-        emitted = [var if is_fixed else "_" for var, is_fixed in outs]
+        emitted = [var for var, is_fixed in outs if is_fixed]
         fired = ["_" if is_fixed else var for var, is_fixed in outs]
         if inst.kind is InstanceKind.DELAY:
             # A delay deeper than the run emits nothing but its first empty
@@ -408,13 +426,14 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             fire.append(f"{fired[0]} = {ins[0]} + {ins[1]}")
         else:
             if inst.spec not in machines:
-                machines[inst.spec] = _Machine(inst.spec, strong[inst.spec])
+                machines[inst.spec] = _Machine(inst.spec)
             machine = machines[inst.spec]
             namespace[f"F{n}"] = machine.ticks
             namespace[f"V{n}"] = machine.initial_env
             init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
             if fixed:
-                namespace[f"E{n}"] = machine.emits
+                # Row s holds what state s emits on the fixed ports, in order.
+                namespace[f"E{n}"] = tuple(zip(*(strong[inst.spec][p] for p in fixed)))
                 emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
             outputs = _tuple(fired) if len(fixed) < len(fired) else "_"
             call = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"

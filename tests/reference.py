@@ -16,7 +16,7 @@ are slow on purpose and are used only to check ``tstd.run``,
 ``tstd.print_trace``, ``tstd.split``, ``tstd.join`` and the ``tstd stream``
 commands against.  The random generator is kept as first written, one
 ``randint`` and a new ``Message`` per drawn tag, as the oracle for
-``tstd.gen``'s prebuilt-message drawers and the probe's ``_diverging_pair``.
+``tstd.gen``'s prebuilt-message drawers and the draws of the seeded checks.
 The syntactic causality rule is read the direct way too: a classifier that
 scans every transition once per state, the channels a state fixes read one
 channel at a time, and an emission table taken from the first transition

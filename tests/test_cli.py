@@ -262,6 +262,19 @@ class TestCheck:
         assert r.code == 1
         assert "disagree" in r.out
 
+    def test_gate_causality_golden(self, samples, data):
+        # Two input channels: the witness pins the order of the draws across them.
+        r = run_cli("check", "causality", str(samples / "gate.tstd"))
+        assert r.code == 1
+        assert r.out.encode() == (data / "gate_causality.txt").read_bytes()
+
+    def test_toggler_passthrough_untimed_golden(self, samples, data):
+        r = run_cli(
+            "check", "untimed-sim", str(samples / "toggler.tstd"), str(samples / "passthrough.tstd")
+        )
+        assert r.code == 1
+        assert r.out.encode() == (data / "toggler_passthrough_untimed.txt").read_bytes()
+
     def test_untimed_sim_signature_mismatch(self, samples, tmp_path):
         p = tmp_path / "renamed.tstd"
         p.write_text("component r\nin chan x\nout chan out\nstate S initial\n")

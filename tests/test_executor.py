@@ -11,6 +11,7 @@ from tstd.executor import (
     run,
     step,
 )
+from tstd.dsl import parse_component
 from tstd.gen import random_spec, random_trace
 from tstd.model import (
     ChannelDecl,
@@ -27,6 +28,7 @@ from tstd.model import (
     validate_spec,
 )
 from tstd.streams import Message, StreamPrefix, interval, untimed_abstraction
+from tstd.table_format import parse_table
 
 IN = ChannelDecl("in", Direction.IN)
 OUT = ChannelDecl("out", Direction.OUT)
@@ -194,6 +196,26 @@ class TestProbeCausality:
         result = probe_causality(spec, trials=10, horizon=4, seed=0)
         assert result.consistent_with_strong
         assert result.trials == 0
+
+
+def test_only_a_returned_witness_becomes_a_trace(monkeypatch, samples):
+    # Trials run on plain input columns; a refutation makes its witnesses.
+    built = []
+    post_init = Trace.__post_init__
+    monkeypatch.setattr(Trace, "__post_init__", lambda self: built.append(self) or post_init(self))
+    toggler, passthrough = (
+        parse_component((samples / f"{name}.tstd").read_text())
+        for name in ("toggler", "passthrough")
+    )
+    table = parse_table((samples / "toggler.ttab").read_text())
+    assert probe_causality(toggler, trials=200, horizon=16, seed=0).consistent_with_strong
+    assert len(built) == 0
+    refuted = probe_causality(passthrough, trials=200, horizon=16, seed=0)
+    assert refuted.refuted
+    assert len(built) == 2
+    assert built[0] is refuted.witness_a and built[1] is refuted.witness_b
+    assert check_untimed_simulation(toggler, table, trials=200, horizon=16, seed=0).agree
+    assert len(built) == 2
 
 
 def delayed_passthrough_one_symbol():

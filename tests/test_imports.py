@@ -199,8 +199,8 @@ def test_moved_names_keep_their_old_homes():
 
     assert tstd.streams.Trace is tstd.executor.Trace is tstd.Trace
     for name in (
-        "CausalityProbeResult", "SimulationCheckResult", "_diverging_pair",
-        "check_untimed_simulation", "probe_causality",
+        "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation",
+        "probe_causality",
     ):
         assert getattr(tstd.executor, name) is getattr(tstd.checks, name)
         assert name not in vars(tstd.executor)

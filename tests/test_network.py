@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 import tstd.executor
@@ -21,6 +23,8 @@ from tstd.network import (
     NetworkBuildError,
     Port,
     Wire,
+    _cycle_witness,
+    _toposort,
     build_network,
     check_feedback_wellformed,
     instantaneous_dependency_graph,
@@ -205,6 +209,17 @@ class TestDependencyGraph:
         assert graph["w2"] == ("m",)
 
 
+def _reachable(graph, iid):
+    """Every id reachable from ``iid`` along at least one edge."""
+    found, todo = set(), list(graph[iid])
+    while todo:
+        nxt = todo.pop()
+        if nxt not in found:
+            found.add(nxt)
+            todo.extend(graph[nxt])
+    return found
+
+
 class TestFeedbackWellformed:
     def test_weak_self_loop_is_ill_formed(self):
         net = build_network(
@@ -216,6 +231,55 @@ class TestFeedbackWellformed:
         result = check_feedback_wellformed(net)
         assert not result.well_formed
         assert result.cycle == ("p",)
+
+    def test_an_instance_wired_into_a_cycle_keeps_the_witness(self):
+        # b and the merge c form a cycle.  Feeding c's other input through
+        # the passthrough a, which lies on no cycle, adds only the edge a -> c.
+        loop = [wire("b.out", "c.in1"), wire("c.out", "b.in"), wire("c.out", "extern y")]
+        cycle = [Instance.of_spec("b", passthrough()), Instance.of_merge("c")]
+        direct = build_network(cycle, [*loop, wire("extern x", "c.in2")], ["x"], ["y"])
+        fed = build_network(
+            [Instance.of_spec("a", passthrough()), *cycle],
+            [*loop, wire("extern x", "a.in"), wire("a.out", "c.in2")],
+            ["x"],
+            ["y"],
+        )
+        assert instantaneous_dependency_graph(fed)["a"] == ("c",)
+        for net in (direct, fed):
+            assert check_feedback_wellformed(net).cycle == ("b", "c")
+            with pytest.raises(IllFormedNetworkError, match="cycle: b -> c$"):
+                run_network(net, Trace.empty(("x",), 2), 2)
+
+    def test_witness_is_the_shortest_cycle_through_the_first_id_on_one(self):
+        rng = Random(1616)
+        seen = {"acyclic": 0, "self-loop": 0, "longer": 0}
+        for i in range(500):
+            ids = [f"n{k}" for k in range(rng.randint(1, 7))]
+            edges = {iid: set() for iid in ids}
+            for _ in range(rng.randint(0, 10)):
+                edges[rng.choice(ids)].add(rng.choice(ids))
+            graph = {iid: tuple(sorted(succs)) for iid, succs in edges.items()}
+            on_cycle = sorted(iid for iid in ids if iid in _reachable(graph, iid))
+            cycle = _cycle_witness(graph)
+            if not on_cycle:
+                assert cycle == () and _toposort(graph)[0], i
+                seen["acyclic"] += 1
+                continue
+            assert _toposort(graph) == (False, [], cycle), i
+            assert cycle[0] == on_cycle[0], i
+            assert len(set(cycle)) == len(cycle), i
+            for k, iid in enumerate(cycle):
+                assert cycle[(k + 1) % len(cycle)] in graph[iid], i
+            # No shorter cycle through cycle[0]: breadth-first distances.
+            dist, frontier = 0, {cycle[0]}
+            while cycle[0] not in {s for iid in frontier for s in graph[iid]}:
+                dist, frontier = dist + 1, {s for iid in frontier for s in graph[iid]}
+            assert len(cycle) == dist + 1, i
+            # An id outside the graph with one edge into it changes nothing.
+            graph["a"] = (rng.choice(ids),)
+            assert _cycle_witness(dict(sorted(graph.items()))) == cycle, i
+            seen["self-loop" if len(cycle) == 1 else "longer"] += 1
+        assert all(count >= 50 for count in seen.values()), seen
 
     def test_delay_breaks_the_loop(self):
         net = build_network(
@@ -349,14 +413,13 @@ class TestRunNetwork:
         # distinct specs, so two compilations, two error checks and two
         # answers of the causality rule, which the graph and the kernel share.
         calls, rule_calls = [], []
-        errors, rule = tstd.executor._errors, tstd.executor._strong_outputs
+        errors, rule = tstd.executor._errors, tstd.network._strong_outputs
         monkeypatch.setattr(
             tstd.executor, "_errors", lambda spec: calls.append(spec) or errors(spec)
         )
-        for module in (tstd.executor, tstd.network):
-            monkeypatch.setattr(
-                module, "_strong_outputs", lambda spec: rule_calls.append(spec) or rule(spec)
-            )
+        monkeypatch.setattr(
+            tstd.network, "_strong_outputs", lambda spec: rule_calls.append(spec) or rule(spec)
+        )
         edge = edge_detector()
         net = build_network(
             [
