@@ -106,20 +106,6 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def _infer_format(path: str) -> str:
-    return "table" if path.endswith(".ttab") else "textual"
-
-
-def _parse_spec_text(text: str, fmt: str) -> ComponentSpec:
-    if fmt == "table":
-        from .table_format import parse_table
-
-        return parse_table(text)
-    from .dsl import parse_component
-
-    return parse_component(text)
-
-
 _T = TypeVar("_T")
 
 
@@ -134,9 +120,10 @@ def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
 
 
 def _load_validated_spec(path: str) -> ComponentSpec:
+    from .dsl import _spec_parser
     from .model import _errors
 
-    spec = _parse_file(path, lambda text: _parse_spec_text(text, _infer_format(path)))
+    spec = _parse_file(path, _spec_parser(path))
     errors = _errors(spec)
     if errors:
         report = "\n".join(f"{path}: {f.render()}" for f in errors)
@@ -162,12 +149,12 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .dsl import _spec_parser
     from .model import has_errors, validate_spec
 
     text = _read_text(args.spec)
-    fmt = args.format or _infer_format(args.spec)
     try:
-        spec = _parse_spec_text(text, fmt)
+        spec = _spec_parser(args.spec, args.format)(text)
     except ParseFailure as exc:
         _write_stdout("".join(f"error: line {issue.render()}\n" for issue in exc.issues))
         return REFUTED
@@ -207,6 +194,7 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
     from .checks import probe_causality
 
     spec = _load_validated_spec(args.spec)
+    _check_result_ticks(args.horizon)
     result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
     if result.consistent_with_strong:
         _write_stdout(f"consistent-with-strong ({args.trials} trials, horizon {args.horizon})\n")
@@ -226,6 +214,7 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
 
     spec_a = _load_validated_spec(args.spec_a)
     spec_b = _load_validated_spec(args.spec_b)
+    _check_result_ticks(args.horizon)
     try:
         result = check_untimed_simulation(
             spec_a, spec_b, trials=args.trials, horizon=args.horizon, seed=args.seed

@@ -28,17 +28,19 @@ with PATTERN one of ``any``, ``empty``, ``nonempty``, ``contains(tag[:int])``,
 
 The other formats have their own modules, so a command loads only the
 format it reads: the table format (``*.ttab``) is :mod:`tstd.table_format`,
-which shares this module's clause parsers and spec builder; the network
+which shares this module's clause parsers and spec builder, and
+:func:`_spec_parser` picks one of the two for a component file; the network
 format (``*.tnet``) is :func:`tstd.network.parse_network`; the trace format
 (``*.trc``), :class:`ParseFailure` and the lexing shared by all the formats
-live in :mod:`tstd.trace_format`.  The trace names are imported here too, so
-``tstd.dsl.parse_trace`` and the rest still resolve.
+live in :mod:`tstd.trace_format`, and the identifier, integer and message
+token patterns that the clause patterns here are built from in
+:mod:`tstd.streams`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .model import (
     ChannelDecl,
@@ -55,33 +57,20 @@ from .model import (
     VarUpdate,
     _spec_errors,
 )
-from .streams import IDENT_RE
-from .trace_format import (
-    _MESSAGE_RE, ParseFailure, ParseIssue, SourceSpan, _int, _Issues, _logical_lines,
-    _LongInteger, _parse_message, _print_column, _strip_comment, parse_trace, print_trace,
-)
+from .streams import _IDENT, _INT, IDENT_RE
+from .trace_format import _int, _Issues, _logical_lines, _parse_message
 
-__all__ = [
-    "ParseFailure",
-    "ParseIssue",
-    "SourceSpan",
-    "export_dot",
-    "parse_component",
-    "parse_trace",
-    "print_component",
-    "print_trace",
-]
+__all__ = ["export_dot", "parse_component", "print_component"]
 
 
-_INT_RE = re.compile(r"-?\d+\Z")
-_LEN_RE = re.compile(r"len\s*(>=|=)\s*(-?\d+)\Z")
+_INT_RE = re.compile(_INT + r"\Z")
+_LEN_RE = re.compile(rf"len\s*(>=|=)\s*({_INT})\Z")
 _FIRST_RE = re.compile(r"first\s*=\s*(\S+)\Z")
 _CONTAINS_RE = re.compile(r"contains\(\s*(\S+?)\s*\)\Z")
-_VARGUARD_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|!=|==|=|<|>)\s*(-?\d+)\Z")
-_UPDATE_RE = re.compile(
-    r"([A-Za-z][A-Za-z0-9_]*)\s*:=\s*(?:([A-Za-z][A-Za-z0-9_]*)\s*([+-])\s*)?(-?\d+)\Z"
-)
-_PASS_RE = re.compile(r"pass\(\s*([A-Za-z][A-Za-z0-9_]*)\s*\)\Z")
+_VARGUARD_RE = re.compile(rf"({_IDENT})\s*(<=|>=|!=|==|=|<|>)\s*({_INT})\Z")
+_UPDATE_RE = re.compile(rf"({_IDENT})\s*:=\s*(?:({_IDENT})\s*([+-])\s*)?({_INT})\Z")
+_PASS_RE = re.compile(rf"pass\(\s*({_IDENT})\s*\)\Z")
+_TRANS_RE = re.compile(rf"({_IDENT})\s*->\s*({_IDENT})\Z")
 
 
 def _parse_pattern(text: str) -> Optional[IntervalPattern]:
@@ -272,6 +261,18 @@ def _parse_emission(line: int, channel: str, body: str, issues: _Issues) -> Opti
     return OutputAction.literal(channel, messages)
 
 
+def _spec_parser(name: str, fmt: Optional[str] = None) -> Callable[[str], ComponentSpec]:
+    """The parser of the component file ``name``: that of ``fmt`` (``table``
+    or ``textual``, as ``validate --format`` names them) when given, else the
+    table format's for a name ending in ``.ttab`` and this module's for any
+    other.  The table format is imported only when it is picked."""
+    if fmt == "table" or (fmt is None and name.endswith(".ttab")):
+        from .table_format import parse_table
+
+        return parse_table
+    return parse_component
+
+
 def parse_component(text: str) -> ComponentSpec:
     """Parse the textual component style; raises ParseFailure on any error."""
     issues = _Issues()
@@ -315,7 +316,7 @@ def parse_component(text: str) -> ComponentSpec:
                 if len(parts) == 2:
                     builder.declare_initial(lineno, parts[0])
         elif keyword == "trans":
-            m = re.match(r"([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)\Z", rest)
+            m = _TRANS_RE.match(rest)
             if not m:
                 issues.add(lineno, 1, "expected 'trans SRC -> DST'")
                 current = None

@@ -11,8 +11,7 @@ variables and one output column per channel; ``run`` calls the current
 state's loop until the input runs out.  Each state is also one generated
 function that fires a single tick, which ``step`` calls on named
 configurations.  The seeded checks that run these machines live in
-:mod:`tstd.checks`; their names resolve from here too, as does
-:class:`Trace`, which lives in :mod:`tstd.streams`.
+:mod:`tstd.checks`, and :class:`Trace` in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from ._value import FrozenDict, value
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
 from .streams import StreamPrefix, TimeInterval, Trace
 
-__all__ = ["ChannelMismatchError", "Configuration", "Trace", "run", "step"]
-
-# Kept in tstd.checks, which running a spec does not need; see __getattr__.
-_CHECKS = (
-    "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation", "probe_causality"
-)
+__all__ = ["ChannelMismatchError", "Configuration", "run", "step"]
 
 
 class ChannelMismatchError(ValueError):
@@ -311,13 +305,3 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
     columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
     outputs = zip(machine.out_channels, machine.run(columns, inputs.length))
     return Trace({ch: StreamPrefix(tuple(col)) for ch, col in outputs}, length=inputs.length)
-
-
-def __getattr__(name: str):
-    """The seeded checks are kept in :mod:`tstd.checks`, which ``simulate``
-    and ``compose`` do not compile, and still resolve from here."""
-    if name in _CHECKS:
-        from . import checks
-
-        return getattr(checks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

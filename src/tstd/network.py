@@ -31,7 +31,8 @@ endings and ``#`` comments like the other formats::
     wire A.out -> extern NAME
 
 A component file is read as a table (:mod:`tstd.table_format`) when its name
-ends in ``.ttab`` and as component text (:mod:`tstd.dsl`) otherwise.
+ends in ``.ttab`` and as component text (:mod:`tstd.dsl`) otherwise, the rule
+of :func:`tstd.dsl._spec_parser`, which ``tstd validate`` follows too.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._value import value
-from .dsl import _INT_RE, parse_component
+from .dsl import _INT_RE, _spec_parser
 from .model import ComponentSpec, _errors, _strong_outputs
-from .streams import IDENT_RE, StreamPrefix, TimeInterval, Trace
+from .streams import _IDENT, IDENT_RE, StreamPrefix, TimeInterval, Trace
 from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
 __all__ = [
@@ -215,12 +216,10 @@ def build_network(
 
     ext_in = list(external_in)
     ext_out = list(external_out)
-    for name in ext_in:
-        if ext_in.count(name) > 1:
-            problem(f"duplicate external input '{name}'")
-    for name in ext_out:
-        if ext_out.count(name) > 1:
-            problem(f"duplicate external output '{name}'")
+    for role, names in (("input", ext_in), ("output", ext_out)):
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                problem(f"duplicate external {role} '{name}'")
 
     def check_endpoint(ep: Endpoint, as_source: bool, where: Tuple[str, int]) -> None:
         if isinstance(ep, ExternalPort):
@@ -462,18 +461,7 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
 # The network text format
 
 
-_ENDPOINT_RE = re.compile(
-    r"(?:extern\s+([A-Za-z][A-Za-z0-9_]*)|([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*))\Z"
-)
-
-
-def _default_component_loader(path: Path) -> ComponentSpec:
-    text = path.read_text(encoding="utf-8", errors="replace")
-    if path.suffix == ".ttab":
-        from .table_format import parse_table
-
-        return parse_table(text)
-    return parse_component(text)
+_ENDPOINT_RE = re.compile(rf"(?:extern\s+({_IDENT})|({_IDENT})\.({_IDENT}))\Z")
 
 
 def parse_network(
@@ -482,11 +470,12 @@ def parse_network(
     loader: Optional[Callable[[Path], ComponentSpec]] = None,
 ) -> Network:
     """Parse a network wiring file; referenced component files are loaded
-    relative to ``base_dir`` (tables by ``.ttab`` extension, textual otherwise)
-    and their parse and ``validate_spec`` errors reported at the ``use`` line.
+    relative to ``base_dir`` (by :func:`tstd.dsl._spec_parser`'s rule: a name
+    ending in ``.ttab`` is a table) and their parse and ``validate_spec``
+    errors reported at the ``use`` line.
     """
     issues = _Issues()
-    load = loader or _default_component_loader
+    load = loader or (lambda path: _spec_parser(path.name)(path.read_text("utf-8", "replace")))
     base = Path(base_dir)
     instances: List[Instance] = []
     wires: List[Wire] = []

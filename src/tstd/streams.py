@@ -6,7 +6,10 @@ finite (possibly empty) sequence of messages; that per-tick sequence is a
 explicit tick count, so every operator here maps prefixes to prefixes.  A
 :class:`Trace` bundles equally long prefixes of named channels.
 
-All values are immutable; the operators are pure functions.
+All values are immutable; the operators are pure functions.  The lexical
+rules that every text format and :func:`interval` follow live here too,
+next to :meth:`Message.token`, which writes tokens by them: an identifier,
+an integer literal and a message token ``tag`` or ``tag:INT``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,10 @@ __all__ = [
     "untimed_abstraction",
 ]
 
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z][A-Za-z0-9_]*"
+_INT = r"-?\d+"
+IDENT_RE = re.compile(_IDENT + r"\Z")
+_MESSAGE_RE = re.compile(rf"({_IDENT})(?::({_INT}))?\Z")
 
 EMPTY_INTERVAL: "TimeInterval" = ()
 
@@ -93,16 +99,17 @@ TimeInterval = Tuple[Message, ...]
 
 
 def interval(*tokens: str | Message) -> TimeInterval:
-    """Build a TimeInterval from message tokens, e.g. ``interval("a", "b:3")``."""
+    """Build a TimeInterval from message tokens, e.g. ``interval("a", "b:3")``;
+    a token that a trace file may not hold raises ValueError."""
     out = []
     for tok in tokens:
-        if isinstance(tok, Message):
-            out.append(tok)
-        elif ":" in tok:
-            tag, _, raw = tok.partition(":")
-            out.append(Message(tag, int(raw)))
-        else:
-            out.append(Message(tok))
+        if not isinstance(tok, Message):
+            m = _MESSAGE_RE.match(tok)
+            if m is None:
+                raise ValueError(f"malformed message token {tok!r}")
+            tag, digits = m.groups()
+            tok = Message(tag, None if digits is None else int(digits))
+        out.append(tok)
     return tuple(out)
 
 

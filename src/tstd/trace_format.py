@@ -7,20 +7,20 @@ lists channels sorted by name.  A comment-only line is not a tick.
 One reader, :func:`_read_ticks`, serves :func:`parse_trace` and the
 ``stream`` commands, which transform each distinct interval once per file.
 
-:class:`ParseFailure`, line splitting and message tokens serve :mod:`tstd.dsl`
-too.  Only :mod:`tstd.streams` is imported, so traces load no spec code.
+:class:`ParseFailure`, line splitting and the reading of integers and message
+tokens serve the other formats too; the token and identifier patterns live
+in :mod:`tstd.streams`, the only module imported, so traces load no spec code.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import value
-from .streams import IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
+from .streams import _MESSAGE_RE, IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
 
 __all__ = ["ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace"]
 
@@ -58,7 +58,7 @@ class _LongInteger(ValueError):
 
 
 def _int(digits: str) -> int:
-    """``int`` of a ``-?\\d+`` literal; raises _LongInteger past the digit limit."""
+    """``int`` of an integer literal; raises _LongInteger past the digit limit."""
     try:
         return int(digits)
     except ValueError:
@@ -92,9 +92,6 @@ class _Issues:
             yield
         except _LongInteger as exc:
             self.add(line, column, str(exc))
-
-
-_MESSAGE_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?::(-?\d+))?\Z")
 
 
 def _parse_message(token: str) -> Optional[Message]:

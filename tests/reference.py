@@ -30,13 +30,8 @@ from pathlib import Path
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from tstd.dsl import ParseFailure, _Issues, _parse_message
-from tstd.executor import (
-    CausalityProbeResult,
-    Configuration,
-    SimulationCheckResult,
-    Trace,
-)
+from tstd.checks import CausalityProbeResult, SimulationCheckResult
+from tstd.executor import Configuration
 from tstd.gen import fresh_tag, probe_alphabet, spec_tags
 from tstd.model import (
     CausalityClass,
@@ -59,12 +54,14 @@ from tstd.streams import (
     SplitStrategy,
     StreamPrefix,
     TimeInterval,
+    Trace,
     delay_stream,
     join,
     split,
     timed_merge,
     untimed_abstraction,
 )
+from tstd.trace_format import ParseFailure, _Issues, _parse_message
 
 
 def reference_step(

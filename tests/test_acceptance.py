@@ -12,15 +12,9 @@ from random import Random
 
 import pytest
 
-from tstd.dsl import (
-    ParseFailure,
-    export_dot,
-    parse_component,
-    parse_trace,
-    print_component,
-    print_trace,
-)
-from tstd.executor import Trace, probe_causality, run
+from tstd.checks import probe_causality
+from tstd.dsl import export_dot, parse_component, print_component
+from tstd.executor import run
 from tstd.gen import random_prefix, random_spec, random_trace
 from tstd.model import (
     CausalityClass,
@@ -54,6 +48,7 @@ from tstd.streams import (
     untimed_abstraction,
 )
 from tstd.table_format import parse_table, print_table
+from tstd.trace_format import ParseFailure, parse_trace, print_trace
 
 ALPHABET_8 = ("a", "b", "c", "d", "e", "f", "g", "h")
 STRATEGIES = list(SplitStrategy)

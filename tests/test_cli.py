@@ -7,9 +7,9 @@ import pytest
 
 import tstd.gen
 from tstd import cli
-from tstd.dsl import parse_trace
+from tstd.trace_format import parse_trace
 
-from conftest import run_cli
+from conftest import SAMPLES, run_cli
 
 
 class TestValidate:
@@ -580,3 +580,104 @@ def test_one_command_parser_matches_the_full_parser(argv):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == (argv[:1] if known else list(cli._COMMANDS))
     assert _parse_outcome(parser, argv) == _parse_outcome(cli.build_parser(), argv)
+
+
+def _stdout(*argv):
+    r = run_cli(*argv)
+    assert r.code == 0, r.err
+    return r.out
+
+
+def _saved(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _one_instance_net(path, component):
+    """A network of one instance of ``component`` from extern in to extern out."""
+    text = f"use c = file {component}\nwire extern in -> c.in\nwire c.out -> extern out\n"
+    return _saved(path, text)
+
+
+def _split(tmp_path, trace):
+    text = _stdout("stream", "split", trace, "-n", "4", "--strategy", "spread")
+    return _saved(tmp_path / "split.trc", text)
+
+
+def _split_then_join(tmp_path, trace, seed):
+    return _stdout("stream", "join", _split(tmp_path, trace), "-n", "4"), Path(trace).read_text()
+
+
+def _merge_with_silence(tmp_path, trace, seed):
+    silent = _stdout(
+        "gen-trace", "--channels", "a,b", "--ticks", "50", "--seed", seed, "--max-len", "0"
+    )
+    merged = _stdout("stream", "merge", trace, _saved(tmp_path / "silent.trc", silent))
+    return merged, Path(trace).read_text()
+
+
+def _abstract_after_split(tmp_path, trace, seed):
+    split = _split(tmp_path, trace)
+    return _stdout("stream", "abstract", split), _stdout("stream", "abstract", trace)
+
+
+def _delay_prefixes_silence(tmp_path, trace, seed):
+    header, _, ticks = Path(trace).read_text().partition("\n")
+    delayed = _stdout("stream", "delay", trace, "-d", "2")
+    return delayed, header + "\n" + "a: - | b: -\n" * 2 + ticks
+
+
+def _simulate_is_compose(tmp_path, trace, seed):
+    # simulate runs the free-running state loops, compose the lock-step
+    # tick functions of a one-instance network.
+    spec = SAMPLES / "watchdog.tstd"
+    inputs = _stdout("gen-trace", "--channels", "in", "--ticks", "500", "--seed", seed)
+    inputs = _saved(tmp_path / "in.trc", inputs)
+    net = _one_instance_net(tmp_path / "w.tnet", spec)
+    return _stdout("simulate", str(spec), inputs), _stdout("compose", net, inputs)
+
+
+CLI_LAWS = [
+    _split_then_join,
+    _merge_with_silence,
+    _abstract_after_split,
+    _delay_prefixes_silence,
+    _simulate_is_compose,
+]
+
+
+@pytest.mark.parametrize("seed", ["3", "4"])
+@pytest.mark.parametrize("law", CLI_LAWS, ids=lambda law: law.__name__.strip("_"))
+def test_cli_law(law, seed, tmp_path):
+    """Two commands, or a command and a plain text edit, give the same bytes
+    on a gen-trace output."""
+    trace = _stdout("gen-trace", "--channels", "a,b", "--ticks", "50", "--seed", seed)
+    left, right = law(tmp_path, _saved(tmp_path / "in_ab.trc", trace), seed)
+    assert left == right
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        *(
+            (["check", "feedback", net.name], int(net.name == "feedback_undelayed.tnet"))
+            for net in sorted(SAMPLES.glob("*.tnet"))
+        ),
+        (["check", "causality", "toggler.tstd"], 0),
+        (["check", "causality", "passthrough.tstd"], 1),
+        (["check", "untimed-sim", "toggler.tstd", "toggler.ttab"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_sample_verdict(argv, code):
+    command, kind, *files = argv
+    assert run_cli(command, kind, *(str(SAMPLES / f) for f in files)).code == code
+
+
+def test_a_file_named_ttab_is_a_table_everywhere(samples, tmp_path):
+    (tmp_path / ".ttab").write_text((samples / "toggler.ttab").read_text())
+    r = run_cli("validate", str(tmp_path / ".ttab"))
+    assert (r.code, r.out) == (0, "ok: component 'toggler'\n")
+    net = _one_instance_net(tmp_path / "one.tnet", ".ttab")
+    r = run_cli("check", "feedback", net)
+    assert (r.code, r.out, r.err) == (0, "well-formed\n", "")

@@ -40,7 +40,7 @@ from tstd import (
     split,
     step,
 )
-from tstd.executor import Configuration, Trace, _Machine
+from tstd.executor import Configuration, _Machine
 from tstd.gen import random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
     ChannelDecl,
@@ -60,7 +60,7 @@ from tstd.model import (
     validate_spec,
 )
 from tstd.network import ExternalPort, InstanceKind, Port
-from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix
+from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix, Trace
 
 from reference import (
     reference_check_untimed_simulation,

@@ -1,18 +1,14 @@
+import re
 from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tstd.dsl import (
-    ParseFailure,
-    export_dot,
-    parse_component,
-    parse_trace,
-    print_component,
-    print_trace,
-)
-from tstd.executor import Trace
+import tstd.dsl
+import tstd.network
+import tstd.streams
+from tstd.dsl import export_dot, parse_component, print_component
 from tstd.gen import random_spec
 from tstd.model import (
     ChannelDecl,
@@ -40,8 +36,9 @@ from tstd.network import (
     check_feedback_wellformed,
     parse_network,
 )
-from tstd.streams import Message, StreamPrefix, interval
+from tstd.streams import Message, StreamPrefix, Trace, interval
 from tstd.table_format import parse_table, print_table
+from tstd.trace_format import ParseFailure, parse_trace, print_trace
 
 TOGGLER = """\
 component toggler
@@ -854,3 +851,73 @@ class TestFuzzSafety:
             parse_network(text, base_dir="/nonexistent_dir_for_fuzz")
         except ParseFailure:
             pass
+
+
+# Each pattern as its module spelled it out before the identifier, integer
+# and message-token rules were written once, in tstd.streams.
+SPELLED_OUT = {
+    (tstd.streams, "IDENT_RE"): r"[A-Za-z][A-Za-z0-9_]*\Z",
+    (tstd.streams, "_MESSAGE_RE"): r"([A-Za-z][A-Za-z0-9_]*)(?::(-?\d+))?\Z",
+    (tstd.dsl, "_INT_RE"): r"-?\d+\Z",
+    (tstd.dsl, "_LEN_RE"): r"len\s*(>=|=)\s*(-?\d+)\Z",
+    (tstd.dsl, "_VARGUARD_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|!=|==|=|<|>)\s*(-?\d+)\Z",
+    (tstd.dsl, "_UPDATE_RE"): (
+        r"([A-Za-z][A-Za-z0-9_]*)\s*:=\s*(?:([A-Za-z][A-Za-z0-9_]*)\s*([+-])\s*)?(-?\d+)\Z"
+    ),
+    (tstd.dsl, "_PASS_RE"): r"pass\(\s*([A-Za-z][A-Za-z0-9_]*)\s*\)\Z",
+    (tstd.dsl, "_TRANS_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)\Z",
+    (tstd.network, "_ENDPOINT_RE"): (
+        r"(?:extern\s+([A-Za-z][A-Za-z0-9_]*)|([A-Za-z][A-Za-z0-9_]*)\.([A-Za-z][A-Za-z0-9_]*))\Z"
+    ),
+}
+
+# Fillers of the corpus templates: identifiers, integers (signed, with
+# underscores, spaces and non-ASCII digits), separators and operators.
+SYNTAX_POOLS = {
+    "i": ["a", "in", "x_1", "Z9", "tag_", "_a", "1a", "é", "aé", "a-b", "len", "extern", "pass"],
+    "n": ["0", "7", "42", "-3", "--3", "+3", "1_000", "٣", "-٣", "１２", "- 4", "3 ", "", "-"],
+    "s": ["", "", " ", "  ", "\t"],
+    "r": ["<=", ">=", "!=", "==", "=", "<", ">", "=<", "=>"],
+    "o": ["+", "-", "*", "+-"],
+}
+SYNTAX_TEMPLATES = [
+    "{i}", "{n}", "{i}:{n}", "{i}:{s}{n}", "{i}{s}:{n}{s}{i}:{n}",
+    "len{s}>={s}{n}", "len{s}={s}{n}", "len{s}{r}{s}{n}",
+    "{i}{s}{r}{s}{n}",
+    "{i}{s}:={s}{n}", "{i}{s}:={s}{i}{s}{o}{s}{n}",
+    "pass({s}{i}{s})", "pass({i}",
+    "{i}{s}->{s}{i}", "{i}->{i}->{i}",
+    "extern{s}{i}", "extern{i}", "{i}.{i}", "{i}.{i}.{i}", "{i}{s}.{s}{i}",
+]
+SYNTAX_CHARS = "aZ_09-+:=<>!.() \t\n٣é"
+
+
+def _syntax_corpus(count, seed):
+    """Seeded texts from the templates, a third of them with one character
+    inserted, deleted or replaced."""
+    rng = Random(seed)
+    texts = []
+    for _ in range(count):
+        template = rng.choice(SYNTAX_TEMPLATES)
+        text = re.sub(r"\{(\w)\}", lambda m: rng.choice(SYNTAX_POOLS[m.group(1)]), template)
+        if text and rng.random() < 1 / 3:
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(SYNTAX_CHARS) + text[k + rng.randrange(2):]
+        texts.append(text)
+    return texts
+
+
+def test_composed_patterns_match_as_spelled_out():
+    corpus = _syntax_corpus(20_000, seed=20)
+    matched = dict.fromkeys(SPELLED_OUT, 0)
+    for (module, name), text in SPELLED_OUT.items():
+        composed, oracle = getattr(module, name), re.compile(text)
+        assert composed.flags == oracle.flags
+        for sample in corpus:
+            got, want = composed.match(sample), oracle.match(sample)
+            assert (got and (got.span(), got.groups())) == (
+                want and (want.span(), want.groups())
+            ), (name, sample)
+            matched[module, name] += want is not None
+    # Every pattern both matches and refuses a good share of the corpus.
+    assert all(100 < count < len(corpus) - 100 for count in matched.values()), matched

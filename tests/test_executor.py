@@ -2,16 +2,9 @@ from random import Random
 
 import pytest
 
-from tstd.executor import (
-    ChannelMismatchError,
-    Configuration,
-    Trace,
-    check_untimed_simulation,
-    probe_causality,
-    run,
-    step,
-)
+from tstd.checks import check_untimed_simulation, probe_causality
 from tstd.dsl import parse_component
+from tstd.executor import ChannelMismatchError, Configuration, run, step
 from tstd.gen import random_spec, random_trace
 from tstd.model import (
     ChannelDecl,
@@ -27,7 +20,7 @@ from tstd.model import (
     VarUpdate,
     validate_spec,
 )
-from tstd.streams import Message, StreamPrefix, interval, untimed_abstraction
+from tstd.streams import Message, StreamPrefix, Trace, interval, untimed_abstraction
 from tstd.table_format import parse_table
 
 IN = ChannelDecl("in", Direction.IN)

@@ -1,6 +1,8 @@
 """The import graph: each CLI command loads only the modules it runs, and
 the package's public names resolve on first use."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -190,29 +192,44 @@ def test_validate_skips_the_executor():
     assert "tstd.executor" not in modules
 
 
-def test_moved_names_keep_their_old_homes():
-    import tstd.checks
-    import tstd.dsl
-    import tstd.executor
-    import tstd.streams
-    import tstd.trace_format as fmt
+SUBMODULES = sorted(
+    p.stem for p in (ROOT / "src" / "tstd").glob("*.py") if p.stem not in ("__init__", "__main__")
+)
 
-    assert tstd.streams.Trace is tstd.executor.Trace is tstd.Trace
-    for name in (
-        "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation",
-        "probe_causality",
-    ):
-        assert getattr(tstd.executor, name) is getattr(tstd.checks, name)
-        assert name not in vars(tstd.executor)
-    with pytest.raises(AttributeError, match="no_such_name"):
-        tstd.executor.no_such_name
-    assert tstd.dsl.parse_trace is tstd.parse_trace
-    for name in (
-        "ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace",
-        "_Issues", "_LongInteger", "_MESSAGE_RE", "_int", "_logical_lines",
-        "_parse_message", "_print_column", "_strip_comment",
-    ):
-        assert getattr(tstd.dsl, name) is getattr(fmt, name)
+
+def _defined_names(module):
+    """The names that the top level of ``module``'s source binds itself."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            stored = (n for n in ast.walk(node) if isinstance(n, ast.Name))
+            names.update(n.id for n in stored if isinstance(n.ctx, ast.Store))
+    return names
+
+
+def test_each_name_has_one_home():
+    """A submodule lists only names its source defines and resolves none
+    from another module; ``tstd.gen.random_spec`` is the one kept alias."""
+    modules = {name: importlib.import_module(f"tstd.{name}") for name in SUBMODULES}
+    for name, module in modules.items():
+        listed = set(getattr(module, "__all__", ()))
+        assert listed - _defined_names(module) == ({"random_spec"} if name == "gen" else set())
+    candidates = set(tstd.__all__).union(*map(vars, modules.values()))
+    resolved = {
+        (name, attr)
+        for name, module in modules.items()
+        for attr in candidates
+        if not attr.startswith("__") and attr not in vars(module) and hasattr(module, attr)
+    }
+    assert resolved == {("gen", "random_spec")}
+    # What the benchmark imports from where it imported it before.
+    from tstd.executor import Trace
+    from tstd.gen import random_spec
+
+    assert (Trace, random_spec) == (tstd.streams.Trace, tstd.random_specs.random_spec)
 
 
 def test_public_names_are_unchanged():

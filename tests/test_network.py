@@ -4,7 +4,7 @@ import pytest
 
 import tstd.executor
 import tstd.network
-from tstd.executor import Trace, run
+from tstd.executor import run
 from tstd.model import (
     CausalityClass,
     ChannelDecl,
@@ -30,7 +30,7 @@ from tstd.network import (
     instantaneous_dependency_graph,
     run_network,
 )
-from tstd.streams import StreamPrefix, interval
+from tstd.streams import StreamPrefix, Trace, interval
 
 from reference import reference_run_network
 
@@ -143,6 +143,22 @@ class TestBuild:
             "input port 'q.in' is not driven",
         ]
         assert exc.value.locations == [("wire", 1), ("instance", 1)]
+
+    def test_duplicates_are_reported_once_per_repeat(self):
+        # As a repeated instance id is: at each occurrence after the first.
+        with pytest.raises(NetworkBuildError) as exc:
+            build_network(
+                [Instance.of_merge("m"), Instance.of_merge("m"), Instance.of_merge("m")],
+                [],
+                ["x", "x", "x", "y"],
+                ["z", "z"],
+            )
+        assert exc.value.problems[:2] == ["duplicate instance id 'm'"] * 2
+        assert exc.value.locations[:2] == [("instance", 1), ("instance", 2)]
+        duplicates = [p for p in exc.value.problems if p.startswith("duplicate external")]
+        assert duplicates == ["duplicate external input 'x'"] * 2 + [
+            "duplicate external output 'z'"
+        ]
 
     def test_delay_depth_must_be_positive(self):
         with pytest.raises(NetworkBuildError):

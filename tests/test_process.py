@@ -225,3 +225,27 @@ def test_closed_pipe_on_stdout_exits_3(argv, unbuffered):
         os.close(write_end)
     _assert_one_stdout_failure(done)
     assert "Broken pipe" in done.stderr.decode()
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["causality", "toggler.tstd"], ["untimed-sim", "toggler.tstd", "toggler.ttab"]],
+    ids=" ".join,
+)
+def test_horizon_too_large_exits_2_at_once(argv):
+    # Capped and timed out, so that a regression fails here instead of
+    # filling memory.
+    done = subprocess.run(
+        [sys.executable, "-m", "tstd", "check", *argv, "--horizon", str(10**20)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=SAMPLES, timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == cli.USAGE
+    assert done.stdout == b""
+    assert done.stderr.decode() == f"result too large: more than {sys.maxsize} ticks\n"

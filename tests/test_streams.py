@@ -1,3 +1,6 @@
+import sys
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +19,7 @@ from tstd.streams import (
     timed_merge,
     untimed_abstraction,
 )
+from tstd.trace_format import _parse_message
 
 
 def prefix(*ivs):
@@ -48,6 +52,42 @@ class TestMessage:
     def test_non_int_payload_rejected(self, payload):
         with pytest.raises(ValueError, match="invalid message payload"):
             Message("a", payload)
+
+
+def _token_corpus(count, seed=0):
+    """Seeded strings near the message-token syntax: valid tokens, and tokens
+    with signs, underscores, spaces, non-ASCII digits and letters."""
+    rng = Random(seed)
+    pieces = ["a", "b", "Z", "x_1", "1", "0", "-", "+", "_", ":", " ", "\t", "٣", "５", "é"]
+    return [
+        "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 6))) for _ in range(count)
+    ]
+
+
+class TestIntervalTokens:
+    """interval() reads a token exactly as the trace reader does."""
+
+    @pytest.mark.parametrize("token", ["a:+5", "a:1_000", "a: 5", "a:", "1a", "a :5", "a:5 "])
+    def test_tokens_a_trace_may_not_hold_raise(self, token):
+        assert _parse_message(token) is None
+        with pytest.raises(ValueError):
+            interval(token)
+
+    def test_agrees_with_the_trace_reader(self):
+        accepted = 0
+        for token in _token_corpus(5000) + ["a", "b:3", "c:-0", "a:٣"]:
+            read = _parse_message(token)
+            if read is None:
+                with pytest.raises(ValueError):
+                    interval(token)
+            else:
+                accepted += 1
+                assert interval(token) == (read,)
+        assert accepted > 100
+
+    def test_overlong_payload_raises(self):
+        with pytest.raises(ValueError):
+            interval("a:" + "7" * (sys.get_int_max_str_digits() + 1))
 
 
 class TestSplit:

@@ -33,10 +33,10 @@ from tstd import (
     VarUpdate,
     Wire,
 )
-from tstd.dsl import ParseIssue, SourceSpan
 from tstd.checks import CausalityProbeResult, SimulationCheckResult
 from tstd.model import PatternKind, UpdateOp
 from tstd.network import ExternalPort, InstanceKind, Port
+from tstd.trace_format import ParseIssue, SourceSpan
 
 A = Message("a")
 B1 = Message("b", 1)
