@@ -44,7 +44,6 @@ _EXPORTS = {
         "VarGuard",
         "VarUpdate",
         "classify_causality_syntactic",
-        "enabled_transitions",
         "validate_spec",
     ),
     "executor": ("ChannelMismatchError", "Configuration", "run", "step"),

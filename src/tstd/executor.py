@@ -56,8 +56,8 @@ def _guarded(guard: str, lines: List[str]) -> List[str]:
 
 
 # Each pattern kind and relation as a Python expression over an input
-# interval ``i`` and a constant ``k``; what they test is model's
-# _PATTERN_TESTS and _RELATION_TESTS.
+# interval ``i`` and a constant ``k``: the one statement of what a guard
+# means in tstd (an ``any`` guard never reaches a Transition).
 _PATTERN_CODE = {
     PatternKind.EMPTY: "not {i}",
     PatternKind.NONEMPTY: "{i}",

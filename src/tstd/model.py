@@ -5,15 +5,14 @@ states and an ordered list of guarded transitions.  At each tick a machine
 reads one time interval per input channel, fires the first enabled transition
 in declaration order (or stutters), and emits one time interval per output
 channel.  This module holds the data model, structural validation, and the
-syntactic causality classification; the tick semantics live in
-:mod:`tstd.executor`.
+syntactic causality classification; the tick semantics, including what
+guards and updates mean, live only in :mod:`tstd.executor`.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
-from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._value import value
 from .streams import IDENT_RE, Message, TimeInterval
@@ -37,7 +36,6 @@ __all__ = [
     "VarUpdate",
     "check_transition",
     "classify_causality_syntactic",
-    "enabled_transitions",
     "has_errors",
     "validate_spec",
 ]
@@ -68,20 +66,6 @@ class PatternKind(enum.Enum):
     LEN_EQ = "len_eq"
     LEN_GE = "len_ge"
     FIRST_IS = "first_is"
-
-
-# What each pattern kind tests, as f(interval, message, count), for
-# IntervalPattern.matches; tstd.executor writes the same tests as inline
-# expressions into the code it generates.
-_PATTERN_TESTS = {
-    PatternKind.ANY: lambda iv, message, count: True,
-    PatternKind.EMPTY: lambda iv, message, count: not iv,
-    PatternKind.NONEMPTY: lambda iv, message, count: bool(iv),
-    PatternKind.CONTAINS: lambda iv, message, count: message in iv,
-    PatternKind.LEN_EQ: lambda iv, message, count: len(iv) == count,
-    PatternKind.LEN_GE: lambda iv, message, count: len(iv) >= count,
-    PatternKind.FIRST_IS: lambda iv, message, count: len(iv) > 0 and iv[0] == message,
-}
 
 
 @value
@@ -120,9 +104,6 @@ class IntervalPattern:
     def first_is(cls, message: Message) -> "IntervalPattern":
         return cls(PatternKind.FIRST_IS, message=message)
 
-    def matches(self, iv: TimeInterval) -> bool:
-        return _PATTERN_TESTS[self.kind](iv, self.message, self.count)
-
     def render(self) -> str:
         """Canonical textual form used by the file formats and DOT labels."""
         kind = self.kind
@@ -148,9 +129,6 @@ class IntervalGuard:
     channel: str
     pattern: IntervalPattern
 
-    def holds(self, tick_inputs: Mapping[str, TimeInterval]) -> bool:
-        return self.pattern.matches(tick_inputs[self.channel])
-
     def render(self) -> str:
         return f"{self.channel}: {self.pattern.render()}"
 
@@ -173,25 +151,11 @@ class Relation(enum.Enum):
         raise ValueError(f"unknown relation: {token!r}")
 
 
-# What each relation tests, as f(value, bound); used like _PATTERN_TESTS.
-_RELATION_TESTS = {
-    Relation.LT: operator.lt,
-    Relation.LE: operator.le,
-    Relation.EQ: operator.eq,
-    Relation.NE: operator.ne,
-    Relation.GE: operator.ge,
-    Relation.GT: operator.gt,
-}
-
-
 @value
 class VarGuard:
     var: str
     relation: Relation
     bound: int
-
-    def holds(self, env: Mapping[str, int]) -> bool:
-        return _RELATION_TESTS[self.relation](env[self.var], self.bound)
 
     def render(self) -> str:
         return f"{self.var} {self.relation.value} {self.bound}"
@@ -242,9 +206,6 @@ class VarUpdate:
     var: str
     op: UpdateOp
     value: int
-
-    def apply(self, current: int) -> int:
-        return self.value if self.op is UpdateOp.SET else current + self.value
 
     def render(self) -> str:
         if self.op is UpdateOp.SET:
@@ -584,33 +545,6 @@ def validate_spec(spec: ComponentSpec) -> List[Finding]:
 
 def has_errors(findings: Iterable[Finding]) -> bool:
     return any(f.severity is Severity.ERROR for f in findings)
-
-
-def enabled_transitions(
-    spec: ComponentSpec,
-    state: str,
-    var_env: Mapping[str, int],
-    tick_inputs: Mapping[str, TimeInterval],
-) -> List[Transition]:
-    """All transitions firable from ``state`` on this tick, declaration order.
-
-    A channel without a guard is unconstrained.  ``tick_inputs`` must cover
-    every input channel; an unknown state is a caller bug.
-    """
-    if state not in spec.states:
-        raise ValueError(f"unknown state: {state!r}")
-    for ch in spec.in_channels():
-        if ch not in tick_inputs:
-            raise ValueError(f"tick inputs missing channel '{ch}'")
-    result = []
-    for t in spec.transitions:
-        if t.source != state:
-            continue
-        if all(g.holds(tick_inputs) for g in t.interval_guards) and all(
-            g.holds(var_env) for g in t.var_guards
-        ):
-            result.append(t)
-    return result
 
 
 def _strong_outputs(spec: ComponentSpec) -> Dict[str, Optional[Tuple[TimeInterval, ...]]]:

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
-_INT = r"-?\d+"
+_INT = r"-?[0-9]+"
 IDENT_RE = re.compile(_IDENT + r"\Z")
 _MESSAGE_RE = re.compile(rf"({_IDENT})(?::({_INT}))?\Z")
 

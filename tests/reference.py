@@ -1,7 +1,9 @@
 """Reference oracles for the optimised paths.
 
 These are the direct, unoptimised readings of the semantics: one tick of a
-machine straight from ``enabled_transitions``, a network run that resolves
+machine read straight from the spec's values, with this module's own tables
+of what each pattern kind, relation and update means (``tstd`` states that
+only as the code ``tstd.executor`` generates), a network run that resolves
 each tick constructively, firing any instance whose inputs are known, with
 no schedule worked out beforehand, a causality probe that runs both traces of a
 trial over the whole horizon, an untimed-simulation check that runs both
@@ -24,6 +26,7 @@ leaving each state; ``tstd.model`` derives all three in one pass over the
 transitions.
 """
 
+import operator
 from collections import deque
 from itertools import chain
 from pathlib import Path
@@ -36,8 +39,10 @@ from tstd.gen import fresh_tag, probe_alphabet, spec_tags
 from tstd.model import (
     CausalityClass,
     ComponentSpec,
+    PatternKind,
+    Relation,
     Transition,
-    enabled_transitions,
+    UpdateOp,
 )
 from tstd.network import (
     ExternalPort,
@@ -64,12 +69,64 @@ from tstd.streams import (
 from tstd.trace_format import ParseFailure, _Issues, _parse_message
 
 
+# What each pattern kind tests of an interval, and each relation of a
+# variable's value against its bound.
+_PATTERN_HOLDS = {
+    PatternKind.ANY: lambda iv, p: True,
+    PatternKind.EMPTY: lambda iv, p: len(iv) == 0,
+    PatternKind.NONEMPTY: lambda iv, p: len(iv) > 0,
+    PatternKind.CONTAINS: lambda iv, p: p.message in iv,
+    PatternKind.LEN_EQ: lambda iv, p: len(iv) == p.count,
+    PatternKind.LEN_GE: lambda iv, p: len(iv) >= p.count,
+    PatternKind.FIRST_IS: lambda iv, p: len(iv) > 0 and iv[0] == p.message,
+}
+_RELATION_HOLDS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.EQ: operator.eq,
+    Relation.NE: operator.ne,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
+
+
+def reference_enabled(
+    spec: ComponentSpec,
+    state: str,
+    var_env: Mapping[str, int],
+    tick_inputs: Mapping[str, TimeInterval],
+) -> List[Transition]:
+    """Every transition from ``state`` whose guards all hold on this tick, in
+    declaration order.  A channel without a guard is unconstrained;
+    ``tick_inputs`` must cover every input channel, and an unknown state is
+    a caller bug."""
+    if state not in spec.states:
+        raise ValueError(f"unknown state: {state!r}")
+    for ch in spec.in_channels():
+        if ch not in tick_inputs:
+            raise ValueError(f"tick inputs missing channel '{ch}'")
+    enabled = []
+    for t in spec.transitions:
+        if t.source != state:
+            continue
+        patterns = all(
+            _PATTERN_HOLDS[g.pattern.kind](tick_inputs[g.channel], g.pattern)
+            for g in t.interval_guards
+        )
+        relations = all(
+            _RELATION_HOLDS[g.relation](var_env[g.var], g.bound) for g in t.var_guards
+        )
+        if patterns and relations:
+            enabled.append(t)
+    return enabled
+
+
 def reference_step(
     spec: ComponentSpec, cfg: Configuration, tick_inputs: Mapping[str, TimeInterval]
 ) -> Tuple[Configuration, Dict[str, TimeInterval]]:
     """Fire the first enabled transition, or stutter."""
     outputs: Dict[str, TimeInterval] = {ch: () for ch in spec.out_channels()}
-    enabled = enabled_transitions(spec, cfg.state, cfg.var_env, tick_inputs)
+    enabled = reference_enabled(spec, cfg.state, cfg.var_env, tick_inputs)
     if not enabled:
         return cfg, outputs
     t = enabled[0]
@@ -80,7 +137,8 @@ def reference_step(
             outputs[action.channel] = action.messages
     env = dict(cfg.var_env)
     for update in t.updates:
-        env[update.var] = update.apply(env[update.var])
+        base = env[update.var] if update.op is UpdateOp.ADD else 0
+        env[update.var] = base + update.value
     return Configuration(t.target, env), outputs
 
 

@@ -814,6 +814,65 @@ class TestLongIntegers:
         assert long_integer_issues(lambda t: parse_network(t, base_dir="."), text) == [(2, 1)]
 
 
+# A decimal digit that is not ASCII: ARABIC-INDIC DIGIT THREE.
+DIGIT = "\u0663"
+
+
+def issues(parse, text):
+    with pytest.raises(ParseFailure) as exc:
+        parse(text)
+    return [i.render() for i in exc.value.issues]
+
+
+class TestAsciiIntegers:
+    """An integer literal is ASCII digits; any other decimal digit is a
+    located parse error in every reader, not the digit it stands for."""
+
+    def test_trace(self):
+        text = f"ticks c\nc: -\nc: b a:{DIGIT}\n"
+        assert issues(parse_trace, text)[0] == f"3:1: malformed message token 'a:{DIGIT}'"
+
+    @pytest.mark.parametrize(
+        "line, issue",
+        [
+            (f"var n = {DIGIT}", "4:1: expected 'var NAME = INT'"),
+            (f"  when in: len={DIGIT}", f"7:1: malformed interval pattern 'len={DIGIT}'"),
+            (f"  when in: any, n >= {DIGIT}", f"7:1: malformed variable guard 'n >= {DIGIT}'"),
+            (f"  set n := {DIGIT}", "7:1: expected 'set VAR := VAR + INT | VAR - INT | INT'"),
+            (f"  emit out: a:{DIGIT}", f"7:1: malformed message token 'a:{DIGIT}'"),
+        ],
+        ids=["var", "len", "guard", "set", "emit"],
+    )
+    def test_component(self, line, issue):
+        head = "component m\nin chan in\nout chan out\nvar n = 0\nstate S initial\ntrans S -> S\n"
+        text = head.replace("var n = 0", line) if line.startswith("var") else head + line + "\n"
+        assert issues(parse_component, text) == [issue]
+
+    @pytest.mark.parametrize(
+        "row, issue",
+        [
+            (f"S, len>={DIGIT}, , , , S", f"8:3: malformed interval pattern 'len>={DIGIT}'"),
+            (f"S, , n >= {DIGIT}, , , S", f"8:5: malformed variable guard 'n >= {DIGIT}'"),
+            (f"S, , , a:{DIGIT}, , S", f"8:7: malformed message token 'a:{DIGIT}'"),
+            (f"S, , , , n := {DIGIT}, S", f"8:9: malformed update 'n := {DIGIT}'"),
+        ],
+        ids=["when", "guard", "emit", "set"],
+    )
+    def test_table(self, row, issue):
+        head = (
+            "@component m\n@in in\n@out out\n@var n = 0\n@state S\n@initial S\n"
+            "source, when:in, guard, emit:out, set, target\n"
+        )
+        assert issues(parse_table, head + row + "\n") == [issue]
+        text = head.replace("@var n = 0", f"@var n = {DIGIT}") + "S, , , , , S\n"
+        assert issues(parse_table, text) == ["4:1: expected '@var NAME = INT'"]
+
+    def test_network(self):
+        text = f"use d = delay 1\nuse e = delay {DIGIT}\nwire extern in -> d.in\n"
+        found = issues(lambda t: parse_network(t, base_dir="."), text)
+        assert found[0] == "2:1: delay depth must be an integer >= 1"
+
+
 class TestDot:
     def test_single_state(self):
         spec = parse_component("component one\nout chan o\nstate S initial\n")
@@ -854,15 +913,16 @@ class TestFuzzSafety:
 
 
 # Each pattern as its module spelled it out before the identifier, integer
-# and message-token rules were written once, in tstd.streams.
+# and message-token rules were written once, in tstd.streams; integers are
+# ASCII digits only, so ``[0-9]`` where those modules wrote ``\d``.
 SPELLED_OUT = {
     (tstd.streams, "IDENT_RE"): r"[A-Za-z][A-Za-z0-9_]*\Z",
-    (tstd.streams, "_MESSAGE_RE"): r"([A-Za-z][A-Za-z0-9_]*)(?::(-?\d+))?\Z",
-    (tstd.dsl, "_INT_RE"): r"-?\d+\Z",
-    (tstd.dsl, "_LEN_RE"): r"len\s*(>=|=)\s*(-?\d+)\Z",
-    (tstd.dsl, "_VARGUARD_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|!=|==|=|<|>)\s*(-?\d+)\Z",
+    (tstd.streams, "_MESSAGE_RE"): r"([A-Za-z][A-Za-z0-9_]*)(?::(-?[0-9]+))?\Z",
+    (tstd.dsl, "_INT_RE"): r"-?[0-9]+\Z",
+    (tstd.dsl, "_LEN_RE"): r"len\s*(>=|=)\s*(-?[0-9]+)\Z",
+    (tstd.dsl, "_VARGUARD_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|!=|==|=|<|>)\s*(-?[0-9]+)\Z",
     (tstd.dsl, "_UPDATE_RE"): (
-        r"([A-Za-z][A-Za-z0-9_]*)\s*:=\s*(?:([A-Za-z][A-Za-z0-9_]*)\s*([+-])\s*)?(-?\d+)\Z"
+        r"([A-Za-z][A-Za-z0-9_]*)\s*:=\s*(?:([A-Za-z][A-Za-z0-9_]*)\s*([+-])\s*)?(-?[0-9]+)\Z"
     ),
     (tstd.dsl, "_PASS_RE"): r"pass\(\s*([A-Za-z][A-Za-z0-9_]*)\s*\)\Z",
     (tstd.dsl, "_TRANS_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*->\s*([A-Za-z][A-Za-z0-9_]*)\Z",

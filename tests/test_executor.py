@@ -13,10 +13,12 @@ from tstd.model import (
     IntervalGuard,
     IntervalPattern,
     OutputAction,
+    Relation,
     Severity,
     Transition,
     UpdateOp,
     VarDecl,
+    VarGuard,
     VarUpdate,
     validate_spec,
 )
@@ -96,6 +98,117 @@ class TestStep:
         t2 = Transition("S0", "S0", outputs=(OutputAction.literal("out", interval("y")),))
         _, out = step(make_spec([t1, t2]), Configuration("S0", {}), {"in": ()})
         assert out == {"out": interval("x")}
+
+
+P = IntervalPattern
+HIT = OutputAction.literal("out", interval("hit"))
+
+# (pattern, input interval, whether the pattern holds), worked out by hand.
+PATTERN_CASES = [
+    (P.any(), (), True),
+    (P.any(), ("a:1",), True),
+    (P.empty(), (), True),
+    (P.empty(), ("a",), False),
+    (P.empty(), ("a:0",), False),
+    (P.nonempty(), (), False),
+    (P.nonempty(), ("a",), True),
+    (P.nonempty(), ("a:-3",), True),
+    (P.contains(Message("a")), ("b", "a"), True),
+    (P.contains(Message("a")), ("b",), False),
+    (P.contains(Message("a")), ("a:0",), False),
+    (P.contains(Message("a", 1)), ("b", "a:1"), True),
+    (P.contains(Message("a", 1)), ("a",), False),
+    (P.contains(Message("a", 1)), ("a:2", "b:1"), False),
+    (P.len_eq(0), (), True),
+    (P.len_eq(0), ("a",), False),
+    (P.len_eq(2), ("a",), False),
+    (P.len_eq(2), ("a", "b"), True),
+    (P.len_eq(2), ("a:1", "a:2"), True),
+    (P.len_eq(2), ("a", "b", "c"), False),
+    (P.len_ge(0), (), True),
+    (P.len_ge(2), ("a",), False),
+    (P.len_ge(2), ("a", "b"), True),
+    (P.len_ge(2), ("a:1", "b:2", "c"), True),
+    (P.first_is(Message("a")), ("a", "b"), True),
+    (P.first_is(Message("a")), ("b", "a"), False),
+    (P.first_is(Message("a")), (), False),
+    (P.first_is(Message("a")), ("a:0", "b"), False),
+    (P.first_is(Message("a", 0)), ("a:0", "b"), True),
+    (P.first_is(Message("a", 0)), ("a", "a:0"), False),
+    (P.first_is(Message("a", 0)), ("a:1",), False),
+]
+
+# Which of the values 2, 3 and 4 satisfy ``v REL 3``, by hand.
+RELATION_CASES = [
+    (Relation.LT, (True, False, False)),
+    (Relation.LE, (True, True, False)),
+    (Relation.EQ, (False, True, False)),
+    (Relation.NE, (True, False, True)),
+    (Relation.GE, (False, True, True)),
+    (Relation.GT, (False, False, True)),
+]
+
+
+class TestGuards:
+    """What each pattern kind, relation and update does in the compiled
+    machine, against expectations worked out by hand rather than by the
+    reference oracle."""
+
+    @pytest.mark.parametrize(
+        "pattern,tokens,holds",
+        PATTERN_CASES,
+        ids=[f"{p.render()}@{' '.join(toks) or '-'}" for p, toks, _ in PATTERN_CASES],
+    )
+    def test_pattern(self, pattern, tokens, holds):
+        t = Transition("S0", "S0", interval_guards=(IntervalGuard("in", pattern),), outputs=(HIT,))
+        _, out = step(make_spec([t]), Configuration("S0", {}), {"in": interval(*tokens)})
+        assert out == {"out": interval("hit") if holds else ()}
+
+    @pytest.mark.parametrize(
+        "relation,expected", RELATION_CASES, ids=[r.value for r, _ in RELATION_CASES]
+    )
+    def test_relation(self, relation, expected):
+        t = Transition("S0", "S0", var_guards=(VarGuard("v", relation, 3),), outputs=(HIT,))
+        spec = make_spec([t], vars=[VarDecl("v", 0)])
+        for value, holds in zip((2, 3, 4), expected):
+            _, out = step(spec, Configuration("S0", {"v": value}), {"in": ()})
+            assert out == {"out": interval("hit") if holds else ()}, value
+
+    def test_relation_with_a_negative_bound(self):
+        t = Transition("S0", "S0", var_guards=(VarGuard("v", Relation.GE, -2),), outputs=(HIT,))
+        spec = make_spec([t], vars=[VarDecl("v", 0)])
+        for value, emitted in ((-3, ()), (-2, interval("hit"))):
+            _, out = step(spec, Configuration("S0", {"v": value}), {"in": ()})
+            assert out == {"out": emitted}, value
+
+    @pytest.mark.parametrize(
+        "op,value,after",
+        [
+            (UpdateOp.SET, 5, 5),
+            (UpdateOp.SET, -4, -4),
+            (UpdateOp.ADD, 3, 5),
+            (UpdateOp.ADD, -4, -2),
+        ],
+        ids=["v:=5", "v:=-4", "v:=v+3", "v:=v-4"],
+    )
+    def test_update(self, op, value, after):
+        t = Transition("S0", "S0", updates=(VarUpdate("v", op, value),))
+        spec = make_spec([t], vars=[VarDecl("v", 0)])
+        cfg, _ = step(spec, Configuration("S0", {"v": 2}), {"in": ()})
+        assert cfg == Configuration("S0", {"v": after})
+
+    def test_guard_reads_the_value_before_the_update(self):
+        t = Transition(
+            "S0",
+            "S0",
+            var_guards=(VarGuard("v", Relation.EQ, 2),),
+            outputs=(HIT,),
+            updates=(VarUpdate("v", UpdateOp.ADD, 1),),
+        )
+        spec = make_spec([t], vars=[VarDecl("v", 0)])
+        cfg, out = step(spec, Configuration("S0", {"v": 2}), {"in": ()})
+        assert (cfg, out) == (Configuration("S0", {"v": 3}), {"out": interval("hit")})
+        assert step(spec, cfg, {"in": ()}) == (cfg, {"out": ()})
 
 
 class TestRun:

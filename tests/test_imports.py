@@ -24,7 +24,7 @@ PUBLIC_NAMES = [
     "Relation", "Severity", "SplitStrategy", "StreamPrefix", "Trace", "Transition",
     "VarDecl", "VarGuard", "VarUpdate", "Wire", "build_network",
     "check_feedback_wellformed", "check_untimed_simulation",
-    "classify_causality_syntactic", "delay_stream", "enabled_transitions", "export_dot",
+    "classify_causality_syntactic", "delay_stream", "export_dot",
     "instantaneous_dependency_graph", "interval", "join", "message_count",
     "parse_component", "parse_network", "parse_table", "parse_trace", "print_component",
     "print_table", "print_trace", "probe_causality", "run", "run_network", "split",

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from tstd.executor import Configuration, step
 from tstd.gen import random_spec
 from tstd.model import (
     CausalityClass,
@@ -19,10 +20,11 @@ from tstd.model import (
     VarUpdate,
     UpdateOp,
     classify_causality_syntactic,
-    enabled_transitions,
     validate_spec,
 )
 from tstd.streams import Message, interval
+
+from reference import reference_enabled
 
 IN = ChannelDecl("in", Direction.IN)
 OUT = ChannelDecl("out", Direction.OUT)
@@ -144,19 +146,31 @@ class TestValidate:
         assert validate_spec(spec) == validate_spec(spec)
 
 
+HIT = OutputAction.literal("out", interval("hit"))
+
+
+def fires(spec, state, env, tick):
+    """Whether the compiled machine fires from ``state`` on ``tick``, for a
+    ``spec`` whose every transition emits ``hit``: a stutter emits nothing."""
+    _, out = step(spec, Configuration(state, env), tick)
+    return out == {"out": interval("hit")}
+
+
 class TestEnabled:
+    """Which transitions a tick enables: hand-computed cases on the compiled
+    machine, and the declaration order of the oracle's enabled list."""
+
     def test_contains_holds_on_membership(self):
         g = IntervalGuard("in", IntervalPattern.contains(Message("a")))
-        t = Transition("S0", "S0", interval_guards=(g,))
-        spec = make_spec([t])
-        assert enabled_transitions(spec, "S0", {}, {"in": interval("b", "a")}) == [t]
+        spec = make_spec([Transition("S0", "S0", interval_guards=(g,), outputs=(HIT,))])
+        assert fires(spec, "S0", {}, {"in": interval("b", "a")})
+        assert not fires(spec, "S0", {}, {"in": interval("b", "a:0")})
 
     def test_empty_pattern(self):
         g = IntervalGuard("in", IntervalPattern.empty())
-        t = Transition("S0", "S0", interval_guards=(g,))
-        spec = make_spec([t])
-        assert enabled_transitions(spec, "S0", {}, {"in": ()}) == [t]
-        assert enabled_transitions(spec, "S0", {}, {"in": interval("a")}) == []
+        spec = make_spec([Transition("S0", "S0", interval_guards=(g,), outputs=(HIT,))])
+        assert fires(spec, "S0", {}, {"in": ()})
+        assert not fires(spec, "S0", {}, {"in": interval("a")})
 
     def test_var_guard_can_block(self):
         t = Transition(
@@ -164,28 +178,34 @@ class TestEnabled:
             "S0",
             interval_guards=(IntervalGuard("in", IntervalPattern.len_ge(2)),),
             var_guards=(VarGuard("v", Relation.LT, 3),),
+            outputs=(HIT,),
         )
         spec = make_spec([t], vars=[VarDecl("v", 0)])
-        assert enabled_transitions(spec, "S0", {"v": 5}, {"in": interval("a", "b", "c")}) == []
-        assert enabled_transitions(spec, "S0", {"v": 2}, {"in": interval("a", "b", "c")}) == [t]
+        assert not fires(spec, "S0", {"v": 5}, {"in": interval("a", "b", "c")})
+        assert fires(spec, "S0", {"v": 2}, {"in": interval("a", "b", "c")})
 
     def test_unknown_state_is_caller_bug(self):
-        with pytest.raises(ValueError):
-            enabled_transitions(make_spec([]), "S9", {}, {"in": ()})
+        with pytest.raises(ValueError, match="unknown state: 'S9'"):
+            reference_enabled(make_spec([]), "S9", {}, {"in": ()})
 
     def test_result_is_ordered_subsequence(self):
+        # The oracle lists transitions in declaration order, and exactly
+        # those that the compiled machine fires when each is its state's
+        # only transition.
         rng = Random(7)
         for _ in range(50):
             spec = random_spec(rng)
             state = spec.states[rng.randrange(len(spec.states))]
             env = {v.name: rng.randint(-2, 3) for v in spec.vars}
             tick = {"in": tuple(Message(rng.choice("ab")) for _ in range(rng.randint(0, 3)))}
-            enabled = enabled_transitions(spec, state, env, tick)
+            enabled = reference_enabled(spec, state, env, tick)
             order = [spec.transitions.index(t) for t in enabled]
             assert order == sorted(order)
-            for t in enabled:
-                assert all(g.holds(tick) for g in t.interval_guards)
-                assert all(g.holds(env) for g in t.var_guards)
+            for t in spec.transitions:
+                if t.source == state:
+                    alone = Transition(state, state, t.interval_guards, t.var_guards, (HIT,))
+                    single = make_spec([alone], spec.states, spec.initial, spec.vars)
+                    assert fires(single, state, env, tick) == (t in enabled)
 
 
 class TestClassify:

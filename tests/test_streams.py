@@ -67,7 +67,9 @@ def _token_corpus(count, seed=0):
 class TestIntervalTokens:
     """interval() reads a token exactly as the trace reader does."""
 
-    @pytest.mark.parametrize("token", ["a:+5", "a:1_000", "a: 5", "a:", "1a", "a :5", "a:5 "])
+    @pytest.mark.parametrize(
+        "token", ["a:+5", "a:1_000", "a: 5", "a:", "1a", "a :5", "a:5 ", "a:\u0663", "a:-\uff11"]
+    )
     def test_tokens_a_trace_may_not_hold_raise(self, token):
         assert _parse_message(token) is None
         with pytest.raises(ValueError):
