@@ -46,7 +46,7 @@ _EXPORTS = {
         "classify_causality_syntactic",
         "validate_spec",
     ),
-    "executor": ("ChannelMismatchError", "Configuration", "run", "step"),
+    "executor": ("ChannelMismatchError", "run"),
     "checks": ("check_untimed_simulation", "probe_causality"),
     "network": (
         "ChannelSetError",

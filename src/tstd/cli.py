@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
+from .streams import _INT_RE
 from .trace_format import ParseFailure, parse_trace, print_trace
 
 if TYPE_CHECKING:
@@ -283,15 +284,23 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return OK
 
 
+def _integer(raw: str) -> int:
+    """An integer option, read by the file formats' rule: ASCII digits with
+    an optional leading ``-``, and no ``+``, ``_`` or space."""
+    if not _INT_RE.match(raw):
+        raise argparse.ArgumentTypeError(f"invalid integer: {raw!r}")
+    return int(raw)
+
+
 def _positive_int(raw: str) -> int:
-    value = int(raw)
+    value = _integer(raw)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
 def _nonneg_int(raw: str) -> int:
-    value = int(raw)
+    value = _integer(raw)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
@@ -381,7 +390,7 @@ def _add_compose(p: argparse.ArgumentParser) -> None:
 def _add_gen_trace(p: argparse.ArgumentParser) -> None:
     p.add_argument("--channels", required=True, metavar="LIST")
     p.add_argument("--ticks", type=_nonneg_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--max-len", type=_nonneg_int, default=3)
     p.add_argument("--alphabet", default="a,b,c", metavar="LIST")
     p.set_defaults(func=_trace_command("cmd_gen_trace"))
@@ -428,7 +437,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def _add_probe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--horizon", type=_positive_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
 
 def _parser_for(argv: List[str]) -> argparse.ArgumentParser:

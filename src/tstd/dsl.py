@@ -57,13 +57,12 @@ from .model import (
     VarUpdate,
     _spec_errors,
 )
-from .streams import _IDENT, _INT, IDENT_RE
+from .streams import _IDENT, _INT, _INT_RE, IDENT_RE
 from .trace_format import _int, _Issues, _logical_lines, _parse_message
 
 __all__ = ["export_dot", "parse_component", "print_component"]
 
 
-_INT_RE = re.compile(_INT + r"\Z")
 _LEN_RE = re.compile(rf"len\s*(>=|=)\s*({_INT})\Z")
 _FIRST_RE = re.compile(r"first\s*=\s*(\S+)\Z")
 _CONTAINS_RE = re.compile(r"contains\(\s*(\S+?)\s*\)\Z")

@@ -9,40 +9,25 @@ one control state, so each state is one generated loop that keeps reading
 ticks for as long as the machine stays there, with the variables as local
 variables and one output column per channel; ``run`` calls the current
 state's loop until the input runs out.  Each state is also one generated
-function that fires a single tick, which ``step`` calls on named
-configurations.  The seeded checks that run these machines live in
+function that fires a single tick from a configuration, the state's index
+and the variables' values, for callers that advance a machine one tick at a
+time.  The seeded checks that run these machines live in
 :mod:`tstd.checks`, and :class:`Trace` in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ._value import FrozenDict, value
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
 from .streams import StreamPrefix, TimeInterval, Trace
 
-__all__ = ["ChannelMismatchError", "Configuration", "run", "step"]
+__all__ = ["ChannelMismatchError", "run"]
 
 
 class ChannelMismatchError(ValueError):
     """A trace's channel set does not match what the spec expects."""
-
-
-@value
-class Configuration:
-    """Machine snapshot between ticks: control state plus variable valuation."""
-
-    state: str
-    var_env: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "var_env", FrozenDict(self.var_env))
-
-    @classmethod
-    def initial(cls, spec: ComponentSpec) -> "Configuration":
-        return cls(spec.initial, spec.initial_env())
 
 
 def _tuple(items: Iterable[str]) -> str:
@@ -98,8 +83,8 @@ class _Machine:
       ``ticks`` runs out the loop returns ``(~s, env)``, a negative state,
       which ends :meth:`run`.
     - The tick function ``t<s>(env, i0, i1, ...)``, for a single tick, fires
-      once from state ``s`` and returns ``(target, env, outputs)``.
-      :func:`step`, the cut ticks of :func:`tstd.checks.probe_causality` and
+      once from state ``s`` and returns ``(target, env, outputs)``.  The
+      cut ticks of :func:`tstd.checks.probe_causality` and
       :func:`tstd.network.run_network`, which advances all of a network's
       machines in lock step, call it.
 
@@ -252,39 +237,6 @@ class _Machine:
         while state >= 0:
             state, env = loops[state](ticks, appends, env)
         return outputs
-
-
-def step(
-    spec: ComponentSpec,
-    cfg: Configuration,
-    tick_inputs: Mapping[str, TimeInterval],
-) -> Tuple[Configuration, Dict[str, TimeInterval]]:
-    """One tick: fire the first enabled transition, or stutter.
-
-    Always returns exactly one interval per output channel; channels the
-    fired transition does not mention stay empty.  A stutter leaves the
-    configuration untouched and emits only empty intervals.  Compiles the
-    whole spec on every call, every state's loop and tick function, so its
-    cost grows with the number of states (about 0.4 ms for a sample spec,
-    60 ms for 200 states), and then calls the tick function of
-    ``cfg.state`` once; ``run`` compiles the spec once per run.
-    """
-    machine = _Machine(spec)
-    state = machine.state_index.get(cfg.state)
-    if state is None:
-        raise ValueError(f"unknown state: {cfg.state!r}")
-    for ch in machine.in_channels:
-        if ch not in tick_inputs:
-            raise ValueError(f"tick inputs missing channel '{ch}'")
-    env = tuple(cfg.var_env[v] for v in machine.var_names)
-    inputs = tuple(tick_inputs[ch] for ch in machine.in_channels)
-    target, new_env, outputs = machine.ticks[state](env, *inputs)
-    out = dict(zip(machine.out_channels, outputs))
-    if target == state and new_env == env:
-        return cfg, out
-    var_env = dict(cfg.var_env)
-    var_env.update(zip(machine.var_names, new_env))
-    return Configuration(spec.states[target], var_env), out
 
 
 def run(spec: ComponentSpec, inputs: Trace) -> Trace:

@@ -286,9 +286,6 @@ class ComponentSpec:
     def out_channels(self) -> Tuple[str, ...]:
         return tuple(c.name for c in self.channels if c.direction is Direction.OUT)
 
-    def initial_env(self) -> Dict[str, int]:
-        return {v.name: v.initial for v in self.vars}
-
 
 class CausalityClass(enum.Enum):
     STRONG = "strong"

@@ -46,9 +46,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ._value import value
-from .dsl import _INT_RE, _spec_parser
+from .dsl import _spec_parser
 from .model import ComponentSpec, _errors, _strong_outputs
-from .streams import _IDENT, IDENT_RE, StreamPrefix, TimeInterval, Trace
+from .streams import _IDENT, _INT_RE, IDENT_RE, StreamPrefix, TimeInterval, Trace
 from .trace_format import ParseFailure, _int, _Issues, _logical_lines
 
 __all__ = [

@@ -44,6 +44,7 @@ __all__ = [
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
 _INT = r"-?[0-9]+"
 IDENT_RE = re.compile(_IDENT + r"\Z")
+_INT_RE = re.compile(_INT + r"\Z")
 _MESSAGE_RE = re.compile(rf"({_IDENT})(?::({_INT}))?\Z")
 
 EMPTY_INTERVAL: "TimeInterval" = ()

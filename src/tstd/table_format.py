@@ -16,7 +16,7 @@ network loader import this module only for a ``.ttab`` file.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .dsl import (
     _parse_emission,
@@ -31,6 +31,14 @@ from .streams import IDENT_RE
 from .trace_format import _Issues, _logical_lines
 
 __all__ = ["parse_table", "print_table"]
+
+
+def _header(ins: Sequence[str], outs: Sequence[str]) -> List[str]:
+    """The header row's cells for input channels ``ins`` and outputs ``outs``."""
+    return [
+        "source", *(f"when:{ch}" for ch in ins), "guard", *(f"emit:{ch}" for ch in outs),
+        "set", "target",
+    ]
 
 
 def parse_table(text: str) -> ComponentSpec:
@@ -73,13 +81,7 @@ def parse_table(text: str) -> ComponentSpec:
         cells = [c.strip() for c in content.split(",")]
         if header is None:
             header = cells
-            expected_header = (
-                ["source"]
-                + [f"when:{ch}" for ch in builder.in_channels()]
-                + ["guard"]
-                + [f"emit:{ch}" for ch in builder.out_channels()]
-                + ["set", "target"]
-            )
+            expected_header = _header(builder.in_channels(), builder.out_channels())
             if cells != expected_header:
                 issues.add(
                     lineno,
@@ -181,14 +183,7 @@ def print_table(spec: ComponentSpec) -> str:
     out.append(f"@initial {spec.initial}")
     ins = spec.in_channels()
     outs = spec.out_channels()
-    header = (
-        ["source"]
-        + [f"when:{ch}" for ch in ins]
-        + ["guard"]
-        + [f"emit:{ch}" for ch in outs]
-        + ["set", "target"]
-    )
-    out.append(", ".join(header))
+    out.append(", ".join(_header(ins, outs)))
     for t in spec.transitions:
         guards = {g.channel: g.pattern for g in t.interval_guards}
         emits = {o.channel: o for o in t.outputs}

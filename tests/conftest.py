@@ -43,3 +43,19 @@ def run_cli(*argv: str) -> CliResult:
 @pytest.fixture
 def cli():
     return run_cli
+
+
+def machine_step(machine, cfg, tick):
+    """One tick of a compiled machine (``tstd.executor._Machine``) from
+    ``cfg``, a ``(state, var_env)`` pair by name, on ``tick``, a mapping from
+    input channel to interval: the state's tick function, with the target,
+    the variables and the outputs read back by name, in the shape of
+    ``reference.reference_step``."""
+    state, var_env = cfg
+    env = tuple(var_env[v] for v in machine.var_names)
+    inputs = (tick[ch] for ch in machine.in_channels)
+    target, env, outputs = machine.ticks[machine.state_index[state]](env, *inputs)
+    return (
+        (tuple(machine.state_index)[target], dict(zip(machine.var_names, env))),
+        dict(zip(machine.out_channels, outputs)),
+    )

@@ -34,7 +34,6 @@ from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from tstd.checks import CausalityProbeResult, SimulationCheckResult
-from tstd.executor import Configuration
 from tstd.gen import fresh_tag, probe_alphabet, spec_tags
 from tstd.model import (
     CausalityClass,
@@ -121,12 +120,22 @@ def reference_enabled(
     return enabled
 
 
+# A configuration between ticks: the control state and the variables'
+# values, both by name.
+Config = Tuple[str, Dict[str, int]]
+
+
+def reference_initial(spec: ComponentSpec) -> Config:
+    return spec.initial, {v.name: v.initial for v in spec.vars}
+
+
 def reference_step(
-    spec: ComponentSpec, cfg: Configuration, tick_inputs: Mapping[str, TimeInterval]
-) -> Tuple[Configuration, Dict[str, TimeInterval]]:
+    spec: ComponentSpec, cfg: Config, tick_inputs: Mapping[str, TimeInterval]
+) -> Tuple[Config, Dict[str, TimeInterval]]:
     """Fire the first enabled transition, or stutter."""
     outputs: Dict[str, TimeInterval] = {ch: () for ch in spec.out_channels()}
-    enabled = reference_enabled(spec, cfg.state, cfg.var_env, tick_inputs)
+    state, var_env = cfg
+    enabled = reference_enabled(spec, state, var_env, tick_inputs)
     if not enabled:
         return cfg, outputs
     t = enabled[0]
@@ -135,16 +144,16 @@ def reference_step(
             outputs[action.channel] = tick_inputs[action.source]
         else:
             outputs[action.channel] = action.messages
-    env = dict(cfg.var_env)
+    env = dict(var_env)
     for update in t.updates:
         base = env[update.var] if update.op is UpdateOp.ADD else 0
         env[update.var] = base + update.value
-    return Configuration(t.target, env), outputs
+    return (t.target, env), outputs
 
 
 def reference_run(spec: ComponentSpec, inputs: Trace) -> Trace:
     """Fold ``reference_step`` over every tick of ``inputs``."""
-    cfg = Configuration.initial(spec)
+    cfg = reference_initial(spec)
     collected: Dict[str, List[TimeInterval]] = {ch: [] for ch in spec.out_channels()}
     for t in range(inputs.length):
         cfg, out = reference_step(spec, cfg, inputs.tick(t))
@@ -249,7 +258,7 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
     so that an ill-formed network is refused whatever the length.
     """
     cfgs = {
-        inst.id: Configuration.initial(inst.spec)
+        inst.id: reference_initial(inst.spec)
         for inst in net.instances
         if inst.kind is InstanceKind.SPEC
     }
@@ -270,7 +279,7 @@ def reference_run_network(net: Network, external_inputs: Trace, ticks: int) -> T
             if inst.kind is InstanceKind.DELAY:
                 values[Port(inst.id, "out")] = delays[inst.id].popleft()
             elif inst.kind is InstanceKind.SPEC:
-                fixed = state_determined_output(inst.spec, cfgs[inst.id].state)
+                fixed = state_determined_output(inst.spec, cfgs[inst.id][0])
                 for ch, iv in fixed.items():
                     values[Port(inst.id, ch)] = iv
 

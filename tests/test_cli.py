@@ -525,6 +525,36 @@ class TestExportDot:
         assert r.code == 2
 
 
+# Integer options read ASCII digits with an optional leading "-", as the file
+# formats do; Python's int() would take each of these tokens.
+INTEGER_OPTION_CASES = [
+    ("check", "causality", "toggler.tstd", "--trials", " 1_0 "),
+    ("check", "causality", "toggler.tstd", "--horizon", "+5"),
+    ("check", "causality", "toggler.tstd", "--seed", "1_0"),
+    ("gen-trace", "--channels", "a", "--ticks", "٣"),
+    ("gen-trace", "--channels", "a", "--ticks", "3", "--seed", "+5"),
+    ("gen-trace", "--channels", "a", "--ticks", "3", "--max-len", " 2"),
+    ("stream", "delay", "empty4.trc", "-d", " ٢"),
+    ("stream", "split", "empty4.trc", "-n", "１２"),
+    ("stream", "join", "empty4.trc", "-n", "2 "),
+    ("compose", "feedback.tnet", "feedback_in.trc", "--ticks", "-٣"),
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_OPTION_CASES, ids=" ".join)
+def test_integer_options_follow_the_file_formats_rule(argv, samples):
+    argv = [str(samples / a) if a.endswith((".tstd", ".trc", ".tnet")) else a for a in argv]
+    r = run_cli(*argv)
+    assert (r.code, r.out) == (2, "")
+    assert r.err.startswith("usage: ")
+    assert r.err.endswith(f": invalid integer: {argv[-1]!r}\n")
+
+
+def test_a_negative_seed_is_accepted(samples):
+    r = run_cli("check", "causality", str(samples / "toggler.tstd"), "--seed", "-3")
+    assert (r.code, r.out) == (0, "consistent-with-strong (200 trials, horizon 16)\n")
+
+
 def _parse_outcome(parser, argv):
     """stdout, stderr and the exit code or parsed arguments of ``argv``;
     a handler is compared by its name and the values it closes over."""

@@ -38,9 +38,8 @@ from tstd import (
     run,
     run_network,
     split,
-    step,
 )
-from tstd.executor import Configuration, _Machine
+from tstd.executor import _Machine
 from tstd.gen import random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
     ChannelDecl,
@@ -79,7 +78,7 @@ from reference import (
     reference_step,
     reference_stream_command,
 )
-from conftest import run_cli
+from conftest import machine_step, run_cli
 from specgen import INPUTS, tap_spec, wide_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -124,29 +123,6 @@ def test_run_matches_reference_on_samples(spec):
     for _ in range(40):
         inputs = payload_trace(spec.in_channels(), rng.randint(0, 30), rng, tags)
         assert run(spec, inputs) == reference_run(spec, inputs)
-
-
-def test_step_matches_reference_from_every_state():
-    rng = Random(77)
-    for i in range(200):
-        spec = random_spec(rng, name=f"s{i}")
-        tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
-        env = {v.name: rng.randint(-3, 3) for v in spec.vars}
-        for state in spec.states:
-            cfg = Configuration(state, env)
-            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick)
-
-
-def machine_step(machine, spec, cfg, tick):
-    """``step`` through a machine compiled once: the tick function of
-    ``cfg.state``, its env and outputs read back by name."""
-    env = tuple(cfg.var_env[v] for v in machine.var_names)
-    inputs = (tick[ch] for ch in machine.in_channels)
-    target, env, outputs = machine.ticks[machine.state_index[cfg.state]](env, *inputs)
-    return (
-        Configuration(spec.states[target], dict(zip(machine.var_names, env))),
-        dict(zip(machine.out_channels, outputs)),
-    )
 
 
 def _kind(inst):
@@ -467,9 +443,10 @@ def test_run_and_step_match_reference_on_wide_specs():
         out = run(spec, inputs)
         assert out == reference_run(spec, inputs), i
         tick = payload_trace(INPUTS, 1, rng).tick(0)
+        machine = _Machine(spec)
         for state in rng.sample(spec.states, min(i % 3, len(spec.states))):
-            cfg = Configuration(state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
-            assert step(spec, cfg, tick) == reference_step(spec, cfg, tick), i
+            cfg = (state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
+            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), i
         strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
         seen["strong" if strong else "weak"] += 1
         seen["over 32 states"] += len(spec.states) > 32
@@ -479,21 +456,19 @@ def test_run_and_step_match_reference_on_wide_specs():
     assert all(count >= 25 for count in seen.values()), seen
 
 
-def test_step_matches_reference_from_every_state_of_wide_specs():
-    """Every state's tick function of one compiled machine, and ``step``,
-    which compiles the spec on each call, from the first two states."""
+def test_step_matches_reference_from_every_state():
+    """Every state's tick function of one compiled machine per spec, from a
+    fresh valuation each, on random specs and on wide specs."""
     rng = Random(1915)
+    specs = [random_spec(rng, name=f"s{i}") for i in range(200)]
+    specs += [wide_spec(rng, f"x{i}") for i in range(40)]
     seen = {"strong": 0, "weak": 0, "over 32 states": 0}
-    for i in range(40):
-        spec = wide_spec(rng, f"x{i}")
+    for i, spec in enumerate(specs):
         machine = _Machine(spec)
-        tick = payload_trace(INPUTS, 1, rng).tick(0)
-        for k, state in enumerate(spec.states):
-            cfg = Configuration(state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
-            expected = reference_step(spec, cfg, tick)
-            assert machine_step(machine, spec, cfg, tick) == expected, (i, state)
-            if k < 2:
-                assert step(spec, cfg, tick) == expected, (i, state)
+        tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
+        for state in spec.states:
+            cfg = (state, {v.name: rng.randint(-3, 3) for v in spec.vars})
+            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
         strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
         seen["strong" if strong else "weak"] += 1
         seen["over 32 states"] += len(spec.states) > 32
@@ -619,12 +594,9 @@ def test_run_step_and_probe_match_reference_on_edge_specs():
         tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
         env = {v.name: rng.randint(-3, 3) for v in spec.vars}
         machine = _Machine(spec)
-        for k, state in enumerate(spec.states):
-            cfg = Configuration(state, env)
-            expected = reference_step(spec, cfg, tick)
-            assert machine_step(machine, spec, cfg, tick) == expected, (i, state)
-            if k < 2:
-                assert step(spec, cfg, tick) == expected, (i, state)
+        for state in spec.states:
+            cfg = (state, env)
+            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
         trials, horizon, seed = rng.randint(1, 6), rng.randint(1, 12), rng.randrange(10**6)
         result = probe_causality(spec, trials, horizon, seed)
         assert result == reference_probe_causality(spec, trials, horizon, seed), i
@@ -679,8 +651,8 @@ def test_spec_constants_never_reach_the_generated_source():
     out = run(spec, inputs)
     assert out == reference_run(spec, inputs)
     assert out.channels["out"].intervals == ((), (Message("b", huge),), (), (Message("b", huge),), ())
-    cfg = Configuration("S0", {"v": huge})
-    assert step(spec, cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
+    cfg = ("S0", {"v": huge})
+    assert machine_step(_Machine(spec), cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
     net = _one_instance_network(spec)
     assert run_network(net, inputs, 5) == reference_run_network(net, inputs, 5)
 
@@ -756,11 +728,8 @@ def test_two_hundred_states_on_one_cycle():
     machine = _Machine(spec)
     for tick in ({"in": ()}, {"in": (Message("a"),)}):
         for state in states:
-            cfg = Configuration(state, {"v": n})
-            expected = reference_step(spec, cfg, tick)
-            assert machine_step(machine, spec, cfg, tick) == expected, state
-            if state in (states[0], states[-1]):
-                assert step(spec, cfg, tick) == expected, state
+            cfg = (state, {"v": n})
+            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), state
     result = probe_causality(spec, 20, 16, 200)
     assert result == reference_probe_causality(spec, 20, 16, 200)
     assert result.refuted

@@ -918,7 +918,7 @@ class TestFuzzSafety:
 SPELLED_OUT = {
     (tstd.streams, "IDENT_RE"): r"[A-Za-z][A-Za-z0-9_]*\Z",
     (tstd.streams, "_MESSAGE_RE"): r"([A-Za-z][A-Za-z0-9_]*)(?::(-?[0-9]+))?\Z",
-    (tstd.dsl, "_INT_RE"): r"-?[0-9]+\Z",
+    (tstd.streams, "_INT_RE"): r"-?[0-9]+\Z",
     (tstd.dsl, "_LEN_RE"): r"len\s*(>=|=)\s*(-?[0-9]+)\Z",
     (tstd.dsl, "_VARGUARD_RE"): r"([A-Za-z][A-Za-z0-9_]*)\s*(<=|>=|!=|==|=|<|>)\s*(-?[0-9]+)\Z",
     (tstd.dsl, "_UPDATE_RE"): (

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
     "CausalityClass", "ChannelDecl", "ChannelMismatchError", "ChannelSetError",
-    "ComponentSpec", "Configuration", "Direction", "FeedbackCheck", "Finding",
+    "ComponentSpec", "Direction", "FeedbackCheck", "Finding",
     "IllFormedNetworkError", "Instance", "IntervalGuard", "IntervalPattern",
     "InvalidGranularityError", "LengthMismatchError", "Message", "Network",
     "NetworkBuildError", "NonAlignedPrefixError", "OutputAction", "ParseFailure",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "instantaneous_dependency_graph", "interval", "join", "message_count",
     "parse_component", "parse_network", "parse_table", "parse_trace", "print_component",
     "print_table", "print_trace", "probe_causality", "run", "run_network", "split",
-    "step", "timed_merge", "untimed_abstraction", "validate_spec",
+    "timed_merge", "untimed_abstraction", "validate_spec",
 ]
 
 # Runs one command in a fresh interpreter without site packages and prints

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from tstd.executor import Configuration, step
+from tstd.executor import _Machine
 from tstd.gen import random_spec
 from tstd.model import (
     CausalityClass,
@@ -24,6 +24,7 @@ from tstd.model import (
 )
 from tstd.streams import Message, interval
 
+from conftest import machine_step
 from reference import reference_enabled
 
 IN = ChannelDecl("in", Direction.IN)
@@ -152,7 +153,7 @@ HIT = OutputAction.literal("out", interval("hit"))
 def fires(spec, state, env, tick):
     """Whether the compiled machine fires from ``state`` on ``tick``, for a
     ``spec`` whose every transition emits ``hit``: a stutter emits nothing."""
-    _, out = step(spec, Configuration(state, env), tick)
+    _, out = machine_step(_Machine(spec), (state, env), tick)
     return out == {"out": interval("hit")}
 
 

@@ -13,7 +13,6 @@ import pytest
 from tstd import (
     ChannelDecl,
     ComponentSpec,
-    Configuration,
     Direction,
     FeedbackCheck,
     Finding,
@@ -120,11 +119,6 @@ CASES = {
         Finding, ("severity", "message", "location"), (Severity.ERROR, "bad", (0, "emit", 1)),
         (Severity.ERROR, "bad"), Finding(Severity.WARNING, "bad", (0, "emit", 1)),
         "Finding(severity=<Severity.ERROR: 'error'>, message='bad', location=(0, 'emit', 1))",
-    ),
-    "Configuration": (
-        Configuration, ("state", "var_env"), ("s", {"v": 1}), ("s", {"v": 1}),
-        Configuration("s", {"v": 2}),
-        "Configuration(state='s', var_env={'v': 1})",
     ),
     "Trace": (
         Trace, ("channels", "length"), ({"x": PREFIX}, 2), ({"x": PREFIX}, 2),
@@ -284,11 +278,7 @@ def test_fields_are_frozen(name):
         assert getattr(value, field) is before
 
 
-@pytest.mark.parametrize(
-    "mapping",
-    [TRACE.channels, Configuration("s", {"v": 1}).var_env],
-    ids=["Trace.channels", "Configuration.var_env"],
-)
+@pytest.mark.parametrize("mapping", [TRACE.channels], ids=["Trace.channels"])
 def test_mappings_are_frozen(mapping):
     before = dict(mapping)
     with pytest.raises(TypeError):
@@ -310,11 +300,10 @@ def test_mappings_are_frozen(mapping):
 
 
 def test_a_mapping_given_to_a_value_is_copied():
-    channels, var_env = {"x": PREFIX}, {"v": 1}
-    trace, cfg = Trace(channels, 2), Configuration("s", var_env)
+    channels = {"x": PREFIX}
+    trace = Trace(channels, 2)
     channels["y"] = PREFIX
-    var_env["v"] = 2
-    assert trace == TRACE and cfg == Configuration("s", {"v": 1})
+    assert trace == TRACE
 
 
 @pytest.mark.parametrize("name", NAMES)
