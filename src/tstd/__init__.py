@@ -12,16 +12,13 @@ it needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "streams": (
+    "streams": ("Message", "ParseFailure", "StreamPrefix", "Trace", "interval"),
+    "operators": (
         "InvalidGranularityError",
         "LengthMismatchError",
-        "Message",
         "NonAlignedPrefixError",
         "SplitStrategy",
-        "StreamPrefix",
-        "Trace",
         "delay_stream",
-        "interval",
         "join",
         "message_count",
         "split",
@@ -29,7 +26,6 @@ _EXPORTS = {
         "untimed_abstraction",
     ),
     "model": (
-        "CausalityClass",
         "ChannelDecl",
         "ComponentSpec",
         "Direction",
@@ -43,9 +39,8 @@ _EXPORTS = {
         "VarDecl",
         "VarGuard",
         "VarUpdate",
-        "classify_causality_syntactic",
-        "validate_spec",
     ),
+    "analysis": ("CausalityClass", "classify_causality_syntactic", "validate_spec"),
     "executor": ("ChannelMismatchError", "run"),
     "checks": ("check_untimed_simulation", "probe_causality"),
     "network": (
@@ -62,14 +57,14 @@ _EXPORTS = {
         "parse_network",
         "run_network",
     ),
-    "trace_format": ("ParseFailure", "parse_trace", "print_trace"),
+    "trace_format": ("parse_trace", "print_trace"),
     "dsl": ("export_dot", "parse_component", "print_component"),
     "table_format": ("parse_table", "print_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (
-    "checks", "dsl", "executor", "gen", "model", "network", "streams", "table_format",
-    "trace_format",
+    "analysis", "checks", "dsl", "executor", "gen", "model", "network", "operators", "streams",
+    "table_format", "trace_format",
 )
 
 __all__ = sorted(_MODULE_OF)

@@ -14,6 +14,10 @@ import cheap: :mod:`dataclasses` imports :mod:`inspect` and compiles every
 method of every class on its own.
 
 A value that holds a mapping stores it as a :class:`FrozenDict`.
+
+:func:`_tuple` writes a piece of the other generated source: the machines of
+:mod:`tstd.executor` and the network loop of :mod:`tstd.network`, which
+runs no machine when its network has none.
 """
 
 _METHODS = """\
@@ -101,3 +105,8 @@ class FrozenDict(dict):
 
     def __reduce__(self):
         return (self.__class__, (dict(self),))
+
+
+def _tuple(items):
+    """Source text of a tuple display (or target) of the strings ``items``."""
+    return "(" + "".join(f"{item}, " for item in items) + ")"

@@ -14,7 +14,7 @@ a witness they return.  Both report evidence, never proofs.  Only the
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -90,8 +90,8 @@ def probe_causality(
         # Input a, then the ticks of input b from the cut on, which differ
         # from a's at the cut: when the draws agree there, a message is added.
         cut = rng.randrange(horizon)
-        a = [[draw(rng) for _ in range(horizon)] for _ in channels]
-        b_tails = [[draw(rng) for _ in range(cut, horizon)] for _ in channels]
+        a = [list(map(draw, repeat(rng, horizon))) for _ in channels]
+        b_tails = [list(map(draw, repeat(rng, horizon - cut))) for _ in channels]
         if all(col[cut] == tail[0] for col, tail in zip(a, b_tails)):
             rng.choice(b_tails)[0] += (bump,)
         # The pair agrees before the cut, so the deterministic machine reaches
@@ -144,7 +144,7 @@ def check_untimed_simulation(
     machine_a, machine_b = _Machine(spec_a), _Machine(spec_b)
     channels = machine_a.in_channels
     for _ in range(trials):
-        inputs = [[draw(rng) for _ in range(horizon)] for _ in channels]
+        inputs = [list(map(draw, repeat(rng, horizon))) for _ in channels]
         # spec_b may declare the same channels in another order.
         by_name = dict(zip(channels, inputs))
         inputs_b = [by_name[ch] for ch in machine_b.in_channels]

@@ -7,10 +7,11 @@ given its arguments, input files, and seed.
 
 Start-up is most of a short command's time, and without cached bytecode
 most of start-up is compiling source.  So this module imports only
-:mod:`tstd.trace_format` (and through it :mod:`tstd.streams`), which every
-command uses, and each command imports the rest of what it runs when it runs:
-a ``.tstd`` spec loads :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`.
-Likewise only the named command's argument parser is built.
+:mod:`tstd.streams`, which every command uses, and each command imports the
+rest of what it runs when it runs: a ``.tstd`` spec loads :mod:`tstd.dsl`, a
+``.ttab`` :mod:`tstd.table_format`, and only a command that reads or prints
+a trace loads :mod:`tstd.trace_format`, so a seeded check that finds no
+witness does not.  Likewise only the named command's argument parser is built.
 The handlers of the ``stream`` commands and ``gen-trace`` live in
 :mod:`tstd.trace_commands`, which only those commands compile; they load none
 of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
@@ -25,8 +26,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
 
-from .streams import _INT_RE
-from .trace_format import ParseFailure, parse_trace, print_trace
+from .streams import _INT_RE, ParseFailure
 
 if TYPE_CHECKING:
     from .model import ComponentSpec
@@ -133,10 +133,14 @@ def _load_validated_spec(path: str) -> ComponentSpec:
 
 
 def _load_trace(path: str) -> Trace:
+    from .trace_format import parse_trace
+
     return _parse_file(path, parse_trace)
 
 
 def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = None) -> None:
+    from .trace_format import print_trace
+
     text = print_trace(trace)
     if out_path:
         _write_text(out_path, text)
@@ -150,8 +154,9 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .analysis import validate_spec
     from .dsl import _spec_parser
-    from .model import has_errors, validate_spec
+    from .model import has_errors
 
     text = _read_text(args.spec)
     try:
@@ -198,8 +203,10 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
     _check_result_ticks(args.horizon)
     result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
     if result.consistent_with_strong:
-        _write_stdout(f"consistent-with-strong ({args.trials} trials, horizon {args.horizon})\n")
+        _write_stdout(f"consistent-with-strong ({result.trials} trials, horizon {args.horizon})\n")
         return OK
+    from .trace_format import print_trace
+
     _write_stdout(
         f"refuted-strong: outputs diverge at tick {result.tick} on channel "
         f"'{result.channel}'; inputs diverge only at tick {result.cut}\n"
@@ -225,6 +232,8 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     if result.agree:
         _write_stdout(f"agree ({args.trials} trials, horizon {args.horizon})\n")
         return OK
+    from .trace_format import print_trace
+
     seq_a = " ".join(m.token() for m in result.abstraction_a) or "-"
     seq_b = " ".join(m.token() for m in result.abstraction_b) or "-"
     _write_stdout(

@@ -6,7 +6,7 @@ uncaught exception.  The printer is canonical: equal specs print to
 identical bytes, and parsing a printed spec gives the spec back.
 
 The parser checks syntax only.  Every reference error comes located from
-:mod:`tstd.model` (the rules of ``validate_spec``), and the parser maps each
+:mod:`tstd.model` (the errors of ``validate_spec``), and the parser maps each
 location (declaration, transition clause) to its line.  It refuses a second
 component name or initial state itself, since a spec holds one.
 
@@ -31,9 +31,9 @@ format it reads: the table format (``*.ttab``) is :mod:`tstd.table_format`,
 which shares this module's clause parsers and spec builder, and
 :func:`_spec_parser` picks one of the two for a component file; the network
 format (``*.tnet``) is :func:`tstd.network.parse_network`; the trace format
-(``*.trc``), :class:`ParseFailure` and the lexing shared by all the formats
-live in :mod:`tstd.trace_format`, and the identifier, integer and message
-token patterns that the clause patterns here are built from in
+(``*.trc``) is :mod:`tstd.trace_format`.  :class:`ParseFailure`, the lexing
+shared by all the formats and the identifier, integer and message token
+patterns that the clause patterns here are built from live in
 :mod:`tstd.streams`.
 """
 
@@ -57,8 +57,7 @@ from .model import (
     VarUpdate,
     _spec_errors,
 )
-from .streams import _IDENT, _INT, _INT_RE, IDENT_RE
-from .trace_format import _int, _Issues, _logical_lines, _parse_message
+from .streams import _IDENT, _INT, _INT_RE, IDENT_RE, _int, _Issues, _logical_lines, _parse_message
 
 __all__ = ["export_dot", "parse_component", "print_component"]
 

@@ -18,8 +18,9 @@ time.  The seeded checks that run these machines live in
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
 from .streams import StreamPrefix, TimeInterval, Trace
 
@@ -28,11 +29,6 @@ __all__ = ["ChannelMismatchError", "run"]
 
 class ChannelMismatchError(ValueError):
     """A trace's channel set does not match what the spec expects."""
-
-
-def _tuple(items: Iterable[str]) -> str:
-    """Source text of a tuple display (or target) of ``items``."""
-    return "(" + "".join(f"{item}, " for item in items) + ")"
 
 
 def _guarded(guard: str, lines: List[str]) -> List[str]:

@@ -10,6 +10,7 @@ interesting machine behavior.
 
 from __future__ import annotations
 
+from itertools import repeat
 from random import Random
 from typing import TYPE_CHECKING, Callable, List, Sequence
 
@@ -34,17 +35,35 @@ def interval_drawer(alphabet: Sequence[str], max_len: int) -> Callable[[Random],
     """A function that draws one tick's content from its ``rng``: length
     uniform in 0..max_len, then each message uniform over ``alphabet``.
 
-    The messages are built once, here, so a bad tag raises even when nothing
-    is drawn.  ``randrange(max_len + 1)`` and ``choice(messages)`` make the
-    same ``_randbelow`` draws as ``randint(0, max_len)`` and
-    ``Message(choice(alphabet))``, so a seed gives the same intervals.
+    The messages are built once, here, so a bad tag or a negative
+    ``max_len`` raises even when nothing is drawn.  Each draw is the one that
+    ``randrange`` and ``choice`` make through ``Random._randbelow``, inlined:
+    a number below n is ``getrandbits(n.bit_length())``, drawn again while
+    it is not below n.  So ``rng`` gives the intervals, and is left in the
+    state, of ``randrange(max_len + 1)`` and then ``choice(messages)`` per
+    message, without those methods' frames.  As with ``choice``, an empty
+    alphabet raises IndexError once a length above zero is drawn.
     """
     messages = tuple(Message(tag) for tag in alphabet)
-    bound = max_len + 1
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
+    count, count_bits = len(messages), len(messages).bit_length()
+    length_bits = (max_len + 1).bit_length()
 
     def draw(rng: Random) -> TimeInterval:
-        choice = rng.choice
-        return tuple([choice(messages) for _ in range(rng.randrange(bound))])
+        bits = rng.getrandbits
+        length = bits(length_bits)
+        while length > max_len:
+            length = bits(length_bits)
+        if length and not count:
+            raise IndexError("Cannot choose from an empty sequence")
+        out = []
+        for _ in range(length):
+            r = bits(count_bits)
+            while r >= count:
+                r = bits(count_bits)
+            out.append(messages[r])
+        return tuple(out)
 
     return draw
 
@@ -56,7 +75,7 @@ def random_prefix(
     max_len: int = 3,
 ) -> StreamPrefix:
     draw = interval_drawer(alphabet, max_len)
-    return StreamPrefix(tuple([draw(rng) for _ in range(ticks)]))
+    return StreamPrefix(tuple(map(draw, repeat(rng, ticks))))
 
 
 def random_trace(
@@ -67,7 +86,7 @@ def random_trace(
     max_len: int = 3,
 ) -> Trace:
     draw = interval_drawer(alphabet, max_len)
-    columns = {ch: StreamPrefix(tuple([draw(rng) for _ in range(ticks)])) for ch in channels}
+    columns = {ch: StreamPrefix(tuple(map(draw, repeat(rng, ticks)))) for ch in channels}
     return Trace(columns, length=ticks)
 
 

@@ -3,7 +3,7 @@
 Components run in lockstep, one tick at a time.  Within a tick, values flow
 along wires instantly, so feedback is only meaningful when every loop is cut
 by a port that its instance fixes from state, before reading its inputs: a
-delay's output, or a machine's channel that :mod:`tstd.model`'s causality
+delay's output, or a machine's channel that :mod:`tstd.analysis`'s causality
 rule finds fixed (all of a strongly causal machine's, some of a weak one's).
 That condition is what :func:`check_feedback_wellformed` enforces, and it is
 exactly what makes the per-tick evaluation order (a topological sort of
@@ -43,13 +43,25 @@ from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ._value import value
-from .dsl import _spec_parser
-from .model import ComponentSpec, _errors, _strong_outputs
-from .streams import _IDENT, _INT_RE, IDENT_RE, StreamPrefix, TimeInterval, Trace
-from .trace_format import ParseFailure, _int, _Issues, _logical_lines
+from ._value import _tuple, value
+from .streams import (
+    _IDENT,
+    _INT_RE,
+    IDENT_RE,
+    ParseFailure,
+    StreamPrefix,
+    TimeInterval,
+    Trace,
+    _int,
+    _Issues,
+    _logical_lines,
+)
+
+if TYPE_CHECKING:
+    from .executor import _Machine
+    from .model import ComponentSpec
 
 __all__ = [
     "ChannelSetError",
@@ -272,10 +284,12 @@ def build_network(
 
 def _fixed_ports(inst: Instance, strong: Dict[ComponentSpec, Mapping]) -> Tuple[str, ...]:
     """The output ports ``inst`` writes from state before it reads: a delay's
-    ``out``, a machine's channels that ``model._strong_outputs`` fixes.
+    ``out``, a machine's channels that ``analysis._strong_outputs`` fixes.
     ``strong`` keeps that rule's answer for each distinct spec."""
     if inst.kind is InstanceKind.SPEC:
         if inst.spec not in strong:
+            from .analysis import _strong_outputs
+
             strong[inst.spec] = _strong_outputs(inst.spec)
         return tuple(ch for ch in inst.out_ports() if strong[inst.spec][ch] is not None)
     return (DELAY_OUT,) if inst.kind is InstanceKind.DELAY else ()
@@ -370,9 +384,6 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
     in one pass.  Each external output's column becomes its stream prefix.
     """
-    # Imported here: check feedback builds networks but runs no machine.
-    from .executor import _Machine, _tuple
-
     # The causality rule's answer for each distinct spec, shared by the
     # graph and the kernel.
     strong: Dict[ComponentSpec, Mapping] = {}
@@ -425,6 +436,10 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             fire.append(f"{fired[0]} = {ins[0]} + {ins[1]}")
         else:
             if inst.spec not in machines:
+                # Imported here: check feedback, and a network of built-ins
+                # only, run no machine.
+                from .executor import _Machine
+
                 machines[inst.spec] = _Machine(inst.spec)
             machine = machines[inst.spec]
             namespace[f"F{n}"] = machine.ticks
@@ -475,7 +490,7 @@ def parse_network(
     errors reported at the ``use`` line.
     """
     issues = _Issues()
-    load = loader or (lambda path: _spec_parser(path.name)(path.read_text("utf-8", "replace")))
+    load = loader or _load_spec
     base = Path(base_dir)
     instances: List[Instance] = []
     wires: List[Wire] = []
@@ -557,6 +572,15 @@ def _parse_endpoint(
     return Port(m.group(2), m.group(3))
 
 
+def _load_spec(path: Path) -> ComponentSpec:
+    """The component at ``path``, read by :func:`tstd.dsl._spec_parser`'s rule.
+    The spec modules are imported here, so a network of built-ins only
+    loads none of them."""
+    from .dsl import _spec_parser
+
+    return _spec_parser(path.name)(path.read_text("utf-8", "replace"))
+
+
 def _load_instance(
     name: str,
     base: Path,
@@ -577,6 +601,8 @@ def _load_instance(
         except (OSError, ValueError) as exc:
             outcome = exc
         else:
+            from .model import _errors
+
             outcome = (spec, _errors(spec))
         loaded[path] = outcome
     if isinstance(outcome, FileNotFoundError):

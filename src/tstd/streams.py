@@ -1,44 +1,39 @@
-"""Timed message streams and the operators that rework their granularity.
+"""Timed message streams, and the lexing that every text format shares.
 
 A stream is observed one tick at a time.  During a tick, a channel carries a
 finite (possibly empty) sequence of messages; that per-tick sequence is a
 *time interval*.  An infinite stream is handled through finite prefixes of an
-explicit tick count, so every operator here maps prefixes to prefixes.  A
-:class:`Trace` bundles equally long prefixes of named channels.
+explicit tick count.  A :class:`Trace` bundles equally long prefixes of named
+channels.  All values are immutable; the operators on prefixes live in
+:mod:`tstd.operators`.
 
-All values are immutable; the operators are pure functions.  The lexical
-rules that every text format and :func:`interval` follow live here too,
-next to :meth:`Message.token`, which writes tokens by them: an identifier,
-an integer literal and a message token ``tag`` or ``tag:INT``.
+The lexical rules that every text format and :func:`interval` follow live
+here too, next to :meth:`Message.token`, which writes tokens by them: an
+identifier, an integer literal and a message token ``tag`` or ``tag:INT``.
+So do :class:`ParseFailure`, its located issues, and the reading of lines,
+integers and message tokens that the trace, component, table and network
+readers share, so that a spec command loads no trace reader.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+import sys
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import FrozenDict, value
 
 __all__ = [
     "IDENT_RE",
-    "InvalidGranularityError",
-    "LengthMismatchError",
     "Message",
-    "NonAlignedPrefixError",
-    "SplitStrategy",
-    "StreamError",
+    "ParseFailure",
+    "ParseIssue",
+    "SourceSpan",
     "StreamPrefix",
     "TimeInterval",
     "Trace",
-    "delay_stream",
     "interval",
-    "join",
-    "message_count",
-    "split",
-    "timed_merge",
-    "untimed_abstraction",
 ]
 
 _IDENT = r"[A-Za-z][A-Za-z0-9_]*"
@@ -48,22 +43,6 @@ _INT_RE = re.compile(_INT + r"\Z")
 _MESSAGE_RE = re.compile(rf"({_IDENT})(?::({_INT}))?\Z")
 
 EMPTY_INTERVAL: "TimeInterval" = ()
-
-
-class StreamError(ValueError):
-    """Base class for stream-operator failures."""
-
-
-class InvalidGranularityError(StreamError):
-    """Raised when a granularity factor n is not a positive integer."""
-
-
-class NonAlignedPrefixError(StreamError):
-    """Raised when joining a prefix whose length is not a multiple of n."""
-
-
-class LengthMismatchError(StreamError):
-    """Raised when an operator needs equally long prefixes and got unequal ones."""
 
 
 @value
@@ -166,106 +145,105 @@ class Trace:
         return {ch: prefix[t] for ch, prefix in self.channels.items()}
 
 
-def _check_granularity(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidGranularityError(f"granularity must be a positive integer, got {n!r}")
+# --------------------------------------------------------------------------
+# Lexing shared by the text formats
 
 
-class SplitStrategy(enum.Enum):
-    """Placement rule used by :func:`split` when an interval is subdivided."""
+@value
+class SourceSpan:
+    """1-based line/column position of a parse diagnostic."""
 
-    ALL_FIRST = "all-first"
-    ALL_LAST = "all-last"
-    SPREAD = "spread"
+    line: int
+    column: int
 
-    @classmethod
-    def parse(cls, name: str) -> "SplitStrategy":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown split strategy: {name!r}")
+    def render(self) -> str:
+        return f"{self.line}:{self.column}"
 
 
-def split(s: StreamPrefix, n: int, strategy: SplitStrategy) -> StreamPrefix:
-    """Refine time granularity: each tick of ``s`` becomes ``n`` ticks.
+@value
+class ParseIssue:
+    span: SourceSpan
+    message: str
 
-    Every source interval with k messages maps to n consecutive result
-    intervals, preserving message order.  ALL_FIRST packs the k messages into
-    the first sub-interval, ALL_LAST into the last, and SPREAD places message
-    j into sub-interval ``j * n // k``.  The result has length ``n * len(s)``
-    and carries exactly the same messages, in the same order, as ``s``.
-
-    The result starts as ``n * len(s)`` empty intervals.  ALL_FIRST and
-    ALL_LAST fill every n-th one with a slice assignment; SPREAD writes each
-    message of an interval with at most n messages as a one-message interval
-    in its place, and only a longer interval is sorted through n buckets.
-    """
-    _check_granularity(n)
-    if n == 1:
-        return s
-    intervals = s.intervals
-    out: list[TimeInterval] = [EMPTY_INTERVAL] * (n * len(intervals))
-    if strategy is SplitStrategy.ALL_FIRST:
-        out[::n] = intervals
-    elif strategy is SplitStrategy.ALL_LAST:
-        out[n - 1 :: n] = intervals
-    else:
-        for base, iv in zip(range(0, len(out), n), intervals):
-            k = len(iv)
-            if k <= n:
-                # At most one message per sub-interval: j * n // k is injective.
-                for j, msg in enumerate(iv):
-                    out[base + j * n // k] = (msg,)
-            else:
-                buckets: list[list[Message]] = [[] for _ in range(n)]
-                for j, msg in enumerate(iv):
-                    buckets[j * n // k].append(msg)
-                out[base : base + n] = map(tuple, buckets)
-    return StreamPrefix(tuple(out))
+    def render(self) -> str:
+        return f"{self.span.render()}: {self.message}"
 
 
-def join(s: StreamPrefix, n: int) -> StreamPrefix:
-    """Coarsen time granularity: every n consecutive ticks of ``s`` become one.
+class ParseFailure(ValueError):
+    """Parsing failed; ``issues`` lists every located problem found."""
 
-    Result interval i is the in-order concatenation of source intervals
-    ``i*n .. i*n+n-1``.  The prefix length must be divisible by n; anything
-    else raises :class:`NonAlignedPrefixError` rather than silently dropping
-    a partial group.  The groups come from ``zip`` over n references to one
-    iterator, so no slice of ``s`` is copied.
-    """
-    _check_granularity(n)
-    t = s.length
-    if t % n != 0:
-        raise NonAlignedPrefixError(f"prefix length {t} is not a multiple of {n}")
-    if n == 1 or t == 0:
-        return s
-    groups = zip(*[iter(s.intervals)] * n)
-    return StreamPrefix(tuple(map(tuple, map(chain.from_iterable, groups))))
+    def __init__(self, issues: Sequence[ParseIssue]):
+        self.issues = list(issues)
+        super().__init__("; ".join(i.render() for i in self.issues))
 
 
-def timed_merge(s1: StreamPrefix, s2: StreamPrefix) -> StreamPrefix:
-    """Merge two equally long prefixes tick-wise, left messages first."""
-    if s1.length != s2.length:
-        raise LengthMismatchError(
-            f"cannot merge prefixes of lengths {s1.length} and {s2.length}"
-        )
-    return StreamPrefix(tuple(a + b for a, b in zip(s1.intervals, s2.intervals)))
+class _LongInteger(ValueError):
+    """An integer literal with more digits than ``int`` converts."""
 
 
-def untimed_abstraction(s: StreamPrefix) -> Tuple[Message, ...]:
-    """Drop all tick boundaries: the plain message sequence of the prefix."""
-    return tuple(chain.from_iterable(s.intervals))
+def _int(digits: str) -> int:
+    """``int`` of an integer literal; raises _LongInteger past the digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        count = len(digits.lstrip("-"))
+        raise _LongInteger(
+            f"integer literal of {count} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
 
 
-def delay_stream(s: StreamPrefix, d: int) -> StreamPrefix:
-    """Prefix ``s`` with ``d`` empty ticks; the result has length ``len(s) + d``."""
-    if not isinstance(d, int) or d < 0:
-        raise StreamError(f"delay must be a nonnegative integer, got {d!r}")
-    if d == 0:
-        return s
-    return StreamPrefix((EMPTY_INTERVAL,) * d + s.intervals)
+class _Issues:
+    """Error accumulator shared by all the parsers."""
+
+    def __init__(self) -> None:
+        self.items: List[ParseIssue] = []
+
+    def add(self, line: int, column: int, message: str) -> None:
+        self.items.append(ParseIssue(SourceSpan(line, column), message))
+
+    def __bool__(self) -> bool:
+        return bool(self.items)
+
+    def raise_if_any(self) -> None:
+        if self.items:
+            raise ParseFailure(self.items)
+
+    @contextmanager
+    def located(self, line: int, column: int = 1) -> Iterator[None]:
+        """Report an integer too long to convert, raised in the block, at (line, column)."""
+        try:
+            yield
+        except _LongInteger as exc:
+            self.add(line, column, str(exc))
 
 
-def message_count(s: StreamPrefix) -> int:
-    """Total number of messages across all ticks of the prefix."""
-    return sum(len(iv) for iv in s.intervals)
+def _parse_message(token: str) -> Optional[Message]:
+    m = _MESSAGE_RE.match(token)
+    if not m:
+        return None
+    tag, digits = m.groups()
+    return Message(tag, None if digits is None else _int(digits))
+
+
+def _strip_comment(raw: str) -> str:
+    pos = raw.find("#")
+    return raw if pos < 0 else raw[:pos]
+
+
+def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
+    """(line number, comment-stripped content) pairs: blank lines are kept
+    (a trace tick can be one), lines holding only a comment are dropped.
+    A CR before the LF stays in the content; every parser strips the lines
+    it reads."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "#" not in text:
+        # Nothing to strip: each line is its own content.
+        return enumerate(lines, 1)
+    return [
+        (i + 1, _strip_comment(raw))
+        for i, raw in enumerate(lines)
+        if not raw.lstrip().startswith("#")
+    ]

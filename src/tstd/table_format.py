@@ -27,8 +27,7 @@ from .dsl import (
     _SpecBuilder,
 )
 from .model import ComponentSpec, Direction, IntervalGuard
-from .streams import IDENT_RE
-from .trace_format import _Issues, _logical_lines
+from .streams import IDENT_RE, _Issues, _logical_lines
 
 __all__ = ["parse_table", "print_table"]
 

@@ -5,14 +5,15 @@ and ``gen-trace``.
 these commands runs, so the spec commands do not compile it.  Like the rest of
 the trace side, it loads none of the spec machinery (:mod:`tstd.dsl`,
 :mod:`tstd.model`, :mod:`tstd.executor`, :mod:`tstd.checks`,
-:mod:`tstd.network`).
+:mod:`tstd.network`).  Each ``stream`` handler imports the operator of
+:mod:`tstd.operators` that it runs, so ``gen-trace`` does not compile them.
 
 ``stream split``, ``join`` and ``delay`` work on dictionary-encoded columns.
 They read a file with :func:`tstd.trace_format._read_ticks`, the reader behind
 :func:`~tstd.trace_format.parse_trace`, which gives each tick's body texts and
 the file's table from body text to interval.  For each channel,
 :func:`_encoded_column` collects the distinct keys (bodies, or n-tick groups
-of bodies for ``join``), calls the :mod:`tstd.streams` operator once on a
+of bodies for ``join``), calls the :mod:`tstd.operators` operator once on a
 prefix made of their intervals, renders that result once and gives each
 output tick its key's segments.  So each distinct interval or group is
 transformed and rendered once per file.  On a trace whose every interval is
@@ -43,19 +44,7 @@ from .cli import (
     _parse_file,
     _write_stdout,
 )
-from .streams import (
-    IDENT_RE,
-    NonAlignedPrefixError,
-    SplitStrategy,
-    StreamPrefix,
-    TimeInterval,
-    Trace,
-    delay_stream,
-    join,
-    split,
-    timed_merge,
-    untimed_abstraction,
-)
+from .streams import IDENT_RE, StreamPrefix, TimeInterval, Trace
 from .trace_format import _print_column, _read_ticks, _trace_text, print_trace
 
 
@@ -96,6 +85,8 @@ def _encoded_column(
 
 
 def cmd_stream_split(args: argparse.Namespace) -> int:
+    from .operators import SplitStrategy, split
+
     columns, length, table = _read_columns(args.trace)
     # split builds an n-tick filler even when the trace is empty.
     _check_result_ticks(max(length, 1) * args.n)
@@ -110,6 +101,8 @@ def cmd_stream_split(args: argparse.Namespace) -> int:
 
 
 def cmd_stream_join(args: argparse.Namespace) -> int:
+    from .operators import NonAlignedPrefixError, join
+
     columns, length, table = _read_columns(args.trace)
     n = args.n
     if args.pad:
@@ -138,6 +131,8 @@ def cmd_stream_join(args: argparse.Namespace) -> int:
 
 
 def cmd_stream_merge(args: argparse.Namespace) -> int:
+    from .operators import timed_merge
+
     left = _load_trace(args.trace_a)
     right = _load_trace(args.trace_b)
     if set(left.channels) != set(right.channels):
@@ -155,6 +150,8 @@ def cmd_stream_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_stream_abstract(args: argparse.Namespace) -> int:
+    from .operators import untimed_abstraction
+
     trace = _load_trace(args.trace)
     lines = []
     for ch in sorted(trace.channels):
@@ -166,6 +163,8 @@ def cmd_stream_abstract(args: argparse.Namespace) -> int:
 
 
 def cmd_stream_delay(args: argparse.Namespace) -> int:
+    from .operators import delay_stream
+
     columns, length, table = _read_columns(args.trace)
     d = args.d
     _check_result_ticks(length + d)

@@ -1,4 +1,4 @@
-"""The trace text format, and the lexing that all the text formats share.
+"""The trace text format: its one reader and its printer.
 
 Trace (``*.trc``): a header ``ticks CH...`` followed by one line per tick,
 ``CH: m1 m2 | CH2: -`` where ``-`` is the empty interval.  Canonical form
@@ -6,127 +6,30 @@ lists channels sorted by name.  A comment-only line is not a tick.
 
 One reader, :func:`_read_ticks`, serves :func:`parse_trace` and the
 ``stream`` commands, which transform each distinct interval once per file.
-
-:class:`ParseFailure`, line splitting and the reading of integers and message
-tokens serve the other formats too; the token and identifier patterns live
-in :mod:`tstd.streams`, the only module imported, so traces load no spec code.
+The lexing it shares with the other formats, and :class:`ParseFailure`,
+live in :mod:`tstd.streams`, the only module imported, so traces load no
+spec code.  A command imports this module only where it reads or prints a
+trace, so a spec check that ends without a witness never compiles it.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._value import value
-from .streams import _MESSAGE_RE, IDENT_RE, Message, StreamPrefix, TimeInterval, Trace
+from .streams import (
+    IDENT_RE,
+    Message,
+    StreamPrefix,
+    TimeInterval,
+    Trace,
+    _Issues,
+    _logical_lines,
+    _LongInteger,
+    _parse_message,
+)
 
-__all__ = ["ParseFailure", "ParseIssue", "SourceSpan", "parse_trace", "print_trace"]
-
-
-@value
-class SourceSpan:
-    """1-based line/column position of a parse diagnostic."""
-
-    line: int
-    column: int
-
-    def render(self) -> str:
-        return f"{self.line}:{self.column}"
-
-
-@value
-class ParseIssue:
-    span: SourceSpan
-    message: str
-
-    def render(self) -> str:
-        return f"{self.span.render()}: {self.message}"
-
-
-class ParseFailure(ValueError):
-    """Parsing failed; ``issues`` lists every located problem found."""
-
-    def __init__(self, issues: Sequence[ParseIssue]):
-        self.issues = list(issues)
-        super().__init__("; ".join(i.render() for i in self.issues))
-
-
-class _LongInteger(ValueError):
-    """An integer literal with more digits than ``int`` converts."""
-
-
-def _int(digits: str) -> int:
-    """``int`` of an integer literal; raises _LongInteger past the digit limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        count = len(digits.lstrip("-"))
-        raise _LongInteger(
-            f"integer literal of {count} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()}"
-        ) from None
-
-
-class _Issues:
-    """Error accumulator shared by all the parsers."""
-
-    def __init__(self) -> None:
-        self.items: List[ParseIssue] = []
-
-    def add(self, line: int, column: int, message: str) -> None:
-        self.items.append(ParseIssue(SourceSpan(line, column), message))
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-    def raise_if_any(self) -> None:
-        if self.items:
-            raise ParseFailure(self.items)
-
-    @contextmanager
-    def located(self, line: int, column: int = 1) -> Iterator[None]:
-        """Report an integer too long to convert, raised in the block, at (line, column)."""
-        try:
-            yield
-        except _LongInteger as exc:
-            self.add(line, column, str(exc))
-
-
-def _parse_message(token: str) -> Optional[Message]:
-    m = _MESSAGE_RE.match(token)
-    if not m:
-        return None
-    tag, digits = m.groups()
-    return Message(tag, None if digits is None else _int(digits))
-
-
-def _strip_comment(raw: str) -> str:
-    pos = raw.find("#")
-    return raw if pos < 0 else raw[:pos]
-
-
-def _logical_lines(text: str) -> Iterable[Tuple[int, str]]:
-    """(line number, comment-stripped content) pairs: blank lines are kept
-    (a trace tick can be one), lines holding only a comment are dropped.
-    A CR before the LF stays in the content; every parser strips the lines
-    it reads."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "#" not in text:
-        # Nothing to strip: each line is its own content.
-        return enumerate(lines, 1)
-    return [
-        (i + 1, _strip_comment(raw))
-        for i, raw in enumerate(lines)
-        if not raw.lstrip().startswith("#")
-    ]
-
-
-# --------------------------------------------------------------------------
-# Traces
+__all__ = ["parse_trace", "print_trace"]
 
 
 def _read_ticks(text: str) -> Tuple[List[str], List[Tuple[str, ...]], Dict[str, TimeInterval]]:

@@ -33,16 +33,10 @@ from pathlib import Path
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from tstd.analysis import CausalityClass
 from tstd.checks import CausalityProbeResult, SimulationCheckResult
 from tstd.gen import fresh_tag, probe_alphabet, spec_tags
-from tstd.model import (
-    CausalityClass,
-    ComponentSpec,
-    PatternKind,
-    Relation,
-    Transition,
-    UpdateOp,
-)
+from tstd.model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp
 from tstd.network import (
     ExternalPort,
     IllFormedNetworkError,
@@ -51,21 +45,25 @@ from tstd.network import (
     Network,
     Port,
 )
-from tstd.streams import (
-    IDENT_RE,
-    Message,
+from tstd.operators import (
     NonAlignedPrefixError,
     SplitStrategy,
-    StreamPrefix,
-    TimeInterval,
-    Trace,
     delay_stream,
     join,
     split,
     timed_merge,
     untimed_abstraction,
 )
-from tstd.trace_format import ParseFailure, _Issues, _parse_message
+from tstd.streams import (
+    IDENT_RE,
+    Message,
+    ParseFailure,
+    StreamPrefix,
+    TimeInterval,
+    Trace,
+    _Issues,
+    _parse_message,
+)
 
 
 # What each pattern kind tests of an interval, and each relation of a

@@ -12,20 +12,12 @@ from random import Random
 
 import pytest
 
+from tstd.analysis import CausalityClass, classify_causality_syntactic, validate_spec
 from tstd.checks import probe_causality
 from tstd.dsl import export_dot, parse_component, print_component
 from tstd.executor import run
 from tstd.gen import random_prefix, random_spec, random_trace
-from tstd.model import (
-    CausalityClass,
-    ChannelDecl,
-    ComponentSpec,
-    Direction,
-    OutputAction,
-    Transition,
-    classify_causality_syntactic,
-    validate_spec,
-)
+from tstd.model import ChannelDecl, ComponentSpec, Direction, OutputAction, Transition
 from tstd.network import (
     IllFormedNetworkError,
     Instance,
@@ -37,18 +29,18 @@ from tstd.network import (
     parse_network,
     run_network,
 )
-from tstd.streams import (
+from tstd.operators import (
     NonAlignedPrefixError,
     SplitStrategy,
-    StreamPrefix,
     delay_stream,
     join,
     message_count,
     split,
     untimed_abstraction,
 )
+from tstd.streams import ParseFailure, StreamPrefix
 from tstd.table_format import parse_table, print_table
-from tstd.trace_format import ParseFailure, parse_trace, print_trace
+from tstd.trace_format import parse_trace, print_trace
 
 ALPHABET_8 = ("a", "b", "c", "d", "e", "f", "g", "h")
 STRATEGIES = list(SplitStrategy)

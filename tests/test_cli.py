@@ -225,6 +225,14 @@ class TestCheck:
         assert r.code == 0
         assert "consistent-with-strong" in r.out
 
+    def test_spec_without_inputs_reports_the_trials_run(self, tmp_path):
+        # With no input there is nothing to vary, so the probe runs no trial.
+        p = tmp_path / "clock.tstd"
+        p.write_text("component clock\nout chan out\nstate s initial\ntrans s -> s\n  emit out: tick\n")
+        r = run_cli("check", "causality", str(p), "--trials", "200")
+        assert (r.code, r.err) == (0, "")
+        assert r.out == "consistent-with-strong (0 trials, horizon 16)\n"
+
     def test_passthrough_refuted_with_replayable_witness(self, samples, tmp_path):
         r = run_cli("check", "causality", str(samples / "passthrough.tstd"))
         assert r.code == 1

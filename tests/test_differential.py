@@ -39,6 +39,7 @@ from tstd import (
     run_network,
     split,
 )
+from tstd.analysis import _strong_outputs, validate_spec
 from tstd.executor import _Machine
 from tstd.gen import random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
@@ -54,12 +55,11 @@ from tstd.model import (
     VarDecl,
     VarGuard,
     VarUpdate,
-    _strong_outputs,
     has_errors,
-    validate_spec,
 )
 from tstd.network import ExternalPort, InstanceKind, Port
-from tstd.streams import Message, NonAlignedPrefixError, SplitStrategy, StreamPrefix, Trace
+from tstd.operators import NonAlignedPrefixError, SplitStrategy
+from tstd.streams import Message, StreamPrefix, Trace
 
 from reference import (
     reference_check_untimed_simulation,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import tstd.dsl
 import tstd.network
 import tstd.streams
+from tstd.analysis import validate_spec
 from tstd.dsl import export_dot, parse_component, print_component
 from tstd.gen import random_spec
 from tstd.model import (
@@ -24,7 +25,6 @@ from tstd.model import (
     VarDecl,
     VarGuard,
     VarUpdate,
-    validate_spec,
 )
 from tstd.network import (
     ExternalPort,
@@ -36,9 +36,9 @@ from tstd.network import (
     check_feedback_wellformed,
     parse_network,
 )
-from tstd.streams import Message, StreamPrefix, Trace, interval
+from tstd.streams import Message, ParseFailure, StreamPrefix, Trace, interval
 from tstd.table_format import parse_table, print_table
-from tstd.trace_format import ParseFailure, parse_trace, print_trace
+from tstd.trace_format import parse_trace, print_trace
 
 TOGGLER = """\
 component toggler

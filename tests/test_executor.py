@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from tstd.analysis import validate_spec
 from tstd.checks import check_untimed_simulation, probe_causality
 from tstd.dsl import parse_component
 from tstd.executor import ChannelMismatchError, _Machine, run
@@ -20,9 +21,9 @@ from tstd.model import (
     VarDecl,
     VarGuard,
     VarUpdate,
-    validate_spec,
 )
-from tstd.streams import Message, StreamPrefix, Trace, interval, untimed_abstraction
+from tstd.operators import untimed_abstraction
+from tstd.streams import Message, StreamPrefix, Trace, interval
 from tstd.table_format import parse_table
 
 from conftest import machine_step

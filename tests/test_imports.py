@@ -1,5 +1,9 @@
 """The import graph: each CLI command loads only the modules it runs, and
-the package's public names resolve on first use."""
+the package's public names resolve on first use.
+
+Every command run here is also held to that rule as a whole: each
+``tstd.*`` module it loads must hold a function that it calls, so a stray
+top-level import fails whichever command compiles the module for nothing."""
 
 import ast
 import importlib
@@ -32,19 +36,33 @@ PUBLIC_NAMES = [
 ]
 
 # Runs one command in a fresh interpreter without site packages and prints
-# its exit code and every module loaded by then.
+# its exit code, every module loaded by then, and the tstd submodules none
+# of whose functions it called.  A function's code has CO_NEWLOCALS (0x2);
+# a module's top level and a class body, which run on import, do not.
 _RUN_COMMAND = """
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 sys.path.insert(0, {src!r})
+called = set()
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_flags & 0x2:
+        called.add(frame.f_code.co_filename)
+sys.setprofile(profile)
 from tstd.cli import main
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(sys.modules)]))
+sys.setprofile(None)
+idle = [
+    name for name, module in sys.modules.items()
+    if name.startswith("tstd.") and module.__file__ not in called
+]
+print(json.dumps([code, sorted(sys.modules), sorted(idle)]))
 """
 
 
 def _modules_after(*argv):
+    """The exit code of the command ``argv`` and the modules it loaded;
+    fails if it loaded a tstd submodule without calling into it."""
     done = subprocess.run(
         [sys.executable, "-S", "-c", _RUN_COMMAND.format(src=str(ROOT / "src")), *argv],
         capture_output=True,
@@ -53,7 +71,8 @@ def _modules_after(*argv):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    code, modules = json.loads(done.stdout)
+    code, modules, idle = json.loads(done.stdout)
+    assert idle == [], f"{' '.join(argv)} loads modules it never calls into: {idle}"
     return code, set(modules)
 
 
@@ -86,29 +105,44 @@ def test_table_spec_loads_the_table_format():
 
 
 def test_network_commands_import_network():
-    for argv in (["compose", "delay1.tnet", "empty4.trc"], ["check", "feedback", "feedback.tnet"]):
+    for argv in (
+        ["compose", "delay1.tnet", "empty4.trc"],
+        ["compose", "feedback.tnet", "feedback_in.trc"],
+        ["check", "feedback", "feedback.tnet"],
+    ):
         code, modules = _modules_after(*argv)
         assert code == 0
         assert "tstd.network" in modules
         assert "dataclasses" not in modules
         # Their components are all .tstd files.
         assert not modules & {"tstd.table_format", "tstd.trace_commands"}
-        # Only compose runs machines.
-        assert ("tstd.executor" in modules) == (argv[0] == "compose")
+        # Only a network with a component loads the spec modules (delay1.tnet
+        # holds one delay), and only compose runs its machines.
+        machines = "feedback.tnet" in argv
+        spec_modules = {"tstd.dsl", "tstd.model", "tstd.analysis"}
+        assert modules & spec_modules == (spec_modules if machines else set())
+        assert ("tstd.executor" in modules) == (machines and argv[0] == "compose")
 
 
-@pytest.mark.parametrize(
+# Every spec command, with the seeded checks both refuted and not.
+SPEC_COMMANDS = pytest.mark.parametrize(
     "argv, code",
     [
         (["validate", "watchdog.tstd"], 0),
         (["simulate", "watchdog.tstd", "empty4.trc"], 0),
         (["compose", "delay1.tnet", "empty4.trc"], 0),
+        (["compose", "feedback.tnet", "feedback_in.trc"], 0),
         (["check", "feedback", "feedback.tnet"], 0),
         (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
+        (["check", "causality", "toggler.tstd", "--trials", "5"], 0),
         (["check", "untimed-sim", "toggler.tstd", "toggler.ttab", "--trials", "5"], 0),
+        (["check", "untimed-sim", "toggler.tstd", "watchdog.tstd", "--trials", "5"], 1),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
+
+
+@SPEC_COMMANDS
 def test_only_the_seeded_checks_load_the_checks(argv, code):
     got, modules = _modules_after(*argv)
     assert got == code
@@ -116,8 +150,20 @@ def test_only_the_seeded_checks_load_the_checks(argv, code):
     assert ("tstd.checks" in modules) == seeded
 
 
+@SPEC_COMMANDS
+def test_only_validate_compose_and_feedback_load_the_analysis(argv, code):
+    """The warnings and the causality rule, which a network needs only for
+    its components; no spec command loads the stream operators."""
+    got, modules = _modules_after(*argv)
+    assert got == code
+    analysed = argv[0] == "validate" or "feedback.tnet" in argv
+    assert ("tstd.analysis" in modules) == analysed
+    assert "tstd.operators" not in modules
+
+
 SPEC_MACHINERY = {
-    "tstd.dsl", "tstd.model", "tstd.executor", "tstd.checks", "tstd.network", "tstd.table_format"
+    "tstd.dsl", "tstd.model", "tstd.analysis", "tstd.executor", "tstd.checks", "tstd.network",
+    "tstd.table_format",
 }
 
 
@@ -144,24 +190,20 @@ def test_trace_commands_skip_the_spec_machinery(argv):
     assert {"tstd.trace_format", "tstd.trace_commands"} <= modules
     assert not modules & SPEC_MACHINERY
     assert ("tstd.gen" in modules) == (argv[0] == "gen-trace")
+    # Each stream handler imports its operator; gen-trace runs none.
+    assert ("tstd.operators" in modules) == (argv[0] == "stream")
 
 
-@pytest.mark.parametrize(
-    "argv, code",
-    [
-        (["simulate", "watchdog.tstd", "empty4.trc"], 0),
-        (["compose", "delay1.tnet", "empty4.trc"], 0),
-        (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
-        (["check", "untimed-sim", "toggler.tstd", "toggler.ttab", "--trials", "5"], 0),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
-)
+@SPEC_COMMANDS
 def test_spec_commands_skip_the_trace_handlers(argv, code):
-    """They read traces through tstd.trace_format only, and the checks draw
-    traces without compiling the random spec generator."""
+    """They load tstd.trace_format if and only if they read or print a
+    trace: simulate and compose read one and print one, and a seeded check
+    prints its witness only when it refutes.  The checks draw traces without
+    compiling the random spec generator."""
     got, modules = _modules_after(*argv)
     assert got == code
-    assert "tstd.trace_format" in modules
+    traced = argv[0] in ("simulate", "compose") or (argv[0] == "check" and code == 1)
+    assert ("tstd.trace_format" in modules) == traced
     assert "tstd.trace_commands" not in modules
     assert "tstd.random_specs" not in modules
 

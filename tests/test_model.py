@@ -2,10 +2,10 @@ from random import Random
 
 import pytest
 
+from tstd.analysis import CausalityClass, classify_causality_syntactic, validate_spec
 from tstd.executor import _Machine
 from tstd.gen import random_spec
 from tstd.model import (
-    CausalityClass,
     ChannelDecl,
     ComponentSpec,
     Direction,
@@ -15,12 +15,10 @@ from tstd.model import (
     Relation,
     Severity,
     Transition,
+    UpdateOp,
     VarDecl,
     VarGuard,
     VarUpdate,
-    UpdateOp,
-    classify_causality_syntactic,
-    validate_spec,
 )
 from tstd.streams import Message, interval
 

@@ -2,11 +2,11 @@ from random import Random
 
 import pytest
 
+import tstd.analysis
 import tstd.executor
-import tstd.network
+from tstd.analysis import CausalityClass, classify_causality_syntactic
 from tstd.executor import run
 from tstd.model import (
-    CausalityClass,
     ChannelDecl,
     ComponentSpec,
     Direction,
@@ -14,7 +14,6 @@ from tstd.model import (
     IntervalPattern,
     OutputAction,
     Transition,
-    classify_causality_syntactic,
 )
 from tstd.network import (
     ExternalPort,
@@ -429,12 +428,12 @@ class TestRunNetwork:
         # distinct specs, so two compilations, two error checks and two
         # answers of the causality rule, which the graph and the kernel share.
         calls, rule_calls = [], []
-        errors, rule = tstd.executor._errors, tstd.network._strong_outputs
+        errors, rule = tstd.executor._errors, tstd.analysis._strong_outputs
         monkeypatch.setattr(
             tstd.executor, "_errors", lambda spec: calls.append(spec) or errors(spec)
         )
         monkeypatch.setattr(
-            tstd.network, "_strong_outputs", lambda spec: rule_calls.append(spec) or rule(spec)
+            tstd.analysis, "_strong_outputs", lambda spec: rule_calls.append(spec) or rule(spec)
         )
         edge = edge_detector()
         net = build_network(

@@ -4,22 +4,19 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from tstd.streams import (
+from tstd.operators import (
     InvalidGranularityError,
     LengthMismatchError,
-    Message,
     NonAlignedPrefixError,
     SplitStrategy,
-    StreamPrefix,
     delay_stream,
-    interval,
     join,
     message_count,
     split,
     timed_merge,
     untimed_abstraction,
 )
-from tstd.trace_format import _parse_message
+from tstd.streams import Message, StreamPrefix, _parse_message, interval
 
 
 def prefix(*ivs):

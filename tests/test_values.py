@@ -35,7 +35,7 @@ from tstd import (
 from tstd.checks import CausalityProbeResult, SimulationCheckResult
 from tstd.model import PatternKind, UpdateOp
 from tstd.network import ExternalPort, InstanceKind, Port
-from tstd.trace_format import ParseIssue, SourceSpan
+from tstd.streams import ParseIssue, SourceSpan
 
 A = Message("a")
 B1 = Message("b", 1)
