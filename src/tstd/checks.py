@@ -7,14 +7,15 @@ Each compiles every spec it is given once, into a machine of
 trials the same way (:func:`_trials`): from ``Random(seed)``, over every
 tag the specs mention plus one they never mention, up to three messages a
 tick, one column of intervals per input channel, channel after channel.
-They fire those columns on the machines and make a :class:`Trace` only of
-a witness they return.  Both report evidence, never proofs.  Only the
+They run those columns through the machines whole, seeing a machine only
+through its channels and its ``run``, and make a :class:`Trace` only of a
+witness they return.  Both report evidence, never proofs.  Only the
 ``check`` commands import this module, and with it :mod:`tstd.gen`.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -74,17 +75,17 @@ def probe_causality(
 ) -> CausalityProbeResult:
     """Search for evidence that output at some tick depends on same-tick input.
 
-    Runs ``trials`` input pairs through the machine.  Any output difference
-    at a tick no later than the pair's divergence point refutes strong
-    causality.  Finding nothing only means the machine is consistent with
-    strong causality on the sampled traces.
+    Runs ``trials`` input pairs through the machine, each input up to the
+    tick where the pair first differs, the cut.  An output difference at the
+    cut refutes strong causality.  Finding nothing only means the machine is
+    consistent with strong causality on the sampled traces.
     """
     rng, alphabet, draw = _trials(trials, horizon, seed, spec)
     if not spec.in_channels():
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
     machine = _Machine(spec)
-    channels, ticks = machine.in_channels, machine.ticks
+    channels = machine.in_channels
     bump = Message(alphabet[-1])
     for _ in range(trials):
         # Input a, then the ticks of input b from the cut on, which differ
@@ -94,17 +95,12 @@ def probe_causality(
         b_tails = [list(map(draw, repeat(rng, horizon - cut))) for _ in channels]
         if all(col[cut] == tail[0] for col, tail in zip(a, b_tails)):
             rng.choice(b_tails)[0] += (bump,)
-        # The pair agrees before the cut, so the deterministic machine reaches
-        # the cut in one configuration and only the cut tick's outputs can
-        # differ: fire the prefix once, then the cut tick of each.
-        rows_a = zip(*a)
-        state, env = machine.initial_state, machine.initial_env
-        for inputs in islice(rows_a, cut):
-            state, env, _ = ticks[state](env, *inputs)
-        _, _, out_a = ticks[state](env, *next(rows_a))
-        _, _, out_b = ticks[state](env, *(tail[0] for tail in b_tails))
-        for ch, iv_a, iv_b in zip(machine.out_channels, out_a, out_b):
-            if iv_a != iv_b:
+        # The pair agrees before the cut, so the deterministic machine's
+        # outputs do too: run each input up to the cut and compare that tick.
+        out_a = machine.run([col[: cut + 1] for col in a], cut + 1)
+        out_b = machine.run([col[:cut] + tail[:1] for col, tail in zip(a, b_tails)], cut + 1)
+        for ch, col_a, col_b in zip(machine.out_channels, out_a, out_b):
+            if col_a[cut] != col_b[cut]:
                 b = [col[:cut] + tail for col, tail in zip(a, b_tails)]
                 return CausalityProbeResult(
                     refuted=True, trials=trials, witness_a=_witness(channels, a, horizon),

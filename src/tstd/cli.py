@@ -160,7 +160,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     text = _read_text(args.spec)
     try:
-        spec = _spec_parser(args.spec, args.format)(text)
+        spec = _spec_parser(args.spec)(text)
     except ParseFailure as exc:
         _write_stdout("".join(f"error: line {issue.render()}\n" for issue in exc.issues))
         return REFUTED
@@ -277,9 +277,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
     _check_result_ticks(ticks)
     try:
         outputs = run_network(net, inputs, ticks)
-    except IllFormedNetworkError as exc:
-        raise _Failure(REFUTED, str(exc)) from exc
-    except ChannelSetError as exc:
+    except (IllFormedNetworkError, ChannelSetError) as exc:
         raise _Failure(REFUTED, str(exc)) from exc
     _emit_trace(outputs, args.out)
     return OK
@@ -328,7 +326,6 @@ def _trace_command(name: str) -> Callable[[argparse.Namespace], int]:
 
 def _add_validate(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
-    p.add_argument("--format", choices=("textual", "table"))
     p.set_defaults(func=cmd_validate)
 
 

@@ -29,7 +29,7 @@ with PATTERN one of ``any``, ``empty``, ``nonempty``, ``contains(tag[:int])``,
 The other formats have their own modules, so a command loads only the
 format it reads: the table format (``*.ttab``) is :mod:`tstd.table_format`,
 which shares this module's clause parsers and spec builder, and
-:func:`_spec_parser` picks one of the two for a component file; the network
+:func:`_spec_parser` picks one of the two by a component file's name; the network
 format (``*.tnet``) is :func:`tstd.network.parse_network`; the trace format
 (``*.trc``) is :mod:`tstd.trace_format`.  :class:`ParseFailure`, the lexing
 shared by all the formats and the identifier, integer and message token
@@ -242,7 +242,11 @@ class _SpecBuilder:
         )
 
 
-def _parse_emission(line: int, channel: str, body: str, issues: _Issues) -> Optional[OutputAction]:
+def _parse_emission(
+    line: int, column: int, channel: str, body: str, issues: _Issues
+) -> Optional[OutputAction]:
+    """The emission ``body`` on ``channel``; a malformed token is reported at
+    (``line``, ``column``)."""
     body = body.strip()
     m = _PASS_RE.match(body)
     if m:
@@ -253,18 +257,17 @@ def _parse_emission(line: int, channel: str, body: str, issues: _Issues) -> Opti
     for token in body.split():
         msg = _parse_message(token)
         if msg is None:
-            issues.add(line, 1, f"malformed message token {token!r}")
+            issues.add(line, column, f"malformed message token {token!r}")
             return None
         messages.append(msg)
     return OutputAction.literal(channel, messages)
 
 
-def _spec_parser(name: str, fmt: Optional[str] = None) -> Callable[[str], ComponentSpec]:
-    """The parser of the component file ``name``: that of ``fmt`` (``table``
-    or ``textual``, as ``validate --format`` names them) when given, else the
-    table format's for a name ending in ``.ttab`` and this module's for any
+def _spec_parser(name: str) -> Callable[[str], ComponentSpec]:
+    """The parser of the component file ``name``, picked by its name alone:
+    the table format's for a name ending in ``.ttab``, this module's for any
     other.  The table format is imported only when it is picked."""
-    if fmt == "table" or (fmt is None and name.endswith(".ttab")):
+    if name.endswith(".ttab"):
         from .table_format import parse_table
 
         return parse_table
@@ -354,7 +357,7 @@ def _parse_clause(lineno: int, stripped: str, raw: _RawTransition, issues: _Issu
         if not IDENT_RE.match(channel) or colon != ":":
             issues.add(lineno, 1, "expected 'emit CH: MSG ... | pass(CH) | -'")
             return
-        action = _parse_emission(lineno, channel, body, issues)
+        action = _parse_emission(lineno, 1, channel, body, issues)
         if action is not None:
             raw.add("emit", lineno, action)
     elif keyword == "set":

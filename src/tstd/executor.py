@@ -10,9 +10,10 @@ ticks for as long as the machine stays there, with the variables as local
 variables and one output column per channel; ``run`` calls the current
 state's loop until the input runs out.  Each state is also one generated
 function that fires a single tick from a configuration, the state's index
-and the variables' values, for callers that advance a machine one tick at a
-time.  The seeded checks that run these machines live in
-:mod:`tstd.checks`, and :class:`Trace` in :mod:`tstd.streams`.
+and the variables' values, for :func:`tstd.network.run_network`, which
+advances all of a network's machines in lock step.  The seeded checks,
+which run whole inputs, live in :mod:`tstd.checks`, and :class:`Trace` in
+:mod:`tstd.streams`.
 """
 
 from __future__ import annotations
@@ -79,10 +80,8 @@ class _Machine:
       ``ticks`` runs out the loop returns ``(~s, env)``, a negative state,
       which ends :meth:`run`.
     - The tick function ``t<s>(env, i0, i1, ...)``, for a single tick, fires
-      once from state ``s`` and returns ``(target, env, outputs)``.  The
-      cut ticks of :func:`tstd.checks.probe_causality` and
-      :func:`tstd.network.run_network`, which advances all of a network's
-      machines in lock step, call it.
+      once from state ``s`` and returns ``(target, env, outputs)``.  Only
+      :func:`tstd.network.run_network` calls it.
 
     The generated source holds only names it makes and integer indices;
     every value of the spec (messages, bounds, update values, literal

@@ -83,13 +83,10 @@ def interval(*tokens: str | Message) -> TimeInterval:
     a token that a trace file may not hold raises ValueError."""
     out = []
     for tok in tokens:
-        if not isinstance(tok, Message):
-            m = _MESSAGE_RE.match(tok)
-            if m is None:
-                raise ValueError(f"malformed message token {tok!r}")
-            tag, digits = m.groups()
-            tok = Message(tag, None if digits is None else int(digits))
-        out.append(tok)
+        msg = tok if isinstance(tok, Message) else _parse_message(tok)
+        if msg is None:
+            raise ValueError(f"malformed message token {tok!r}")
+        out.append(msg)
     return tuple(out)
 
 

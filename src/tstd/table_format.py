@@ -45,7 +45,6 @@ def parse_table(text: str) -> ComponentSpec:
     issues = _Issues()
     builder = _SpecBuilder(issues)
     header: Optional[List[str]] = None
-    expected_header: Optional[List[str]] = None
 
     for lineno, content in _logical_lines(text):
         stripped = content.strip()
@@ -79,25 +78,19 @@ def parse_table(text: str) -> ComponentSpec:
 
         cells = [c.strip() for c in content.split(",")]
         if header is None:
-            header = cells
-            expected_header = _header(builder.in_channels(), builder.out_channels())
-            if cells != expected_header:
+            header = _header(builder.in_channels(), builder.out_channels())
+            if cells != header:
                 issues.add(
                     lineno,
                     1,
-                    f"header row must be '{', '.join(expected_header)}', got '{', '.join(cells)}'",
+                    f"header row must be '{', '.join(header)}', got '{', '.join(cells)}'",
                 )
-                header = expected_header
             continue
 
-        if len(cells) != len(expected_header):
-            issues.add(
-                lineno,
-                1,
-                f"row has {len(cells)} cells, expected {len(expected_header)}",
-            )
+        if len(cells) != len(header):
+            issues.add(lineno, 1, f"row has {len(cells)} cells, expected {len(header)}")
             continue
-        _parse_table_row(lineno, content, cells, builder, issues)
+        builder.raw_transitions.append(_parse_table_row(lineno, content, header, cells, issues))
 
     spec = builder.finish()
     issues.raise_if_any()
@@ -112,62 +105,42 @@ def _cell_column(content: str, index: int) -> int:
     return pos + 1
 
 
+# The reader of a when cell, or of one ``;``-separated part of a guard or
+# set cell, and what a text it refuses is called.  A when cell's pattern
+# guards its column's channel; a guard or set column has none.
+_CELL_READERS = {
+    "when": (_parse_pattern, "interval pattern"),
+    "guard": (_parse_var_guard, "variable guard"),
+    "set": (_parse_update, "update"),
+}
+
+
 def _parse_table_row(
-    lineno: int,
-    content: str,
-    cells: List[str],
-    builder: _SpecBuilder,
-    issues: _Issues,
-) -> None:
-    ins = builder.in_channels()
-    outs = builder.out_channels()
+    lineno: int, content: str, header: List[str], cells: List[str], issues: _Issues
+) -> _RawTransition:
+    """The transition of a row whose ``cells`` fill the columns of ``header``;
+    each cell's issues are reported at the cell's column."""
     raw = _RawTransition(lineno, cells[0], cells[-1])
-    idx = 1
-    for ch in ins:
-        cell = cells[idx]
-        col = _cell_column(content, idx)
-        if cell:
-            with issues.located(lineno, col):
-                pattern = _parse_pattern(cell)
-                if pattern is None:
-                    issues.add(lineno, col, f"malformed interval pattern {cell!r}")
-                else:
-                    raw.add("when", lineno, IntervalGuard(ch, pattern))
-        idx += 1
-    guard_cell = cells[idx]
-    guard_col = _cell_column(content, idx)
-    if guard_cell:
-        with issues.located(lineno, guard_col):
-            for part in guard_cell.split(";"):
-                vg = _parse_var_guard(part)
-                if vg is None:
-                    issues.add(lineno, guard_col, f"malformed variable guard {part.strip()!r}")
-                else:
-                    raw.add("guard", lineno, vg)
-    idx += 1
-    for ch in outs:
-        cell = cells[idx]
-        col = _cell_column(content, idx)
-        if cell:
-            sub = _Issues()
-            with sub.located(lineno):
-                action = _parse_emission(lineno, ch, cell, sub)
+    for index in range(1, len(header) - 1):
+        cell = cells[index]
+        if not cell:
+            continue
+        kind, _, channel = header[index].partition(":")
+        col = _cell_column(content, index)
+        with issues.located(lineno, col):
+            if kind == "emit":
+                action = _parse_emission(lineno, col, channel, cell, issues)
                 if action is not None:
-                    raw.add("emit", lineno, action)
-            for issue in sub.items:
-                issues.add(lineno, col, issue.message)
-        idx += 1
-    set_cell = cells[idx]
-    set_col = _cell_column(content, idx)
-    if set_cell:
-        with issues.located(lineno, set_col):
-            for part in set_cell.split(";"):
-                update = _parse_update(part)
-                if update is None:
-                    issues.add(lineno, set_col, f"malformed update {part.strip()!r}")
+                    raw.add(kind, lineno, action)
+                continue
+            read, what = _CELL_READERS[kind]
+            for part in (cell,) if kind == "when" else cell.split(";"):
+                clause = read(part)
+                if clause is None:
+                    issues.add(lineno, col, f"malformed {what} {part.strip()!r}")
                 else:
-                    raw.add("set", lineno, update)
-    builder.raw_transitions.append(raw)
+                    raw.add(kind, lineno, IntervalGuard(channel, clause) if channel else clause)
+    return raw
 
 
 def print_table(spec: ComponentSpec) -> str:

@@ -49,10 +49,6 @@ class TestValidate:
         assert r.code == 0
         assert "warning" in r.out
 
-    def test_table_format_flag(self, samples):
-        r = run_cli("validate", str(samples / "gate.ttab"), "--format", "table")
-        assert r.code == 0
-
     def test_bad_flag_usage_error(self, samples):
         r = run_cli("validate", str(samples / "toggler.tstd"), "--format", "binary")
         assert r.code == 2
@@ -597,7 +593,7 @@ PARSER_CASES = [
     ["validate", "a", "extra"],
     ["stream", "merge", "a", "b", "c"],
     ["check", "feedback", "n", "--trials", "3"],
-    ["validate", "x", "--format", "yaml"],
+    ["validate", "x", "--format", "table"],
     ["stream", "split", "t", "-n", "2", "--strategy", "x"],
     ["stream", "split", "t", "-n", "0"],
     ["compose", "n", "t", "--ticks", "-1"],

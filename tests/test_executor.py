@@ -27,6 +27,7 @@ from tstd.streams import Message, StreamPrefix, Trace, interval
 from tstd.table_format import parse_table
 
 from conftest import machine_step
+from specgen import wide_spec
 
 IN = ChannelDecl("in", Direction.IN)
 OUT = ChannelDecl("out", Direction.OUT)
@@ -282,6 +283,35 @@ class TestProbeCausality:
             result.tick
         ]
         assert result.tick <= cut
+
+    def test_every_refutation_replays_exactly(self, samples):
+        # The refuted samples, random specs and wide specs: each witness pair
+        # splits at the cut, and replayed through run its outputs agree
+        # before the reported tick and differ at it on the reported channel.
+        rng = Random(2424)
+        corpora = {
+            "samples": [parse_component(p.read_text()) for p in sorted(samples.glob("*.tstd"))],
+            "random": [random_spec(rng, name=f"r{i}") for i in range(150)],
+            "wide": [wide_spec(rng, f"w{i}", max_states=8) for i in range(60)],
+        }
+        refuted = dict.fromkeys(corpora, 0)
+        for corpus, specs in corpora.items():
+            for i, spec in enumerate(specs):
+                result = probe_causality(spec, trials=30, horizon=10, seed=i)
+                if not result.refuted:
+                    continue
+                refuted[corpus] += 1
+                a, b, cut = result.witness_a, result.witness_b, result.cut
+                for t in range(cut):
+                    assert a.tick(t) == b.tick(t), (corpus, i)
+                assert a.tick(cut) != b.tick(cut), (corpus, i)
+                out_a, out_b = run(spec, a), run(spec, b)
+                for t in range(result.tick):
+                    assert out_a.tick(t) == out_b.tick(t), (corpus, i)
+                ch, t = result.channel, result.tick
+                assert out_a.channels[ch][t] != out_b.channels[ch][t], (corpus, i)
+        floors = {"samples": 4, "random": 30, "wide": 15}
+        assert all(refuted[corpus] >= floors[corpus] for corpus in corpora), refuted
 
     def test_seed_reproducibility(self):
         r1 = probe_causality(PASS_THROUGH, trials=40, horizon=6, seed=9)
