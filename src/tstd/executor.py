@@ -4,22 +4,20 @@ A spec is compiled once into a private machine: Python source generated from
 the transitions and run through ``exec``.  Each tick fires at most one
 transition, the first enabled one, and is total, so when nothing is enabled
 the machine stutters in place and stays silent, time always advances and a
-T-tick input yields exactly a T-tick output.  Most ticks of a run stay in
-one control state, so each state is one generated loop that keeps reading
-ticks for as long as the machine stays there, with the variables as local
-variables and one output column per channel; ``run`` calls the current
-state's loop until the input runs out.  Each state is also one generated
-function that fires a single tick from a configuration, the state's index
-and the variables' values, for :func:`tstd.network.run_network`, which
-advances all of a network's machines in lock step.  The seeded checks,
-which run whole inputs, live in :mod:`tstd.checks`, and :class:`Trace` in
-:mod:`tstd.streams`.
+T-tick input yields exactly a T-tick output.  One tick of a spec is
+generated in one place, :func:`_tick_source`, under names its caller picks,
+and wrapped twice: by a machine's own loop, which ``run`` calls over a whole
+input and which fires any number of ticks from any configuration, and by the
+tick loop of :func:`tstd.network.run_network`, which inlines it once per
+instance and so advances all of a network's machines in lock step.  The
+seeded checks, which run whole inputs, live in :mod:`tstd.checks`, and
+:class:`Trace` in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
@@ -30,11 +28,6 @@ __all__ = ["ChannelMismatchError", "run"]
 
 class ChannelMismatchError(ValueError):
     """A trace's channel set does not match what the spec expects."""
-
-
-def _guarded(guard: str, lines: List[str]) -> List[str]:
-    """Source ``lines`` under ``if guard:``, or as they are when unguarded."""
-    return [f"if {guard}:", *("    " + line for line in lines)] if guard else lines
 
 
 # Each pattern kind and relation as a Python expression over an input
@@ -51,41 +44,127 @@ _PATTERN_CODE = {
 _RELATION_CODE = {r: "==" if r is Relation.EQ else r.value for r in Relation}
 
 
+def _refuse_errors(spec: ComponentSpec) -> None:
+    """Raise a ValueError naming the first error finding of ``validate_spec``."""
+    errors = _errors(spec)
+    if errors:
+        raise ValueError(f"component '{spec.name}': {errors[0].message}")
+
+
+def _if_chain(branches: Sequence[Tuple[str, List[str]]]) -> List[str]:
+    """Source of an ``if``/``elif`` chain over ``(test, lines)`` pairs, where a
+    last pair without a test is the ``else``; a lone such pair is its lines."""
+    if len(branches) == 1 and not branches[0][0]:
+        return branches[0][1]
+    lines: List[str] = []
+    for n, (test, body) in enumerate(branches):
+        head = f"{'elif' if n else 'if'} {test}:" if test else "else:"
+        lines += [head, *("    " + line for line in body or ["pass"])]
+    return lines
+
+
+def _tick_source(
+    spec: ComponentSpec,
+    namespace: Dict[str, object],
+    state: str,
+    inputs: Sequence[str],
+    outputs: Sequence[Optional[str]],
+    variables: Sequence[str],
+) -> List[str]:
+    """Source lines, unindented, of one tick of ``spec`` (which has no errors).
+
+    The names are the caller's: ``state`` holds the index of the current
+    state in ``spec.states``, ``inputs`` the tick's input intervals in
+    ``in_channels`` order and ``variables`` the variables in ``spec.vars``
+    order.  ``outputs`` holds a template per output channel, in
+    ``out_channels`` order, that takes the expression of the channel's
+    interval: ``"a0({})"`` appends it, ``"x7 = {}"`` writes it to a
+    variable, and None drops it (the network has already written it).
+
+    The tick is an ``if``/``elif`` on ``state``, left out for a one-state
+    spec.  Each state tries its transitions in declaration order up to the
+    first unguarded one, after which nothing can fire; each guard is one
+    inline expression.  A transition writes its output interval on each
+    channel, updates the variables and, unless it is a self-loop, sets
+    ``state`` to its target.  When no guard holds, the machine stutters:
+    every channel gets an empty interval.  The source holds only the
+    caller's names, integer indices and constants ``k<n>``, whose values
+    are added to ``namespace``.
+    """
+    in_name = dict(zip(spec.in_channels(), inputs))
+    out_pos = {ch: c for c, ch in enumerate(spec.out_channels())}
+    var_name = {v.name: name for v, name in zip(spec.vars, variables)}
+    state_index = {s: k for k, s in enumerate(spec.states)}
+
+    def const(value) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def write(values: List[str]) -> List[str]:
+        return [out.format(v) for out, v in zip(outputs, values) if out is not None]
+
+    outgoing: Dict[str, List[Transition]] = {s: [] for s in spec.states}
+    for t in spec.transitions:
+        outgoing[t.source].append(t)
+    states = []
+    for k, source in enumerate(spec.states):
+        transitions = []
+        for t in outgoing[source]:
+            values = ["()"] * len(outputs)
+            for action in t.outputs:
+                c = out_pos[action.channel]
+                if action.is_pass:
+                    values[c] = in_name[action.source]
+                elif action.messages:
+                    values[c] = const(action.messages)
+            guards = [
+                _PATTERN_CODE[g.pattern.kind].format(
+                    i=in_name[g.channel],
+                    k=const(g.pattern.count if g.pattern.message is None else g.pattern.message),
+                )
+                for g in t.interval_guards
+            ]
+            guards += [
+                f"{var_name[g.var]} {_RELATION_CODE[g.relation]} {const(g.bound)}"
+                for g in t.var_guards
+            ]
+            body = write(values) + [
+                f"{var_name[u.var]} = "
+                + (f"{var_name[u.var]} + " if u.op is UpdateOp.ADD else "")
+                + const(u.value)
+                for u in t.updates
+            ]
+            target = state_index[t.target]
+            if target != k:
+                body.append(f"{state} = {target}")
+            transitions.append((" and ".join(guards), body))
+            if not guards:
+                break
+        else:
+            # No unguarded transition: the state can stutter.
+            transitions.append(("", write(["()"] * len(outputs))))
+        last = k == len(spec.states) - 1
+        states.append(("" if last else f"{state} == {k}", _if_chain(transitions)))
+    return _if_chain(states)
+
+
 class _Machine:
-    """A component spec compiled once into generated Python functions.
+    """A component spec compiled once into one generated Python function.
 
     States are indices into ``spec.states``, a variable valuation (an env)
     is a tuple in ``var_names`` order, and a machine sees only intervals:
     tick inputs and the input columns of :meth:`run` come in ``in_channels``
     order, tick outputs and output columns in ``out_channels`` order.
 
-    Each transition becomes source fragments, made in one place
-    (:meth:`_fragments`): its guard as one inline expression over the tick's
-    input intervals ``i0, i1, ...`` and the variables ``v0, v1, ...``, its
-    output interval on each channel, its updates as assignments to those
-    variables, and its target.  A state keeps its transitions in declaration
-    order up to the first unguarded one, after which nothing can fire.  The
-    fragments are wrapped two ways, and one ``exec`` in ``__init__``
-    compiles both forms of every state, one entry per state in ``loops`` and
-    in ``ticks``:
-
-    - The state loop ``s<s>(ticks, appends, env)``, for a whole run, reads
-      ticks from the shared iterator ``ticks`` for as long as the machine
-      stays in state ``s``.  ``appends`` holds the ``append`` of each output
-      channel's column, and the variables are its locals.  Each transition
-      is a flat ``if`` block that appends its output interval on each
-      channel, updates the locals, and then either goes on to the next tick
-      (a self-loop) or returns ``(target, env)``.  When no guard holds the
-      machine stutters: every channel gets an empty interval.  When
-      ``ticks`` runs out the loop returns ``(~s, env)``, a negative state,
-      which ends :meth:`run`.
-    - The tick function ``t<s>(env, i0, i1, ...)``, for a single tick, fires
-      once from state ``s`` and returns ``(target, env, outputs)``.  Only
-      :func:`tstd.network.run_network` calls it.
-
-    The generated source holds only names it makes and integer indices;
-    every value of the spec (messages, bounds, update values, literal
-    outputs) reaches the functions through their namespace.
+    ``kernel(ticks, state, env, a0, a1, ...)`` wraps :func:`_tick_source` in
+    a loop over the iterator ``ticks``, each item one tick's input
+    intervals, with the variables as local variables.  It fires from
+    configuration ``(state, env)``, passes each output channel's interval to
+    that channel's ``a<c>``, and returns the configuration it ends in.  Its
+    source holds only names it makes and integer indices; every value of
+    the spec (messages, bounds, update values, literal outputs) reaches it
+    through its namespace.
 
     Compiling refuses a spec with errors: the ValueError names the first
     error finding of ``validate_spec``.
@@ -98,139 +177,39 @@ class _Machine:
         "var_names",
         "initial_state",
         "initial_env",
-        "loops",
-        "ticks",
+        "kernel",
     )
 
     def __init__(self, spec: ComponentSpec):
-        errors = _errors(spec)
-        if errors:
-            raise ValueError(f"component '{spec.name}': {errors[0].message}")
+        _refuse_errors(spec)
         self.in_channels = spec.in_channels()
         self.out_channels = spec.out_channels()
         self.state_index = {s: i for i, s in enumerate(spec.states)}
         self.var_names = tuple(v.name for v in spec.vars)
         self.initial_state = self.state_index[spec.initial]
         self.initial_env = tuple(v.initial for v in spec.vars)
-        namespace: Dict[str, object] = {"S": ((),) * len(self.out_channels)}
-        lines: List[str] = []
-        for s, state in enumerate(self._fragments(spec, namespace)):
-            lines += self._loop_source(s, *state)
-            lines += self._tick_source(s, *state)
-        exec("\n".join(lines), namespace)
-        self.loops = tuple(namespace[f"s{s}"] for s in range(len(spec.states)))
-        self.ticks = tuple(namespace[f"t{s}"] for s in range(len(spec.states)))
-
-    def _fragments(
-        self, spec: ComponentSpec, namespace: Dict[str, object]
-    ) -> List[Tuple[list, bool, bool, bool]]:
-        """Per state, ``(fragments, closed, reads, uses_vars)``: the
-        fragments of its transitions up to the first unguarded one, whether
-        there is one (then the state never stutters), whether they read the
-        tick's inputs and whether they name a variable.  A fragment is
-        ``(guard, outputs, output_tuple, updates, target)``: the guard
-        expression ("" when unguarded), the expression of each channel's
-        output interval, the expression of the whole output tuple, the
-        update statements and the target's index."""
-        in_name = {ch: f"i{i}" for i, ch in enumerate(self.in_channels)}
-        out_pos = {ch: i for i, ch in enumerate(self.out_channels)}
-        var_name = {v: f"v{j}" for j, v in enumerate(self.var_names)}
-
-        def const(value) -> str:
-            name = f"k{len(namespace)}"
-            namespace[name] = value
-            return name
-
-        outgoing: Dict[str, List[Transition]] = {s: [] for s in spec.states}
-        for t in spec.transitions:
-            outgoing[t.source].append(t)
-        states = []
-        for source in spec.states:
-            fragments = []
-            closed = reads = uses_vars = False
-            for t in outgoing[source]:
-                literal = [()] * len(self.out_channels)
-                outputs = ["()"] * len(self.out_channels)
-                passes = False
-                for action in t.outputs:
-                    c = out_pos[action.channel]
-                    if action.is_pass:
-                        outputs[c] = in_name[action.source]
-                        passes = True
-                    elif action.messages:
-                        literal[c] = action.messages
-                        outputs[c] = const(action.messages)
-                guards = [
-                    _PATTERN_CODE[g.pattern.kind].format(
-                        i=in_name[g.channel],
-                        k=const(g.pattern.count if g.pattern.message is None else g.pattern.message),
-                    )
-                    for g in t.interval_guards
-                ]
-                guards += [
-                    f"{var_name[g.var]} {_RELATION_CODE[g.relation]} {const(g.bound)}"
-                    for g in t.var_guards
-                ]
-                updates = [
-                    f"{var_name[u.var]} = "
-                    + (f"{var_name[u.var]} + " if u.op is UpdateOp.ADD else "")
-                    + const(u.value)
-                    for u in t.updates
-                ]
-                output_tuple = _tuple(outputs) if passes else const(tuple(literal))
-                target = self.state_index[t.target]
-                fragments.append((" and ".join(guards), outputs, output_tuple, updates, target))
-                reads = reads or passes or bool(t.interval_guards)
-                uses_vars = uses_vars or bool(t.var_guards or t.updates)
-                if not guards:
-                    closed = True
-                    break
-            states.append((fragments, closed, reads, uses_vars))
-        return states
-
-    def _loop_source(
-        self, s: int, fragments: list, closed: bool, reads: bool, uses_vars: bool
-    ) -> List[str]:
+        inputs = [f"i{i}" for i in range(len(self.in_channels))]
         appends = [f"a{c}" for c in range(len(self.out_channels))]
-        env = _tuple(f"v{j}" for j in range(len(self.var_names))) if uses_vars else "env"
-        body: List[str] = []
-        for guard, outputs, _, updates, target in fragments:
-            fire = [f"{a}({out})" for a, out in zip(appends, outputs)] + updates
-            fire.append("continue" if target == s else f"return {target}, {env}")
-            body += _guarded(guard, fire)
-        if not closed:
-            body += [f"{a}(())" for a in appends]
-        inputs = _tuple(f"i{i}" for i in range(len(self.in_channels))) if reads else "_"
-        return [
-            f"def s{s}(ticks, appends, env):",
-            *([f"    {_tuple(appends)} = appends"] if appends else []),
-            *([f"    {env} = env"] if uses_vars else []),
-            f"    for {inputs} in ticks:",
-            *("        " + line for line in body or ["pass"]),
-            f"    return {~s}, {env}",
+        variables = [f"v{j}" for j in range(len(self.var_names))]
+        namespace: Dict[str, object] = {}
+        outputs = [a + "({})" for a in appends]
+        tick = _tick_source(spec, namespace, "state", inputs, outputs, variables)
+        env = _tuple(variables)
+        source = [
+            f"def kernel(ticks, state, env{''.join(', ' + a for a in appends)}):",
+            f"    {env} = env",
+            f"    for {_tuple(inputs)} in ticks:",
+            *("        " + line for line in tick or ["pass"]),
+            f"    return state, {env}",
         ]
-
-    def _tick_source(
-        self, s: int, fragments: list, closed: bool, reads: bool, uses_vars: bool
-    ) -> List[str]:
-        variables = _tuple(f"v{j}" for j in range(len(self.var_names)))
-        body = [f"{variables} = env"] if uses_vars else []
-        for guard, _, output_tuple, updates, target in fragments:
-            env = variables if updates else "env"
-            body += _guarded(guard, [*updates, f"return {target}, {env}, {output_tuple}"])
-        if not closed:
-            body.append(f"return {s}, env, S")
-        inputs = "".join(f", i{i}" for i in range(len(self.in_channels)))
-        return [f"def t{s}(env{inputs}):", *("    " + line for line in body)]
+        exec("\n".join(source), namespace)
+        self.kernel = namespace["kernel"]
 
     def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
         ticks = zip(*columns) if columns else repeat((), length)
         outputs: List[List[TimeInterval]] = [[] for _ in self.out_channels]
-        appends = tuple([column.append for column in outputs])
-        loops = self.loops
-        state, env = self.initial_state, self.initial_env
-        while state >= 0:
-            state, env = loops[state](ticks, appends, env)
+        appends = [column.append for column in outputs]
+        self.kernel(ticks, self.initial_state, self.initial_env, *appends)
         return outputs
 
 

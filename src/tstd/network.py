@@ -10,13 +10,12 @@ exactly what makes the per-tick evaluation order (a topological sort of
 same-tick dependencies) exist.
 
 :func:`run_network` compiles a network once per call into one generated
-Python tick loop: every distinct spec into a machine of
-:mod:`tstd.executor`, every port into a local variable and every instance
-into the same two statements: an emit, which writes its fixed ports, and a
-fire, which reads its inputs, writes its other ports and updates its state
-(a machine through one per-tick state function).  Each tick runs every
-emit, then the fires in that evaluation order, and appends each external
-output to a column of its own.
+Python tick loop: every port becomes a local variable and every instance the
+same two statements: an emit, which writes its fixed ports, and a fire,
+which reads its inputs, writes its other ports and updates its state (for a
+machine, its tick from :mod:`tstd.executor`, inlined under its own names).
+Each tick runs every emit, then the fires in that evaluation order, and
+appends each external output to a column of its own.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -60,7 +59,6 @@ from .streams import (
 )
 
 if TYPE_CHECKING:
-    from .executor import _Machine
     from .model import ComponentSpec
 
 __all__ = [
@@ -372,14 +370,16 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output.
 
-    Refuses ill-formed networks.  The network is compiled once per call into
-    one generated tick loop (see the module docstring).  An instance's emit
-    is a delay's ``popleft``, nothing for a merge, or for a machine a row of
-    its emit table, built here from the causality rule's answer that the
-    graph already read: per state, the intervals the state fixes on the
+    Refuses ill-formed networks, and a spec with errors with the
+    ValueError of ``tstd.executor``.  The network is compiled once per call
+    into one generated tick loop (see the module docstring).  An instance's
+    emit is a delay's ``popleft``, nothing for a merge, or for a machine a
+    row of its emit table, built here from the causality rule's answer that
+    the graph already read: per state, the intervals the state fixes on the
     instance's fixed ports.  Its fire is a delay's ``append``, the merge's
-    ``+`` or one call of the machine's per-tick function in
-    ``_Machine.ticks``.
+    ``+`` or the machine's tick from ``executor._tick_source``, over the
+    instance's own state variable ``s<n>``, variables ``v<n>_<j>`` and port
+    variables, which writes only the ports the emit did not.
     Every emit runs first, then the fires in topological order of
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
     in one pass.  Each external output's column becomes its stream prefix.
@@ -411,8 +411,8 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     driver = {wire.target: var_of[wire.source] for wire in net.wires}
 
     instances = {inst.id: inst for inst in net.instances}
-    # A machine holds no run state, so instances of equal specs share one.
-    machines: Dict[ComponentSpec, _Machine] = {}
+    # The specs already checked for errors: each distinct one is checked once.
+    checked: set = set()
     namespace: Dict[str, object] = {}
     init: List[str] = []
     emit: List[str] = []
@@ -421,10 +421,11 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
         inst = instances[iid]
         ins = [driver[Port(iid, port)] for port in inst.in_ports()]
         fixed = _fixed_ports(inst, strong)
-        # The emit writes the fixed ports, the fire the rest, with ``_`` for the fixed ones.
+        # The emit writes the fixed ports; the fire fills the template of
+        # each other port and drops (None) the fixed ones.
         outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
         emitted = [var for var, is_fixed in outs if is_fixed]
-        fired = ["_" if is_fixed else var for var, is_fixed in outs]
+        fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
         if inst.kind is InstanceKind.DELAY:
             # A delay deeper than the run emits nothing but its first empty
             # intervals, and needs no more of them than there are ticks.
@@ -433,25 +434,24 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             emit.append(f"{emitted[0]} = P{n}()")
             fire.append(f"A{n}({ins[0]})")
         elif inst.kind is InstanceKind.MERGE:
-            fire.append(f"{fired[0]} = {ins[0]} + {ins[1]}")
+            fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
         else:
-            if inst.spec not in machines:
-                # Imported here: check feedback, and a network of built-ins
-                # only, run no machine.
-                from .executor import _Machine
+            # Imported here: check feedback, and a network of built-ins
+            # only, run no machine.
+            from .executor import _refuse_errors, _tick_source
 
-                machines[inst.spec] = _Machine(inst.spec)
-            machine = machines[inst.spec]
-            namespace[f"F{n}"] = machine.ticks
-            namespace[f"V{n}"] = machine.initial_env
-            init.append(f"s{n}, e{n} = {machine.initial_state}, V{n}")
+            spec = inst.spec
+            if spec not in checked:
+                _refuse_errors(spec)
+                checked.add(spec)
+            variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
+            namespace[f"V{n}"] = tuple(v.initial for v in spec.vars)
+            init.append(f"s{n}, {_tuple(variables)} = {spec.states.index(spec.initial)}, V{n}")
             if fixed:
                 # Row s holds what state s emits on the fixed ports, in order.
-                namespace[f"E{n}"] = tuple(zip(*(strong[inst.spec][p] for p in fixed)))
+                namespace[f"E{n}"] = tuple(zip(*(strong[spec][p] for p in fixed)))
                 emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
-            outputs = _tuple(fired) if len(fixed) < len(fired) else "_"
-            call = f"F{n}[s{n}](e{n}{''.join(', ' + name for name in ins)})"
-            fire.append(f"s{n}, e{n}, {outputs} = {call}")
+            fire += _tick_source(spec, namespace, f"s{n}", ins, fired, variables)
     # Each external output is a column of its own, filled by its append o<k>.
     appends = [f"o{k}" for k in range(len(net.external_out))]
     collect = [

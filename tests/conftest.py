@@ -45,17 +45,27 @@ def cli():
     return run_cli
 
 
-def machine_step(machine, cfg, tick):
-    """One tick of a compiled machine (``tstd.executor._Machine``) from
-    ``cfg``, a ``(state, var_env)`` pair by name, on ``tick``, a mapping from
-    input channel to interval: the state's tick function, with the target,
-    the variables and the outputs read back by name, in the shape of
-    ``reference.reference_step``."""
+def machine_ticks(machine, cfg, ticks):
+    """Ticks of a compiled machine (``tstd.executor._Machine``) from ``cfg``,
+    a ``(state, var_env)`` pair by name, on ``ticks``, mappings from input
+    channel to interval: one ``kernel`` call over the whole input, with the
+    configuration it ends in read back by name and each tick's outputs as a
+    mapping from output channel to interval."""
     state, var_env = cfg
     env = tuple(var_env[v] for v in machine.var_names)
-    inputs = (tick[ch] for ch in machine.in_channels)
-    target, env, outputs = machine.ticks[machine.state_index[state]](env, *inputs)
-    return (
-        (tuple(machine.state_index)[target], dict(zip(machine.var_names, env))),
-        dict(zip(machine.out_channels, outputs)),
-    )
+    rows = [tuple(tick[ch] for ch in machine.in_channels) for tick in ticks]
+    columns = [[] for _ in machine.out_channels]
+    appends = [column.append for column in columns]
+    target, env = machine.kernel(rows, machine.state_index[state], env, *appends)
+    outputs = [
+        dict(zip(machine.out_channels, (column[t] for column in columns)))
+        for t in range(len(rows))
+    ]
+    return (tuple(machine.state_index)[target], dict(zip(machine.var_names, env))), outputs
+
+
+def machine_step(machine, cfg, tick):
+    """One tick of :func:`machine_ticks`, in the shape of
+    ``reference.reference_step``."""
+    end, (outputs,) = machine_ticks(machine, cfg, [tick])
+    return end, outputs

@@ -662,8 +662,8 @@ def _delay_prefixes_silence(tmp_path, trace, seed):
 
 
 def _simulate_is_compose(tmp_path, trace, seed):
-    # simulate runs the free-running state loops, compose the lock-step
-    # tick functions of a one-instance network.
+    # simulate runs the machine's own loop, compose the same tick inlined
+    # in the lock-step loop of a one-instance network.
     spec = SAMPLES / "watchdog.tstd"
     inputs = _stdout("gen-trace", "--channels", "in", "--ticks", "500", "--seed", seed)
     inputs = _saved(tmp_path / "in.trc", inputs)

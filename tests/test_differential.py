@@ -78,7 +78,7 @@ from reference import (
     reference_step,
     reference_stream_command,
 )
-from conftest import machine_step, run_cli
+from conftest import machine_step, machine_ticks, run_cli
 from specgen import INPUTS, tap_spec, wide_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -457,25 +457,37 @@ def test_run_and_step_match_reference_on_wide_specs():
 
 
 def _fire_every_state(specs, rng):
-    """Fire every state's tick function of one compiled machine per spec,
-    from a fresh valuation each, against ``reference_step``."""
+    """Fire one compiled machine per spec from every state, with a fresh
+    valuation each, over a three-tick input in one ``kernel`` call, against
+    three chained ``reference_step``s: each tick's outputs and the
+    configuration it ends in.  Returns how many of these runs switch state
+    before their last tick, so that the call goes on from another state."""
+    switched = 0
     for i, spec in enumerate(specs):
         machine = _Machine(spec)
-        tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
+        inputs = payload_trace(spec.in_channels(), 3, rng)
+        ticks = [inputs.tick(t) for t in range(3)]
         for state in spec.states:
-            cfg = (state, {v.name: rng.randint(-3, 3) for v in spec.vars})
-            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+            cfg = end = (state, {v.name: rng.randint(-3, 3) for v in spec.vars})
+            expected, states = [], []
+            for tick in ticks:
+                end, outputs = reference_step(spec, end, tick)
+                expected.append(outputs)
+                states.append(end[0])
+            assert machine_ticks(machine, cfg, ticks) == (end, expected), (i, state)
+            switched += states[0] != state or states[1] != states[0]
+    return switched
 
 
 def test_step_matches_reference_from_every_state():
     rng = Random(77)
-    _fire_every_state([random_spec(rng, name=f"s{i}") for i in range(200)], rng)
+    assert _fire_every_state([random_spec(rng, name=f"s{i}") for i in range(200)], rng) >= 100
 
 
 def test_step_matches_reference_from_every_state_of_wide_specs():
     rng = Random(1915)
     specs = [wide_spec(rng, f"x{i}") for i in range(40)]
-    _fire_every_state(specs, rng)
+    assert _fire_every_state(specs, rng) >= 100
     seen = {"strong": 0, "weak": 0, "over 32 states": 0}
     for spec in specs:
         strong = classify_causality_syntactic(spec) is CausalityClass.STRONG

@@ -22,6 +22,7 @@ from tstd.model import (
     VarGuard,
     VarUpdate,
 )
+from tstd.network import ExternalPort, Instance, Port, Wire, build_network, run_network
 from tstd.operators import untimed_abstraction
 from tstd.streams import Message, StreamPrefix, Trace, interval
 from tstd.table_format import parse_table
@@ -238,14 +239,37 @@ class TestRun:
             Transition("S0", "S0", interval_guards=(IntervalGuard("zz", IntervalPattern.empty()),)),
             Transition("S0", "S0", updates=(VarUpdate("v", UpdateOp.ADD, 1),)),
             Transition("S0", "S7"),
+            Transition("S0", "S0", outputs=(OutputAction.passthrough("out", "zz"),)),
+            Transition("S0", "S0", outputs=(OutputAction.literal("zz", interval("x")),)),
+            Transition("S7", "S0"),
         ],
-        ids=["undeclared-channel", "undeclared-variable", "undeclared-target"],
+        ids=[
+            "undeclared-channel",
+            "undeclared-variable",
+            "undeclared-target",
+            "undeclared-pass-source",
+            "undeclared-emission",
+            "undeclared-source",
+        ],
     )
     def test_reference_errors_rejected_before_any_tick(self, transition):
         spec = make_spec([transition])
         first = next(f for f in validate_spec(spec) if f.severity is Severity.ERROR)
         with pytest.raises(ValueError) as exc:
             run(spec, Trace.empty(("in",), 0))
+        assert str(exc.value) == f"component 'm': {first.message}"
+        # A network inlines the spec's tick without a machine, and refuses it alike.
+        net = build_network(
+            [Instance.of_spec("i", spec)],
+            [
+                Wire(ExternalPort("in"), Port("i", "in")),
+                Wire(Port("i", "out"), ExternalPort("out")),
+            ],
+            ["in"],
+            ["out"],
+        )
+        with pytest.raises(ValueError) as exc:
+            run_network(net, Trace.empty(("in",), 0), 0)
         assert str(exc.value) == f"component 'm': {first.message}"
 
     def test_output_length_always_matches_input(self):

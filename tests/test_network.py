@@ -423,10 +423,12 @@ class TestRunNetwork:
         with pytest.raises(IllFormedNetworkError):
             run_network(net, Trace({}, 2), 2)
 
-    def test_equal_specs_share_one_machine(self, monkeypatch):
+    def test_equal_specs_are_checked_once(self, monkeypatch):
         # Two passthroughs and a merge feed a strong edge detector: two
-        # distinct specs, so two compilations, two error checks and two
-        # answers of the causality rule, which the graph and the kernel share.
+        # distinct specs, so two error checks (``run_network`` calls
+        # ``executor._refuse_errors``, which calls ``executor._errors``) and
+        # two answers of the causality rule, which the graph and the kernel
+        # share, although each instance inlines a tick of its own.
         calls, rule_calls = [], []
         errors, rule = tstd.executor._errors, tstd.analysis._strong_outputs
         monkeypatch.setattr(
