@@ -1,51 +1,63 @@
-"""Seeded refutation checks on component specs.
+"""Seeded refutation checks on component specs and networks.
 
 ``probe_causality`` hunts for same-tick input sensitivity and
 ``check_untimed_simulation`` compares two machines modulo tick boundaries.
-Each compiles every spec it is given once, into a machine of
-:mod:`tstd.executor`, and reuses it for every trial.  Both draw their
-trials the same way (:func:`_trials`): from ``Random(seed)``, over every
-tag the specs mention plus one they never mention, up to three messages a
-tick, one column of intervals per input channel, channel after channel.
-They run those columns through the machines whole, seeing a machine only
-through its channels and its ``run``, and make a :class:`Trace` only of a
-witness they return.  Both report evidence, never proofs.  Only the
-``check`` commands import this module, and with it :mod:`tstd.gen`.
+Each compiles what it is given once, by one dispatch (:func:`_compile`),
+and reuses it for every trial: a spec into a machine of :mod:`tstd.executor`,
+a network into its compiled network, which has the machine's interface.
+Both draw their trials the same way (:func:`_trials`): from
+``Random(seed)``, over every tag the specs (a network's too) mention plus
+one they never mention, up to three messages a tick, one column of
+intervals per input channel, channel after channel.  They run those columns
+through the machines whole, seeing a machine only through its channels and
+its ``run``, and make a :class:`Trace` only of a witness they return.  Both
+report evidence, never proofs.  Only the ``check`` commands import this
+module, and with it :mod:`tstd.gen`.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ._value import value
-from .executor import ChannelMismatchError, _Machine
 from .gen import interval_drawer, probe_alphabet
-from .model import ComponentSpec
-from .streams import Message, StreamPrefix, TimeInterval, Trace
+from .streams import Message, Trace, _trace
+
+if TYPE_CHECKING:
+    from .model import ComponentSpec
+    from .network import Network
+
+    System = Union[ComponentSpec, Network]
 
 __all__ = [
     "CausalityProbeResult", "SimulationCheckResult", "check_untimed_simulation", "probe_causality"
 ]
 
-Draw = Callable[[Random], TimeInterval]
+
+def _compile(system: System) -> tuple:
+    """The machine of a component spec, or the compiled network of a
+    network, with the specs it holds.  A network is told by its wires, so
+    that a check of one kind loads none of the other's modules."""
+    if hasattr(system, "wires"):
+        from .network import _CompiledNetwork
+
+        return _CompiledNetwork(system), [i.spec for i in system.instances if i.spec is not None]
+    from .executor import _Machine
+
+    return _Machine(system), [system]
 
 
-def _trials(
-    trials: int, horizon: int, seed: int, *specs: ComponentSpec
-) -> Tuple[Random, List[str], Draw]:
-    """The random source, the alphabet and the interval drawer of a check
-    over ``specs``; refuses a trial count or horizon below one."""
+def _trials(trials: int, horizon: int, seed: int, *systems: System) -> tuple:
+    """The compiled ``systems``, the random source, the alphabet and the
+    interval drawer of a check over them; refuses a trial count or horizon below one."""
     if trials < 1 or horizon < 1:
         raise ValueError("trials and horizon must be positive")
-    alphabet = probe_alphabet(*specs)
-    return Random(seed), alphabet, interval_drawer(alphabet, 3)
-
-
-def _witness(channels: Sequence[str], columns: List[list], horizon: int) -> Trace:
-    """The trace of the input ``columns``, one per channel, in order."""
-    return Trace({ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)}, horizon)
+    compiled = [_compile(system) for system in systems]
+    alphabet = probe_alphabet(*(spec for _, specs in compiled for spec in specs))
+    machines = [machine for machine, _ in compiled]
+    return machines, Random(seed), alphabet, interval_drawer(alphabet, 3)
 
 
 @value
@@ -70,22 +82,20 @@ class CausalityProbeResult:
         return not self.refuted
 
 
-def probe_causality(
-    spec: ComponentSpec, trials: int, horizon: int, seed: int
-) -> CausalityProbeResult:
+def probe_causality(spec: System, trials: int, horizon: int, seed: int) -> CausalityProbeResult:
     """Search for evidence that output at some tick depends on same-tick input.
 
-    Runs ``trials`` input pairs through the machine, each input up to the
-    tick where the pair first differs, the cut.  An output difference at the
-    cut refutes strong causality.  Finding nothing only means the machine is
-    consistent with strong causality on the sampled traces.
+    Runs ``trials`` input pairs through the machine of a spec or a network,
+    each input up to the tick where the pair first differs, the cut.  An
+    output difference at the cut refutes strong causality.  Finding nothing
+    only means the machine is consistent with strong causality on the
+    sampled traces.
     """
-    rng, alphabet, draw = _trials(trials, horizon, seed, spec)
-    if not spec.in_channels():
+    (machine,), rng, alphabet, draw = _trials(trials, horizon, seed, spec)
+    channels = machine.in_channels
+    if not channels:
         # With no inputs there is nothing the output could depend on.
         return CausalityProbeResult(refuted=False, trials=0)
-    machine = _Machine(spec)
-    channels = machine.in_channels
     bump = Message(alphabet[-1])
     for _ in range(trials):
         # Input a, then the ticks of input b from the cut on, which differ
@@ -103,8 +113,8 @@ def probe_causality(
             if col_a[cut] != col_b[cut]:
                 b = [col[:cut] + tail for col, tail in zip(a, b_tails)]
                 return CausalityProbeResult(
-                    refuted=True, trials=trials, witness_a=_witness(channels, a, horizon),
-                    witness_b=_witness(channels, b, horizon), cut=cut, channel=ch, tick=cut,
+                    refuted=True, trials=trials, witness_a=_trace(channels, a, horizon),
+                    witness_b=_trace(channels, b, horizon), cut=cut, channel=ch, tick=cut,
                 )
     return CausalityProbeResult(refuted=False, trials=trials)
 
@@ -122,22 +132,23 @@ class SimulationCheckResult:
 
 
 def check_untimed_simulation(
-    spec_a: ComponentSpec, spec_b: ComponentSpec, trials: int, horizon: int, seed: int
+    spec_a: System, spec_b: System, trials: int, horizon: int, seed: int
 ) -> SimulationCheckResult:
     """Compare two machines' outputs modulo tick boundaries on random inputs.
 
-    Both specs must expose identical channel names.  For each trial the same
-    input columns, drawn in ``spec_a``'s channel order, are fired on both
-    machines, each column on the channel of its name, and the per-channel
-    untimed abstractions of the outputs are compared; the first mismatch's
-    input is returned as a witness.  Agreement is only over the sampled
-    horizon, not a proof.
+    Each side, a spec or a network, must expose identical channel names.
+    For each trial the same input columns, drawn in ``spec_a``'s channel
+    order, are fired on both machines, each column on the channel of its
+    name, and the per-channel untimed abstractions of the outputs are
+    compared; the first mismatch's input is returned as a witness.
+    Agreement is only over the sampled horizon, not a proof.
     """
-    rng, _, draw = _trials(trials, horizon, seed, spec_a, spec_b)
-    sides = [(set(s.in_channels()), set(s.out_channels())) for s in (spec_a, spec_b)]
+    (machine_a, machine_b), rng, _, draw = _trials(trials, horizon, seed, spec_a, spec_b)
+    sides = [(set(m.in_channels), set(m.out_channels)) for m in (machine_a, machine_b)]
     if sides[0] != sides[1]:
+        from .executor import ChannelMismatchError
+
         raise ChannelMismatchError("specs have different channel signatures")
-    machine_a, machine_b = _Machine(spec_a), _Machine(spec_b)
     channels = machine_a.in_channels
     for _ in range(trials):
         inputs = [list(map(draw, repeat(rng, horizon))) for _ in channels]
@@ -151,7 +162,7 @@ def check_untimed_simulation(
             seq_b = tuple(chain.from_iterable(out_b[ch]))
             if seq_a != seq_b:
                 return SimulationCheckResult(
-                    agree=False, trials=trials, witness=_witness(channels, inputs, horizon),
+                    agree=False, trials=trials, witness=_trace(channels, inputs, horizon),
                     channel=ch, abstraction_a=seq_a, abstraction_b=seq_b,
                 )
     return SimulationCheckResult(agree=True, trials=trials)

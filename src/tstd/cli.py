@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a check was refuted or the input failed validation,
 2 usage or parse error, 3 unreadable or unwritable file, stdout included.
 Data goes to stdout, diagnostics to stderr; every command is deterministic
-given its arguments, input files, and seed.
+given its arguments, input files, and seed.  The seeded checks take a
+network wherever they take a component: an argument whose name ends in
+``.tnet`` is a network, any other a component.
 
 Start-up is most of a short command's time, and without cached bytecode
 most of start-up is compiling source.  So this module imports only
@@ -24,7 +26,7 @@ import argparse
 import gc
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, TypeVar
 
 from .streams import _INT_RE, ParseFailure
 
@@ -199,9 +201,12 @@ def _check_result_ticks(count: int, unit: str = "ticks") -> None:
 def cmd_check_causality(args: argparse.Namespace) -> int:
     from .checks import probe_causality
 
-    spec = _load_validated_spec(args.spec)
+    system, refused = _load_checked(args.spec)
     _check_result_ticks(args.horizon)
-    result = probe_causality(spec, trials=args.trials, horizon=args.horizon, seed=args.seed)
+    try:
+        result = probe_causality(system, trials=args.trials, horizon=args.horizon, seed=args.seed)
+    except refused as exc:
+        raise _Failure(REFUTED, str(exc)) from exc
     if result.consistent_with_strong:
         _write_stdout(f"consistent-with-strong ({result.trials} trials, horizon {args.horizon})\n")
         return OK
@@ -220,14 +225,14 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     from .checks import check_untimed_simulation
     from .executor import ChannelMismatchError
 
-    spec_a = _load_validated_spec(args.spec_a)
-    spec_b = _load_validated_spec(args.spec_b)
+    system_a, refused_a = _load_checked(args.spec_a)
+    system_b, refused_b = _load_checked(args.spec_b)
     _check_result_ticks(args.horizon)
     try:
         result = check_untimed_simulation(
-            spec_a, spec_b, trials=args.trials, horizon=args.horizon, seed=args.seed
+            system_a, system_b, trials=args.trials, horizon=args.horizon, seed=args.seed
         )
-    except ChannelMismatchError as exc:
+    except (ChannelMismatchError, *refused_a, *refused_b) as exc:
         raise _Failure(REFUTED, str(exc)) from exc
     if result.agree:
         _write_stdout(f"agree ({args.trials} trials, horizon {args.horizon})\n")
@@ -249,6 +254,17 @@ def _load_network(path: str) -> Network:
     from .network import parse_network
 
     return _parse_file(path, lambda text: parse_network(text, base_dir=Path(path).parent))
+
+
+def _load_checked(path: str) -> Tuple[ComponentSpec | Network, Tuple[type, ...]]:
+    """What a seeded check runs: the network at ``path`` if its name ends in
+    ``.tnet``, else the validated component there; and the errors, exit 1,
+    by which the check refuses it: an ill-formed network's."""
+    if path.endswith(".tnet"):
+        from .network import IllFormedNetworkError
+
+        return _load_network(path), (IllFormedNetworkError,)
+    return _load_validated_spec(path), ()
 
 
 def cmd_check_feedback(args: argparse.Namespace) -> int:

@@ -8,20 +8,19 @@ T-tick input yields exactly a T-tick output.  One tick of a spec is
 generated in one place, :func:`_tick_source`, under names its caller picks,
 and wrapped twice: by a machine's own loop, which ``run`` calls over a whole
 input and which fires any number of ticks from any configuration, and by the
-tick loop of :func:`tstd.network.run_network`, which inlines it once per
-instance and so advances all of a network's machines in lock step.  The
+tick loop of a compiled network (:mod:`tstd.network`), which inlines it once
+per instance and so advances all of a network's machines in lock step.  The
 seeded checks, which run whole inputs, live in :mod:`tstd.checks`, and
 :class:`Trace` in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
-from .streams import StreamPrefix, TimeInterval, Trace
+from .streams import TimeInterval, Trace, _run_kernel, _trace
 
 __all__ = ["ChannelMismatchError", "run"]
 
@@ -206,11 +205,8 @@ class _Machine:
         self.kernel = namespace["kernel"]
 
     def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
-        ticks = zip(*columns) if columns else repeat((), length)
-        outputs: List[List[TimeInterval]] = [[] for _ in self.out_channels]
-        appends = [column.append for column in outputs]
-        self.kernel(ticks, self.initial_state, self.initial_env, *appends)
-        return outputs
+        config = (self.initial_state, self.initial_env)
+        return _run_kernel(self.kernel, columns, length, len(self.out_channels), *config)
 
 
 def run(spec: ComponentSpec, inputs: Trace) -> Trace:
@@ -229,5 +225,4 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
         )
     machine = _Machine(spec)
     columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
-    outputs = zip(machine.out_channels, machine.run(columns, inputs.length))
-    return Trace({ch: StreamPrefix(tuple(col)) for ch, col in outputs}, length=inputs.length)
+    return _trace(machine.out_channels, machine.run(columns, inputs.length), inputs.length)

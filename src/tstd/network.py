@@ -9,13 +9,15 @@ That condition is what :func:`check_feedback_wellformed` enforces, and it is
 exactly what makes the per-tick evaluation order (a topological sort of
 same-tick dependencies) exist.
 
-:func:`run_network` compiles a network once per call into one generated
-Python tick loop: every port becomes a local variable and every instance the
-same two statements: an emit, which writes its fixed ports, and a fire,
-which reads its inputs, writes its other ports and updates its state (for a
-machine, its tick from :mod:`tstd.executor`, inlined under its own names).
-Each tick runs every emit, then the fires in that evaluation order, and
-appends each external output to a column of its own.
+A network is a machine too: it compiles once, with its externs as its
+channels, into one generated Python tick loop, which :func:`run_network`
+runs once and a seeded check of :mod:`tstd.checks` as often as it needs.
+Every port becomes a local variable and every instance the same two
+statements: an emit, which writes its fixed ports, and a fire, which reads
+its inputs, writes its other ports and updates its state (for a machine, its
+tick from :mod:`tstd.executor`, inlined under its own names).  Each tick
+runs every emit, then the fires in that evaluation order, and appends each
+external output to a column of its own.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -50,12 +52,13 @@ from .streams import (
     _INT_RE,
     IDENT_RE,
     ParseFailure,
-    StreamPrefix,
     TimeInterval,
     Trace,
     _int,
     _Issues,
     _logical_lines,
+    _run_kernel,
+    _trace,
 )
 
 if TYPE_CHECKING:
@@ -367,109 +370,121 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
     return FeedbackCheck(well_formed=ok, cycle=cycle)
 
 
-def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
-    """Drive all instances for ``ticks`` steps and collect the boundary output.
+class _CompiledNetwork:
+    """A network compiled once, behind the interface of
+    ``tstd.executor._Machine``: ``in_channels`` are its external inputs,
+    ``out_channels`` its external outputs, and each ``run`` fires it from
+    its initial configuration.  Compiling refuses an ill-formed network, and
+    a spec with errors with the ValueError of ``tstd.executor``.
 
-    Refuses ill-formed networks, and a spec with errors with the
-    ValueError of ``tstd.executor``.  The network is compiled once per call
-    into one generated tick loop (see the module docstring).  An instance's
-    emit is a delay's ``popleft``, nothing for a merge, or for a machine a
-    row of its emit table, built here from the causality rule's answer that
-    the graph already read: per state, the intervals the state fixes on the
-    instance's fixed ports.  Its fire is a delay's ``append``, the merge's
-    ``+`` or the machine's tick from ``executor._tick_source``, over the
-    instance's own state variable ``s<n>``, variables ``v<n>_<j>`` and port
-    variables, which writes only the ports the emit did not.
+    ``kernel(ticks, length, o0, ...)`` makes each delay's buffer and sets
+    each machine's state and variables, then runs the tick loop.  An
+    instance's emit is a delay's ``popleft``, nothing for a merge, or for a
+    machine a row of its emit table, built here from the causality rule's
+    answer that the graph already read: per state, the intervals the state
+    fixes on the instance's fixed ports.  Its fire is a delay's ``append``,
+    the merge's ``+`` or the machine's tick from ``executor._tick_source``,
+    over the instance's own state variable ``s<n>``, variables ``v<n>_<j>``
+    and port variables, which writes only the ports the emit did not.
     Every emit runs first, then the fires in topological order of
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
-    in one pass.  Each external output's column becomes its stream prefix.
+    in one pass.  Each external output's interval goes to its ``o<k>``.
     """
-    # The causality rule's answer for each distinct spec, shared by the
-    # graph and the kernel.
-    strong: Dict[ComponentSpec, Mapping] = {}
-    ok, order, cycle = _toposort(_dependency_graph(net, strong))
-    if not ok:
-        raise IllFormedNetworkError(
-            "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
-        )
+
+    def __init__(self, net: Network):
+        # The causality rule's answer for each distinct spec, shared by the
+        # graph and the kernel.
+        strong: Dict[ComponentSpec, Mapping] = {}
+        ok, order, cycle = _toposort(_dependency_graph(net, strong))
+        if not ok:
+            raise IllFormedNetworkError(
+                "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
+            )
+        self.in_channels, self.out_channels = net.external_in, net.external_out
+        # One local variable per external input and per instance output port;
+        # the names, like every other name of the loop, are made here, and
+        # every value (delay depths, initial envs, emit rows) goes in by namespace.
+        var_of: Dict[Endpoint, str] = {
+            ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
+        }
+        for inst in net.instances:
+            for port in inst.out_ports():
+                var_of[Port(inst.id, port)] = f"x{len(var_of)}"
+        fed_by = {wire.target: var_of[wire.source] for wire in net.wires}
+
+        instances = {inst.id: inst for inst in net.instances}
+        # The specs already checked for errors: each distinct one is checked once.
+        checked: set = set()
+        namespace: Dict[str, object] = {"deque": deque, "repeat": repeat}
+        init: List[str] = []
+        emit: List[str] = []
+        fire: List[str] = []
+        for n, iid in enumerate(order):
+            inst = instances[iid]
+            ins = [fed_by[Port(iid, port)] for port in inst.in_ports()]
+            fixed = _fixed_ports(inst, strong)
+            # The emit writes the fixed ports; the fire fills the template of
+            # each other port and drops (None) the fixed ones.
+            outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
+            emitted = [var for var, is_fixed in outs if is_fixed]
+            fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
+            if inst.kind is InstanceKind.DELAY:
+                # Each run makes its buffer.  A delay deeper than the run
+                # emits nothing but its first empty intervals, and needs no
+                # more of them than there are ticks.
+                namespace[f"D{n}"] = inst.delay
+                init.append(f"b{n} = deque(repeat((), min(D{n}, length)))")
+                emit.append(f"{emitted[0]} = b{n}.popleft()")
+                fire.append(f"b{n}.append({ins[0]})")
+            elif inst.kind is InstanceKind.MERGE:
+                fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
+            else:
+                # Imported here: check feedback, and a network of built-ins
+                # only, run no machine.
+                from .executor import _refuse_errors, _tick_source
+
+                spec = inst.spec
+                if spec not in checked:
+                    _refuse_errors(spec)
+                    checked.add(spec)
+                variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
+                namespace[f"V{n}"] = tuple(v.initial for v in spec.vars)
+                initial = spec.states.index(spec.initial)
+                init.append(f"s{n}, {_tuple(variables)} = {initial}, V{n}")
+                if fixed:
+                    # Row s holds what state s emits on the fixed ports, in order.
+                    namespace[f"E{n}"] = tuple(zip(*(strong[spec][p] for p in fixed)))
+                    emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
+                fire += _tick_source(spec, namespace, f"s{n}", ins, fired, variables)
+        # Each external output is a column of its own, filled by its append o<k>.
+        appends = [f"o{k}" for k in range(len(net.external_out))]
+        collect = [
+            f"{append}({fed_by[ExternalPort(name)]})"
+            for append, name in zip(appends, net.external_out)
+        ]
+        row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
+        loop = ["    " + line for line in emit + fire + collect]
+        head = [f"def kernel(ticks, length{''.join(', ' + a for a in appends)}):", *init]
+        exec("\n    ".join([*head, f"for {row} in ticks:", *(loop or ["    pass"])]), namespace)
+        self.kernel = namespace["kernel"]
+
+    def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
+        return _run_kernel(self.kernel, columns, length, len(self.out_channels), length)
+
+
+def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
+    """Drive all instances for ``ticks`` steps and collect the boundary output:
+    compile ``net`` (:class:`_CompiledNetwork`), check that the input trace
+    carries exactly its external inputs, and run it once."""
+    network = _CompiledNetwork(net)
     if set(external_inputs.channels) != set(net.external_in):
         raise ChannelSetError(net.external_in, tuple(external_inputs.channels))
     if net.external_in and external_inputs.length != ticks:
         raise ValueError(
             f"external input trace has {external_inputs.length} ticks, expected {ticks}"
         )
-
-    # One local variable per external input and per instance output port;
-    # the names, like every other name of the loop, are made here, and every
-    # value (machines, initial envs, delay buffers) goes in by namespace.
-    var_of: Dict[Endpoint, str] = {
-        ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
-    }
-    for inst in net.instances:
-        for port in inst.out_ports():
-            var_of[Port(inst.id, port)] = f"x{len(var_of)}"
-    driver = {wire.target: var_of[wire.source] for wire in net.wires}
-
-    instances = {inst.id: inst for inst in net.instances}
-    # The specs already checked for errors: each distinct one is checked once.
-    checked: set = set()
-    namespace: Dict[str, object] = {}
-    init: List[str] = []
-    emit: List[str] = []
-    fire: List[str] = []
-    for n, iid in enumerate(order):
-        inst = instances[iid]
-        ins = [driver[Port(iid, port)] for port in inst.in_ports()]
-        fixed = _fixed_ports(inst, strong)
-        # The emit writes the fixed ports; the fire fills the template of
-        # each other port and drops (None) the fixed ones.
-        outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
-        emitted = [var for var, is_fixed in outs if is_fixed]
-        fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
-        if inst.kind is InstanceKind.DELAY:
-            # A delay deeper than the run emits nothing but its first empty
-            # intervals, and needs no more of them than there are ticks.
-            buffer = deque([()] * min(inst.delay, ticks))
-            namespace[f"P{n}"], namespace[f"A{n}"] = buffer.popleft, buffer.append
-            emit.append(f"{emitted[0]} = P{n}()")
-            fire.append(f"A{n}({ins[0]})")
-        elif inst.kind is InstanceKind.MERGE:
-            fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
-        else:
-            # Imported here: check feedback, and a network of built-ins
-            # only, run no machine.
-            from .executor import _refuse_errors, _tick_source
-
-            spec = inst.spec
-            if spec not in checked:
-                _refuse_errors(spec)
-                checked.add(spec)
-            variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
-            namespace[f"V{n}"] = tuple(v.initial for v in spec.vars)
-            init.append(f"s{n}, {_tuple(variables)} = {spec.states.index(spec.initial)}, V{n}")
-            if fixed:
-                # Row s holds what state s emits on the fixed ports, in order.
-                namespace[f"E{n}"] = tuple(zip(*(strong[spec][p] for p in fixed)))
-                emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
-            fire += _tick_source(spec, namespace, f"s{n}", ins, fired, variables)
-    # Each external output is a column of its own, filled by its append o<k>.
-    appends = [f"o{k}" for k in range(len(net.external_out))]
-    collect = [
-        f"{append}({driver[ExternalPort(name)]})" for append, name in zip(appends, net.external_out)
-    ]
-    row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
-    loop = ["    " + line for line in emit + fire + collect]
-    head = [f"def kernel(ticks{''.join(', ' + a for a in appends)}):", *init]
-    exec("\n    ".join([*head, f"for {row} in ticks:", *(loop or ["    pass"])]), namespace)
     columns = [external_inputs.channels[name].intervals for name in net.external_in]
-    collected: List[List[TimeInterval]] = [[] for _ in net.external_out]
-    namespace["kernel"](
-        zip(*columns) if columns else repeat((), ticks), *[col.append for col in collected]
-    )
-    return Trace(
-        {name: StreamPrefix(tuple(col)) for name, col in zip(net.external_out, collected)},
-        length=ticks,
-    )
+    return _trace(net.external_out, network.run(columns, ticks), ticks)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 import sys
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import FrozenDict, value
 
@@ -140,6 +141,19 @@ class Trace:
 
     def tick(self, t: int) -> Dict[str, TimeInterval]:
         return {ch: prefix[t] for ch, prefix in self.channels.items()}
+
+
+def _trace(channels: Iterable[str], columns: Iterable, length: int) -> Trace:
+    """The ``length``-tick trace whose ``channels``, in order, carry ``columns``."""
+    return Trace({ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)}, length)
+
+
+def _run_kernel(kernel: Callable, columns: Sequence, length: int, width: int, *config) -> list:
+    """The ``width`` output columns of ``kernel(rows, *config, *appends)``
+    run on the rows of ``columns``, or on ``length`` empty rows if none."""
+    outputs: List[list] = [[] for _ in range(width)]
+    kernel(zip(*columns) if columns else repeat((), length), *config, *[c.append for c in outputs])
+    return outputs
 
 
 # --------------------------------------------------------------------------

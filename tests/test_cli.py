@@ -341,6 +341,125 @@ def mute_network(tmp_path):
     return net
 
 
+def _wrapper_net(spec_path, tmp_path):
+    """A network of one instance of the spec at ``spec_path``, its externs
+    named and ordered as the spec's channels."""
+    from tstd.dsl import parse_component
+    from tstd.table_format import parse_table
+
+    parse = parse_table if spec_path.suffix == ".ttab" else parse_component
+    spec = parse(spec_path.read_text())
+    lines = [f"use c = file {spec_path}"]
+    lines += [f"wire extern {ch} -> c.{ch}" for ch in spec.in_channels()]
+    lines += [f"wire c.{ch} -> extern {ch}" for ch in spec.out_channels()]
+    net = tmp_path / f"{spec_path.name}.tnet"
+    net.write_text("\n".join(lines) + "\n")
+    return str(net)
+
+
+class TestCheckNetwork:
+    """The seeded checks take a network (a file named ``*.tnet``) wherever
+    they take a component."""
+
+    @pytest.mark.parametrize(
+        "spec", sorted(p.name for p in SAMPLES.iterdir() if p.suffix in (".tstd", ".ttab"))
+    )
+    def test_a_one_instance_network_is_its_spec(self, spec, tmp_path):
+        net = _wrapper_net(SAMPLES / spec, tmp_path)
+        for seed in ("0", "1", "7"):
+            of_spec = run_cli("check", "causality", str(SAMPLES / spec), "--seed", seed)
+            of_net = run_cli("check", "causality", net, "--seed", seed)
+            assert (of_net.code, of_net.out, of_net.err) == (of_spec.code, of_spec.out, "")
+        r = run_cli("check", "untimed-sim", str(SAMPLES / spec), net)
+        assert (r.code, r.out, r.err) == (0, "agree (200 trials, horizon 16)\n", "")
+
+    @pytest.mark.parametrize(
+        "net, code, verdict",
+        [
+            ("delay1.tnet", 0, "consistent-with-strong (200 trials, horizon 16)\n"),
+            ("feedback.tnet", 1, "refuted-strong: "),
+            ("identity.tnet", 1, "refuted-strong: "),
+            ("tap_loop.tnet", 1, "refuted-strong: "),
+        ],
+    )
+    def test_sample_networks(self, net, code, verdict):
+        r = run_cli("check", "causality", str(SAMPLES / net))
+        assert (r.code, r.err) == (code, "")
+        assert r.out.startswith(verdict)
+
+    def test_untimed_sim_of_a_spec_and_a_network(self, samples):
+        spec, net = samples / "passthrough.tstd", samples / "identity.tnet"
+        r = run_cli("check", "untimed-sim", str(spec), str(net))
+        assert (r.code, r.out, r.err) == (0, "agree (200 trials, horizon 16)\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["causality", "feedback_undelayed.tnet"],
+            ["untimed-sim", "feedback_undelayed.tnet", "passthrough.tstd"],
+            ["untimed-sim", "passthrough.tstd", "feedback_undelayed.tnet"],
+        ],
+        ids=" ".join,
+    )
+    def test_ill_formed_network_refused(self, argv):
+        kind, *files = argv
+        r = run_cli("check", kind, *(str(SAMPLES / f) for f in files))
+        assert r.code == 1
+        assert r.err == "network has an instantaneous feedback cycle: m -> p\n"
+        assert r.out == ""
+
+    def test_invalid_component_in_a_network_is_a_usage_error(self, tmp_path):
+        net = mute_network(tmp_path)
+        r = run_cli("check", "causality", str(net))
+        assert r.code == 2
+        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.out == ""
+
+    def test_delay_deeper_than_any_int_index(self, tmp_path):
+        net = tmp_path / "deep.tnet"
+        net.write_text(
+            f"use d = delay {10**30}\n"
+            "wire extern in -> d.in\n"
+            "wire d.out -> extern out\n"
+        )
+        r = run_cli("check", "causality", str(net))
+        assert (r.code, r.err) == (0, "")
+        assert r.out == "consistent-with-strong (200 trials, horizon 16)\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["causality", "feedback.tnet"],
+            ["causality", "tap_loop.tnet"],
+            ["untimed-sim", "passthrough.tstd", "tap_loop.tnet"],
+        ],
+        ids=" ".join,
+    )
+    def test_the_network_compiles_once_per_command(self, monkeypatch, argv):
+        # Not once per trial: one compiled network, which generates the tick
+        # of its one component once, serves all 200 trials; untimed-sim
+        # generates one more tick, for its machine.
+        import tstd.executor
+        import tstd.network
+
+        built, ticks = [], []
+        init, tick_source = tstd.network._CompiledNetwork.__init__, tstd.executor._tick_source
+
+        def counted_init(self, net):
+            built.append(net)
+            init(self, net)
+
+        monkeypatch.setattr(tstd.network._CompiledNetwork, "__init__", counted_init)
+        monkeypatch.setattr(
+            tstd.executor, "_tick_source", lambda *args: ticks.append(args) or tick_source(*args)
+        )
+        kind, *files = argv
+        r = run_cli("check", kind, *(str(SAMPLES / f) for f in files))
+        assert r.err == ""
+        specs = 1 + (kind == "untimed-sim")
+        assert (len(built), len(ticks)) == (1, specs)
+
+
 class TestCompose:
     def test_invalid_component_refused(self, tmp_path):
         net = mute_network(tmp_path)

@@ -135,6 +135,8 @@ SPEC_COMMANDS = pytest.mark.parametrize(
         (["check", "feedback", "feedback.tnet"], 0),
         (["check", "causality", "watchdog.tstd", "--trials", "5"], 1),
         (["check", "causality", "toggler.tstd", "--trials", "5"], 0),
+        (["check", "causality", "delay1.tnet", "--trials", "5"], 0),
+        (["check", "causality", "feedback.tnet", "--trials", "5"], 1),
         (["check", "untimed-sim", "toggler.tstd", "toggler.ttab", "--trials", "5"], 0),
         (["check", "untimed-sim", "toggler.tstd", "watchdog.tstd", "--trials", "5"], 1),
     ],
@@ -153,12 +155,37 @@ def test_only_the_seeded_checks_load_the_checks(argv, code):
 @SPEC_COMMANDS
 def test_only_validate_compose_and_feedback_load_the_analysis(argv, code):
     """The warnings and the causality rule, which a network needs only for
-    its components; no spec command loads the stream operators."""
+    its components (to compose it, check its feedback or check it as a
+    machine); no spec command loads the stream operators."""
     got, modules = _modules_after(*argv)
     assert got == code
     analysed = argv[0] == "validate" or "feedback.tnet" in argv
     assert ("tstd.analysis" in modules) == analysed
     assert "tstd.operators" not in modules
+
+
+SPEC_MODULES = {"tstd.dsl", "tstd.model", "tstd.analysis", "tstd.executor"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, spec_modules",
+    [
+        (["check", "causality", "delay1.tnet", "--trials", "5"], 0, set()),
+        (["check", "causality", "feedback.tnet", "--trials", "5"], 1, SPEC_MODULES),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_check_of_a_network_loads_the_spec_modules_only_for_its_components(
+    argv, code, spec_modules
+):
+    """delay1.tnet holds one delay, so its check runs no spec module;
+    feedback.tnet's component is parsed, analysed for the graph and
+    inlined by the executor."""
+    got, modules = _modules_after(*argv)
+    assert got == code
+    assert {"tstd.network", "tstd.checks", "tstd.gen"} <= modules
+    assert modules & SPEC_MODULES == spec_modules
+    assert not modules & {"tstd.table_format", "tstd.trace_commands", "dataclasses"}
 
 
 SPEC_MACHINERY = {

@@ -22,6 +22,7 @@ from tstd.network import (
     NetworkBuildError,
     Port,
     Wire,
+    _CompiledNetwork,
     _cycle_witness,
     _toposort,
     build_network,
@@ -534,3 +535,39 @@ class TestRunNetwork:
         out_full = run_network(net, full, 4)
         out_short = run_network(net, short, 2)
         assert out_full.channels["b"].intervals[:2] == out_short.channels["b"].intervals
+
+
+def test_each_run_starts_from_the_initial_configuration():
+    # A passthrough in a loop through a merge and a delay of 2, and an edge
+    # detector on its output: a buffer or a state that one run left behind
+    # would show in the next run on the same columns.
+    net = build_network(
+        [
+            Instance.of_merge("m"),
+            Instance.of_spec("p", passthrough()),
+            Instance.of_delay("d", 2),
+            Instance.of_spec("e", edge_detector()),
+        ],
+        [
+            wire("extern a", "m.in1"),
+            wire("d.out", "m.in2"),
+            wire("m.out", "p.in"),
+            wire("p.out", "d.in"),
+            wire("p.out", "e.in"),
+            wire("p.out", "extern b"),
+            wire("e.out", "extern y"),
+        ],
+        ["a"],
+        ["b", "y"],
+    )
+    columns = [[interval("x"), (), interval("z"), ()]]
+    network = _CompiledNetwork(net)
+    assert (network.in_channels, network.out_channels) == (("a",), ("b", "y"))
+    first = network.run(columns, 4)
+    assert first == [
+        [interval("x"), (), interval("z", "x"), ()],
+        [(), interval("x"), (), interval("x")],
+    ]
+    assert network.run(columns, 4) == first
+    inputs = Trace({"a": StreamPrefix(tuple(columns[0]))}, 4)
+    assert run_network(net, inputs, 4) == reference_run_network(net, inputs, 4)
