@@ -12,7 +12,8 @@ it needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "streams": ("Message", "ParseFailure", "StreamPrefix", "Trace", "interval"),
+    "streams": ("ChannelMismatchError", "Message", "ParseFailure", "StreamPrefix", "Trace",
+                "interval"),
     "operators": (
         "InvalidGranularityError",
         "LengthMismatchError",
@@ -41,7 +42,7 @@ _EXPORTS = {
         "VarUpdate",
     ),
     "analysis": ("CausalityClass", "classify_causality_syntactic", "validate_spec"),
-    "executor": ("ChannelMismatchError", "run"),
+    "executor": ("run",),
     "checks": ("check_untimed_simulation", "probe_causality"),
     "network": (
         "ChannelSetError",
@@ -62,10 +63,7 @@ _EXPORTS = {
     "table_format": ("parse_table", "print_table"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (
-    "analysis", "checks", "dsl", "executor", "gen", "model", "network", "operators", "streams",
-    "table_format", "trace_format",
-)
+_SUBMODULES = (*_EXPORTS, "gen")
 
 __all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"

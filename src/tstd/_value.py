@@ -8,28 +8,44 @@ so pickle and copy rebuild a value through ``__init__``.  A method the class
 defines itself is kept.  The class is rebuilt with its fields as
 ``__slots__``, so its instances have no ``__dict__``.
 
-The per-call methods (``__init__``, ``__eq__``, ``__hash__``) are compiled
-from one generated source text per class; the rest are shared.  This keeps
-import cheap: :mod:`dataclasses` imports :mod:`inspect` and compiles every
-method of every class on its own.
+Nothing is compiled per class: all value classes share one ``__init__``,
+which binds its arguments with the class's ``_defaults``, and one ``__eq__``
+and ``__hash__``, which read the fields through its ``_key``, an
+:func:`operator.attrgetter`.  (:mod:`dataclasses` compiles each method.)
 
 A value that holds a mapping stores it as a :class:`FrozenDict`.
 
-:func:`_tuple` writes a piece of the other generated source: the machines of
-:mod:`tstd.executor` and the network loop of :mod:`tstd.network`, which
-runs no machine when its network has none.
+:func:`_tuple` writes a piece of the generated source of what runs per tick:
+the machines of :mod:`tstd.executor` and the network loop of
+:mod:`tstd.network`, which runs no machine when its network has none.
 """
 
-_METHODS = """\
-def __init__(self, {params}):
-{body}
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine},) == ({theirs},)
-    return NotImplemented
-def __hash__(self):
-    return hash(({mine},))
-"""
+from operator import attrgetter
+
+
+def _init(self, *args, **kwargs):
+    cls = self.__class__
+    fields = cls.__match_args__
+    if kwargs or len(args) != len(fields):
+        # Bind the arguments as a function of the fields would.
+        rest = set(fields[len(args) :])
+        bound = {**cls._defaults, **kwargs}
+        if len(args) > len(fields) or not kwargs.keys() <= rest <= bound.keys():
+            raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(fields)}")
+        args = (*args, *map(bound.__getitem__, fields[len(args) :]))
+    for name, arg in zip(fields, args):
+        object.__setattr__(self, name, arg)
+    if cls._has_post_init:
+        self.__post_init__()
+
+
+def _eq(self, other):
+    same = other.__class__ is self.__class__
+    return self._key(self) == self._key(other) if same else NotImplemented
+
+
+def _hash(self):
+    return hash(self._key(self))
 
 
 def _repr(self):
@@ -41,47 +57,27 @@ def _reduce(self):
     return (self.__class__, tuple(getattr(self, f) for f in self.__match_args__))
 
 
-def _setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+def _refuse(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
+_METHODS = dict(
+    __init__=_init, __eq__=_eq, __hash__=_hash, __repr__=_repr, __reduce__=_reduce,
+    __setattr__=_refuse, __delattr__=_refuse,
+)
 
 
 def value(cls):
     """Class decorator: ``@value``."""
     fields = tuple(cls.__annotations__)
     defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-    body = {k: v for k, v in cls.__dict__.items() if k not in defaults}
-    for k in ("__dict__", "__weakref__"):
-        body.pop(k, None)
-    body.update(__slots__=fields, __qualname__=cls.__qualname__)
-    cls = type(cls)(cls.__name__, cls.__bases__, body)
-    lines = [f"    _set(self, {f!r}, {f})" for f in fields]
-    if hasattr(cls, "__post_init__"):
-        lines.append("    self.__post_init__()")
-    namespace = {"_set": object.__setattr__, "_defaults": defaults}
-    exec(
-        _METHODS.format(
-            params=", ".join(f"{f}=_defaults[{f!r}]" if f in defaults else f for f in fields),
-            body="\n".join(lines),
-            mine=", ".join(f"self.{f}" for f in fields),
-            theirs=", ".join(f"other.{f}" for f in fields),
-        ),
-        namespace,
+    dropped = {*defaults, "__dict__", "__weakref__"}
+    body = {**_METHODS, **{k: v for k, v in cls.__dict__.items() if k not in dropped}}
+    body.update(
+        __slots__=fields, __qualname__=cls.__qualname__, __match_args__=fields,
+        _defaults=defaults, _key=attrgetter(*fields), _has_post_init=hasattr(cls, "__post_init__"),
     )
-    methods = dict(
-        __repr__=_repr, __reduce__=_reduce, __setattr__=_setattr, __delattr__=_delattr
-    )
-    for name in ("__init__", "__eq__", "__hash__"):
-        methods[name] = namespace[name]
-        namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-    for name, method in methods.items():
-        if name not in cls.__dict__:
-            setattr(cls, name, method)
-    cls.__match_args__ = fields
-    return cls
+    return type(cls)(cls.__name__, cls.__bases__, body)
 
 
 class FrozenDict(dict):

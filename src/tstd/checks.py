@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ._value import value
 from .gen import interval_drawer, probe_alphabet
-from .streams import Message, Trace, _trace
+from .streams import ChannelMismatchError, Message, Trace, _trace
 
 if TYPE_CHECKING:
     from .model import ComponentSpec
@@ -146,8 +146,6 @@ def check_untimed_simulation(
     (machine_a, machine_b), rng, _, draw = _trials(trials, horizon, seed, spec_a, spec_b)
     sides = [(set(m.in_channels), set(m.out_channels)) for m in (machine_a, machine_b)]
     if sides[0] != sides[1]:
-        from .executor import ChannelMismatchError
-
         raise ChannelMismatchError("specs have different channel signatures")
     channels = machine_a.in_channels
     for _ in range(trials):

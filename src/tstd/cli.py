@@ -13,24 +13,28 @@ most of start-up is compiling source.  So this module imports only
 rest of what it runs when it runs: a ``.tstd`` spec loads :mod:`tstd.dsl`, a
 ``.ttab`` :mod:`tstd.table_format`, and only a command that reads or prints
 a trace loads :mod:`tstd.trace_format`, so a seeded check that finds no
-witness does not.  Likewise only the named command's argument parser is built.
-The handlers of the ``stream`` commands and ``gen-trace`` live in
-:mod:`tstd.trace_commands`, which only those commands compile; they load none
-of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
-:mod:`tstd.executor`, :mod:`tstd.checks`, :mod:`tstd.network`).
+witness does not.  :func:`_read_argv` reads a well-formed command's
+arguments, and only help and usage errors import :mod:`argparse` and build
+a parser, the named command's alone.  The handlers of the ``stream``
+commands and ``gen-trace`` live in :mod:`tstd.trace_commands`, which only
+those commands compile; they load none of the spec machinery
+(:mod:`tstd.dsl`, :mod:`tstd.model`, :mod:`tstd.executor`,
+:mod:`tstd.checks`, :mod:`tstd.network`).
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple, TypeVar
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
 
-from .streams import _INT_RE, ParseFailure
+from .streams import _INT_RE, ChannelMismatchError, ParseFailure
 
 if TYPE_CHECKING:
+    import argparse
+
     from .model import ComponentSpec
     from .network import Network
     from .streams import Trace
@@ -95,18 +99,6 @@ def _flush_stdout() -> None:
         sys.stdout.flush()
     except OSError as exc:
         raise _stdout_failure(exc) from exc
-
-
-class _Parser(argparse.ArgumentParser):
-    """Writes its help to stdout through :func:`_write_stdout`, so a failed
-    write is reported: argparse's own writer drops the error.  The parsers
-    of the subcommands are of this class too."""
-
-    def print_help(self, file=None) -> None:
-        if file is None:
-            _write_stdout(self.format_help())
-        else:
-            super().print_help(file)
 
 
 _T = TypeVar("_T")
@@ -175,7 +167,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .executor import ChannelMismatchError, run
+    from .executor import run
 
     spec = _load_validated_spec(args.spec)
     inputs = _load_trace(args.trace)
@@ -223,7 +215,6 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
 
 def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     from .checks import check_untimed_simulation
-    from .executor import ChannelMismatchError
 
     system_a, refused_a = _load_checked(args.spec_a)
     system_b, refused_b = _load_checked(args.spec_b)
@@ -307,25 +298,31 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return OK
 
 
+def _type_error(message: str) -> Exception:
+    from argparse import ArgumentTypeError  # which argparse reports as ``message``
+
+    return ArgumentTypeError(message)
+
+
 def _integer(raw: str) -> int:
     """An integer option, read by the file formats' rule: ASCII digits with
     an optional leading ``-``, and no ``+``, ``_`` or space."""
     if not _INT_RE.match(raw):
-        raise argparse.ArgumentTypeError(f"invalid integer: {raw!r}")
+        raise _type_error(f"invalid integer: {raw!r}")
     return int(raw)
 
 
 def _positive_int(raw: str) -> int:
     value = _integer(raw)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise _type_error("must be a positive integer")
     return value
 
 
 def _nonneg_int(raw: str) -> int:
     value = _integer(raw)
     if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+        raise _type_error("must be a nonnegative integer")
     return value
 
 
@@ -443,6 +440,19 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     does and prints the same help and errors: only the top-level parser
     lists the other commands, and it does so in its usage line, which the
     one-command parser writes out in full."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Writes its help to stdout through :func:`_write_stdout`, so a
+        failed write is reported: argparse's own writer drops the error.
+        The parsers of the subcommands are of this class too."""
+
+        def print_help(self, file=None) -> None:
+            if file is None:
+                _write_stdout(self.format_help())
+            else:
+                super().print_help(file)
+
     parser = _Parser(
         prog="tstd",
         description="Validate, simulate, compose and check timed state transition diagrams.",
@@ -468,12 +478,78 @@ def _parser_for(argv: List[str]) -> argparse.ArgumentParser:
     return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
 
 
+class _Declared:
+    """What an ``_add_*`` function declares, through the argparse calls it makes."""
+
+    def __init__(self) -> None:
+        self.positionals, self.options, self.defaults, self.commands = [], {}, {}, {}
+        self.dest: Optional[str] = None  # set by add_subparsers
+
+    def add_argument(self, name: str, **spec) -> None:
+        if name.startswith("-"):
+            dest = spec["dest"] = name.lstrip("-").replace("-", "_")
+            self.options[name] = spec
+            self.defaults[dest] = spec.get("default", False if spec.get("action") else None)
+        else:
+            self.positionals.append(name)
+
+    def set_defaults(self, **defaults) -> None:
+        self.defaults.update(defaults)
+
+    def add_subparsers(self, dest: str, **_) -> _Declared:
+        self.dest = dest
+        return self
+
+    def add_parser(self, name: str, **_) -> _Declared:
+        return self.commands.setdefault(name, _Declared())
+
+
+def _read_argv(argv: List[str]) -> Optional[SimpleNamespace]:
+    """What argparse parses from ``argv`` in its plainest form: exact names,
+    each option at most once by its flag with a valid value not starting with
+    ``-``, the declared positionals.  Else None, for argparse to parse it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    declared = _Declared()
+    _COMMANDS[argv[0]][1](declared)
+    values: Dict[str, object] = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    if declared.dest is not None:
+        values[declared.dest] = name = next(tokens, None)
+        if name not in declared.commands:
+            return None
+        declared = declared.commands[name]
+    values.update(declared.defaults)  # before the options given
+    positionals = []
+    for token in tokens:
+        spec = declared.options.pop(token, None)  # so a repeated flag is unknown
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif spec is None:
+            return None
+        elif spec.get("action") == "store_true":
+            values[spec["dest"]] = True
+        else:
+            raw = next(tokens, "-")
+            try:
+                value = spec.get("type", str)(raw)
+            except Exception:  # argparse reports the value
+                return None
+            if raw.startswith("-") or value not in spec.get("choices", (value,)):
+                return None
+            values[spec["dest"]] = value
+    left = declared.options.values()
+    if len(positionals) != len(declared.positionals) or any(s.get("required") for s in left):
+        return None
+    return SimpleNamespace(**values, **dict(zip(declared.positionals, positionals)))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
         try:
-            args = _parser_for(argv).parse_args(argv)
+            args = _read_argv(argv) or _parser_for(argv).parse_args(argv)
             return args.func(args)
         finally:
             # Flush now, not at exit, so that a failed write is reported

@@ -20,14 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
-from .streams import TimeInterval, Trace, _run_kernel, _trace
+from .streams import ChannelMismatchError, TimeInterval, Trace, _run_kernel, _trace
 
-__all__ = ["ChannelMismatchError", "run"]
-
-
-class ChannelMismatchError(ValueError):
-    """A trace's channel set does not match what the spec expects."""
-
+__all__ = ["run"]
 
 # Each pattern kind and relation as a Python expression over an input
 # interval ``i`` and a constant ``k``: the one statement of what a guard

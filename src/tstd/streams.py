@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from ._value import FrozenDict, value
 
 __all__ = [
+    "ChannelMismatchError",
     "IDENT_RE",
     "Message",
     "ParseFailure",
@@ -72,6 +73,15 @@ class Message:
 
     def __repr__(self) -> str:
         return f"Message({self.token()!r})"
+
+    # Machines compare messages every tick: these skip ``@value``'s ``_key``.
+    def __eq__(self, other):
+        if other.__class__ is Message:
+            return self.tag == other.tag and self.payload == other.payload
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.payload))
 
 
 # The content of one channel during one tick: a finite ordered message
@@ -141,6 +151,10 @@ class Trace:
 
     def tick(self, t: int) -> Dict[str, TimeInterval]:
         return {ch: prefix[t] for ch, prefix in self.channels.items()}
+
+
+class ChannelMismatchError(ValueError):
+    """A trace's channel set does not match what the spec expects."""
 
 
 def _trace(channels: Iterable[str], columns: Iterable, length: int) -> Trace:

@@ -28,9 +28,9 @@ their operator on whole prefixes: keyed by pairs or bodies, they took up to
 
 from __future__ import annotations
 
-import argparse
 from itertools import chain, islice
 from operator import itemgetter
+from typing import TYPE_CHECKING
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from .cli import (
@@ -46,6 +46,9 @@ from .cli import (
 )
 from .streams import IDENT_RE, StreamPrefix, TimeInterval, Trace
 from .trace_format import _print_column, _read_ticks, _trace_text, print_trace
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _read_columns(path: str) -> Tuple[List[Tuple[str, List[str]]], int, Dict[str, TimeInterval]]:

@@ -1,7 +1,9 @@
 import argparse
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -733,6 +735,97 @@ def test_one_command_parser_matches_the_full_parser(argv):
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == (argv[:1] if known else list(cli._COMMANDS))
     assert _parse_outcome(parser, argv) == _parse_outcome(cli.build_parser(), argv)
+
+
+# The argv shapes of the benchmark's commands, which the reader must read.
+BENCHMARK_ARGVS = [
+    ["validate", "r000.tstd"],
+    ["simulate", "gate.tstd", "gate_in.trc"],
+    ["compose", "ring.tnet", "ring_in.trc"],
+    ["check", "feedback", "ring.tnet"],
+    ["check", "causality", "r000.tstd", "--trials", "100", "--horizon", "16", "--seed", "0"],
+    ["stream", "split", "src.trc", "-n", "8", "--strategy", "spread"],
+    ["stream", "join", "split.trc", "-n", "8"],
+    ["gen-trace", "--channels", "in", "--ticks", "0"],
+]
+
+# Well-formed commands, among them every option of every command.
+WELL_FORMED = [
+    *BENCHMARK_ARGVS,
+    ["simulate", "a", "b", "--out", "o"],
+    ["compose", "n", "t", "--ticks", "3", "--out", "o"],
+    ["check", "untimed-sim", "a", "b", "--trials", "3", "--horizon", "4", "--seed", "1"],
+    ["stream", "join", "t", "-n", "2", "--pad"],
+    ["stream", "merge", "a", "b"],
+    ["stream", "abstract", "t"],
+    ["stream", "delay", "t", "-d", "0"],
+    ["gen-trace", "--channels", "a,b", "--ticks", "3", "--seed", "2", "--max-len", "1",
+     "--alphabet", "x,y"],
+    ["export-dot", "s"],
+    # Options before and between the positionals.
+    ["simulate", "--out", "o", "a", "b"],
+    ["compose", "n", "--ticks", "3", "t"],
+    ["check", "causality", "--seed", "1", "s", "--trials", "2"],
+    ["stream", "split", "-n", "2", "t"],
+    ["stream", "join", "--pad", "t", "-n", "2"],
+]
+
+
+def _mutants(seed, count):
+    """``count`` seeded mutations of the well-formed commands: a token
+    dropped, repeated or moved, ``--opt=value``, an abbreviated or attached
+    option, ``--``, ``-h`` or a negative value put in."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        argv = list(rng.choice(WELL_FORMED))
+        i = rng.randrange(len(argv))
+        options = [j for j, a in enumerate(argv) if a.startswith("-") and j + 1 < len(argv)]
+        kind = rng.randrange(8)
+        if kind == 0:
+            del argv[i]
+        elif kind == 1:
+            argv.insert(i, argv[i])
+        elif kind == 2:
+            argv.insert(rng.randrange(len(argv)), argv.pop(i))
+        elif kind == 3 and options:
+            j = rng.choice(options)
+            argv[j : j + 2] = [argv[j] + ("=" if argv[j].startswith("--") else "") + argv[j + 1]]
+        elif kind == 4 and options:
+            j = rng.choice(options)
+            argv[j] = argv[j][:4] if argv[j].startswith("--") else argv[j]
+        elif kind == 5:
+            argv.insert(i, rng.choice(["--", "-h", "--help", "-"]))
+        elif kind == 6 and options:
+            argv[rng.choice(options) + 1] = rng.choice(["-3", "-0", "--3"])
+        else:
+            argv += rng.choice([["--seed", "-3"], ["--trials", "2"], ["-n", "2"], ["--pad"], ["x"]])
+        out.append(argv)
+    return out
+
+
+def _read_as_parsed(argv):
+    """What the argv reader makes of ``argv``; fails unless that is None or
+    exactly what the full parser parses."""
+    args = cli._read_argv(list(argv))
+    if args is not None:
+        reader = SimpleNamespace(parse_args=lambda argv: args)
+        assert _parse_outcome(reader, argv) == _parse_outcome(cli.build_parser(), argv)
+    return args
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*PARSER_CASES, *map(list, INTEGER_OPTION_CASES), *_mutants(0, 200)],
+    ids=" ".join,
+)
+def test_the_argv_reader_is_argparse_or_defers(argv):
+    _read_as_parsed(argv)
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+def test_the_argv_reader_reads_well_formed_commands(argv):
+    assert _read_as_parsed(argv) is not None
 
 
 def _stdout(*argv):

@@ -50,7 +50,10 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 from tstd.cli import main
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's help and usage errors
+        code = exc.code
 sys.setprofile(None)
 idle = [
     name for name, module in sys.modules.items()
@@ -60,9 +63,14 @@ print(json.dumps([code, sorted(sys.modules), sorted(idle)]))
 """
 
 
-def _modules_after(*argv):
-    """The exit code of the command ``argv`` and the modules it loaded;
-    fails if it loaded a tstd submodule without calling into it."""
+# What building and running argparse loads.  Only help and a usage error
+# need it: each command run through _modules_after is well-formed.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def _loaded(*argv):
+    """The exit code of the command ``argv``, the modules it loaded and the
+    tstd submodules among them that it never called into."""
     done = subprocess.run(
         [sys.executable, "-S", "-c", _RUN_COMMAND.format(src=str(ROOT / "src")), *argv],
         capture_output=True,
@@ -72,8 +80,28 @@ def _modules_after(*argv):
     )
     assert done.returncode == 0, done.stderr
     code, modules, idle = json.loads(done.stdout)
+    return code, set(modules), idle
+
+
+def _modules_after(*argv):
+    """The exit code of the well-formed command ``argv`` and the modules it
+    loaded; fails if it loaded argparse, or a tstd submodule without calling
+    into it."""
+    code, modules, idle = _loaded(*argv)
     assert idle == [], f"{' '.join(argv)} loads modules it never calls into: {idle}"
-    return code, set(modules)
+    assert not modules & ARGPARSE, f"{' '.join(argv)} loads {sorted(modules & ARGPARSE)}"
+    return code, modules
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["simulate", "--bogus"], 2), (["--help"], 0)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    got, modules, _ = _loaded(*argv)
+    assert got == code
+    assert "argparse" in modules
 
 
 @pytest.mark.parametrize(
@@ -172,15 +200,16 @@ SPEC_MODULES = {"tstd.dsl", "tstd.model", "tstd.analysis", "tstd.executor"}
     [
         (["check", "causality", "delay1.tnet", "--trials", "5"], 0, set()),
         (["check", "causality", "feedback.tnet", "--trials", "5"], 1, SPEC_MODULES),
+        (["check", "untimed-sim", "identity.tnet", "delay1.tnet"], 1, set()),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_a_check_of_a_network_loads_the_spec_modules_only_for_its_components(
     argv, code, spec_modules
 ):
-    """delay1.tnet holds one delay, so its check runs no spec module;
-    feedback.tnet's component is parsed, analysed for the graph and
-    inlined by the executor."""
+    """delay1.tnet holds one delay and identity.tnet only a wire, so their
+    checks run no spec module; feedback.tnet's component is parsed, analysed
+    for the graph and inlined by the executor."""
     got, modules = _modules_after(*argv)
     assert got == code
     assert {"tstd.network", "tstd.checks", "tstd.gen"} <= modules

@@ -228,6 +228,18 @@ def test_positional_keyword_and_default_construction(name):
         cls(*args, None)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_construction_errors(name):
+    cls, fields, args, short, _, _ = CASES[name]
+    if short != ():  # a field is required
+        with pytest.raises(TypeError):
+            cls()
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=None)
+    with pytest.raises(TypeError):
+        cls(*args, **{fields[0]: args[0]})
+
+
 def test_defaults():
     assert Message("a").payload is None
     assert StreamPrefix().intervals == ()
