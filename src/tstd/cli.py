@@ -8,18 +8,19 @@ network wherever they take a component: an argument whose name ends in
 ``.tnet`` is a network, any other a component.
 
 Start-up is most of a short command's time, and without cached bytecode
-most of start-up is compiling source.  So this module imports only
-:mod:`tstd.streams`, which every command uses, and each command imports the
-rest of what it runs when it runs: a ``.tstd`` spec loads :mod:`tstd.dsl`, a
-``.ttab`` :mod:`tstd.table_format`, and only a command that reads or prints
-a trace loads :mod:`tstd.trace_format`, so a seeded check that finds no
-witness does not.  :func:`_read_argv` reads a well-formed command's
-arguments, and only help and usage errors import :mod:`argparse` and build
-a parser, the named command's alone.  The handlers of the ``stream``
-commands and ``gen-trace`` live in :mod:`tstd.trace_commands`, which only
-those commands compile; they load none of the spec machinery
-(:mod:`tstd.dsl`, :mod:`tstd.model`, :mod:`tstd.executor`,
-:mod:`tstd.checks`, :mod:`tstd.network`).
+most of start-up is compiling source.  So this module imports no other
+module of the package at its top, and each command imports what it runs
+when it runs: :mod:`tstd.streams` for what every format shares, a ``.tstd``
+spec :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`, and only a
+command that reads or prints a trace :mod:`tstd.trace_format`, so a seeded
+check that finds no witness does not.  Every command and its arguments are
+written once, in :data:`_COMMANDS`: :func:`_read_argv` reads a well-formed
+command's arguments from it, and only help and usage errors import
+:mod:`argparse` and build the parser of every command from it.  The
+handlers of the ``stream`` commands and ``gen-trace`` live in
+:mod:`tstd.trace_commands`, which only those commands compile; they load
+none of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
+:mod:`tstd.executor`, :mod:`tstd.checks`, :mod:`tstd.network`).
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, TypeVar
-
-from .streams import _INT_RE, ChannelMismatchError, ParseFailure
 
 if TYPE_CHECKING:
     import argparse
@@ -106,6 +105,8 @@ _T = TypeVar("_T")
 
 def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
     """Read ``path`` and parse it; a parse failure is a usage error."""
+    from .streams import ParseFailure
+
     text = _read_text(path)
     try:
         return parse(text)
@@ -151,6 +152,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .analysis import validate_spec
     from .dsl import _spec_parser
     from .model import has_errors
+    from .streams import ParseFailure
 
     text = _read_text(args.spec)
     try:
@@ -168,6 +170,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .executor import run
+    from .streams import ChannelMismatchError
 
     spec = _load_validated_spec(args.spec)
     inputs = _load_trace(args.trace)
@@ -215,6 +218,7 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
 
 def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     from .checks import check_untimed_simulation
+    from .streams import ChannelMismatchError
 
     system_a, refused_a = _load_checked(args.spec_a)
     system_b, refused_b = _load_checked(args.spec_b)
@@ -307,6 +311,8 @@ def _type_error(message: str) -> Exception:
 def _integer(raw: str) -> int:
     """An integer option, read by the file formats' rule: ASCII digits with
     an optional leading ``-``, and no ``+``, ``_`` or space."""
+    from .streams import _INT_RE
+
     if not _INT_RE.match(raw):
         raise _type_error(f"invalid integer: {raw!r}")
     return int(raw)
@@ -337,109 +343,62 @@ def _trace_command(name: str) -> Callable[[argparse.Namespace], int]:
     return run
 
 
-def _add_validate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_validate)
+_PROBE_OPTIONS = {
+    "--trials": dict(type=_positive_int, default=200),
+    "--horizon": dict(type=_positive_int, default=16),
+    "--seed": dict(type=_integer, default=0),
+}
 
-
-def _add_simulate(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec")
-    p.add_argument("trace")
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_simulate)
-
-
-def _add_stream(p: argparse.ArgumentParser) -> None:
-    stream_sub = p.add_subparsers(dest="op", required=True)
-
-    q = stream_sub.add_parser("split", help="refine granularity by a factor")
-    q.add_argument("trace")
-    q.add_argument("-n", type=_positive_int, required=True)
-    q.add_argument("--strategy", choices=("all-first", "all-last", "spread"), default="all-first")
-    q.set_defaults(func=_trace_command("cmd_stream_split"))
-
-    q = stream_sub.add_parser("join", help="coarsen granularity by a factor")
-    q.add_argument("trace")
-    q.add_argument("-n", type=_positive_int, required=True)
-    q.add_argument("--pad", action="store_true", help="pad with empty ticks to a multiple of n")
-    q.set_defaults(func=_trace_command("cmd_stream_join"))
-
-    q = stream_sub.add_parser("merge", help="tick-wise merge of two traces, left first")
-    q.add_argument("trace_a")
-    q.add_argument("trace_b")
-    q.set_defaults(func=_trace_command("cmd_stream_merge"))
-
-    q = stream_sub.add_parser("abstract", help="drop tick boundaries")
-    q.add_argument("trace")
-    q.set_defaults(func=_trace_command("cmd_stream_abstract"))
-
-    q = stream_sub.add_parser("delay", help="prepend empty ticks")
-    q.add_argument("trace")
-    q.add_argument("-d", type=_nonneg_int, required=True)
-    q.set_defaults(func=_trace_command("cmd_stream_delay"))
-
-
-def _add_check(p: argparse.ArgumentParser) -> None:
-    check_sub = p.add_subparsers(dest="kind", required=True)
-
-    q = check_sub.add_parser("causality", help="probe strong causality of a component")
-    q.add_argument("spec")
-    _add_probe_flags(q)
-    q.set_defaults(func=cmd_check_causality)
-
-    q = check_sub.add_parser("untimed-sim", help="compare two components modulo ticks")
-    q.add_argument("spec_a")
-    q.add_argument("spec_b")
-    _add_probe_flags(q)
-    q.set_defaults(func=cmd_check_untimed_sim)
-
-    q = check_sub.add_parser("feedback", help="check network feedback well-formedness")
-    q.add_argument("network")
-    q.set_defaults(func=cmd_check_feedback)
-
-
-def _add_compose(p: argparse.ArgumentParser) -> None:
-    p.add_argument("network")
-    p.add_argument("trace")
-    p.add_argument("--ticks", type=_nonneg_int)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=cmd_compose)
-
-
-def _add_gen_trace(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--channels", required=True, metavar="LIST")
-    p.add_argument("--ticks", type=_nonneg_int, required=True)
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--max-len", type=_nonneg_int, default=3)
-    p.add_argument("--alphabet", default="a,b,c", metavar="LIST")
-    p.set_defaults(func=_trace_command("cmd_gen_trace"))
-
-
-def _add_export_dot(p: argparse.ArgumentParser) -> None:
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_export_dot)
-
-
-# Each command: its help line and what adds its arguments, in --help order.
+# Each command, in --help order, with its help line.  A command that runs
+# has its handler, its positionals and its options, each a flag and the
+# keywords argparse is given for it; a command with subcommands has the name
+# its subcommand is stored under and their table, which is of the same kind.
 _COMMANDS = {
-    "validate": ("parse a component and report findings", _add_validate),
-    "simulate": ("run a component on an input trace", _add_simulate),
-    "stream": ("apply a stream operator to a trace file", _add_stream),
-    "check": ("randomized and structural checks", _add_check),
-    "compose": ("run a component network on a trace", _add_compose),
-    "gen-trace": ("generate a seeded random trace", _add_gen_trace),
-    "export-dot": ("render a component as a DOT digraph", _add_export_dot),
+    "validate": ("parse a component and report findings", cmd_validate, ("spec",), {}),
+    "simulate": ("run a component on an input trace", cmd_simulate, ("spec", "trace"),
+                 {"--out": dict(metavar="PATH")}),
+    "stream": ("apply a stream operator to a trace file", "op", {
+        "split": ("refine granularity by a factor", _trace_command("cmd_stream_split"),
+                  ("trace",), {
+                      "-n": dict(type=_positive_int, required=True),
+                      "--strategy": dict(choices=("all-first", "all-last", "spread"),
+                                         default="all-first"),
+                  }),
+        "join": ("coarsen granularity by a factor", _trace_command("cmd_stream_join"),
+                 ("trace",), {
+                     "-n": dict(type=_positive_int, required=True),
+                     "--pad": dict(action="store_true",
+                                   help="pad with empty ticks to a multiple of n"),
+                 }),
+        "merge": ("tick-wise merge of two traces, left first", _trace_command("cmd_stream_merge"),
+                  ("trace_a", "trace_b"), {}),
+        "abstract": ("drop tick boundaries", _trace_command("cmd_stream_abstract"), ("trace",), {}),
+        "delay": ("prepend empty ticks", _trace_command("cmd_stream_delay"), ("trace",),
+                  {"-d": dict(type=_nonneg_int, required=True)}),
+    }),
+    "check": ("randomized and structural checks", "kind", {
+        "causality": ("probe strong causality of a component", cmd_check_causality, ("spec",),
+                      _PROBE_OPTIONS),
+        "untimed-sim": ("compare two components modulo ticks", cmd_check_untimed_sim,
+                        ("spec_a", "spec_b"), _PROBE_OPTIONS),
+        "feedback": ("check network feedback well-formedness", cmd_check_feedback,
+                     ("network",), {}),
+    }),
+    "compose": ("run a component network on a trace", cmd_compose, ("network", "trace"),
+                {"--ticks": dict(type=_nonneg_int), "--out": dict(metavar="PATH")}),
+    "gen-trace": ("generate a seeded random trace", _trace_command("cmd_gen_trace"), (), {
+        "--channels": dict(required=True, metavar="LIST"),
+        "--ticks": dict(type=_nonneg_int, required=True),
+        "--seed": dict(type=_integer, default=0),
+        "--max-len": dict(type=_nonneg_int, default=3),
+        "--alphabet": dict(default="a,b,c", metavar="LIST"),
+    }),
+    "export-dot": ("render a component as a DOT digraph", cmd_export_dot, ("spec",), {}),
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given a command's name, a parser
-    with only that command's subparser, which takes less time to build.
-
-    The one-command parser parses that command's arguments as the full one
-    does and prints the same help and errors: only the top-level parser
-    lists the other commands, and it does so in its usage line, which the
-    one-command parser writes out in full."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in :data:`_COMMANDS`."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -453,82 +412,56 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             else:
                 super().print_help(file)
 
+    def add_commands(parser: argparse.ArgumentParser, dest: str, table: dict) -> None:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for name, (help_text, *entry) in table.items():
+            p = sub.add_parser(name, help=help_text)
+            if isinstance(entry[0], str):
+                add_commands(p, *entry)
+                continue
+            func, positionals, options = entry
+            for positional in positionals:
+                p.add_argument(positional)
+            for flag, spec in options.items():
+                p.add_argument(flag, **spec)
+            p.set_defaults(func=func)
+
     parser = _Parser(
         prog="tstd",
         description="Validate, simulate, compose and check timed state transition diagrams.",
     )
-    names = _COMMANDS if command is None else [command]
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+    add_commands(parser, "command", _COMMANDS)
     return parser
-
-
-def _add_probe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--horizon", type=_positive_int, default=16)
-    p.add_argument("--seed", type=_integer, default=0)
-
-
-def _parser_for(argv: List[str]) -> argparse.ArgumentParser:
-    """The one-command parser when ``argv`` starts with a command's name,
-    else the full parser (for ``--help``, no command or an unknown one)."""
-    return build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-
-
-class _Declared:
-    """What an ``_add_*`` function declares, through the argparse calls it makes."""
-
-    def __init__(self) -> None:
-        self.positionals, self.options, self.defaults, self.commands = [], {}, {}, {}
-        self.dest: Optional[str] = None  # set by add_subparsers
-
-    def add_argument(self, name: str, **spec) -> None:
-        if name.startswith("-"):
-            dest = spec["dest"] = name.lstrip("-").replace("-", "_")
-            self.options[name] = spec
-            self.defaults[dest] = spec.get("default", False if spec.get("action") else None)
-        else:
-            self.positionals.append(name)
-
-    def set_defaults(self, **defaults) -> None:
-        self.defaults.update(defaults)
-
-    def add_subparsers(self, dest: str, **_) -> _Declared:
-        self.dest = dest
-        return self
-
-    def add_parser(self, name: str, **_) -> _Declared:
-        return self.commands.setdefault(name, _Declared())
 
 
 def _read_argv(argv: List[str]) -> Optional[SimpleNamespace]:
     """What argparse parses from ``argv`` in its plainest form: exact names,
     each option at most once by its flag with a valid value not starting with
     ``-``, the declared positionals.  Else None, for argparse to parse it."""
-    if not argv or argv[0] not in _COMMANDS:
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
         return None
-    declared = _Declared()
-    _COMMANDS[argv[0]][1](declared)
     values: Dict[str, object] = {"command": argv[0]}
     tokens = iter(argv[1:])
-    if declared.dest is not None:
-        values[declared.dest] = name = next(tokens, None)
-        if name not in declared.commands:
+    if isinstance(entry[1], str):
+        _, dest, table = entry
+        values[dest] = name = next(tokens, None)
+        entry = table.get(name)
+        if entry is None:
             return None
-        declared = declared.commands[name]
-    values.update(declared.defaults)  # before the options given
+    _, values["func"], names, options = entry
+    options = dict(options)  # a flag given is popped, so a repeat is unknown
+    for flag, spec in options.items():  # the defaults, before the options given
+        values[_dest(flag)] = spec.get("default", False if spec.get("action") else None)
     positionals = []
     for token in tokens:
-        spec = declared.options.pop(token, None)  # so a repeated flag is unknown
+        spec = options.pop(token, None)
         if not token.startswith("-"):
             positionals.append(token)
         elif spec is None:
             return None
         elif spec.get("action") == "store_true":
-            values[spec["dest"]] = True
+            values[_dest(token)] = True
         else:
             raw = next(tokens, "-")
             try:
@@ -537,11 +470,15 @@ def _read_argv(argv: List[str]) -> Optional[SimpleNamespace]:
                 return None
             if raw.startswith("-") or value not in spec.get("choices", (value,)):
                 return None
-            values[spec["dest"]] = value
-    left = declared.options.values()
-    if len(positionals) != len(declared.positionals) or any(s.get("required") for s in left):
+            values[_dest(token)] = value
+    if len(positionals) != len(names) or any(s.get("required") for s in options.values()):
         return None
-    return SimpleNamespace(**values, **dict(zip(declared.positionals, positionals)))
+    return SimpleNamespace(**values, **dict(zip(names, positionals)))
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores an option's value under."""
+    return flag.lstrip("-").replace("-", "_")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -549,7 +486,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     try:
         try:
-            args = _read_argv(argv) or _parser_for(argv).parse_args(argv)
+            args = _read_argv(argv) or build_parser().parse_args(argv)
             return args.func(args)
         finally:
             # Flush now, not at exit, so that a failed write is reported

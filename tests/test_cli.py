@@ -1,4 +1,3 @@
-import argparse
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -728,15 +727,6 @@ PARSER_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_one_command_parser_matches_the_full_parser(argv):
-    parser = cli._parser_for(argv)
-    known = bool(argv) and argv[0] in cli._COMMANDS
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == (argv[:1] if known else list(cli._COMMANDS))
-    assert _parse_outcome(parser, argv) == _parse_outcome(cli.build_parser(), argv)
-
-
 # The argv shapes of the benchmark's commands, which the reader must read.
 BENCHMARK_ARGVS = [
     ["validate", "r000.tstd"],
@@ -826,6 +816,23 @@ def test_the_argv_reader_is_argparse_or_defers(argv):
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
 def test_the_argv_reader_reads_well_formed_commands(argv):
     assert _read_as_parsed(argv) is not None
+
+
+def _leaves(table, prefix=()):
+    """Each command of ``table`` that runs, as its argv prefix, with its flags."""
+    for name, (_, *entry) in table.items():
+        if isinstance(entry[0], str):
+            yield from _leaves(entry[1], (*prefix, name))
+        else:
+            yield (*prefix, name), set(entry[2])
+
+
+def test_well_formed_commands_cover_every_command_and_option():
+    for command, flags in _leaves(cli._COMMANDS):
+        argvs = [argv for argv in WELL_FORMED if tuple(argv[: len(command)]) == command]
+        assert argvs, f"no well-formed {' '.join(command)}"
+        missing = flags - set().union(*argvs)
+        assert not missing, f"{' '.join(command)}: {sorted(missing)}"
 
 
 def _stdout(*argv):

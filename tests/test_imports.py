@@ -99,9 +99,14 @@ def _modules_after(*argv):
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_help_and_usage_errors_load_argparse(argv, code):
-    got, modules, _ = _loaded(*argv)
+    """They load no tstd submodule that they never call into: the parser is
+    built from cli's table alone.  A bad integer such as ``-n 0`` is left
+    out: it loads tstd.streams for the INT rule, whose match, a C method,
+    counts as never called."""
+    got, modules, idle = _loaded(*argv)
     assert got == code
     assert "argparse" in modules
+    assert idle == []
 
 
 @pytest.mark.parametrize(
