@@ -813,6 +813,17 @@ def test_the_argv_reader_is_argparse_or_defers(argv):
     _read_as_parsed(argv)
 
 
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_main_with_the_argv_reader_matches_main_through_argparse(argv, monkeypatch, tmp_path):
+    """What ``main`` prints and returns, for help, usage errors and commands
+    whose files are missing, is the same when the full parser reads argv."""
+    monkeypatch.chdir(tmp_path)
+    with_reader = run_cli(*argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    through_argparse = run_cli(*argv)
+    assert vars(with_reader) == vars(through_argparse)
+
+
 @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
 def test_the_argv_reader_reads_well_formed_commands(argv):
     assert _read_as_parsed(argv) is not None
