@@ -12,19 +12,11 @@ feedback`` when their network uses a component.
 from __future__ import annotations
 
 import enum
+import operator
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .model import (
-    ComponentSpec,
-    Finding,
-    IntervalPattern,
-    PatternKind,
-    Relation,
-    Severity,
-    Transition,
-    VarGuard,
-    _errors,
-)
+from .model import ComponentSpec, Finding, Relation, Severity, Transition, VarGuard, _errors
 from .streams import TimeInterval
 
 __all__ = ["CausalityClass", "classify_causality_syntactic", "validate_spec"]
@@ -35,59 +27,35 @@ class CausalityClass(enum.Enum):
     WEAK = "weak"
 
 
+_HOLDS = {
+    Relation.LT: operator.lt,
+    Relation.LE: operator.le,
+    Relation.EQ: operator.eq,
+    Relation.NE: operator.ne,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
+
+
 def _satisfiable(guards: Sequence[VarGuard]) -> bool:
     """Whether some integer valuation satisfies all guards simultaneously.
 
-    Guards constrain each variable independently, so satisfiability splits
-    per variable into interval bounds plus a finite exclusion set.
+    Guards constrain each variable independently.  One variable's guards hold
+    together exactly when they all hold at a bound b, b - 1 or b + 1: the least
+    allowed value, if any, is a bound or one past a bound that a ``>`` or
+    ``!=`` guard refuses; the greatest, the same the other way; and if neither
+    exists, one past the largest ``!=`` bound is allowed.
     """
     by_var: Dict[str, List[VarGuard]] = {}
     for g in guards:
         by_var.setdefault(g.var, []).append(g)
     for var_guards in by_var.values():
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        exclude = set()
-        for g in var_guards:
-            if g.relation is Relation.LT:
-                ub = g.bound - 1
-                hi = ub if hi is None else min(hi, ub)
-            elif g.relation is Relation.LE:
-                hi = g.bound if hi is None else min(hi, g.bound)
-            elif g.relation is Relation.GT:
-                lb = g.bound + 1
-                lo = lb if lo is None else max(lo, lb)
-            elif g.relation is Relation.GE:
-                lo = g.bound if lo is None else max(lo, g.bound)
-            elif g.relation is Relation.EQ:
-                lo = g.bound if lo is None else max(lo, g.bound)
-                hi = g.bound if hi is None else min(hi, g.bound)
-            else:
-                exclude.add(g.bound)
-        if lo is not None and hi is not None:
-            if lo > hi:
-                return False
-            if all(v in exclude for v in range(lo, hi + 1)):
-                return False
-        # A half-open or unbounded range always holds infinitely many
-        # integers, so a finite exclusion set cannot empty it.
+        for value in {g.bound + d for g in var_guards for d in (-1, 0, 1)}:
+            if all(_HOLDS[g.relation](value, g.bound) for g in var_guards):
+                break
+        else:
+            return False
     return True
-
-
-def _patterns_may_overlap(a: IntervalPattern, b: IntervalPattern) -> bool:
-    # Syntactic rule: identical patterns overlap, and `any` subsumes anything.
-    # Distinct non-any patterns are treated as disjoint even when they are
-    # not (e.g. nonempty vs contains); this keeps the check trivially
-    # decidable and errs toward silence, not noise.
-    return a.kind is PatternKind.ANY or b.kind is PatternKind.ANY or a == b
-
-
-def _effective_patterns(t: Transition, in_channels: Sequence[str]) -> Dict[str, IntervalPattern]:
-    eff = {ch: IntervalPattern.any() for ch in in_channels}
-    for g in t.interval_guards:
-        if g.channel in eff:
-            eff[g.channel] = g.pattern
-    return eff
 
 
 def validate_spec(spec: ComponentSpec) -> List[Finding]:
@@ -103,37 +71,33 @@ def validate_spec(spec: ComponentSpec) -> List[Finding]:
         findings.append(Finding(Severity.WARNING, msg))
 
     if not findings:
-        in_order = spec.in_channels()
         by_source: Dict[str, List[Tuple[int, Transition]]] = {}
         for idx, t in enumerate(spec.transitions, start=1):
             by_source.setdefault(t.source, []).append((idx, t))
         for state in spec.states:
-            group = by_source.get(state, [])
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    ia, ta = group[i]
-                    ib, tb = group[j]
-                    pa = _effective_patterns(ta, in_order)
-                    pb = _effective_patterns(tb, in_order)
-                    if all(_patterns_may_overlap(pa[ch], pb[ch]) for ch in in_order) and _satisfiable(
-                        ta.var_guards + tb.var_guards
-                    ):
-                        warning(
-                            f"transitions {ia} and {ib} from state '{state}' can be "
-                            "enabled simultaneously; declaration order decides"
-                        )
+            for (ia, ta), (ib, tb) in combinations(by_source.get(state, ()), 2):
+                # Syntactic rule: patterns overlap on a channel that both
+                # transitions guard only when equal, as `any` (which Transition
+                # drops) subsumes anything.  Distinct patterns are treated as
+                # disjoint even when they are not (e.g. nonempty vs contains);
+                # this keeps the check trivially decidable and errs toward
+                # silence, not noise.
+                patterns = {g.channel: g.pattern for g in tb.interval_guards}
+                if all(
+                    patterns.get(g.channel, g.pattern) == g.pattern for g in ta.interval_guards
+                ) and _satisfiable(ta.var_guards + tb.var_guards):
+                    warning(
+                        f"transitions {ia} and {ib} from state '{state}' can be "
+                        "enabled simultaneously; declaration order decides"
+                    )
 
         reachable = {spec.initial}
         frontier = [spec.initial]
-        targets: Dict[str, List[str]] = {}
-        for t in spec.transitions:
-            targets.setdefault(t.source, []).append(t.target)
         while frontier:
-            s = frontier.pop()
-            for nxt in targets.get(s, ()):
-                if nxt not in reachable:
-                    reachable.add(nxt)
-                    frontier.append(nxt)
+            for _, t in by_source.get(frontier.pop(), ()):
+                if t.target not in reachable:
+                    reachable.add(t.target)
+                    frontier.append(t.target)
         for s in spec.states:
             if s not in reachable:
                 warning(f"state '{s}' is unreachable from the initial state")

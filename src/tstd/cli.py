@@ -310,12 +310,16 @@ def _type_error(message: str) -> Exception:
 
 def _integer(raw: str) -> int:
     """An integer option, read by the file formats' rule: ASCII digits with
-    an optional leading ``-``, and no ``+``, ``_`` or space."""
-    from .streams import _INT_RE
+    an optional leading ``-``, and no ``+``, ``_`` or space, within the
+    interpreter's digit limit."""
+    from .streams import _INT_RE, _int, _LongInteger
 
     if not _INT_RE.match(raw):
         raise _type_error(f"invalid integer: {raw!r}")
-    return int(raw)
+    try:
+        return _int(raw)
+    except _LongInteger as exc:
+        raise _type_error(str(exc)) from None
 
 
 def _positive_int(raw: str) -> int:

@@ -23,7 +23,9 @@ The syntactic causality rule is read the direct way too: a classifier that
 scans every transition once per state, the channels a state fixes read one
 channel at a time, and an emission table taken from the first transition
 leaving each state; ``tstd.model`` derives all three in one pass over the
-transitions.
+transitions.  Whether guards on variables can hold together is read by
+trying every integer between their bounds, where ``tstd.analysis`` tries
+only the values next to each bound.
 """
 
 import operator
@@ -36,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from tstd.analysis import CausalityClass
 from tstd.checks import CausalityProbeResult, SimulationCheckResult
 from tstd.gen import fresh_tag, probe_alphabet, spec_tags
-from tstd.model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp
+from tstd.model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, VarGuard
 from tstd.network import (
     ExternalPort,
     IllFormedNetworkError,
@@ -116,6 +118,21 @@ def reference_enabled(
         if patterns and relations:
             enabled.append(t)
     return enabled
+
+
+def reference_satisfiable(guards: Sequence[VarGuard]) -> bool:
+    """Whether some integer valuation satisfies all ``guards``: per variable,
+    every integer from its least bound - 1 to its greatest bound + 1 is
+    tried.  That search is complete, because a guard's truth depends only on
+    where the value lies relative to its bound, so any value outside the
+    range acts as the range's nearer end."""
+    for var in {g.var for g in guards}:
+        own = [g for g in guards if g.var == var]
+        bounds = [g.bound for g in own]
+        values = range(min(bounds) - 1, max(bounds) + 2)
+        if not any(all(_RELATION_HOLDS[g.relation](v, g.bound) for g in own) for v in values):
+            return False
+    return True
 
 
 # A configuration between ticks: the control state and the variables'

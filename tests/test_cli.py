@@ -1,5 +1,8 @@
+import errno
 import io
+import os
 import random
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,6 +14,11 @@ from tstd import cli
 from tstd.trace_format import parse_trace
 
 from conftest import SAMPLES, run_cli
+
+
+def _is_a_directory(path):
+    """What an OSError says when ``path``, a directory, is opened as a file."""
+    return f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
 
 
 class TestValidate:
@@ -44,6 +52,22 @@ class TestValidate:
         r = run_cli("validate", str(p))
         assert r.code == 1
         assert r.out == "error: line 4:1: expected 'var NAME = INT'\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("  when i: len=-1", "malformed interval pattern 'len=-1'"),
+            ("  set x := y + 1", "expected 'set VAR := VAR + INT | VAR - INT | INT'"),
+            ("component n", "duplicate component declaration"),
+            ("  when 1x: empty", "expected 'when CH: PATTERN[, VAR REL INT ...]'"),
+        ],
+    )
+    def test_parse_error_names_its_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.tstd"
+        head = "component m\nin chan i\nout chan o\nvar x = 0\nstate S initial\ntrans S -> S\n"
+        p.write_text(f"{head}{line}\n")
+        r = run_cli("validate", str(p))
+        assert (r.code, r.out, r.err) == (1, f"error: line 7:1: {message}\n", "")
 
     def test_warnings_only_exit_zero(self, samples):
         r = run_cli("validate", str(samples / "counter.tstd"))
@@ -112,6 +136,17 @@ class TestSimulate:
         r = run_cli("simulate", str(samples / "watchdog.tstd"), str(trc))
         assert r.code == 2
         assert "big.trc:2:1: integer literal of 5000 digits" in r.err
+
+    def test_out_that_is_a_directory_cannot_be_written(self, samples, tmp_path):
+        r = run_cli(
+            "simulate",
+            str(samples / "toggler.tstd"),
+            str(samples / "empty4.trc"),
+            "--out",
+            str(tmp_path),
+        )
+        assert (r.code, r.out) == (3, "")
+        assert r.err == f"cannot write '{tmp_path}': {_is_a_directory(tmp_path)}\n"
 
 
 class TestStream:
@@ -299,6 +334,20 @@ class TestCheck:
         assert r.code == 2
         assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
         assert r.out == ""
+
+    def test_feedback_merge_takes_no_argument(self, tmp_path):
+        net = tmp_path / "m.tnet"
+        net.write_text("use m = merge x\nwire extern a -> m.in1\n")
+        r = run_cli("check", "feedback", str(net))
+        assert (r.code, r.out, r.err) == (2, "", f"{net}:1:1: 'merge' takes no argument\n")
+
+    def test_feedback_component_file_that_is_a_directory(self, tmp_path):
+        net = tmp_path / "dir.tnet"
+        net.write_text(f"use c = file {tmp_path}\n")
+        r = run_cli("check", "feedback", str(net))
+        assert (r.code, r.out) == (2, "")
+        error = _is_a_directory(tmp_path)
+        assert r.err == f"{net}:1:1: cannot read component file '{tmp_path}': {error}\n"
 
     def test_feedback_ill_formed(self, samples):
         r = run_cli("check", "feedback", str(samples / "feedback_undelayed.tnet"))
@@ -672,6 +721,26 @@ def test_integer_options_follow_the_file_formats_rule(argv, samples):
     assert (r.code, r.out) == (2, "")
     assert r.err.startswith("usage: ")
     assert r.err.endswith(f": invalid integer: {argv[-1]!r}\n")
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "causality", "toggler.tstd", "--seed"),
+        ("stream", "split", "empty4.trc", "-n"),
+        ("gen-trace", "--channels", "a", "--ticks"),
+    ],
+    ids=" ".join,
+)
+def test_integer_options_past_the_digit_limit_say_so(argv, samples):
+    limit = sys.get_int_max_str_digits()
+    argv = [str(samples / a) if a.endswith((".tstd", ".trc")) else a for a in argv]
+    r = run_cli(*argv, "1" * (limit + 1))
+    assert (r.code, r.out) == (2, "")
+    assert r.err.startswith("usage: ")
+    message = f"integer literal of {limit + 1} digits exceeds the limit of {limit}"
+    assert r.err.endswith(f": {message}\n")
 
 
 def test_a_negative_seed_is_accepted(samples):

@@ -39,7 +39,7 @@ from tstd import (
     run_network,
     split,
 )
-from tstd.analysis import _strong_outputs, validate_spec
+from tstd.analysis import _satisfiable, _strong_outputs, validate_spec
 from tstd.executor import _Machine
 from tstd.gen import random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
@@ -74,6 +74,7 @@ from reference import (
     reference_random_trace,
     reference_run,
     reference_run_network,
+    reference_satisfiable,
     reference_split,
     reference_step,
     reference_stream_command,
@@ -432,6 +433,30 @@ def test_causality_rule_matches_reference():
         seen["strong emits"] += verdict is CausalityClass.STRONG and any(map(any, emits))
         seen["weak fixes some"] += verdict is CausalityClass.WEAK and bool(fixed)
     assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_satisfiable_matches_reference():
+    # A variable's bounds lie within 4 of one offset, 0 or beyond +-10**30,
+    # so the reference's search stays short while big bounds are covered.
+    rng = Random(1931)
+    seen = {"satisfiable": 0, "unsatisfiable": 0, "big bound": 0}
+    seen.update((relation, 0) for relation in Relation)
+    n = 20_000
+    for i in range(n):
+        guards = []
+        for var in rng.sample("xyz", rng.randint(1, 3)):
+            offset = rng.choice((0, 0, 0, 10**30 + 1, -(10**30) - 1))
+            seen["big bound"] += offset != 0
+            for _ in range(rng.randint(1, 4)):
+                relation = rng.choice(list(Relation))
+                seen[relation] += 1
+                guards.append(VarGuard(var, relation, offset + rng.randint(-4, 4)))
+        rng.shuffle(guards)
+        answer = _satisfiable(guards)
+        assert answer is reference_satisfiable(guards), (i, guards)
+        seen["satisfiable" if answer else "unsatisfiable"] += 1
+    assert seen["satisfiable"] >= n // 4 and seen["unsatisfiable"] >= n // 4, seen
+    assert all(count >= 1000 for count in seen.values()), seen
 
 
 def test_run_and_step_match_reference_on_wide_specs():

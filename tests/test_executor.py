@@ -6,7 +6,7 @@ from tstd.analysis import validate_spec
 from tstd.checks import check_untimed_simulation, probe_causality
 from tstd.dsl import parse_component
 from tstd.executor import ChannelMismatchError, _Machine, run
-from tstd.gen import random_spec, random_trace
+from tstd.gen import probe_alphabet, random_spec, random_trace
 from tstd.model import (
     ChannelDecl,
     ComponentSpec,
@@ -353,6 +353,12 @@ class TestProbeCausality:
         assert result.consistent_with_strong
         assert result.trials == 0
 
+
+    def test_the_probe_alphabet_adds_a_tag_no_spec_names(self):
+        guard = IntervalGuard("in", IntervalPattern.contains(Message("fresh")))
+        emit = OutputAction.literal("out", interval("fresh_x"))
+        spec = make_spec([Transition("S0", "S0", interval_guards=(guard,), outputs=(emit,))])
+        assert probe_alphabet(spec) == ["fresh", "fresh_x", "fresh_x_x"]
 
 def test_only_a_returned_witness_becomes_a_trace(monkeypatch, samples):
     # Trials run on plain input columns; a refutation makes its witnesses.

@@ -83,6 +83,38 @@ class TestValidate:
         t2 = Transition("S0", "S0", var_guards=(VarGuard("v", Relation.GE, 3),))
         assert len(warnings(validate_spec(make_spec([t1, t2], vars=[v])))) == 1
 
+    @pytest.mark.parametrize(
+        "first, second, warns",
+        [
+            # Guards on different channels can both hold on one tick.
+            ([("in", IntervalPattern.empty())], [("in2", IntervalPattern.nonempty())], True),
+            (["x < 1"], ["x > 1"], False),
+            (["x != 0"], [], True),
+            (["x >= 0", "x <= 0"], ["x != 0"], False),
+            # Distinct patterns count as disjoint, though these two can both hold.
+            (
+                [("in", IntervalPattern.nonempty())],
+                [("in", IntervalPattern.contains(Message("a")))],
+                False,
+            ),
+        ],
+    )
+    def test_overlap_cases(self, first, second, warns):
+        def transition(clauses):
+            relations = [c.split() for c in clauses if isinstance(c, str)]
+            return Transition(
+                "S0",
+                "S0",
+                interval_guards=tuple(IntervalGuard(*c) for c in clauses if isinstance(c, tuple)),
+                var_guards=tuple(VarGuard(v, Relation.parse(r), int(b)) for v, r, b in relations),
+            )
+
+        channels = (IN, ChannelDecl("in2", Direction.IN), OUT)
+        spec = make_spec(
+            [transition(first), transition(second)], vars=[VarDecl("x", 0)], channels=channels
+        )
+        assert len(warnings(validate_spec(spec))) == warns
+
     def test_unreachable_state_warning(self):
         spec = make_spec([], states=("S0", "S1"))
         found = warnings(validate_spec(spec))
