@@ -3,23 +3,24 @@
 Exit codes: 0 success, 1 a check was refuted or the input failed validation,
 2 usage or parse error, 3 unreadable or unwritable file, stdout included.
 Data goes to stdout, diagnostics to stderr; every command is deterministic
-given its arguments, input files, and seed.  The seeded checks take a
-network wherever they take a component: an argument whose name ends in
-``.tnet`` is a network, any other a component.
+given its arguments, input files, and seed.  One loader, :func:`_load_system`,
+reads each argument that names a system by its file name: a ``.tnet`` is a
+network, any other a component.  Every such command takes either kind but
+``check feedback``, which takes a network, and ``export-dot``.
 
 Start-up is most of a short command's time, and without cached bytecode
 most of start-up is compiling source.  So this module imports no other
 module of the package at its top, and each command imports what it runs
 when it runs: :mod:`tstd.streams` for what every format shares, a ``.tstd``
-spec :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`, and only a
-command that reads or prints a trace :mod:`tstd.trace_format`, so a seeded
-check that finds no witness does not.  Every command and its arguments are
-written once, in :data:`_COMMANDS`: :func:`_read_argv` reads a well-formed
-command's arguments from it, and only help and usage errors import
-:mod:`argparse` and build the parser of every command from it.  The
-handlers of the ``stream`` commands and ``gen-trace`` live in
-:mod:`tstd.trace_commands`, which only those commands compile; they load
-none of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
+spec :mod:`tstd.dsl`, a ``.ttab`` :mod:`tstd.table_format`, a ``.tnet``
+:mod:`tstd.network`, and only a command that reads or prints a trace
+:mod:`tstd.trace_format`, so a seeded check that finds no witness does not.
+Every command and its arguments are written once, in :data:`_COMMANDS`:
+:func:`_read_argv` reads a well-formed command's arguments from it, and only
+help and usage errors import :mod:`argparse` and build the parser of every
+command from it.  The handlers of the ``stream`` commands and ``gen-trace``
+live in :mod:`tstd.trace_commands`, which only those commands compile; they
+load none of the spec machinery (:mod:`tstd.dsl`, :mod:`tstd.model`,
 :mod:`tstd.executor`, :mod:`tstd.checks`, :mod:`tstd.network`).
 """
 
@@ -57,14 +58,14 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise _Failure(IO_ERROR, f"cannot read '{path}': {exc}") from exc
+        raise _Failure(IO_ERROR, f"cannot read '{path}': {exc.strerror or exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _Failure(IO_ERROR, f"cannot write '{path}': {exc}") from exc
+        raise _Failure(IO_ERROR, f"cannot write '{path}': {exc.strerror or exc}") from exc
 
 
 def _stdout_failure(exc: OSError) -> _Failure:
@@ -115,16 +116,39 @@ def _parse_file(path: str, parse: Callable[[str], _T]) -> _T:
         raise _Failure(USAGE, "\n".join(lines)) from exc
 
 
-def _load_validated_spec(path: str) -> ComponentSpec:
+def _is_network(path: str) -> bool:
+    return path.endswith(".tnet")
+
+
+def _parser(path: str) -> Callable[[str], ComponentSpec | Network]:
+    """The parser of the system file ``path`` by its name: a network's, whose
+    components resolve relative to it, else :func:`tstd.dsl._spec_parser`'s."""
+    if _is_network(path):
+        from .network import parse_network
+
+        return lambda text: parse_network(text, base_dir=Path(path).parent)
     from .dsl import _spec_parser
+
+    return _spec_parser(path)
+
+
+def _load_system(path: str) -> Tuple[ComponentSpec | Network, Tuple[type, ...]]:
+    """The system at ``path`` (:func:`_parser`), a component refused with its
+    errors, exit 1; and the errors, exit 1, that refuse a run of it: a channel
+    mismatch, and an ill-formed network's."""
+    from .streams import ChannelMismatchError
+
+    system = _parse_file(path, _parser(path))
+    if _is_network(path):
+        from .network import IllFormedNetworkError
+
+        return system, (ChannelMismatchError, IllFormedNetworkError)
     from .model import _errors
 
-    spec = _parse_file(path, _spec_parser(path))
-    errors = _errors(spec)
-    if errors:
-        report = "\n".join(f"{path}: {f.render()}" for f in errors)
+    report = "\n".join(f"{path}: {f.render()}" for f in _errors(system))
+    if report:
         raise _Failure(REFUTED, report)
-    return spec
+    return system, (ChannelMismatchError,)
 
 
 def _load_trace(path: str) -> Trace:
@@ -149,46 +173,67 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .analysis import validate_spec
-    from .dsl import _spec_parser
-    from .model import has_errors
     from .streams import ParseFailure
 
-    text = _read_text(args.spec)
     try:
-        spec = _spec_parser(args.spec)(text)
+        system = _parser(args.spec)(_read_text(args.spec))
     except ParseFailure as exc:
         _write_stdout("".join(f"error: line {issue.render()}\n" for issue in exc.issues))
         return REFUTED
-    findings = validate_spec(spec)
+    if _is_network(args.spec):
+        return _feedback_verdict(system, "ok: network", "error")
+    from .analysis import validate_spec
+    from .model import has_errors
+
+    findings = validate_spec(system)
     _write_stdout("".join(f"{f.render()}\n" for f in findings))
     if has_errors(findings):
         return REFUTED
-    _write_stdout(f"ok: component '{spec.name}'\n")
+    _write_stdout(f"ok: component '{system.name}'\n")
+    return OK
+
+
+def _run_system(args: argparse.Namespace, path: str, ticks: Optional[int], summary: bool) -> int:
+    """Run the system at ``path`` (:func:`_load_system`) on ``args.trace``
+    for ``ticks`` ticks if given, which a system with inputs takes only as
+    the trace's length, and print its output and, if asked, a summary."""
+    from .streams import Trace
+
+    system, refused = _load_system(path)
+    inputs = _load_trace(args.trace)
+    network, length = _is_network(path), inputs.length
+    ticks = length if ticks is None else ticks
+    if ticks != length and (system.external_in if network else system.in_channels()):
+        raise _Failure(USAGE, f"--ticks {ticks} conflicts with the {length}-tick input trace")
+    _check_result_ticks(ticks)
+    try:
+        if network:
+            from .network import run_network
+
+            outputs = run_network(system, inputs, ticks)
+        else:
+            from .executor import run
+
+            # A trace of no channel is only its length.
+            outputs = run(system, inputs if inputs.channels else Trace.empty((), ticks))
+    except refused as exc:
+        raise _Failure(REFUTED, str(exc)) from exc
+    _emit_trace(outputs, args.out, f"simulated {ticks} ticks" if summary else None)
     return OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .executor import run
-    from .streams import ChannelMismatchError
+    return _run_system(args, args.spec, None, summary=True)
 
-    spec = _load_validated_spec(args.spec)
-    inputs = _load_trace(args.trace)
-    try:
-        outputs = run(spec, inputs)
-    except ChannelMismatchError as exc:
-        raise _Failure(REFUTED, str(exc)) from exc
-    _emit_trace(outputs, args.out, summary=f"simulated {outputs.length} ticks")
-    return OK
+
+def cmd_compose(args: argparse.Namespace) -> int:
+    return _run_system(args, args.network, args.ticks, summary=False)
 
 
 def _check_result_ticks(count: int, unit: str = "ticks") -> None:
     """Refuse a factor, tick count or length that makes the result longer
-    than any sequence can be.
-
-    Checked before the operator, network or generator runs, which would
-    otherwise fail on the index-sized repeat count or start filling memory.
-    """
+    than any sequence can be, before the operator, system or generator runs
+    and fails on the index-sized repeat count or starts filling memory."""
     if count > sys.maxsize:
         raise _Failure(USAGE, f"result too large: more than {sys.maxsize} {unit}")
 
@@ -196,7 +241,7 @@ def _check_result_ticks(count: int, unit: str = "ticks") -> None:
 def cmd_check_causality(args: argparse.Namespace) -> int:
     from .checks import probe_causality
 
-    system, refused = _load_checked(args.spec)
+    system, refused = _load_system(args.spec)
     _check_result_ticks(args.horizon)
     try:
         result = probe_causality(system, trials=args.trials, horizon=args.horizon, seed=args.seed)
@@ -218,16 +263,15 @@ def cmd_check_causality(args: argparse.Namespace) -> int:
 
 def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     from .checks import check_untimed_simulation
-    from .streams import ChannelMismatchError
 
-    system_a, refused_a = _load_checked(args.spec_a)
-    system_b, refused_b = _load_checked(args.spec_b)
+    system_a, refused_a = _load_system(args.spec_a)
+    system_b, refused_b = _load_system(args.spec_b)
     _check_result_ticks(args.horizon)
     try:
         result = check_untimed_simulation(
             system_a, system_b, trials=args.trials, horizon=args.horizon, seed=args.seed
         )
-    except (ChannelMismatchError, *refused_a, *refused_b) as exc:
+    except (*refused_a, *refused_b) as exc:
         raise _Failure(REFUTED, str(exc)) from exc
     if result.agree:
         _write_stdout(f"agree ({args.trials} trials, horizon {args.horizon})\n")
@@ -245,60 +289,30 @@ def cmd_check_untimed_sim(args: argparse.Namespace) -> int:
     return REFUTED
 
 
-def _load_network(path: str) -> Network:
-    from .network import parse_network
-
-    return _parse_file(path, lambda text: parse_network(text, base_dir=Path(path).parent))
-
-
-def _load_checked(path: str) -> Tuple[ComponentSpec | Network, Tuple[type, ...]]:
-    """What a seeded check runs: the network at ``path`` if its name ends in
-    ``.tnet``, else the validated component there; and the errors, exit 1,
-    by which the check refuses it: an ill-formed network's."""
-    if path.endswith(".tnet"):
-        from .network import IllFormedNetworkError
-
-        return _load_network(path), (IllFormedNetworkError,)
-    return _load_validated_spec(path), ()
-
-
-def cmd_check_feedback(args: argparse.Namespace) -> int:
+def _feedback_verdict(net: Network, ok: str, refuted: str) -> int:
+    """Print ``ok`` if ``net``'s feedback is well-formed, else ``refuted`` and its cycle."""
     from .network import check_feedback_wellformed
 
-    net = _load_network(args.network)
     result = check_feedback_wellformed(net)
     if result.well_formed:
-        _write_stdout("well-formed\n")
+        _write_stdout(f"{ok}\n")
         return OK
-    _write_stdout("ill-formed: instantaneous cycle " + " -> ".join(result.cycle) + "\n")
+    _write_stdout(f"{refuted}: instantaneous cycle {' -> '.join(result.cycle)}\n")
     return REFUTED
 
 
-def cmd_compose(args: argparse.Namespace) -> int:
-    from .network import ChannelSetError, IllFormedNetworkError, run_network
-
-    net = _load_network(args.network)
-    inputs = _load_trace(args.trace)
-    ticks = args.ticks if args.ticks is not None else inputs.length
-    if net.external_in and ticks != inputs.length:
-        raise _Failure(
-            USAGE,
-            f"--ticks {ticks} conflicts with the {inputs.length}-tick input trace",
-        )
-    _check_result_ticks(ticks)
-    try:
-        outputs = run_network(net, inputs, ticks)
-    except (IllFormedNetworkError, ChannelSetError) as exc:
-        raise _Failure(REFUTED, str(exc)) from exc
-    _emit_trace(outputs, args.out)
-    return OK
+def cmd_check_feedback(args: argparse.Namespace) -> int:
+    if not _is_network(args.network):
+        raise _Failure(USAGE, f"{args.network}: check feedback takes a network (*.tnet)")
+    return _feedback_verdict(_load_system(args.network)[0], "well-formed", "ill-formed")
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    if _is_network(args.spec):
+        raise _Failure(USAGE, f"{args.spec}: export-dot draws a component, not a network")
     from .dsl import export_dot
 
-    spec = _load_validated_spec(args.spec)
-    _write_stdout(export_dot(spec))
+    _write_stdout(export_dot(_load_system(args.spec)[0]))
     return OK
 
 
@@ -358,8 +372,8 @@ _PROBE_OPTIONS = {
 # keywords argparse is given for it; a command with subcommands has the name
 # its subcommand is stored under and their table, which is of the same kind.
 _COMMANDS = {
-    "validate": ("parse a component and report findings", cmd_validate, ("spec",), {}),
-    "simulate": ("run a component on an input trace", cmd_simulate, ("spec", "trace"),
+    "validate": ("parse a component or network and report findings", cmd_validate, ("spec",), {}),
+    "simulate": ("run a component or network on an input trace", cmd_simulate, ("spec", "trace"),
                  {"--out": dict(metavar="PATH")}),
     "stream": ("apply a stream operator to a trace file", "op", {
         "split": ("refine granularity by a factor", _trace_command("cmd_stream_split"),

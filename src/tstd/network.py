@@ -31,9 +31,10 @@ endings and ``#`` comments like the other formats::
     wire extern NAME -> B.in
     wire A.out -> extern NAME
 
-A component file is read as a table (:mod:`tstd.table_format`) when its name
-ends in ``.ttab`` and as component text (:mod:`tstd.dsl`) otherwise, the rule
-of :func:`tstd.dsl._spec_parser`, which ``tstd validate`` follows too.
+A ``use`` line's file follows the file-name rule of every command: a name
+ending in ``.tnet`` is a network, which a ``use`` line refuses; one ending in
+``.ttab`` a table (:mod:`tstd.table_format`); any other component text
+(:mod:`tstd.dsl`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .streams import (
     _IDENT,
     _INT_RE,
     IDENT_RE,
+    ChannelMismatchError,
     ParseFailure,
     TimeInterval,
     Trace,
@@ -102,7 +104,7 @@ class NetworkBuildError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class ChannelSetError(ValueError):
+class ChannelSetError(ChannelMismatchError):
     """External input trace channels do not match the network boundary."""
 
     def __init__(self, expected: Tuple[str, ...], got: Tuple[str, ...]):
@@ -502,7 +504,7 @@ def parse_network(
     """Parse a network wiring file; referenced component files are loaded
     relative to ``base_dir`` (by :func:`tstd.dsl._spec_parser`'s rule: a name
     ending in ``.ttab`` is a table) and their parse and ``validate_spec``
-    errors reported at the ``use`` line.
+    errors reported at the ``use`` line, as is a network file named there.
     """
     issues = _Issues()
     load = loader or _load_spec
@@ -532,6 +534,8 @@ def parse_network(
             if kind == "file":
                 if not arg:
                     issues.add(lineno, 1, "expected a file path after 'file'")
+                elif arg.endswith(".tnet"):
+                    issues.add(lineno, 1, f"network file {arg!r} cannot be used as a component")
                 else:
                     inst = _load_instance(name, base, arg, load, lineno, issues, loaded)
             elif kind == "delay":
@@ -623,7 +627,7 @@ def _load_instance(
     if isinstance(outcome, FileNotFoundError):
         issues.add(lineno, 1, f"component file not found: {arg!r}")
     elif isinstance(outcome, OSError):
-        issues.add(lineno, 1, f"cannot read component file {arg!r}: {outcome}")
+        issues.add(lineno, 1, f"cannot read component file {arg!r}: {outcome.strerror or outcome}")
     elif isinstance(outcome, ParseFailure):
         for issue in outcome.issues:
             issues.add(lineno, 1, f"in {arg!r} at {issue.span.render()}: {issue.message}")

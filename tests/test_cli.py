@@ -16,9 +16,9 @@ from tstd.trace_format import parse_trace
 from conftest import SAMPLES, run_cli
 
 
-def _is_a_directory(path):
-    """What an OSError says when ``path``, a directory, is opened as a file."""
-    return f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{path}'"
+def _is_a_directory():
+    """What an OSError says, without its path, when a directory is opened as a file."""
+    return os.strerror(errno.EISDIR)
 
 
 class TestValidate:
@@ -146,7 +146,7 @@ class TestSimulate:
             str(tmp_path),
         )
         assert (r.code, r.out) == (3, "")
-        assert r.err == f"cannot write '{tmp_path}': {_is_a_directory(tmp_path)}\n"
+        assert r.err == f"cannot write '{tmp_path}': {_is_a_directory()}\n"
 
 
 class TestStream:
@@ -346,7 +346,7 @@ class TestCheck:
         net.write_text(f"use c = file {tmp_path}\n")
         r = run_cli("check", "feedback", str(net))
         assert (r.code, r.out) == (2, "")
-        error = _is_a_directory(tmp_path)
+        error = _is_a_directory()
         assert r.err == f"{net}:1:1: cannot read component file '{tmp_path}': {error}\n"
 
     def test_feedback_ill_formed(self, samples):
@@ -607,6 +607,84 @@ class TestCompose:
         assert r.code == 2
 
 
+class TestSystemArguments:
+    """Every argument that names a system is read by its file name: a
+    ``.tnet`` is a network, any other a component."""
+
+    def test_simulate_runs_a_network(self, samples):
+        r = run_cli("simulate", str(samples / "delay1.tnet"), str(samples / "empty4.trc"))
+        assert (r.code, r.out, r.err) == (0, "ticks out\n" + "out: -\n" * 4, "simulated 4 ticks\n")
+
+    def test_compose_runs_a_component(self, samples):
+        r = run_cli("compose", str(samples / "passthrough.tstd"), str(samples / "empty4.trc"))
+        assert (r.code, r.out, r.err) == (0, "ticks out\n" + "out: -\n" * 4, "")
+
+    def test_compose_ticks_of_a_component_without_inputs(self, tmp_path):
+        spec = _saved(
+            tmp_path / "beat.tstd",
+            "component beat\nout chan out\nstate S initial\ntrans S -> S\n  emit out: tick\n",
+        )
+        trc = _saved(tmp_path / "none.trc", "ticks\n")
+        r = run_cli("compose", spec, trc, "--ticks", "3")
+        assert (r.code, r.out, r.err) == (0, "ticks out\n" + "out: tick\n" * 3, "")
+        r = run_cli("simulate", spec, trc)
+        assert (r.code, r.out, r.err) == (0, "ticks out\n", "simulated 0 ticks\n")
+
+    def test_compose_ticks_conflict_for_a_component(self, samples):
+        spec, trc = samples / "passthrough.tstd", samples / "empty4.trc"
+        r = run_cli("compose", str(spec), str(trc), "--ticks", "3")
+        assert (r.code, r.out) == (2, "")
+        assert r.err == "--ticks 3 conflicts with the 4-tick input trace\n"
+
+    def test_simulate_of_a_network_names_its_channel_mismatch(self, samples):
+        r = run_cli("simulate", str(samples / "feedback.tnet"), str(samples / "empty4.trc"))
+        assert (r.code, r.out) == (1, "")
+        assert r.err == "external inputs ['in'] do not match network inputs ['src']\n"
+
+    @pytest.mark.parametrize("net", sorted(p.name for p in SAMPLES.glob("*.tnet")))
+    def test_validate_sample_network(self, net):
+        r = run_cli("validate", str(SAMPLES / net))
+        if net == "feedback_undelayed.tnet":
+            assert (r.code, r.out) == (1, "error: instantaneous cycle m -> p\n")
+        else:
+            assert (r.code, r.out) == (0, "ok: network\n")
+        assert r.err == ""
+
+    def test_validate_network_prints_its_issues_in_validates_format(self, tmp_path, monkeypatch):
+        # The component resolves relative to the network, not the working directory.
+        net = mute_network(tmp_path)
+        monkeypatch.chdir(SAMPLES)
+        r = run_cli("validate", str(net))
+        assert (r.code, r.err) == (1, "")
+        assert r.out == "error: line 1:1: in 'mute.tstd': spec declares no output channel\n"
+
+    def test_check_feedback_refuses_a_component(self, samples):
+        path = str(samples / "passthrough.tstd")
+        r = run_cli("check", "feedback", path)
+        assert (r.code, r.out) == (2, "")
+        assert r.err == f"{path}: check feedback takes a network (*.tnet)\n"
+
+    def test_export_dot_refuses_a_network(self, samples):
+        path = str(samples / "delay1.tnet")
+        r = run_cli("export-dot", path)
+        assert (r.code, r.out) == (2, "")
+        assert r.err == f"{path}: export-dot draws a component, not a network\n"
+
+    @pytest.mark.parametrize("command", [["check", "feedback"], ["validate"]])
+    def test_a_network_file_is_not_a_component(self, samples, tmp_path, command):
+        (tmp_path / "sub.tnet").write_text((samples / "identity.tnet").read_text())
+        net = _saved(
+            tmp_path / "outer.tnet",
+            "wire extern in -> n.in\nuse n = file sub.tnet\nwire n.out -> extern out\n",
+        )
+        r = run_cli(*command, net)
+        message = "2:1: network file 'sub.tnet' cannot be used as a component"
+        if command == ["validate"]:
+            assert (r.code, r.out, r.err) == (1, f"error: line {message}\n", "")
+        else:
+            assert (r.code, r.out, r.err) == (2, "", f"{net}:{message}\n")
+
+
 class TestGenTrace:
     def test_deterministic(self):
         a = run_cli("gen-trace", "--channels", "x,y", "--ticks", "20", "--seed", "7")
@@ -827,6 +905,10 @@ WELL_FORMED = [
     ["check", "causality", "--seed", "1", "s", "--trials", "2"],
     ["stream", "split", "-n", "2", "t"],
     ["stream", "join", "--pad", "t", "-n", "2"],
+    # A system of the other kind than the command took before.
+    ["simulate", "delay1.tnet", "empty4.trc"],
+    ["compose", "passthrough.tstd", "empty4.trc"],
+    ["validate", "delay1.tnet"],
 ]
 
 
@@ -987,6 +1069,49 @@ def test_cli_law(law, seed, tmp_path):
     trace = _stdout("gen-trace", "--channels", "a,b", "--ticks", "50", "--seed", seed)
     left, right = law(tmp_path, _saved(tmp_path / "in_ab.trc", trace), seed)
     assert left == right
+
+
+def _inputs_of(path):
+    """The input channels of the system at ``path``: a network's externs or
+    a component's in channels."""
+    from tstd.network import parse_network
+    from tstd.dsl import _spec_parser
+
+    if path.suffix == ".tnet":
+        return parse_network(path.read_text(), base_dir=path.parent).external_in
+    return _spec_parser(path.name)(path.read_text()).in_channels()
+
+
+def _simulate_and_compose(path, seed, tmp_path):
+    """simulate and compose of the system at ``path`` on a gen-trace of its inputs."""
+    channels = ",".join(_inputs_of(path))
+    trace = _stdout("gen-trace", "--channels", channels, "--ticks", "50", "--seed", seed)
+    trace = _saved(tmp_path / "in.trc", trace)
+    return run_cli("simulate", str(path), trace), run_cli("compose", str(path), trace)
+
+
+@pytest.mark.parametrize("seed", ["3", "4"])
+@pytest.mark.parametrize("net", sorted(p.name for p in SAMPLES.glob("*.tnet")))
+def test_simulate_of_a_network_is_compose(net, seed, tmp_path):
+    """Both print the same trace and exit alike; both refuse the ill-formed
+    feedback_undelayed.tnet, exit 1, with the cycle."""
+    simulated, composed = _simulate_and_compose(SAMPLES / net, seed, tmp_path)
+    assert (simulated.code, simulated.out) == (composed.code, composed.out)
+    if net == "feedback_undelayed.tnet":
+        cycle = "network has an instantaneous feedback cycle: m -> p\n"
+        assert (simulated.code, simulated.out, simulated.err, composed.err) == (1, "", cycle, cycle)
+    else:
+        assert (simulated.code, composed.err) == (0, "")
+
+
+@pytest.mark.parametrize("seed", ["3", "4"])
+@pytest.mark.parametrize(
+    "spec", sorted(p.name for p in SAMPLES.iterdir() if p.suffix in (".tstd", ".ttab"))
+)
+def test_compose_of_a_component_is_simulate(spec, seed, tmp_path):
+    simulated, composed = _simulate_and_compose(SAMPLES / spec, seed, tmp_path)
+    assert (composed.code, composed.out, composed.err) == (0, simulated.out, "")
+    assert simulated.code == 0
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,32 @@ def test_network_commands_import_network():
         assert ("tstd.executor" in modules) == (machines and argv[0] == "compose")
 
 
+def test_simulate_of_a_network_of_built_ins_loads_no_spec_module():
+    code, modules = _modules_after("simulate", "identity.tnet", "empty4.trc")
+    assert code == 0
+    assert {"tstd.network", "tstd.trace_format"} <= modules
+    assert not modules & {"tstd.dsl", "tstd.model", "tstd.analysis", "tstd.executor"}
+
+
+@pytest.mark.parametrize("net", ["delay1.tnet", "feedback.tnet"])
+def test_validate_of_a_network_runs_no_machine(net):
+    """It parses the network and checks its feedback: the spec modules load
+    only for a component, and the executor never."""
+    code, modules = _modules_after("validate", net)
+    assert code == 0
+    assert "tstd.network" in modules
+    spec_modules = {"tstd.dsl", "tstd.model", "tstd.analysis"}
+    assert modules & spec_modules == (spec_modules if net == "feedback.tnet" else set())
+    assert not modules & {"tstd.executor", "tstd.trace_format", "tstd.table_format"}
+
+
+def test_compose_of_a_component_loads_no_network():
+    code, modules = _modules_after("compose", "passthrough.tstd", "empty4.trc")
+    assert code == 0
+    assert {"tstd.dsl", "tstd.model", "tstd.executor", "tstd.trace_format"} <= modules
+    assert not modules & {"tstd.network", "tstd.analysis", "tstd.table_format"}
+
+
 # Every spec command, with the seeded checks both refuted and not.
 SPEC_COMMANDS = pytest.mark.parametrize(
     "argv, code",
