@@ -4,15 +4,15 @@
 ``check_untimed_simulation`` compares two machines modulo tick boundaries.
 Each compiles what it is given once, by one dispatch (:func:`_compile`),
 and reuses it for every trial: a spec into a machine of :mod:`tstd.executor`,
-a network into its compiled network, which has the machine's interface.
-Both draw their trials the same way (:func:`_trials`): from
-``Random(seed)``, over every tag the specs (a network's too) mention plus
-one they never mention, up to three messages a tick, one column of
-intervals per input channel, channel after channel.  They run those columns
-through the machines whole, seeing a machine only through its channels and
-its ``run``, and make a :class:`Trace` only of a witness they return.  Both
-report evidence, never proofs.  Only the ``check`` commands import this
-module, and with it :mod:`tstd.gen`.
+a network into its compiled network, each run by
+:func:`tstd.streams._run_kernel`.  Both draw their trials the same way
+(:func:`_trials`): from ``Random(seed)``, over every tag the specs (a
+network's too) mention plus one they never mention, up to three messages a
+tick, one column of intervals per input channel, channel after channel.
+They see a machine only through its channels and configurations, and make
+a :class:`Trace` only of a witness they return.  Both report evidence,
+never proofs.  Only the ``check`` commands import this module, and with it
+:mod:`tstd.gen`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 from ._value import value
 from .gen import interval_drawer, probe_alphabet
-from .streams import ChannelMismatchError, Message, Trace, _trace
+from .streams import ChannelMismatchError, Message, Trace, _run_kernel, _trace
 
 if TYPE_CHECKING:
     from .model import ComponentSpec
@@ -85,11 +85,11 @@ class CausalityProbeResult:
 def probe_causality(spec: System, trials: int, horizon: int, seed: int) -> CausalityProbeResult:
     """Search for evidence that output at some tick depends on same-tick input.
 
-    Runs ``trials`` input pairs through the machine of a spec or a network,
-    each input up to the tick where the pair first differs, the cut.  An
-    output difference at the cut refutes strong causality.  Finding nothing
-    only means the machine is consistent with strong causality on the
-    sampled traces.
+    Runs ``trials`` input pairs through the machine of a spec or a network
+    up to the tick where the pair first differs, the cut, running the ticks
+    before it, which the pair shares, once.  An output difference at the cut
+    refutes strong causality.  Finding nothing only means the machine is
+    consistent with strong causality on the sampled traces.
     """
     (machine,), rng, alphabet, draw = _trials(trials, horizon, seed, spec)
     channels = machine.in_channels
@@ -106,11 +106,12 @@ def probe_causality(spec: System, trials: int, horizon: int, seed: int) -> Causa
         if all(col[cut] == tail[0] for col, tail in zip(a, b_tails)):
             rng.choice(b_tails)[0] += (bump,)
         # The pair agrees before the cut, so the deterministic machine's
-        # outputs do too: run each input up to the cut and compare that tick.
-        out_a = machine.run([col[: cut + 1] for col in a], cut + 1)
-        out_b = machine.run([col[:cut] + tail[:1] for col, tail in zip(a, b_tails)], cut + 1)
-        for ch, col_a, col_b in zip(machine.out_channels, out_a, out_b):
-            if col_a[cut] != col_b[cut]:
+        # outputs do too: run the shared ticks once, then each cut tick.
+        _, config = _run_kernel(machine, [col[:cut] for col in a], cut, machine.initial(cut + 1))
+        out_a, _ = _run_kernel(machine, [col[cut : cut + 1] for col in a], 1, config)
+        out_b, _ = _run_kernel(machine, [tail[:1] for tail in b_tails], 1, config)
+        for ch, (tick_a,), (tick_b,) in zip(machine.out_channels, out_a, out_b):
+            if tick_a != tick_b:
                 b = [col[:cut] + tail for col, tail in zip(a, b_tails)]
                 return CausalityProbeResult(
                     refuted=True, trials=trials, witness_a=_trace(channels, a, horizon),
@@ -153,8 +154,8 @@ def check_untimed_simulation(
         # spec_b may declare the same channels in another order.
         by_name = dict(zip(channels, inputs))
         inputs_b = [by_name[ch] for ch in machine_b.in_channels]
-        out_a = dict(zip(machine_a.out_channels, machine_a.run(inputs, horizon)))
-        out_b = dict(zip(machine_b.out_channels, machine_b.run(inputs_b, horizon)))
+        out_a = dict(zip(machine_a.out_channels, _run_kernel(machine_a, inputs, horizon)[0]))
+        out_b = dict(zip(machine_b.out_channels, _run_kernel(machine_b, inputs_b, horizon)[0]))
         for ch in sorted(out_a):
             seq_a = tuple(chain.from_iterable(out_a[ch]))
             seq_b = tuple(chain.from_iterable(out_b[ch]))

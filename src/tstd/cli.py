@@ -120,13 +120,14 @@ def _is_network(path: str) -> bool:
     return path.endswith(".tnet")
 
 
-def _parser(path: str) -> Callable[[str], ComponentSpec | Network]:
+def _parser(path: str, warnings=None) -> Callable[[str], ComponentSpec | Network]:
     """The parser of the system file ``path`` by its name: a network's, whose
-    components resolve relative to it, else :func:`tstd.dsl._spec_parser`'s."""
+    components resolve relative to it and give their warnings to
+    ``warnings``, else :func:`tstd.dsl._spec_parser`'s."""
     if _is_network(path):
         from .network import parse_network
 
-        return lambda text: parse_network(text, base_dir=Path(path).parent)
+        return lambda text: parse_network(text, Path(path).parent, warnings=warnings)
     from .dsl import _spec_parser
 
     return _spec_parser(path)
@@ -173,13 +174,16 @@ def _emit_trace(trace: Trace, out_path: Optional[str], summary: Optional[str] = 
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    from .streams import ParseFailure
+    from .streams import ParseFailure, _Issues
 
+    warnings = _Issues()  # a network's components', after its errors
     try:
-        system = _parser(args.spec)(_read_text(args.spec))
+        system = _parser(args.spec, warnings)(_read_text(args.spec))
     except ParseFailure as exc:
         _write_stdout("".join(f"error: line {issue.render()}\n" for issue in exc.issues))
         return REFUTED
+    finally:
+        _write_stdout("".join(f"warning: line {issue.render()}\n" for issue in warnings.items))
     if _is_network(args.spec):
         return _feedback_verdict(system, "ok: network", "error")
     from .analysis import validate_spec

@@ -6,12 +6,12 @@ transition, the first enabled one, and is total, so when nothing is enabled
 the machine stutters in place and stays silent, time always advances and a
 T-tick input yields exactly a T-tick output.  One tick of a spec is
 generated in one place, :func:`_tick_source`, under names its caller picks,
-and wrapped twice: by a machine's own loop, which ``run`` calls over a whole
-input and which fires any number of ticks from any configuration, and by the
-tick loop of a compiled network (:mod:`tstd.network`), which inlines it once
-per instance and so advances all of a network's machines in lock step.  The
-seeded checks, which run whole inputs, live in :mod:`tstd.checks`, and
-:class:`Trace` in :mod:`tstd.streams`.
+and wrapped twice: by a machine's own loop, and by the tick loop of a
+compiled network (:mod:`tstd.network`), which inlines it once per instance
+and so advances all of a network's machines in lock step.  Each loop fires
+any number of ticks from any configuration, run by
+:func:`tstd.streams._run_kernel`.  The seeded checks live in
+:mod:`tstd.checks`, and :class:`Trace` in :mod:`tstd.streams`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
-from .streams import ChannelMismatchError, TimeInterval, Trace, _run_kernel, _trace
+from .streams import ChannelMismatchError, Trace, _run_kernel, _trace
 
 __all__ = ["run"]
 
@@ -148,16 +148,16 @@ class _Machine:
 
     States are indices into ``spec.states``, a variable valuation (an env)
     is a tuple in ``var_names`` order, and a machine sees only intervals:
-    tick inputs and the input columns of :meth:`run` come in ``in_channels``
-    order, tick outputs and output columns in ``out_channels`` order.
+    tick inputs and input columns come in ``in_channels`` order, tick
+    outputs and output columns in ``out_channels`` order.
 
-    ``kernel(ticks, state, env, a0, a1, ...)`` wraps :func:`_tick_source` in
-    a loop over the iterator ``ticks``, each item one tick's input
-    intervals, with the variables as local variables.  It fires from
-    configuration ``(state, env)``, passes each output channel's interval to
-    that channel's ``a<c>``, and returns the configuration it ends in.  Its
-    source holds only names it makes and integer indices; every value of
-    the spec (messages, bounds, update values, literal outputs) reaches it
+    It is a system of :func:`tstd.streams._run_kernel` whose configuration
+    is ``(state, env)``.  ``kernel(ticks, config, a0, a1, ...)`` wraps
+    :func:`_tick_source` in a loop over the iterator ``ticks``, each item
+    one tick's input intervals, with the variables as local variables, and
+    passes each output channel's interval to that channel's ``a<c>``.  Its
+    source holds only names it makes and integer indices; every value of the
+    spec (messages, bounds, update values, literal outputs) reaches it
     through its namespace.
 
     Compiling refuses a spec with errors: the ValueError names the first
@@ -169,8 +169,7 @@ class _Machine:
         "out_channels",
         "state_index",
         "var_names",
-        "initial_state",
-        "initial_env",
+        "start",
         "kernel",
     )
 
@@ -180,8 +179,7 @@ class _Machine:
         self.out_channels = spec.out_channels()
         self.state_index = {s: i for i, s in enumerate(spec.states)}
         self.var_names = tuple(v.name for v in spec.vars)
-        self.initial_state = self.state_index[spec.initial]
-        self.initial_env = tuple(v.initial for v in spec.vars)
+        self.start = (self.state_index[spec.initial], tuple(v.initial for v in spec.vars))
         inputs = [f"i{i}" for i in range(len(self.in_channels))]
         appends = [f"a{c}" for c in range(len(self.out_channels))]
         variables = [f"v{j}" for j in range(len(self.var_names))]
@@ -190,8 +188,8 @@ class _Machine:
         tick = _tick_source(spec, namespace, "state", inputs, outputs, variables)
         env = _tuple(variables)
         source = [
-            f"def kernel(ticks, state, env{''.join(', ' + a for a in appends)}):",
-            f"    {env} = env",
+            f"def kernel(ticks, config{''.join(', ' + a for a in appends)}):",
+            f"    state, {env} = config",
             f"    for {_tuple(inputs)} in ticks:",
             *("        " + line for line in tick or ["pass"]),
             f"    return state, {env}",
@@ -199,9 +197,8 @@ class _Machine:
         exec("\n".join(source), namespace)
         self.kernel = namespace["kernel"]
 
-    def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
-        config = (self.initial_state, self.initial_env)
-        return _run_kernel(self.kernel, columns, length, len(self.out_channels), *config)
+    def initial(self, length: int) -> tuple:
+        return self.start
 
 
 def run(spec: ComponentSpec, inputs: Trace) -> Trace:
@@ -210,14 +207,13 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
     The input trace must carry exactly the spec's input channels; the result
     carries exactly its output channels and has the same tick count.
     """
-    expected = set(spec.in_channels())
-    got = set(inputs.channels)
+    expected, got = set(spec.in_channels()), set(inputs.channels)
     if expected != got:
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
         raise ChannelMismatchError(
-            f"input trace channels do not match spec: missing {missing}, unexpected {extra}"
+            f"input trace channels do not match spec: missing {sorted(expected - got)}, "
+            f"unexpected {sorted(got - expected)}"
         )
     machine = _Machine(spec)
     columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
-    return _trace(machine.out_channels, machine.run(columns, inputs.length), inputs.length)
+    outputs, _ = _run_kernel(machine, columns, inputs.length)
+    return _trace(machine.out_channels, outputs, inputs.length)

@@ -42,7 +42,8 @@ def interval_drawer(alphabet: Sequence[str], max_len: int) -> Callable[[Random],
     it is not below n.  So ``rng`` gives the intervals, and is left in the
     state, of ``randrange(max_len + 1)`` and then ``choice(messages)`` per
     message, without those methods' frames.  As with ``choice``, an empty
-    alphabet raises IndexError once a length above zero is drawn.
+    alphabet raises IndexError once a length above zero is drawn; a length
+    that no list can hold raises MemoryError before its messages are drawn.
     """
     messages = tuple(Message(tag) for tag in alphabet)
     if max_len < 0:
@@ -57,6 +58,8 @@ def interval_drawer(alphabet: Sequence[str], max_len: int) -> Callable[[Random],
             length = bits(length_bits)
         if length and not count:
             raise IndexError("Cannot choose from an empty sequence")
+        if length >> 20:
+            [None] * length  # MemoryError now if no list can hold it
         out = []
         for _ in range(length):
             r = bits(count_bits)

@@ -43,7 +43,6 @@ import enum
 import re
 from collections import deque
 from graphlib import CycleError, TopologicalSorter
-from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -54,7 +53,6 @@ from .streams import (
     IDENT_RE,
     ChannelMismatchError,
     ParseFailure,
-    TimeInterval,
     Trace,
     _int,
     _Issues,
@@ -373,14 +371,15 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
 
 
 class _CompiledNetwork:
-    """A network compiled once, behind the interface of
-    ``tstd.executor._Machine``: ``in_channels`` are its external inputs,
-    ``out_channels`` its external outputs, and each ``run`` fires it from
-    its initial configuration.  Compiling refuses an ill-formed network, and
-    a spec with errors with the ValueError of ``tstd.executor``.
+    """A network compiled once into a system of :func:`tstd.streams._run_kernel`:
+    its channels are its externs, and its configuration has one part per
+    machine, its ``(state, env)``, and per delay, its buffer as a tuple of
+    at most ``length`` intervals, in topological order.  Compiling refuses
+    an ill-formed network, and a spec with errors with the ValueError of
+    ``tstd.executor``.
 
-    ``kernel(ticks, length, o0, ...)`` makes each delay's buffer and sets
-    each machine's state and variables, then runs the tick loop.  An
+    ``kernel(ticks, config, o0, ...)`` unpacks ``config``, each delay's
+    buffer into a deque, runs the tick loop and packs where it ends.  An
     instance's emit is a delay's ``popleft``, nothing for a merge, or for a
     machine a row of its emit table, built here from the causality rule's
     answer that the graph already read: per state, the intervals the state
@@ -402,10 +401,15 @@ class _CompiledNetwork:
             raise IllFormedNetworkError(
                 "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
             )
+        if strong:  # else no machine: check feedback and built-ins run none
+            from .executor import _refuse_errors, _tick_source
+
+            for spec in strong:
+                _refuse_errors(spec)
         self.in_channels, self.out_channels = net.external_in, net.external_out
         # One local variable per external input and per instance output port;
-        # the names, like every other name of the loop, are made here, and
-        # every value (delay depths, initial envs, emit rows) goes in by namespace.
+        # the names, like every other name of the loop, are made here, each
+        # value (emit rows, a spec's constants) goes in by namespace.
         var_of: Dict[Endpoint, str] = {
             ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
         }
@@ -415,10 +419,10 @@ class _CompiledNetwork:
         fed_by = {wire.target: var_of[wire.source] for wire in net.wires}
 
         instances = {inst.id: inst for inst in net.instances}
-        # The specs already checked for errors: each distinct one is checked once.
-        checked: set = set()
-        namespace: Dict[str, object] = {"deque": deque, "repeat": repeat}
-        init: List[str] = []
+        namespace: Dict[str, object] = {"deque": deque}
+        # Per part of the configuration, how the kernel reads and packs it,
+        # and what initial() reads: a machine's start or a delay's depth.
+        unpack, pack, self.starts = [], [], []
         emit: List[str] = []
         fire: List[str] = []
         for n, iid in enumerate(order):
@@ -431,28 +435,20 @@ class _CompiledNetwork:
             emitted = [var for var, is_fixed in outs if is_fixed]
             fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
             if inst.kind is InstanceKind.DELAY:
-                # Each run makes its buffer.  A delay deeper than the run
-                # emits nothing but its first empty intervals, and needs no
-                # more of them than there are ticks.
-                namespace[f"D{n}"] = inst.delay
-                init.append(f"b{n} = deque(repeat((), min(D{n}, length)))")
+                unpack.append(f"b{n} = deque(config[{len(pack)}])")
+                pack.append(f"tuple(b{n})")
+                self.starts.append(inst.delay)
                 emit.append(f"{emitted[0]} = b{n}.popleft()")
                 fire.append(f"b{n}.append({ins[0]})")
             elif inst.kind is InstanceKind.MERGE:
                 fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
             else:
-                # Imported here: check feedback, and a network of built-ins
-                # only, run no machine.
-                from .executor import _refuse_errors, _tick_source
-
                 spec = inst.spec
-                if spec not in checked:
-                    _refuse_errors(spec)
-                    checked.add(spec)
                 variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
-                namespace[f"V{n}"] = tuple(v.initial for v in spec.vars)
-                initial = spec.states.index(spec.initial)
-                init.append(f"s{n}, {_tuple(variables)} = {initial}, V{n}")
+                pack.append(f"(s{n}, {_tuple(variables)})")
+                unpack.append(f"{pack[-1]} = config[{len(pack) - 1}]")
+                start = tuple(v.initial for v in spec.vars)
+                self.starts.append((spec.states.index(spec.initial), start))
                 if fixed:
                     # Row s holds what state s emits on the fixed ports, in order.
                     namespace[f"E{n}"] = tuple(zip(*(strong[spec][p] for p in fixed)))
@@ -466,12 +462,13 @@ class _CompiledNetwork:
         ]
         row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
         loop = ["    " + line for line in emit + fire + collect]
-        head = [f"def kernel(ticks, length{''.join(', ' + a for a in appends)}):", *init]
-        exec("\n    ".join([*head, f"for {row} in ticks:", *(loop or ["    pass"])]), namespace)
+        head = [f"def kernel(ticks, config{''.join(', ' + a for a in appends)}):"]
+        head += [*unpack, f"for {row} in ticks:"]
+        exec("\n    ".join([*head, *(loop or ["    pass"]), f"return {_tuple(pack)}"]), namespace)
         self.kernel = namespace["kernel"]
 
-    def run(self, columns: Sequence[Sequence[TimeInterval]], length: int) -> List[list]:
-        return _run_kernel(self.kernel, columns, length, len(self.out_channels), length)
+    def initial(self, length: int) -> tuple:
+        return tuple(((),) * min(s, length) if type(s) is int else s for s in self.starts)
 
 
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
@@ -486,7 +483,7 @@ def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
             f"external input trace has {external_inputs.length} ticks, expected {ticks}"
         )
     columns = [external_inputs.channels[name].intervals for name in net.external_in]
-    return _trace(net.external_out, network.run(columns, ticks), ticks)
+    return _trace(net.external_out, _run_kernel(network, columns, ticks)[0], ticks)
 
 
 # --------------------------------------------------------------------------
@@ -500,11 +497,13 @@ def parse_network(
     text: str,
     base_dir: str | Path = ".",
     loader: Optional[Callable[[Path], ComponentSpec]] = None,
+    warnings: Optional[_Issues] = None,
 ) -> Network:
     """Parse a network wiring file; referenced component files are loaded
     relative to ``base_dir`` (by :func:`tstd.dsl._spec_parser`'s rule: a name
     ending in ``.ttab`` is a table) and their parse and ``validate_spec``
-    errors reported at the ``use`` line, as is a network file named there.
+    errors reported at the ``use`` line, as is a network file named there;
+    their warnings go to ``warnings``, if given, at their first ``use`` line.
     """
     issues = _Issues()
     load = loader or _load_spec
@@ -537,7 +536,7 @@ def parse_network(
                 elif arg.endswith(".tnet"):
                     issues.add(lineno, 1, f"network file {arg!r} cannot be used as a component")
                 else:
-                    inst = _load_instance(name, base, arg, load, lineno, issues, loaded)
+                    inst = _load_instance(name, base, arg, load, lineno, issues, loaded, warnings)
             elif kind == "delay":
                 if not _INT_RE.match(arg):
                     issues.add(lineno, 1, "delay depth must be an integer >= 1")
@@ -608,6 +607,7 @@ def _load_instance(
     lineno: int,
     issues: _Issues,
     loaded: Dict[Path, object],
+    warnings: Optional[_Issues],
 ) -> Optional[Instance]:
     """The instance of ``use name = file arg``, or None with its problems
     reported at ``lineno``.  ``loaded`` keeps each path's load and validation
@@ -623,6 +623,11 @@ def _load_instance(
             from .model import _errors
 
             outcome = (spec, _errors(spec))
+            if warnings is not None and not outcome[1]:
+                from .analysis import validate_spec
+
+                for finding in validate_spec(spec):
+                    warnings.add(lineno, 1, f"in {arg!r}: {finding.message}")
         loaded[path] = outcome
     if isinstance(outcome, FileNotFoundError):
         issues.add(lineno, 1, f"component file not found: {arg!r}")

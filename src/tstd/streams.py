@@ -21,7 +21,7 @@ import re
 import sys
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import FrozenDict, value
 
@@ -162,12 +162,18 @@ def _trace(channels: Iterable[str], columns: Iterable, length: int) -> Trace:
     return Trace({ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)}, length)
 
 
-def _run_kernel(kernel: Callable, columns: Sequence, length: int, width: int, *config) -> list:
-    """The ``width`` output columns of ``kernel(rows, *config, *appends)``
-    run on the rows of ``columns``, or on ``length`` empty rows if none."""
-    outputs: List[list] = [[] for _ in range(width)]
-    kernel(zip(*columns) if columns else repeat((), length), *config, *[c.append for c in outputs])
-    return outputs
+def _run_kernel(system, columns: Sequence, length: int, config=None) -> Tuple[list, tuple]:
+    """Fire ``system`` on the rows of ``columns``, or on ``length`` empty rows
+    if none, from ``config`` (else ``system.initial(length)``): its output
+    columns and the configuration it ends in.  A compiled system, a machine
+    or a network, has ``in_channels`` and ``out_channels``, its columns'
+    order; ``initial(length)``, its hashable configuration at the start of a
+    run of up to ``length`` ticks; and ``kernel(ticks, config, *appends)``,
+    which fires a tick per row from ``config`` and returns where it ends."""
+    outputs: List[list] = [[] for _ in system.out_channels]
+    rows = zip(*columns) if columns else repeat((), length)
+    config = system.initial(length) if config is None else config
+    return outputs, system.kernel(rows, config, *[c.append for c in outputs])
 
 
 # --------------------------------------------------------------------------

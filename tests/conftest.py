@@ -56,7 +56,7 @@ def machine_ticks(machine, cfg, ticks):
     rows = [tuple(tick[ch] for ch in machine.in_channels) for tick in ticks]
     columns = [[] for _ in machine.out_channels]
     appends = [column.append for column in columns]
-    target, env = machine.kernel(rows, machine.state_index[state], env, *appends)
+    target, env = machine.kernel(rows, (machine.state_index[state], env), *appends)
     outputs = [
         dict(zip(machine.out_channels, (column[t] for column in columns)))
         for t in range(len(rows))

@@ -658,6 +658,20 @@ class TestSystemArguments:
         assert (r.code, r.err) == (1, "")
         assert r.out == "error: line 1:1: in 'mute.tstd': spec declares no output channel\n"
 
+    def test_validate_network_prints_each_components_warnings_once(self, samples, tmp_path):
+        # After the network's errors, at the first line that uses the file.
+        (tmp_path / "counter.tstd").write_text((samples / "counter.tstd").read_text())
+        text = "wire extern i -> c.in\nuse c = file counter.tstd\nwire c.out -> extern o\n"
+        warning = (
+            "warning: line 2:1: in 'counter.tstd': transitions 1 and 2 from state "
+            "'counting' can be enabled simultaneously; declaration order decides\n"
+        )
+        r = run_cli("validate", _saved(tmp_path / "net.tnet", text))
+        assert (r.code, r.out, r.err) == (0, warning + "ok: network\n", "")
+        r = run_cli("validate", _saved(tmp_path / "net.tnet", text + "use d = file counter.tstd\n"))
+        error = "error: line 4:1: input port 'd.in' is not driven\n"
+        assert (r.code, r.out, r.err) == (1, error + warning, "")
+
     def test_check_feedback_refuses_a_component(self, samples):
         path = str(samples / "passthrough.tstd")
         r = run_cli("check", "feedback", path)
@@ -913,36 +927,50 @@ WELL_FORMED = [
 
 
 def _mutants(seed, count):
-    """``count`` seeded mutations of the well-formed commands: a token
+    """``count`` seeded mutations of each well-formed command: a token
     dropped, repeated or moved, ``--opt=value``, an abbreviated or attached
-    option, ``--``, ``-h`` or a negative value put in."""
-    rng = random.Random(seed)
+    option, ``--``, ``-h`` or a negative value put in.  Each command draws
+    from a source of its own, so a command added to the list only adds
+    mutants."""
     out = []
-    while len(out) < count:
-        argv = list(rng.choice(WELL_FORMED))
-        i = rng.randrange(len(argv))
-        options = [j for j, a in enumerate(argv) if a.startswith("-") and j + 1 < len(argv)]
-        kind = rng.randrange(8)
-        if kind == 0:
-            del argv[i]
-        elif kind == 1:
-            argv.insert(i, argv[i])
-        elif kind == 2:
-            argv.insert(rng.randrange(len(argv)), argv.pop(i))
-        elif kind == 3 and options:
-            j = rng.choice(options)
-            argv[j : j + 2] = [argv[j] + ("=" if argv[j].startswith("--") else "") + argv[j + 1]]
-        elif kind == 4 and options:
-            j = rng.choice(options)
-            argv[j] = argv[j][:4] if argv[j].startswith("--") else argv[j]
-        elif kind == 5:
-            argv.insert(i, rng.choice(["--", "-h", "--help", "-"]))
-        elif kind == 6 and options:
-            argv[rng.choice(options) + 1] = rng.choice(["-3", "-0", "--3"])
-        else:
-            argv += rng.choice([["--seed", "-3"], ["--trials", "2"], ["-n", "2"], ["--pad"], ["x"]])
-        out.append(argv)
+    for base in WELL_FORMED:
+        rng = random.Random(f"{seed}:{' '.join(base)}")
+        out += [_mutant(list(base), rng) for _ in range(count)]
     return out
+
+
+def test_a_command_added_to_the_well_formed_list_only_adds_mutants(monkeypatch):
+    before = _mutants(0, 8)
+    assert len(before) >= 200
+    monkeypatch.setattr(sys.modules[__name__], "WELL_FORMED", [*WELL_FORMED, ["validate", "x"]])
+    after = _mutants(0, 8)
+    assert (len(after), after[: len(before)]) == (len(before) + 8, before)
+
+
+def _mutant(argv, rng):
+    """One mutation of ``argv``, in place, drawn from ``rng``."""
+    i = rng.randrange(len(argv))
+    options = [j for j, a in enumerate(argv) if a.startswith("-") and j + 1 < len(argv)]
+    kind = rng.randrange(8)
+    if kind == 0:
+        del argv[i]
+    elif kind == 1:
+        argv.insert(i, argv[i])
+    elif kind == 2:
+        argv.insert(rng.randrange(len(argv)), argv.pop(i))
+    elif kind == 3 and options:
+        j = rng.choice(options)
+        argv[j : j + 2] = [argv[j] + ("=" if argv[j].startswith("--") else "") + argv[j + 1]]
+    elif kind == 4 and options:
+        j = rng.choice(options)
+        argv[j] = argv[j][:4] if argv[j].startswith("--") else argv[j]
+    elif kind == 5:
+        argv.insert(i, rng.choice(["--", "-h", "--help", "-"]))
+    elif kind == 6 and options:
+        argv[rng.choice(options) + 1] = rng.choice(["-3", "-0", "--3"])
+    else:
+        argv += rng.choice([["--seed", "-3"], ["--trials", "2"], ["-n", "2"], ["--pad"], ["x"]])
+    return argv
 
 
 def _read_as_parsed(argv):
@@ -957,7 +985,7 @@ def _read_as_parsed(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [*PARSER_CASES, *map(list, INTEGER_OPTION_CASES), *_mutants(0, 200)],
+    [*PARSER_CASES, *map(list, INTEGER_OPTION_CASES), *_mutants(0, 8)],
     ids=" ".join,
 )
 def test_the_argv_reader_is_argparse_or_defers(argv):

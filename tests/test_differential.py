@@ -57,9 +57,9 @@ from tstd.model import (
     VarUpdate,
     has_errors,
 )
-from tstd.network import ExternalPort, InstanceKind, Port
+from tstd.network import ExternalPort, InstanceKind, Port, _CompiledNetwork
 from tstd.operators import NonAlignedPrefixError, SplitStrategy
-from tstd.streams import Message, StreamPrefix, Trace
+from tstd.streams import Message, StreamPrefix, Trace, _run_kernel
 
 from reference import (
     reference_check_untimed_simulation,
@@ -234,6 +234,59 @@ def test_run_network_matches_reference_with_delays_deeper_than_the_run():
             continue
         deeper += any(inst.delay > ticks for inst in net.instances)
     assert deeper >= 40, deeper
+
+
+def chained_run_holds(system, inputs, first, where):
+    """Whether the run of ``system`` on ``inputs`` from
+    ``initial(inputs.length)`` leaves its start, after checking the
+    chained-run law: its first ``first`` ticks, then the rest from the
+    configuration they end in, give the whole run's outputs and end, and
+    every configuration hashes."""
+    total = inputs.length
+    columns = [inputs.channels[ch].intervals for ch in system.in_channels]
+    start = system.initial(total)
+    whole, end = _run_kernel(system, columns, total, start)
+    head, middle = _run_kernel(system, [col[:first] for col in columns], first, start)
+    tail, chained = _run_kernel(system, [col[first:] for col in columns], total - first, middle)
+    assert [h + t for h, t in zip(head, tail)] == whole, where
+    assert chained == end, where
+    hash((start, middle, end))
+    return end != start
+
+
+def test_chained_runs_of_a_network_are_its_whole_run():
+    rng = Random(67)
+    seen = {"well-formed": 0, "moved": 0, "delay deeper than the run": 0}
+    for i in range(200):
+        net = random_network(rng, i)
+        ticks = rng.randint(0, 12)
+        instances = [
+            Instance.of_delay(inst.id, rng.choice((1, 2, ticks + 1, 10**30)))
+            if inst.kind is InstanceKind.DELAY
+            else inst
+            for inst in net.instances
+        ]
+        net = build_network(instances, net.wires, net.external_in, net.external_out)
+        try:
+            network = _CompiledNetwork(net)
+        except IllFormedNetworkError:
+            continue
+        inputs = payload_trace(net.external_in, ticks, rng)
+        seen["moved"] += chained_run_holds(network, inputs, rng.randint(0, ticks), i)
+        seen["well-formed"] += 1
+        seen["delay deeper than the run"] += any(inst.delay > ticks for inst in instances)
+    assert all(count >= 40 for count in seen.values()), seen
+
+
+def test_chained_runs_of_a_machine_are_its_whole_run():
+    rng = Random(71)
+    moved = 0
+    for i in range(300):
+        make = random_spec if i % 2 else wide_spec
+        machine = _Machine(make(rng, f"c{i}"))
+        inputs = payload_trace(machine.in_channels, rng.randint(0, 16), rng)
+        moved += chained_run_holds(machine, inputs, rng.randint(0, inputs.length), i)
+    assert moved >= 100, moved
 
 
 @pytest.mark.parametrize("path", sorted(SAMPLES.glob("*.tnet")), ids=lambda p: p.name)

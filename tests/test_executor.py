@@ -87,7 +87,7 @@ class TestStep:
         )
         spec = make_spec([t], vars=[VarDecl("v", 1), VarDecl("w", 0)])
         machine = _Machine(spec)
-        initial = dict(zip(machine.var_names, machine.initial_env))
+        initial = dict(zip(machine.var_names, machine.initial(1)[1]))
         assert machine_step(machine, ("S0", initial), {"in": ()})[0] == ("S0", {"v": 3, "w": 7})
 
     def test_first_declared_wins(self):

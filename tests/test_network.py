@@ -30,7 +30,7 @@ from tstd.network import (
     instantaneous_dependency_graph,
     run_network,
 )
-from tstd.streams import StreamPrefix, Trace, interval
+from tstd.streams import StreamPrefix, Trace, _run_kernel, interval
 
 from reference import reference_run_network
 
@@ -563,11 +563,11 @@ def test_each_run_starts_from_the_initial_configuration():
     columns = [[interval("x"), (), interval("z"), ()]]
     network = _CompiledNetwork(net)
     assert (network.in_channels, network.out_channels) == (("a",), ("b", "y"))
-    first = network.run(columns, 4)
-    assert first == [
+    first = _run_kernel(network, columns, 4)
+    assert first[0] == [
         [interval("x"), (), interval("z", "x"), ()],
         [(), interval("x"), (), interval("x")],
     ]
-    assert network.run(columns, 4) == first
+    assert _run_kernel(network, columns, 4) == first
     inputs = Trace({"a": StreamPrefix(tuple(columns[0]))}, 4)
     assert run_network(net, inputs, 4) == reference_run_network(net, inputs, 4)

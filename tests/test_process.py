@@ -249,3 +249,17 @@ def test_horizon_too_large_exits_2_at_once(argv):
     assert done.returncode == cli.USAGE
     assert done.stdout == b""
     assert done.stderr.decode() == f"result too large: more than {sys.maxsize} ticks\n"
+
+
+def test_gen_trace_of_an_interval_no_list_holds_exits_2_at_once():
+    # The first draw's length is about 10**12 messages: the drawer refuses it
+    # before drawing them, capped and timed out as above.
+    done = subprocess.run(
+        [sys.executable, "-m", "tstd", "gen-trace", "--channels", "a", "--ticks", "1",
+         "--max-len", str(10**12)],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        cwd=SAMPLES, timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == cli.USAGE
+    assert done.stdout == b""
+    assert done.stderr.decode() == "result too large: not enough memory\n"
