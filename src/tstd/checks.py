@@ -3,9 +3,9 @@
 ``probe_causality`` hunts for same-tick input sensitivity and
 ``check_untimed_simulation`` compares two machines modulo tick boundaries.
 Each compiles what it is given once, by one dispatch (:func:`_compile`),
-and reuses it for every trial: a spec into a machine of :mod:`tstd.executor`,
-a network into its compiled network, each run by
-:func:`tstd.streams._run_kernel`.  Both draw their trials the same way
+and reuses it for every trial: a spec by :mod:`tstd.executor`, a network by
+:mod:`tstd.network`, each into a :class:`tstd.streams._CompiledSystem` that
+:func:`tstd.streams._run_kernel` runs.  Both draw their trials the same way
 (:func:`_trials`): from ``Random(seed)``, over every tag the specs (a
 network's too) mention plus one they never mention, up to three messages a
 tick, one column of intervals per input channel, channel after channel.
@@ -37,16 +37,16 @@ __all__ = [
 
 
 def _compile(system: System) -> tuple:
-    """The machine of a component spec, or the compiled network of a
-    network, with the specs it holds.  A network is told by its wires, so
-    that a check of one kind loads none of the other's modules."""
+    """A component spec or a network compiled, with the specs it holds.  A
+    network is told by its wires, so that a check of one kind loads none of
+    the other's modules."""
     if hasattr(system, "wires"):
-        from .network import _CompiledNetwork
+        from . import network
 
-        return _CompiledNetwork(system), [i.spec for i in system.instances if i.spec is not None]
-    from .executor import _Machine
+        return network._compile(system), [i.spec for i in system.instances if i.spec is not None]
+    from . import executor
 
-    return _Machine(system), [system]
+    return executor._compile(system), [system]
 
 
 def _trials(trials: int, horizon: int, seed: int, *systems: System) -> tuple:

@@ -1,17 +1,18 @@
 """Tick-by-tick execution of a single component spec.
 
-A spec is compiled once into a private machine: Python source generated from
-the transitions and run through ``exec``.  Each tick fires at most one
-transition, the first enabled one, and is total, so when nothing is enabled
-the machine stutters in place and stays silent, time always advances and a
-T-tick input yields exactly a T-tick output.  One tick of a spec is
-generated in one place, :func:`_tick_source`, under names its caller picks,
-and wrapped twice: by a machine's own loop, and by the tick loop of a
-compiled network (:mod:`tstd.network`), which inlines it once per instance
-and so advances all of a network's machines in lock step.  Each loop fires
-any number of ticks from any configuration, run by
-:func:`tstd.streams._run_kernel`.  The seeded checks live in
-:mod:`tstd.checks`, and :class:`Trace` in :mod:`tstd.streams`.
+A spec is compiled once: Python source generated from the transitions and
+run through ``exec``.  Each tick fires at most one transition, the first
+enabled one, and is total, so when nothing is enabled the machine stutters
+in place and stays silent, time always advances and a T-tick input yields
+exactly a T-tick output.  A machine's tick and its part of a configuration
+are stated in one place, :func:`_machine_part`, under names numbered by the
+machine's place in its system.  A lone spec compiles (:func:`_compile`) as
+a system of one machine whose outputs append straight to their columns; a
+network (:mod:`tstd.network`) inlines a part per instance.  Either way one
+tick loop, :class:`tstd.streams._CompiledSystem`, fires any number of ticks
+from any configuration, run by :func:`tstd.streams._run_kernel`.  The
+seeded checks live in :mod:`tstd.checks`, and :class:`Trace` in
+:mod:`tstd.streams`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._value import _tuple
 from .model import ComponentSpec, PatternKind, Relation, Transition, UpdateOp, _errors
-from .streams import ChannelMismatchError, Trace, _run_kernel, _trace
+from .streams import ChannelMismatchError, Trace, _CompiledSystem, _run_kernel, _trace
 
 __all__ = ["run"]
 
@@ -57,38 +58,43 @@ def _if_chain(branches: Sequence[Tuple[str, List[str]]]) -> List[str]:
     return lines
 
 
-def _tick_source(
+def _machine_part(
     spec: ComponentSpec,
     namespace: Dict[str, object],
-    state: str,
+    n: int,
     inputs: Sequence[str],
     outputs: Sequence[Optional[str]],
-    variables: Sequence[str],
-) -> List[str]:
-    """Source lines, unindented, of one tick of ``spec`` (which has no errors).
+) -> Tuple[tuple, List[str]]:
+    """The configuration part of machine ``n`` of a system, as
+    :class:`tstd.streams._CompiledSystem` takes it, and the source lines,
+    unindented, of one tick of ``spec`` (which has no errors).
 
-    The names are the caller's: ``state`` holds the index of the current
-    state in ``spec.states``, ``inputs`` the tick's input intervals in
-    ``in_channels`` order and ``variables`` the variables in ``spec.vars``
-    order.  ``outputs`` holds a template per output channel, in
-    ``out_channels`` order, that takes the expression of the channel's
-    interval: ``"a0({})"`` appends it, ``"x7 = {}"`` writes it to a
-    variable, and None drops it (the network has already written it).
+    The machine's state is ``s<n>``, the index of the current state in
+    ``spec.states``, and its variables ``v<n>_<j>`` in ``spec.vars`` order;
+    its part is ``(s<n>, (v<n>_0, ...))``.  ``inputs`` names the tick's input
+    intervals in ``in_channels`` order.  ``outputs`` holds a template per
+    output channel, in ``out_channels`` order, that takes the expression of
+    the channel's interval: ``"o0({})"`` appends it, ``"x7 = {}"`` writes it
+    to a variable, and None drops it (the network has already written it).
 
-    The tick is an ``if``/``elif`` on ``state``, left out for a one-state
+    The tick is an ``if``/``elif`` on the state, left out for a one-state
     spec.  Each state tries its transitions in declaration order up to the
     first unguarded one, after which nothing can fire; each guard is one
     inline expression.  A transition writes its output interval on each
-    channel, updates the variables and, unless it is a self-loop, sets
-    ``state`` to its target.  When no guard holds, the machine stutters:
-    every channel gets an empty interval.  The source holds only the
-    caller's names, integer indices and constants ``k<n>``, whose values
-    are added to ``namespace``.
+    channel, updates the variables and, unless it is a self-loop, sets the
+    state to its target.  When no guard holds, the machine stutters: every
+    channel gets an empty interval.  The source holds only the caller's
+    names, the machine's, integer indices and constants ``k<i>``, whose
+    values are added to ``namespace``.
     """
+    state = f"s{n}"
+    variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
+    part = f"({state}, {_tuple(variables)})"
+    state_index = {s: k for k, s in enumerate(spec.states)}
+    start = (state_index[spec.initial], tuple(v.initial for v in spec.vars))
     in_name = dict(zip(spec.in_channels(), inputs))
     out_pos = {ch: c for c, ch in enumerate(spec.out_channels())}
     var_name = {v.name: name for v, name in zip(spec.vars, variables)}
-    state_index = {s: k for k, s in enumerate(spec.states)}
 
     def const(value) -> str:
         name = f"k{len(namespace)}"
@@ -140,65 +146,19 @@ def _tick_source(
             transitions.append(("", write(["()"] * len(outputs))))
         last = k == len(spec.states) - 1
         states.append(("" if last else f"{state} == {k}", _if_chain(transitions)))
-    return _if_chain(states)
+    return (part + " = {}", part, start), _if_chain(states)
 
 
-class _Machine:
-    """A component spec compiled once into one generated Python function.
-
-    States are indices into ``spec.states``, a variable valuation (an env)
-    is a tuple in ``var_names`` order, and a machine sees only intervals:
-    tick inputs and input columns come in ``in_channels`` order, tick
-    outputs and output columns in ``out_channels`` order.
-
-    It is a system of :func:`tstd.streams._run_kernel` whose configuration
-    is ``(state, env)``.  ``kernel(ticks, config, a0, a1, ...)`` wraps
-    :func:`_tick_source` in a loop over the iterator ``ticks``, each item
-    one tick's input intervals, with the variables as local variables, and
-    passes each output channel's interval to that channel's ``a<c>``.  Its
-    source holds only names it makes and integer indices; every value of the
-    spec (messages, bounds, update values, literal outputs) reaches it
-    through its namespace.
-
-    Compiling refuses a spec with errors: the ValueError names the first
-    error finding of ``validate_spec``.
-    """
-
-    __slots__ = (
-        "in_channels",
-        "out_channels",
-        "state_index",
-        "var_names",
-        "start",
-        "kernel",
-    )
-
-    def __init__(self, spec: ComponentSpec):
-        _refuse_errors(spec)
-        self.in_channels = spec.in_channels()
-        self.out_channels = spec.out_channels()
-        self.state_index = {s: i for i, s in enumerate(spec.states)}
-        self.var_names = tuple(v.name for v in spec.vars)
-        self.start = (self.state_index[spec.initial], tuple(v.initial for v in spec.vars))
-        inputs = [f"i{i}" for i in range(len(self.in_channels))]
-        appends = [f"a{c}" for c in range(len(self.out_channels))]
-        variables = [f"v{j}" for j in range(len(self.var_names))]
-        namespace: Dict[str, object] = {}
-        outputs = [a + "({})" for a in appends]
-        tick = _tick_source(spec, namespace, "state", inputs, outputs, variables)
-        env = _tuple(variables)
-        source = [
-            f"def kernel(ticks, config{''.join(', ' + a for a in appends)}):",
-            f"    state, {env} = config",
-            f"    for {_tuple(inputs)} in ticks:",
-            *("        " + line for line in tick or ["pass"]),
-            f"    return state, {env}",
-        ]
-        exec("\n".join(source), namespace)
-        self.kernel = namespace["kernel"]
-
-    def initial(self, length: int) -> tuple:
-        return self.start
+def _compile(spec: ComponentSpec) -> _CompiledSystem:
+    """``spec`` compiled as a system of one machine, whose outputs append
+    straight to their columns; refuses a spec with errors with a ValueError
+    naming the first error finding of ``validate_spec``."""
+    _refuse_errors(spec)
+    namespace: Dict[str, object] = {}
+    inputs = [f"i{k}" for k in range(len(spec.in_channels()))]
+    outputs = [f"o{c}({{}})" for c in range(len(spec.out_channels()))]
+    part, tick = _machine_part(spec, namespace, 0, inputs, outputs)
+    return _CompiledSystem(spec.in_channels(), spec.out_channels(), inputs, [part], tick, namespace)
 
 
 def run(spec: ComponentSpec, inputs: Trace) -> Trace:
@@ -213,7 +173,7 @@ def run(spec: ComponentSpec, inputs: Trace) -> Trace:
             f"input trace channels do not match spec: missing {sorted(expected - got)}, "
             f"unexpected {sorted(got - expected)}"
         )
-    machine = _Machine(spec)
+    machine = _compile(spec)
     columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
     outputs, _ = _run_kernel(machine, columns, inputs.length)
     return _trace(machine.out_channels, outputs, inputs.length)

@@ -9,15 +9,16 @@ That condition is what :func:`check_feedback_wellformed` enforces, and it is
 exactly what makes the per-tick evaluation order (a topological sort of
 same-tick dependencies) exist.
 
-A network is a machine too: it compiles once, with its externs as its
-channels, into one generated Python tick loop, which :func:`run_network`
-runs once and a seeded check of :mod:`tstd.checks` as often as it needs.
-Every port becomes a local variable and every instance the same two
-statements: an emit, which writes its fixed ports, and a fire, which reads
-its inputs, writes its other ports and updates its state (for a machine, its
-tick from :mod:`tstd.executor`, inlined under its own names).  Each tick
-runs every emit, then the fires in that evaluation order, and appends each
-external output to a column of its own.
+A network is a machine too: it compiles once (:func:`_compile`), with its
+externs as its channels, into the tick loop that a lone component compiles
+into as well, :class:`tstd.streams._CompiledSystem`, which
+:func:`run_network` runs once and a seeded check of :mod:`tstd.checks` as
+often as it needs.  Every port becomes a local variable and every instance
+the same two statements: an emit, which writes its fixed ports, and a fire,
+which reads its inputs, writes its other ports and updates its state (for a
+machine, its tick from :func:`tstd.executor._machine_part`, inlined under
+its own names).  Each tick runs every emit, then the fires in that
+evaluation order, and appends each external output to a column of its own.
 
 Built-ins: ``delay(d)`` has ports ``in``/``out`` and emits at tick t what it
 absorbed at tick t-d (empty while t < d); ``merge`` has ports ``in1``,
@@ -54,6 +55,7 @@ from .streams import (
     ChannelMismatchError,
     ParseFailure,
     Trace,
+    _CompiledSystem,
     _int,
     _Issues,
     _logical_lines,
@@ -370,112 +372,86 @@ def check_feedback_wellformed(net: Network) -> FeedbackCheck:
     return FeedbackCheck(well_formed=ok, cycle=cycle)
 
 
-class _CompiledNetwork:
-    """A network compiled once into a system of :func:`tstd.streams._run_kernel`:
-    its channels are its externs, and its configuration has one part per
-    machine, its ``(state, env)``, and per delay, its buffer as a tuple of
-    at most ``length`` intervals, in topological order.  Compiling refuses
-    an ill-formed network, and a spec with errors with the ValueError of
-    ``tstd.executor``.
+def _compile(net: Network) -> _CompiledSystem:
+    """``net`` compiled once: its channels are its externs, and its
+    configuration has a part per machine (``executor._machine_part``) and
+    per delay, in topological order.  Compiling refuses an ill-formed
+    network, and a spec with errors with the ValueError of ``tstd.executor``.
 
-    ``kernel(ticks, config, o0, ...)`` unpacks ``config``, each delay's
-    buffer into a deque, runs the tick loop and packs where it ends.  An
-    instance's emit is a delay's ``popleft``, nothing for a merge, or for a
-    machine a row of its emit table, built here from the causality rule's
-    answer that the graph already read: per state, the intervals the state
-    fixes on the instance's fixed ports.  Its fire is a delay's ``append``,
-    the merge's ``+`` or the machine's tick from ``executor._tick_source``,
-    over the instance's own state variable ``s<n>``, variables ``v<n>_<j>``
-    and port variables, which writes only the ports the emit did not.
-    Every emit runs first, then the fires in topological order of
+    The kernel unpacks each delay's buffer into a deque.  An instance's emit
+    is a delay's ``popleft``, nothing for a merge, or for a machine a row of
+    its emit table, built here from the causality rule's answer that the
+    graph already read: per state, the intervals the state fixes on the
+    instance's fixed ports.  Its fire is a delay's ``append``, the merge's
+    ``+`` or the machine's tick, over the instance's own names and port
+    variables, which writes only the ports the emit did not.  Every emit
+    runs first, then the fires in topological order of
     :func:`instantaneous_dependency_graph`, so well-formed feedback resolves
     in one pass.  Each external output's interval goes to its ``o<k>``.
     """
+    # The causality rule's answer for each distinct spec, shared by the
+    # graph and the kernel.
+    strong: Dict[ComponentSpec, Mapping] = {}
+    ok, order, cycle = _toposort(_dependency_graph(net, strong))
+    if not ok:
+        raise IllFormedNetworkError(
+            "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
+        )
+    if strong:  # else no machine: check feedback and built-ins run none
+        from .executor import _machine_part, _refuse_errors
 
-    def __init__(self, net: Network):
-        # The causality rule's answer for each distinct spec, shared by the
-        # graph and the kernel.
-        strong: Dict[ComponentSpec, Mapping] = {}
-        ok, order, cycle = _toposort(_dependency_graph(net, strong))
-        if not ok:
-            raise IllFormedNetworkError(
-                "network has an instantaneous feedback cycle: " + " -> ".join(cycle)
-            )
-        if strong:  # else no machine: check feedback and built-ins run none
-            from .executor import _refuse_errors, _tick_source
+        for spec in strong:
+            _refuse_errors(spec)
+    # One local variable per external input and per instance output port;
+    # the names, like every other name of the loop, are made here or by
+    # _machine_part, each value (emit rows, a spec's constants) goes in by
+    # namespace.
+    var_of: Dict[Endpoint, str] = {
+        ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
+    }
+    for inst in net.instances:
+        for port in inst.out_ports():
+            var_of[Port(inst.id, port)] = f"x{len(var_of)}"
+    fed_by = {wire.target: var_of[wire.source] for wire in net.wires}
 
-            for spec in strong:
-                _refuse_errors(spec)
-        self.in_channels, self.out_channels = net.external_in, net.external_out
-        # One local variable per external input and per instance output port;
-        # the names, like every other name of the loop, are made here, each
-        # value (emit rows, a spec's constants) goes in by namespace.
-        var_of: Dict[Endpoint, str] = {
-            ExternalPort(name): f"x{i}" for i, name in enumerate(net.external_in)
-        }
-        for inst in net.instances:
-            for port in inst.out_ports():
-                var_of[Port(inst.id, port)] = f"x{len(var_of)}"
-        fed_by = {wire.target: var_of[wire.source] for wire in net.wires}
-
-        instances = {inst.id: inst for inst in net.instances}
-        namespace: Dict[str, object] = {"deque": deque}
-        # Per part of the configuration, how the kernel reads and packs it,
-        # and what initial() reads: a machine's start or a delay's depth.
-        unpack, pack, self.starts = [], [], []
-        emit: List[str] = []
-        fire: List[str] = []
-        for n, iid in enumerate(order):
-            inst = instances[iid]
-            ins = [fed_by[Port(iid, port)] for port in inst.in_ports()]
-            fixed = _fixed_ports(inst, strong)
-            # The emit writes the fixed ports; the fire fills the template of
-            # each other port and drops (None) the fixed ones.
-            outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
-            emitted = [var for var, is_fixed in outs if is_fixed]
-            fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
-            if inst.kind is InstanceKind.DELAY:
-                unpack.append(f"b{n} = deque(config[{len(pack)}])")
-                pack.append(f"tuple(b{n})")
-                self.starts.append(inst.delay)
-                emit.append(f"{emitted[0]} = b{n}.popleft()")
-                fire.append(f"b{n}.append({ins[0]})")
-            elif inst.kind is InstanceKind.MERGE:
-                fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
-            else:
-                spec = inst.spec
-                variables = [f"v{n}_{j}" for j in range(len(spec.vars))]
-                pack.append(f"(s{n}, {_tuple(variables)})")
-                unpack.append(f"{pack[-1]} = config[{len(pack) - 1}]")
-                start = tuple(v.initial for v in spec.vars)
-                self.starts.append((spec.states.index(spec.initial), start))
-                if fixed:
-                    # Row s holds what state s emits on the fixed ports, in order.
-                    namespace[f"E{n}"] = tuple(zip(*(strong[spec][p] for p in fixed)))
-                    emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
-                fire += _tick_source(spec, namespace, f"s{n}", ins, fired, variables)
-        # Each external output is a column of its own, filled by its append o<k>.
-        appends = [f"o{k}" for k in range(len(net.external_out))]
-        collect = [
-            f"{append}({fed_by[ExternalPort(name)]})"
-            for append, name in zip(appends, net.external_out)
-        ]
-        row = _tuple([var_of[ExternalPort(name)] for name in net.external_in])
-        loop = ["    " + line for line in emit + fire + collect]
-        head = [f"def kernel(ticks, config{''.join(', ' + a for a in appends)}):"]
-        head += [*unpack, f"for {row} in ticks:"]
-        exec("\n    ".join([*head, *(loop or ["    pass"]), f"return {_tuple(pack)}"]), namespace)
-        self.kernel = namespace["kernel"]
-
-    def initial(self, length: int) -> tuple:
-        return tuple(((),) * min(s, length) if type(s) is int else s for s in self.starts)
+    instances = {inst.id: inst for inst in net.instances}
+    namespace: Dict[str, object] = {"deque": deque}
+    parts, emit, fire = [], [], []
+    for n, iid in enumerate(order):
+        inst = instances[iid]
+        ins = [fed_by[Port(iid, port)] for port in inst.in_ports()]
+        fixed = _fixed_ports(inst, strong)
+        # The emit writes the fixed ports; the fire fills the template of
+        # each other port and drops (None) the fixed ones.
+        outs = [(var_of[Port(iid, p)], p in fixed) for p in inst.out_ports()]
+        emitted = [var for var, is_fixed in outs if is_fixed]
+        fired = [None if is_fixed else var + " = {}" for var, is_fixed in outs]
+        if inst.kind is InstanceKind.DELAY:
+            parts.append((f"b{n} = deque({{}})", f"tuple(b{n})", inst.delay))
+            emit.append(f"{emitted[0]} = b{n}.popleft()")
+            fire.append(f"b{n}.append({ins[0]})")
+        elif inst.kind is InstanceKind.MERGE:
+            fire.append(fired[0].format(f"{ins[0]} + {ins[1]}"))
+        else:
+            if fixed:
+                # Row s holds what state s emits on the fixed ports, in order.
+                namespace[f"E{n}"] = tuple(zip(*(strong[inst.spec][p] for p in fixed)))
+                emit.append(f"{_tuple(emitted)} = E{n}[s{n}]")
+            part, tick = _machine_part(inst.spec, namespace, n, ins, fired)
+            parts.append(part)
+            fire += tick
+    collect = [f"o{k}({fed_by[ExternalPort(name)]})" for k, name in enumerate(net.external_out)]
+    row = [var_of[ExternalPort(name)] for name in net.external_in]
+    return _CompiledSystem(
+        net.external_in, net.external_out, row, parts, emit + fire + collect, namespace
+    )
 
 
 def run_network(net: Network, external_inputs: Trace, ticks: int) -> Trace:
     """Drive all instances for ``ticks`` steps and collect the boundary output:
-    compile ``net`` (:class:`_CompiledNetwork`), check that the input trace
-    carries exactly its external inputs, and run it once."""
-    network = _CompiledNetwork(net)
+    compile ``net`` (:func:`_compile`), check that the input trace carries
+    exactly its external inputs, and run it once."""
+    network = _compile(net)
     if set(external_inputs.channels) != set(net.external_in):
         raise ChannelSetError(net.external_in, tuple(external_inputs.channels))
     if net.external_in and external_inputs.length != ticks:

@@ -40,6 +40,18 @@ _PATTERN_MAKERS = (
 )
 
 
+def _random_guards(rng: Random, alphabet: Sequence[str], var: Optional[str], p: float) -> tuple:
+    """An interval guard on ``in`` with probability ``p``, then one on
+    ``var``, if any, with probability 0.4: a pair of guard tuples."""
+    interval_guards: Tuple[IntervalGuard, ...] = ()
+    if rng.random() < p:
+        maker = rng.choice(_PATTERN_MAKERS)
+        interval_guards = (IntervalGuard("in", maker(IntervalPattern, rng, alphabet)),)
+    if var is None or rng.random() >= 0.4:
+        return interval_guards, ()
+    return interval_guards, (VarGuard(var, rng.choice(list(Relation)), rng.randint(-2, 3)),)
+
+
 def _random_transition(
     rng: Random,
     states: Sequence[str],
@@ -54,12 +66,7 @@ def _random_transition(
     updates: Tuple[VarUpdate, ...] = ()
 
     if mode == "free":
-        if rng.random() < 0.7:
-            maker = rng.choice(_PATTERN_MAKERS)
-            interval_guards = (IntervalGuard("in", maker(IntervalPattern, rng, alphabet)),)
-        if var is not None and rng.random() < 0.4:
-            rel = rng.choice(list(Relation))
-            var_guards = (VarGuard(var, rel, rng.randint(-2, 3)),)
+        interval_guards, var_guards = _random_guards(rng, alphabet, var, 0.7)
         roll = rng.random()
         if roll < 0.4:
             msgs = tuple(Message(rng.choice(alphabet)) for _ in range(rng.randint(1, 2)))
@@ -70,14 +77,9 @@ def _random_transition(
         # Always enabled, fixed literal: the shape of a strongly causal state.
         msgs = tuple(Message(rng.choice(alphabet)) for _ in range(rng.randint(1, 2)))
         outputs = (OutputAction.literal("out", msgs),)
-    # mode == "silent": guards allowed, no emission at all.
-    if mode == "silent":
-        if rng.random() < 0.6:
-            maker = rng.choice(_PATTERN_MAKERS)
-            interval_guards = (IntervalGuard("in", maker(IntervalPattern, rng, alphabet)),)
-        if var is not None and rng.random() < 0.4:
-            rel = rng.choice(list(Relation))
-            var_guards = (VarGuard(var, rel, rng.randint(-2, 3)),)
+    elif mode == "silent":
+        # Guards allowed, no emission at all.
+        interval_guards, var_guards = _random_guards(rng, alphabet, var, 0.6)
 
     if var is not None and mode != "single_total" and rng.random() < 0.4:
         if rng.random() < 0.5:

@@ -7,6 +7,10 @@ explicit tick count.  A :class:`Trace` bundles equally long prefixes of named
 channels.  All values are immutable; the operators on prefixes live in
 :mod:`tstd.operators`.
 
+Every system, a component or a network, compiles into one tick loop,
+:class:`_CompiledSystem`, which :func:`_run_kernel` fires; it lives here so
+that neither kind of command loads the other's modules.
+
 The lexical rules that every text format and :func:`interval` follow live
 here too, next to :meth:`Message.token`, which writes tokens by them: an
 identifier, an integer literal and a message token ``tag`` or ``tag:INT``.
@@ -23,7 +27,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._value import FrozenDict, value
+from ._value import FrozenDict, _tuple, value
 
 __all__ = [
     "ChannelMismatchError",
@@ -162,14 +166,51 @@ def _trace(channels: Iterable[str], columns: Iterable, length: int) -> Trace:
     return Trace({ch: StreamPrefix(tuple(col)) for ch, col in zip(channels, columns)}, length)
 
 
+class _CompiledSystem:
+    """A component or a network compiled once into one generated function.
+
+    Its columns come in ``in_channels`` and ``out_channels`` order, and its
+    configuration is a hashable tuple of parts, a machine's ``(state, env)``
+    or a delay's buffer as a tuple of intervals.  Each of ``parts`` is
+    ``(unpack, pack, start)``: a statement template that unpacks the part
+    from the expression it is formatted with, the expression that packs it
+    back, and its start, a machine's ``(state, env)`` or a delay's depth.
+
+    ``kernel(ticks, config, o0, ...)`` unpacks ``config``, runs the lines
+    ``tick`` once per row of the iterator ``ticks``, the row's intervals in
+    the names ``row``, each output channel's interval passed to its
+    ``o<k>``, and returns the packed configuration it ends in.  The source
+    holds only names and integer indices: every value that it reads (a
+    spec's constants, ``deque``) is in ``namespace``.
+    """
+
+    __slots__ = ("in_channels", "out_channels", "starts", "kernel")
+
+    def __init__(self, in_channels, out_channels, row, parts, tick, namespace):
+        self.in_channels, self.out_channels = in_channels, out_channels
+        self.starts = [start for _, _, start in parts]
+        appends = "".join(f", o{k}" for k in range(len(self.out_channels)))
+        source = [
+            f"def kernel(ticks, config{appends}):",
+            *(f"    {unpack.format(f'config[{i}]')}" for i, (unpack, _, _) in enumerate(parts)),
+            f"    for {_tuple(row)} in ticks:",
+            *("        " + line for line in tick or ["pass"]),
+            f"    return {_tuple([pack for _, pack, _ in parts])}",
+        ]
+        exec("\n".join(source), namespace)
+        self.kernel = namespace["kernel"]
+
+    def initial(self, length: int) -> tuple:
+        """The start of a run of up to ``length`` ticks: a delay holds at
+        most ``length`` empty intervals, all that such a run reads."""
+        return tuple(((),) * min(s, length) if type(s) is int else s for s in self.starts)
+
+
 def _run_kernel(system, columns: Sequence, length: int, config=None) -> Tuple[list, tuple]:
-    """Fire ``system`` on the rows of ``columns``, or on ``length`` empty rows
-    if none, from ``config`` (else ``system.initial(length)``): its output
-    columns and the configuration it ends in.  A compiled system, a machine
-    or a network, has ``in_channels`` and ``out_channels``, its columns'
-    order; ``initial(length)``, its hashable configuration at the start of a
-    run of up to ``length`` ticks; and ``kernel(ticks, config, *appends)``,
-    which fires a tick per row from ``config`` and returns where it ends."""
+    """Fire ``system``, a :class:`_CompiledSystem`, on the rows of
+    ``columns``, or on ``length`` empty rows if none, from ``config`` (else
+    ``system.initial(length)``): its output columns and the configuration
+    it ends in."""
     outputs: List[list] = [[] for _ in system.out_channels]
     rows = zip(*columns) if columns else repeat((), length)
     config = system.initial(length) if config is None else config

@@ -1,6 +1,7 @@
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -45,27 +46,35 @@ def cli():
     return run_cli
 
 
-def machine_ticks(machine, cfg, ticks):
-    """Ticks of a compiled machine (``tstd.executor._Machine``) from ``cfg``,
+@lru_cache(maxsize=8)
+def _compiled(spec):
+    from tstd.executor import _compile
+
+    return _compile(spec)
+
+
+def machine_ticks(spec, cfg, ticks):
+    """Ticks of ``spec``, compiled as a system of one machine
+    (``tstd.executor._compile``, kept for the last few specs), from ``cfg``,
     a ``(state, var_env)`` pair by name, on ``ticks``, mappings from input
     channel to interval: one ``kernel`` call over the whole input, with the
     configuration it ends in read back by name and each tick's outputs as a
     mapping from output channel to interval."""
+    machine = _compiled(spec)
     state, var_env = cfg
-    env = tuple(var_env[v] for v in machine.var_names)
+    config = ((spec.states.index(state), tuple(var_env[v.name] for v in spec.vars)),)
     rows = [tuple(tick[ch] for ch in machine.in_channels) for tick in ticks]
     columns = [[] for _ in machine.out_channels]
-    appends = [column.append for column in columns]
-    target, env = machine.kernel(rows, (machine.state_index[state], env), *appends)
+    ((target, env),) = machine.kernel(rows, config, *[column.append for column in columns])
     outputs = [
         dict(zip(machine.out_channels, (column[t] for column in columns)))
         for t in range(len(rows))
     ]
-    return (tuple(machine.state_index)[target], dict(zip(machine.var_names, env))), outputs
+    return (spec.states[target], {v.name: x for v, x in zip(spec.vars, env)}), outputs
 
 
-def machine_step(machine, cfg, tick):
+def machine_step(spec, cfg, tick):
     """One tick of :func:`machine_ticks`, in the shape of
     ``reference.reference_step``."""
-    end, (outputs,) = machine_ticks(machine, cfg, [tick])
+    end, (outputs,) = machine_ticks(spec, cfg, [tick])
     return end, outputs

@@ -493,15 +493,12 @@ class TestCheckNetwork:
         import tstd.network
 
         built, ticks = [], []
-        init, tick_source = tstd.network._CompiledNetwork.__init__, tstd.executor._tick_source
-
-        def counted_init(self, net):
-            built.append(net)
-            init(self, net)
-
-        monkeypatch.setattr(tstd.network._CompiledNetwork, "__init__", counted_init)
+        compile_network, machine_part = tstd.network._compile, tstd.executor._machine_part
         monkeypatch.setattr(
-            tstd.executor, "_tick_source", lambda *args: ticks.append(args) or tick_source(*args)
+            tstd.network, "_compile", lambda net: built.append(net) or compile_network(net)
+        )
+        monkeypatch.setattr(
+            tstd.executor, "_machine_part", lambda *args: ticks.append(args) or machine_part(*args)
         )
         kind, *files = argv
         r = run_cli("check", kind, *(str(SAMPLES / f) for f in files))

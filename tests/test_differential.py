@@ -12,6 +12,7 @@ are checked against a constructive oracle that shares no scheduling code
 with them.
 """
 
+import hashlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from random import Random
@@ -33,6 +34,7 @@ from tstd import (
     parse_network,
     parse_table,
     parse_trace,
+    print_component,
     print_trace,
     probe_causality,
     run,
@@ -40,7 +42,7 @@ from tstd import (
     split,
 )
 from tstd.analysis import _satisfiable, _strong_outputs, validate_spec
-from tstd.executor import _Machine
+from tstd.executor import _compile as compile_spec
 from tstd.gen import random_prefix, random_spec, random_trace, spec_tags
 from tstd.model import (
     ChannelDecl,
@@ -57,7 +59,7 @@ from tstd.model import (
     VarUpdate,
     has_errors,
 )
-from tstd.network import ExternalPort, InstanceKind, Port, _CompiledNetwork
+from tstd.network import ExternalPort, InstanceKind, Port, _compile as compile_network
 from tstd.operators import NonAlignedPrefixError, SplitStrategy
 from tstd.streams import Message, StreamPrefix, Trace, _run_kernel
 
@@ -107,6 +109,17 @@ def sample_specs():
     return [
         parse_component(path.read_text()) for path in sorted(SAMPLES.glob("*.tstd"))
     ]
+
+
+def test_random_spec_draws_are_pinned():
+    # The specs of seeds 0 to 499 feed the probe corpus and the seeded laws;
+    # a change to how random_spec draws shows here, not only in a benchmark.
+    digest = hashlib.sha256()
+    for s in range(500):
+        digest.update(print_component(random_spec(Random(s), f"r{s}")).encode())
+    assert digest.hexdigest() == (
+        "58c9d8a414bfdbe9617796314c64e7dcfee06f07031018ff6e3cfcce3759cdee"
+    )
 
 
 def test_run_matches_reference_on_random_specs():
@@ -268,7 +281,7 @@ def test_chained_runs_of_a_network_are_its_whole_run():
         ]
         net = build_network(instances, net.wires, net.external_in, net.external_out)
         try:
-            network = _CompiledNetwork(net)
+            network = compile_network(net)
         except IllFormedNetworkError:
             continue
         inputs = payload_trace(net.external_in, ticks, rng)
@@ -283,9 +296,36 @@ def test_chained_runs_of_a_machine_are_its_whole_run():
     moved = 0
     for i in range(300):
         make = random_spec if i % 2 else wide_spec
-        machine = _Machine(make(rng, f"c{i}"))
+        machine = compile_spec(make(rng, f"c{i}"))
         inputs = payload_trace(machine.in_channels, rng.randint(0, 16), rng)
         moved += chained_run_holds(machine, inputs, rng.randint(0, inputs.length), i)
+    assert moved >= 100, moved
+
+
+def test_a_spec_compiles_as_its_one_instance_network():
+    # The same system either way: equal channels, starts, output columns and
+    # end configurations, from the start and from where a first run ends.
+    rng = Random(73)
+    makers = (random_spec, wide_spec, tap_spec)
+    moved = 0
+    for i in range(300):
+        spec = makers[i % 3](rng, f"c{i}")
+        machine, network = compile_spec(spec), compile_network(_one_instance_network(spec))
+        assert (machine.in_channels, machine.out_channels) == (
+            network.in_channels, network.out_channels
+        ), i
+        inputs = payload_trace(spec.in_channels(), rng.randint(0, 16), rng, spec_tags(spec) + ["z"])
+        columns = [inputs.channels[ch].intervals for ch in machine.in_channels]
+        first = rng.randint(0, inputs.length)
+        head = [col[:first] for col in columns], first
+        tail = [col[first:] for col in columns], inputs.length - first
+        start = machine.initial(inputs.length)
+        assert network.initial(inputs.length) == start, i
+        head_out, middle = _run_kernel(machine, *head, start)
+        tail_out = _run_kernel(machine, *tail, middle)
+        assert _run_kernel(network, *head, start) == (head_out, middle), i
+        assert _run_kernel(network, *tail, middle) == tail_out, i
+        moved += middle != start
     assert moved >= 100, moved
 
 
@@ -521,10 +561,9 @@ def test_run_and_step_match_reference_on_wide_specs():
         out = run(spec, inputs)
         assert out == reference_run(spec, inputs), i
         tick = payload_trace(INPUTS, 1, rng).tick(0)
-        machine = _Machine(spec)
         for state in rng.sample(spec.states, min(i % 3, len(spec.states))):
             cfg = (state, {"u": rng.randint(-3, 3), "v": rng.randint(-3, 3)})
-            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), i
+            assert machine_step(spec, cfg, tick) == reference_step(spec, cfg, tick), i
         strong = classify_causality_syntactic(spec) is CausalityClass.STRONG
         seen["strong" if strong else "weak"] += 1
         seen["over 32 states"] += len(spec.states) > 32
@@ -542,7 +581,6 @@ def _fire_every_state(specs, rng):
     before their last tick, so that the call goes on from another state."""
     switched = 0
     for i, spec in enumerate(specs):
-        machine = _Machine(spec)
         inputs = payload_trace(spec.in_channels(), 3, rng)
         ticks = [inputs.tick(t) for t in range(3)]
         for state in spec.states:
@@ -552,7 +590,7 @@ def _fire_every_state(specs, rng):
                 end, outputs = reference_step(spec, end, tick)
                 expected.append(outputs)
                 states.append(end[0])
-            assert machine_ticks(machine, cfg, ticks) == (end, expected), (i, state)
+            assert machine_ticks(spec, cfg, ticks) == (end, expected), (i, state)
             switched += states[0] != state or states[1] != states[0]
     return switched
 
@@ -692,10 +730,9 @@ def test_run_step_and_probe_match_reference_on_edge_specs():
         assert out == reference_run(spec, inputs), i
         tick = payload_trace(spec.in_channels(), 1, rng).tick(0)
         env = {v.name: rng.randint(-3, 3) for v in spec.vars}
-        machine = _Machine(spec)
         for state in spec.states:
             cfg = (state, env)
-            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
+            assert machine_step(spec, cfg, tick) == reference_step(spec, cfg, tick), (i, state)
         trials, horizon, seed = rng.randint(1, 6), rng.randint(1, 12), rng.randrange(10**6)
         result = probe_causality(spec, trials, horizon, seed)
         assert result == reference_probe_causality(spec, trials, horizon, seed), i
@@ -707,11 +744,14 @@ def test_run_step_and_probe_match_reference_on_edge_specs():
 
 
 def _one_instance_network(spec):
+    """``spec`` as the one instance ``c`` of a network whose every channel
+    is wired to an extern of the same name."""
     return build_network(
         [Instance.of_spec("c", spec)],
-        [Wire(ExternalPort("in"), Port("c", "in")), Wire(Port("c", "out"), ExternalPort("out"))],
-        ["in"],
-        ["out"],
+        [Wire(ExternalPort(ch), Port("c", ch)) for ch in spec.in_channels()]
+        + [Wire(Port("c", ch), ExternalPort(ch)) for ch in spec.out_channels()],
+        spec.in_channels(),
+        spec.out_channels(),
     )
 
 
@@ -751,7 +791,7 @@ def test_spec_constants_never_reach_the_generated_source():
     assert out == reference_run(spec, inputs)
     assert out.channels["out"].intervals == ((), (Message("b", huge),), (), (Message("b", huge),), ())
     cfg = ("S0", {"v": huge})
-    assert machine_step(_Machine(spec), cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
+    assert machine_step(spec, cfg, {"in": hit}) == reference_step(spec, cfg, {"in": hit})
     net = _one_instance_network(spec)
     assert run_network(net, inputs, 5) == reference_run_network(net, inputs, 5)
 
@@ -824,11 +864,10 @@ def test_two_hundred_states_on_one_cycle():
     assert emitted == set(range(n))
     net = _one_instance_network(spec)
     assert run_network(net, inputs, inputs.length) == out
-    machine = _Machine(spec)
     for tick in ({"in": ()}, {"in": (Message("a"),)}):
         for state in states:
             cfg = (state, {"v": n})
-            assert machine_step(machine, cfg, tick) == reference_step(spec, cfg, tick), state
+            assert machine_step(spec, cfg, tick) == reference_step(spec, cfg, tick), state
     result = probe_causality(spec, 20, 16, 200)
     assert result == reference_probe_causality(spec, 20, 16, 200)
     assert result.refuted

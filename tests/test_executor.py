@@ -5,7 +5,7 @@ import pytest
 from tstd.analysis import validate_spec
 from tstd.checks import check_untimed_simulation, probe_causality
 from tstd.dsl import parse_component
-from tstd.executor import ChannelMismatchError, _Machine, run
+from tstd.executor import ChannelMismatchError, _compile, run
 from tstd.gen import probe_alphabet, random_spec, random_trace
 from tstd.model import (
     ChannelDecl,
@@ -59,7 +59,7 @@ class TestStep:
         t = Transition("S0", "S0", interval_guards=(IntervalGuard("in", IntervalPattern.nonempty()),))
         spec = make_spec([t], vars=[VarDecl("v", 0)])
         cfg = ("S0", {"v": 0})
-        new_cfg, out = machine_step(_Machine(spec), cfg, {"in": ()})
+        new_cfg, out = machine_step(spec, cfg, {"in": ()})
         assert new_cfg == cfg
         assert out == {"out": ()}
 
@@ -71,12 +71,12 @@ class TestStep:
             updates=(VarUpdate("v", UpdateOp.ADD, 1),),
         )
         spec = make_spec([t], states=("S0", "S1"), vars=[VarDecl("v", 0)])
-        cfg, out = machine_step(_Machine(spec), ("S0", {"v": 0}), {"in": ()})
+        cfg, out = machine_step(spec, ("S0", {"v": 0}), {"in": ()})
         assert cfg == ("S1", {"v": 1})
         assert out == {"out": interval("ack")}
 
     def test_pass_copies_verbatim(self):
-        _, out = machine_step(_Machine(PASS_THROUGH), ("S0", {}), {"in": interval("a", "b")})
+        _, out = machine_step(PASS_THROUGH, ("S0", {}), {"in": interval("a", "b")})
         assert out == {"out": interval("a", "b")}
 
     def test_var_env_is_a_plain_mapping_by_name(self):
@@ -86,14 +86,14 @@ class TestStep:
             updates=(VarUpdate("v", UpdateOp.ADD, 2), VarUpdate("w", UpdateOp.SET, 7)),
         )
         spec = make_spec([t], vars=[VarDecl("v", 1), VarDecl("w", 0)])
-        machine = _Machine(spec)
-        initial = dict(zip(machine.var_names, machine.initial(1)[1]))
-        assert machine_step(machine, ("S0", initial), {"in": ()})[0] == ("S0", {"v": 3, "w": 7})
+        ((_, env),) = _compile(spec).initial(1)
+        initial = dict(zip(("v", "w"), env))
+        assert machine_step(spec, ("S0", initial), {"in": ()})[0] == ("S0", {"v": 3, "w": 7})
 
     def test_first_declared_wins(self):
         t1 = Transition("S0", "S0", outputs=(OutputAction.literal("out", interval("x")),))
         t2 = Transition("S0", "S0", outputs=(OutputAction.literal("out", interval("y")),))
-        _, out = machine_step(_Machine(make_spec([t1, t2])), ("S0", {}), {"in": ()})
+        _, out = machine_step(make_spec([t1, t2]), ("S0", {}), {"in": ()})
         assert out == {"out": interval("x")}
 
 
@@ -158,7 +158,7 @@ class TestGuards:
     )
     def test_pattern(self, pattern, tokens, holds):
         t = Transition("S0", "S0", interval_guards=(IntervalGuard("in", pattern),), outputs=(HIT,))
-        _, out = machine_step(_Machine(make_spec([t])), ("S0", {}), {"in": interval(*tokens)})
+        _, out = machine_step(make_spec([t]), ("S0", {}), {"in": interval(*tokens)})
         assert out == {"out": interval("hit") if holds else ()}
 
     @pytest.mark.parametrize(
@@ -168,14 +168,14 @@ class TestGuards:
         t = Transition("S0", "S0", var_guards=(VarGuard("v", relation, 3),), outputs=(HIT,))
         spec = make_spec([t], vars=[VarDecl("v", 0)])
         for value, holds in zip((2, 3, 4), expected):
-            _, out = machine_step(_Machine(spec), ("S0", {"v": value}), {"in": ()})
+            _, out = machine_step(spec, ("S0", {"v": value}), {"in": ()})
             assert out == {"out": interval("hit") if holds else ()}, value
 
     def test_relation_with_a_negative_bound(self):
         t = Transition("S0", "S0", var_guards=(VarGuard("v", Relation.GE, -2),), outputs=(HIT,))
         spec = make_spec([t], vars=[VarDecl("v", 0)])
         for value, emitted in ((-3, ()), (-2, interval("hit"))):
-            _, out = machine_step(_Machine(spec), ("S0", {"v": value}), {"in": ()})
+            _, out = machine_step(spec, ("S0", {"v": value}), {"in": ()})
             assert out == {"out": emitted}, value
 
     @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ class TestGuards:
     def test_update(self, op, value, after):
         t = Transition("S0", "S0", updates=(VarUpdate("v", op, value),))
         spec = make_spec([t], vars=[VarDecl("v", 0)])
-        cfg, _ = machine_step(_Machine(spec), ("S0", {"v": 2}), {"in": ()})
+        cfg, _ = machine_step(spec, ("S0", {"v": 2}), {"in": ()})
         assert cfg == ("S0", {"v": after})
 
     def test_guard_reads_the_value_before_the_update(self):
@@ -203,10 +203,9 @@ class TestGuards:
             updates=(VarUpdate("v", UpdateOp.ADD, 1),),
         )
         spec = make_spec([t], vars=[VarDecl("v", 0)])
-        machine = _Machine(spec)
-        cfg, out = machine_step(machine, ("S0", {"v": 2}), {"in": ()})
+        cfg, out = machine_step(spec, ("S0", {"v": 2}), {"in": ()})
         assert (cfg, out) == (("S0", {"v": 3}), {"out": interval("hit")})
-        assert machine_step(machine, cfg, {"in": ()}) == (cfg, {"out": ()})
+        assert machine_step(spec, cfg, {"in": ()}) == (cfg, {"out": ()})
 
 
 class TestRun:

@@ -3,7 +3,6 @@ from random import Random
 import pytest
 
 from tstd.analysis import CausalityClass, classify_causality_syntactic, validate_spec
-from tstd.executor import _Machine
 from tstd.gen import random_spec
 from tstd.model import (
     ChannelDecl,
@@ -183,7 +182,7 @@ HIT = OutputAction.literal("out", interval("hit"))
 def fires(spec, state, env, tick):
     """Whether the compiled machine fires from ``state`` on ``tick``, for a
     ``spec`` whose every transition emits ``hit``: a stutter emits nothing."""
-    _, out = machine_step(_Machine(spec), (state, env), tick)
+    _, out = machine_step(spec, (state, env), tick)
     return out == {"out": interval("hit")}
 
 

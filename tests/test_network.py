@@ -22,7 +22,7 @@ from tstd.network import (
     NetworkBuildError,
     Port,
     Wire,
-    _CompiledNetwork,
+    _compile,
     _cycle_witness,
     _toposort,
     build_network,
@@ -561,7 +561,7 @@ def test_each_run_starts_from_the_initial_configuration():
         ["b", "y"],
     )
     columns = [[interval("x"), (), interval("z"), ()]]
-    network = _CompiledNetwork(net)
+    network = _compile(net)
     assert (network.in_channels, network.out_channels) == (("a",), ("b", "y"))
     first = _run_kernel(network, columns, 4)
     assert first[0] == [

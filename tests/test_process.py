@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -263,3 +264,89 @@ def test_gen_trace_of_an_interval_no_list_holds_exits_2_at_once():
     assert done.returncode == cli.USAGE
     assert done.stdout == b""
     assert done.stderr.decode() == "result too large: not enough memory\n"
+
+
+def _cap_child():
+    """The address-space cap above, and three seconds of CPU: a command
+    that fills the cap before it refuses takes longer."""
+    import resource
+
+    _cap_address_space()
+    resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+
+
+def _leaf_commands(table=cli._COMMANDS, words=()):
+    """``(words, positionals, options)`` of each command that runs."""
+    for name, (_, *entry) in table.items():
+        if isinstance(entry[0], str):  # the name its subcommand is stored under
+            yield from _leaf_commands(entry[1], (*words, name))
+        else:
+            yield (*words, name), entry[1], entry[2]
+
+
+# Each integer option's values: small, negative, not a number, or above
+# sys.maxsize.  --trials takes no value above sys.maxsize: the trial count
+# has no budget, so such a check runs for as long as it is let.
+_INTEGERS = ("0", "1", "3", "-1", "-7", "x", "1.5", "", str(sys.maxsize + 1))
+_LISTS = ("a", "a,b", "", "a,a", "b,c,9", "-")
+_SYSTEMS = (".tstd", ".ttab", ".tnet")
+
+
+def _fuzz_argv(rng, tmp_path):
+    words, positionals, options = rng.choice(list(_leaf_commands()))
+    argv = list(words)
+    for name in positionals:
+        # Mostly a sample of the kind the positional names, else any file.
+        suffixes = (".trc",) if "trace" in name else (".tnet",) if name == "network" else _SYSTEMS
+        files = sorted(p.name for p in SAMPLES.iterdir())
+        if rng.random() < 0.8:
+            files = [f for f in files if f.endswith(suffixes)]
+        argv.append(rng.choice(files + ["missing.trc", str(tmp_path)]))
+    for flag, spec in options.items():
+        if not spec.get("required") and rng.random() < 0.5:
+            continue
+        if spec.get("action") == "store_true":
+            argv.append(flag)
+            continue
+        if "choices" in spec:
+            value = rng.choice((*spec["choices"], "bogus"))
+        elif "type" in spec:
+            value = rng.choice(_INTEGERS[:-1] if flag == "--trials" else _INTEGERS)
+        elif spec.get("metavar") == "PATH":  # never a sample file
+            value = str(rng.choice((tmp_path / "out.trc", tmp_path, tmp_path / "no" / "out")))
+        else:
+            value = rng.choice(_LISTS)
+        argv += [flag, value]
+    if len(argv) > len(words) and rng.random() < 0.2:
+        del argv[rng.randrange(len(words), len(argv))]
+    return argv
+
+
+# Counts that no result can hold: each must exit 2 at once, not when
+# memory runs out.
+_HOSTILE = [
+    ["gen-trace", "--channels", "a", "--ticks", "1", "--max-len", str(10**12)],
+    ["stream", "split", "-n", str(10**12), "feedback_in.trc"],
+    ["stream", "delay", "-d", str(10**12), "feedback_in.trc"],
+    ["stream", "join", "--pad", "-n", str(10**12), "feedback_in.trc"],
+    ["check", "causality", "toggler.tstd", "--horizon", str(10**20)],
+]
+
+
+def test_the_cli_finishes_on_fuzzed_arguments(tmp_path):
+    # Seeded argv from the command table over the sample files, then the
+    # hostile counts; each child is capped and timed out, so that a
+    # regression fails here instead of filling memory.
+    rng = Random(0)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in [_fuzz_argv(rng, tmp_path) for _ in range(40)] + _HOSTILE:
+        done = subprocess.run(
+            [sys.executable, "-m", "tstd", *argv], capture_output=True, env=env,
+            cwd=SAMPLES, timeout=10, preexec_fn=_cap_child,
+        )
+        err = done.stderr.decode()
+        assert done.returncode in (cli.OK, cli.REFUTED, cli.USAGE, cli.IO_ERROR), (argv, err)
+        assert "Traceback" not in err, argv
+        if done.returncode != cli.OK:
+            # A refutation is a verdict on stdout; every other exit says why.
+            assert err or (done.returncode == cli.REFUTED and done.stdout), argv
