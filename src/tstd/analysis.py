@@ -61,9 +61,10 @@ def _satisfiable(guards: Sequence[VarGuard]) -> bool:
 def validate_spec(spec: ComponentSpec) -> List[Finding]:
     """Structural validation: a deterministic list of errors and warnings.
 
-    Errors cover broken references and uniqueness violations; warnings cover
-    syntactically overlapping transitions and states unreachable from the
-    initial one.  The function is pure: equal specs yield equal reports.
+    Errors cover broken references, uniqueness violations and a missing
+    output channel, and a parser refuses them all; warnings, for a spec with
+    no error, cover syntactically overlapping transitions and states
+    unreachable from the initial one.  Equal specs yield equal reports.
     """
     findings = _errors(spec)
 

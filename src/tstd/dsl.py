@@ -5,10 +5,11 @@ sequence either parses or produces a list of located errors, never an
 uncaught exception.  The printer is canonical: equal specs print to
 identical bytes, and parsing a printed spec gives the spec back.
 
-The parser checks syntax only.  Every reference error comes located from
-:mod:`tstd.model` (the errors of ``validate_spec``), and the parser maps each
-location (declaration, transition clause) to its line.  It refuses a second
-component name or initial state itself, since a spec holds one.
+The parser checks syntax only.  Every other error comes located from
+:func:`tstd.model._errors` (the errors of ``validate_spec``), and the parser
+maps each location (declaration, transition clause) to its line, so a spec
+it returns has none.  It refuses a second component name or initial state
+itself, since a spec holds one.
 
 Component text::
 
@@ -55,7 +56,7 @@ from .model import (
     VarDecl,
     VarGuard,
     VarUpdate,
-    _spec_errors,
+    _errors,
 )
 from .streams import _IDENT, _INT, _INT_RE, IDENT_RE, _int, _Issues, _logical_lines, _parse_message
 
@@ -149,9 +150,10 @@ class _RawTransition:
 class _SpecBuilder:
     """Shared back half of the textual and table parsers.
 
-    Collects the declarations and raw transitions as written, reports the
-    findings of :func:`tstd.model._spec_errors` at their lines (line 1 for a
-    missing declaration), and assembles the spec.
+    Collects the declarations and raw transitions as written, under the
+    names of :class:`tstd.model.ComponentSpec`, reports the findings of
+    :func:`tstd.model._errors` at their lines (line 1 for a missing
+    declaration or component line), and assembles the spec.
     """
 
     def __init__(self, issues: _Issues):
@@ -161,8 +163,8 @@ class _SpecBuilder:
         self.vars: List[VarDecl] = []
         self.states: List[str] = []
         self.initial: Optional[str] = None
-        self.raw_transitions: List[_RawTransition] = []
-        # The line of each declaration, keyed as the locations of _spec_errors.
+        self.transitions: List[_RawTransition] = []
+        # The line of each declaration, keyed as the locations of _errors.
         self.lines: Dict[str, List[int]] = {
             kind: [] for kind in ("component", "channel", "variable", "state", "initial")
         }
@@ -210,15 +212,12 @@ class _SpecBuilder:
             return 1
         if len(location) == 3:
             index, clause, position = location
-            return self.raw_transitions[index - 1].lines[clause][position]
+            return self.transitions[index - 1].lines[clause][position]
         kind, position = location
-        return self.lines[kind][position]
+        return (self.lines[kind] or [1])[position]
 
     def finish(self) -> Optional[ComponentSpec]:
-        findings = _spec_errors(
-            self.name, self.channels, self.vars, self.states, self.initial, self.raw_transitions
-        )
-        for finding in findings:
+        for finding in _errors(self):
             self.issues.add(self._line(finding.location), 1, finding.message)
         if self.issues:
             return None
@@ -237,7 +236,7 @@ class _SpecBuilder:
                     tuple(raw.outputs),
                     tuple(raw.updates),
                 )
-                for raw in self.raw_transitions
+                for raw in self.transitions
             ),
         )
 
@@ -323,7 +322,7 @@ def parse_component(text: str) -> ComponentSpec:
                 current = None
             else:
                 current = _RawTransition(lineno, m.group(1), m.group(2))
-                builder.raw_transitions.append(current)
+                builder.transitions.append(current)
         else:
             issues.add(lineno, 1, f"unknown directive {keyword!r}")
 

@@ -5,9 +5,9 @@ states and an ordered list of guarded transitions.  At each tick a machine
 reads one time interval per input channel, fires the first enabled transition
 in declaration order (or stutters), and emits one time interval per output
 channel.  This module holds the data model and the errors that make a spec
-unusable, which every spec command checks.  The warnings of ``validate`` and
-the syntactic causality rule live in :mod:`tstd.analysis`, and the tick
-semantics, including what guards and updates mean, only in
+unusable, which the parsers refuse and compiling refuses.  The warnings of
+``validate`` and the syntactic causality rule live in :mod:`tstd.analysis`,
+and the tick semantics, including what guards and updates mean, only in
 :mod:`tstd.executor`.
 """
 
@@ -294,7 +294,7 @@ class Severity(enum.Enum):
 @value
 class Finding:
     """One validation result; ``location`` (see :func:`check_transition` for
-    a transition clause, :func:`_spec_errors` for a declaration) lets a
+    a transition clause, :func:`_errors` for a declaration) lets a
     parser point at its line, and ``render`` ignores it."""
 
     severity: Severity
@@ -363,30 +363,26 @@ def check_transition(
     return findings
 
 
-def _spec_errors(
-    name: Optional[str],
-    channels: Sequence[ChannelDecl],
-    vars: Sequence[VarDecl],
-    states: Sequence[str],
-    initial: Optional[str],
-    transitions: Sequence[Transition],
-) -> List[Finding]:
-    """Declaration and reference errors of a spec's parts, which may be as
-    written: repeated declarations, ``name`` or ``initial`` None when absent,
-    raw transitions (see :func:`check_transition`).  A declaration finding is
-    located at ``(kind, position)``: ``"component"`` or ``"initial"`` at 0,
-    or the position in ``channels``, ``vars`` or ``states`` for ``"channel"``,
-    ``"variable"`` or ``"state"``; one about a missing declaration, at None.
+def _errors(spec: ComponentSpec) -> List[Finding]:
+    """The error findings of :func:`tstd.analysis.validate_spec`, without its
+    warnings.  ``spec`` may also be the parts of a spec as written, under
+    the same names: repeated declarations, ``name`` or ``initial`` None when
+    absent, raw transitions (see :func:`check_transition`).  A declaration
+    finding is located at ``(kind, position)``: ``"component"`` or
+    ``"initial"`` at 0, or the position in ``channels``, ``vars`` or
+    ``states`` for ``"channel"``, ``"variable"`` or ``"state"``; one about a
+    missing declaration, at None.  No output channel, the last finding, is
+    located at the component declaration.
     """
     findings: List[Finding] = []
 
     def error(msg: str, location: Optional[Tuple[str, int]] = None) -> None:
         findings.append(Finding(Severity.ERROR, msg, location))
 
-    if name is None:
+    if spec.name is None:
         error("missing 'component NAME' declaration")
-    elif not IDENT_RE.match(name):
-        error(f"component name {name!r} is not a valid identifier", ("component", 0))
+    elif not IDENT_RE.match(spec.name):
+        error(f"component name {spec.name!r} is not a valid identifier", ("component", 0))
 
     def unique(kind: str, names: Sequence[str]) -> set:
         seen = set()
@@ -398,34 +394,25 @@ def _spec_errors(
             seen.add(n)
         return seen
 
-    channel_names = unique("channel", [c.name for c in channels])
-    var_names = unique("variable", [v.name for v in vars])
-    for pos, v in enumerate(vars):
+    channel_names = unique("channel", [c.name for c in spec.channels])
+    var_names = unique("variable", [v.name for v in spec.vars])
+    for pos, v in enumerate(spec.vars):
         if v.name in channel_names:
             error(f"variable '{v.name}' collides with a channel name", ("variable", pos))
-    state_names = unique("state", states)
-    if not states:
+    state_names = unique("state", spec.states)
+    if not spec.states:
         error("spec declares no states")
-    elif initial is None:
+    elif spec.initial is None:
         error("spec declares no initial state")
-    if initial is not None and initial not in state_names:
-        error(f"initial state '{initial}' is not declared", ("initial", 0))
+    if spec.initial is not None and spec.initial not in state_names:
+        error(f"initial state '{spec.initial}' is not declared", ("initial", 0))
 
-    in_set = {c.name for c in channels if c.direction is Direction.IN}
-    out_set = {c.name for c in channels if c.direction is Direction.OUT}
-    for idx, t in enumerate(transitions, start=1):
+    in_set = {c.name for c in spec.channels if c.direction is Direction.IN}
+    out_set = {c.name for c in spec.channels if c.direction is Direction.OUT}
+    for idx, t in enumerate(spec.transitions, start=1):
         findings += check_transition(idx, t, state_names, in_set, out_set, var_names)
-    return findings
-
-
-def _errors(spec: ComponentSpec) -> List[Finding]:
-    """The error findings of :func:`tstd.analysis.validate_spec`, without its
-    warnings."""
-    findings = _spec_errors(
-        spec.name, spec.channels, spec.vars, spec.states, spec.initial, spec.transitions
-    )
-    if not spec.out_channels():
-        findings.append(Finding(Severity.ERROR, "spec declares no output channel"))
+    if not out_set:
+        error("spec declares no output channel", ("component", 0))
     return findings
 
 

@@ -477,8 +477,8 @@ def parse_network(
 ) -> Network:
     """Parse a network wiring file; referenced component files are loaded
     relative to ``base_dir`` (by :func:`tstd.dsl._spec_parser`'s rule: a name
-    ending in ``.ttab`` is a table) and their parse and ``validate_spec``
-    errors reported at the ``use`` line, as is a network file named there;
+    ending in ``.ttab`` is a table) and their parse errors, every error of a
+    component, reported at the ``use`` line, as is a network file named there;
     their warnings go to ``warnings``, if given, at their first ``use`` line.
     """
     issues = _Issues()
@@ -586,23 +586,21 @@ def _load_instance(
     warnings: Optional[_Issues],
 ) -> Optional[Instance]:
     """The instance of ``use name = file arg``, or None with its problems
-    reported at ``lineno``.  ``loaded`` keeps each path's load and validation
-    outcome, so a file that several ``use`` lines name is loaded once."""
+    reported at ``lineno``.  ``loaded`` keeps each path's spec or the
+    exception of its load, so a file that several ``use`` lines name is
+    loaded once."""
     path = base / arg
     outcome = loaded.get(path)
     if outcome is None:
         try:
-            spec = load(path)
+            outcome = load(path)
         except (OSError, ValueError) as exc:
             outcome = exc
         else:
-            from .model import _errors
-
-            outcome = (spec, _errors(spec))
-            if warnings is not None and not outcome[1]:
+            if warnings is not None:
                 from .analysis import validate_spec
 
-                for finding in validate_spec(spec):
+                for finding in validate_spec(outcome):
                     warnings.add(lineno, 1, f"in {arg!r}: {finding.message}")
         loaded[path] = outcome
     if isinstance(outcome, FileNotFoundError):
@@ -615,8 +613,5 @@ def _load_instance(
     elif isinstance(outcome, ValueError):
         issues.add(lineno, 1, f"cannot load component file {arg!r}: {outcome}")
     else:
-        spec, errors = outcome
-        for finding in errors:
-            issues.add(lineno, 1, f"in {arg!r}: {finding.message}")
-        return None if errors else Instance.of_spec(name, spec)
+        return Instance.of_spec(name, outcome)
     return None

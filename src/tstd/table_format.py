@@ -90,7 +90,7 @@ def parse_table(text: str) -> ComponentSpec:
         if len(cells) != len(header):
             issues.add(lineno, 1, f"row has {len(cells)} cells, expected {len(header)}")
             continue
-        builder.raw_transitions.append(_parse_table_row(lineno, content, header, cells, issues))
+        builder.transitions.append(_parse_table_row(lineno, content, header, cells, issues))
 
     spec = builder.finish()
     issues.raise_if_any()

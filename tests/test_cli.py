@@ -80,21 +80,31 @@ class TestValidate:
 
 
 @pytest.mark.parametrize(
-    "command", [("simulate",), ("check", "causality"), ("export-dot",)], ids=" ".join
+    "command",
+    [
+        ("simulate",),
+        ("check", "causality"),
+        ("export-dot",),
+        ("compose",),
+        ("check", "untimed-sim"),
+    ],
+    ids=" ".join,
 )
-def test_spec_without_output_channel_exits_1(command, tmp_path):
+def test_spec_without_output_channel_exits_2(command, tmp_path):
+    # A parse error like any other error of a component, at its component line.
     spec = tmp_path / "mute.tstd"
     spec.write_text("component c\nin chan i\nstate S initial\n")
     trace = tmp_path / "in.trc"
     trace.write_text("ticks i\ni: -\n")
-    argv = [*command, str(spec)] + ([str(trace)] if command == ("simulate",) else [])
+    second = {("simulate",): trace, ("compose",): trace, ("check", "untimed-sim"): spec}
+    argv = [*command, str(spec)] + ([str(second[command])] if command in second else [])
     r = run_cli(*argv)
-    assert r.code == 1
-    assert r.err == f"{spec}: error: spec declares no output channel\n"
+    assert r.code == 2
+    assert r.err == f"{spec}:1:1: spec declares no output channel\n"
     assert r.out == ""
     r = run_cli("validate", str(spec))
     assert r.code == 1
-    assert r.out == "error: spec declares no output channel\n"
+    assert r.out == "error: line 1:1: spec declares no output channel\n"
 
 
 class TestSimulate:
@@ -332,7 +342,7 @@ class TestCheck:
         net = mute_network(tmp_path)
         r = run_cli("check", "feedback", str(net))
         assert r.code == 2
-        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.err == f"{net}:1:1: in 'mute.tstd' at 1:1: spec declares no output channel\n"
         assert r.out == ""
 
     def test_feedback_merge_takes_no_argument(self, tmp_path):
@@ -462,7 +472,7 @@ class TestCheckNetwork:
         net = mute_network(tmp_path)
         r = run_cli("check", "causality", str(net))
         assert r.code == 2
-        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.err == f"{net}:1:1: in 'mute.tstd' at 1:1: spec declares no output channel\n"
         assert r.out == ""
 
     def test_delay_deeper_than_any_int_index(self, tmp_path):
@@ -514,7 +524,7 @@ class TestCompose:
         trc.write_text("ticks x\nx: -\n")
         r = run_cli("compose", str(net), str(trc))
         assert r.code == 2
-        assert r.err == f"{net}:1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.err == f"{net}:1:1: in 'mute.tstd' at 1:1: spec declares no output channel\n"
 
     def test_ticks_too_large_without_external_inputs(self, tmp_path):
         net = tmp_path / "loop.tnet"
@@ -653,7 +663,7 @@ class TestSystemArguments:
         monkeypatch.chdir(SAMPLES)
         r = run_cli("validate", str(net))
         assert (r.code, r.err) == (1, "")
-        assert r.out == "error: line 1:1: in 'mute.tstd': spec declares no output channel\n"
+        assert r.out == "error: line 1:1: in 'mute.tstd' at 1:1: spec declares no output channel\n"
 
     def test_validate_network_prints_each_components_warnings_once(self, samples, tmp_path):
         # After the network's errors, at the first line that uses the file.

@@ -894,6 +894,46 @@ def test_chain_of_fifteen_hundred_instances_with_delayed_feedback():
     assert out.channels["out"][5] == sum(reversed(inputs.channels["in"].intervals), ())
 
 
+def _line_mutant(lines, rng):
+    """``lines`` with one to three lines deleted, duplicated or swapped."""
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+        edit = rng.choice(("delete", "duplicate", "swap"))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SAMPLES.iterdir() if p.suffix in (".tstd", ".ttab")),
+    ids=lambda p: p.name,
+)
+def test_a_component_that_parses_is_one_that_runs(path):
+    # The parsers refuse every error of a component, so no command needs to
+    # check a parsed spec again: every line mutant of a sample that parses
+    # validates without error and compiles.
+    parse = parse_table if path.suffix == ".ttab" else parse_component
+    lines = path.read_text().splitlines()
+    rng = Random(path.name)
+    parsed = 0
+    for _ in range(200):
+        text = "\n".join(_line_mutant(lines, rng)) + "\n"
+        try:
+            spec = parse(text)
+        except ParseFailure:
+            continue
+        parsed += 1
+        assert not has_errors(validate_spec(spec)), text
+        compile_spec(spec)
+    assert parsed >= 10, parsed
+
+
 def _render(text):
     """The parsed trace, or the rendered issues of the ParseFailure."""
     try:

@@ -242,6 +242,13 @@ DECLARATION_RULES = {
         decl_spec(initial=None),
         1,
     ),
+    # On the component line: a spec maps its inputs to its outputs.
+    "no-output-channel": (
+        "in chan i\ncomponent m\nstate S initial\n",
+        "@in i\n@component m\n@state S\n@initial S\n",
+        decl_spec(channels=(ChannelDecl("i", Direction.IN),)),
+        2,
+    ),
     # The textual style declares the initial state on its state line.
     "undeclared-initial": (
         None,
@@ -260,7 +267,7 @@ DECLARATION_CASES = [
 
 class TestParseComponent:
     def test_minimal_program(self):
-        spec = parse_component("component tiny\nstate only initial\n")
+        spec = parse_component("component tiny\nout chan o\nstate only initial\n")
         assert spec.states == ("only",)
         assert spec.initial == "only"
         assert spec.transitions == ()
@@ -327,7 +334,11 @@ trans S -> S
         text = "component m\nin chan ?\nstate S initial\ntrans S -> T\n"
         with pytest.raises(ParseFailure) as exc:
             parse_component(text)
-        assert len(exc.value.issues) == 2
+        assert [i.render() for i in exc.value.issues] == [
+            "2:1: expected 'in chan NAME'",
+            "4:1: transition 1 (S -> T): target state 'T' is not declared",
+            "1:1: spec declares no output channel",
+        ]
 
     @pytest.mark.parametrize(
         "clauses, line, channel",
@@ -435,6 +446,20 @@ class TestDeclarationRules:
         expected = error_messages(validate_spec(spec))
         assert len(expected) == 1
         assert [(i.span.line, i.message) for i in exc.value.issues] == [(line, expected[0])]
+
+    @pytest.mark.parametrize("style", ["textual", "table"])
+    def test_no_output_channel_without_a_component_line_is_on_line_1(self, style):
+        with pytest.raises(ParseFailure) as exc:
+            if style == "textual":
+                parse_component("in chan i\nstate S initial\n")
+            else:
+                parse_table("@in i\n@state S\n@initial S\n")
+        spec = decl_spec(name=None, channels=(ChannelDecl("i", Direction.IN),))
+        assert [i.render() for i in exc.value.issues] == [
+            "1:1: missing 'component NAME' declaration",
+            "1:1: spec declares no output channel",
+        ]
+        assert [i.message for i in exc.value.issues] == error_messages(validate_spec(spec))
 
     def test_declaration_findings_follow_syntax_issues(self):
         text = "component m\nout chan o\nout chan o\nstate S initial\nbogus\n"
@@ -632,7 +657,7 @@ class TestNetworkFormat:
         with pytest.raises(ParseFailure) as exc:
             parse_network("wire extern a -> p.i\nuse p = file mute.tstd\n", base_dir=tmp_path)
         [issue] = exc.value.issues
-        assert issue.render() == "2:1: in 'mute.tstd': spec declares no output channel"
+        assert issue.render() == "2:1: in 'mute.tstd' at 1:1: spec declares no output channel"
 
     def test_component_parse_errors_surface(self, tmp_path):
         (tmp_path / "bad.tstd").write_text("component x\nstate\n")
@@ -740,9 +765,9 @@ class TestNetworkFormat:
         with pytest.raises(ParseFailure) as exc:
             parse_network(text, base_dir=tmp_path, loader=loader)
         assert [i.render() for i in exc.value.issues] == [
-            "1:1: in 'mute.tstd': spec declares no output channel",
+            "1:1: in 'mute.tstd' at 1:1: spec declares no output channel",
             "2:1: component file not found: 'nope.tstd'",
-            "3:1: in './mute.tstd': spec declares no output channel",
+            "3:1: in './mute.tstd' at 1:1: spec declares no output channel",
             "4:1: component file not found: 'nope.tstd'",
         ]
         assert calls == [tmp_path / "mute.tstd", tmp_path / "nope.tstd"]
